@@ -3,10 +3,8 @@ deterministic benchmark harness for random Markov reward processes."""
 
 from .core import (
     ConfigError,
-    SparseVector,
     Trajectory,
     Transition,
-    as_dense,
     dot,
     max_action_value,
     stack_action_features,
@@ -29,10 +27,7 @@ from .envs import (
 from .algos import (
     AccumulateTD,
     ReplaceTD,
-    SarsaAccumulate,
-    SarsaReplace,
     TabularTrueOnlineTD,
-    TrueOnlineSarsa,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,

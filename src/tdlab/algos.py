@@ -1,5 +1,13 @@
 """Incremental TD(lambda)-family learners, O(n) per step.
 
+Three trace rules (accumulate, replace, dutch) are the whole family: each
+learner steps on a Transition of dense features, which are state features
+phi for prediction or action-stacked features psi for control, so
+Sarsa(lambda) is one of them run on psi. Next to them stand the dutch
+rule for a time-dependent step-size, its tabular specialization, and the
+Watkins-style learner, which is the dutch rule plus a trace cut after
+non-greedy actions.
+
 Each learner is a single-threaded state machine over a weight vector and
 an eligibility trace. Update order follows the published pseudocode
 exactly; in particular the previous value estimate (v_old / q_old) is
@@ -12,35 +20,34 @@ continuing tasks there is no boundary and the trace is never reset.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-from .core import ConfigError, Trajectory, Transition, action_values, as_dense
+from .core import ConfigError, Trajectory, Transition, action_values, stack_action_features
 from .envs import Mdp, Mrp, Representation, sample_mdp_step, sample_step
 from .rng import SplitMix64
 
-PREDICTION_VARIANTS = (
-    "accumulate",
-    "replace",
-    "true-online",
-    "true-online-alpha-t",
-    "tabular-true-online",
-)
-CONTROL_VARIANTS = (
-    "sarsa-accumulate",
-    "sarsa-replace",
-    "true-online-sarsa",
-    "true-online-watkins-q",
-)
+
+def check_step_size(alpha: float) -> None:
+    """Step-sizes must be finite and >= 0; 0 freezes the weights."""
+    if not (math.isfinite(alpha) and alpha >= 0.0):
+        raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
+
+
+def _check_params(alpha: float, lam: float) -> None:
+    check_step_size(alpha)
+    if not 0.0 <= lam <= 1.0:
+        raise ConfigError("lambda must lie in [0, 1]")
 
 
 class _LinearLearner:
-    """Common weight/trace state shared by the prediction learners."""
+    """Common weight/trace state shared by the linear learners."""
 
     variant: str
 
     def __init__(self, n: int, alpha: float, lam: float, theta_init=None):
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError("lambda must lie in [0, 1]")
+        _check_params(alpha, lam)
         self.n = n
         self.alpha = alpha
         self.lam = lam
@@ -63,8 +70,8 @@ class _LinearLearner:
         self.e[:] = 0.0
         self.v_old = 0.0
 
-    def value(self, phi) -> float:
-        return float(self._theta @ as_dense(phi))
+    def value(self, phi: np.ndarray) -> float:
+        return float(self._theta @ phi)
 
     def _check(self, tr: Transition) -> None:
         if tr.phi.shape != (self.n,) or tr.phi_next.shape != (self.n,):
@@ -151,8 +158,9 @@ class TrueOnlineTDAlphaT(_LinearLearner):
     variant = "true-online-alpha-t"
 
     def __init__(self, n: int, alpha_schedule, lam: float, theta_init=None):
+        super().__init__(n, alpha=0.0, lam=lam, theta_init=theta_init)
         self.alpha_schedule = alpha_schedule
-        super().__init__(n, alpha=float("nan"), lam=lam, theta_init=theta_init)
+        self.alpha = float("nan")  # no constant step-size
 
     def step(self, tr: Transition) -> None:
         self._check(tr)
@@ -183,8 +191,7 @@ class TabularTrueOnlineTD:
     variant = "tabular-true-online"
 
     def __init__(self, k: int, alpha: float, lam: float, values_init=None):
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError("lambda must lie in [0, 1]")
+        _check_params(alpha, lam)
         self.k = k
         self.alpha = alpha
         self.lam = lam
@@ -242,142 +249,48 @@ def epsilon_greedy(
     return action, bool(q[action] == q_max)
 
 
-class _ControlLearner:
-    variant: str
-
-    def __init__(self, n_state_features: int, num_actions: int, alpha: float, lam: float,
-                 theta_init=None):
-        if not 0.0 <= lam <= 1.0:
-            raise ConfigError("lambda must lie in [0, 1]")
-        self.n_state_features = n_state_features
-        self.num_actions = num_actions
-        self.n = n_state_features * num_actions
-        self.alpha = alpha
-        self.lam = lam
-        self._theta = (
-            np.zeros(self.n) if theta_init is None else np.array(theta_init, dtype=np.float64)
-        )
-        if self._theta.shape != (self.n,):
-            raise ConfigError("theta_init length must equal n_state_features * num_actions")
-        self.e = np.zeros(self.n)
-        self.q_old = 0.0
-        self.t = 0
-        self.start_episode()
-
-    @property
-    def theta(self) -> np.ndarray:
-        view = self._theta.view()
-        view.flags.writeable = False
-        return view
-
-    def start_episode(self) -> None:
-        self.e[:] = 0.0
-        self.q_old = 0.0
+def greedy_toward(q: np.ndarray, behavior: int) -> int:
+    """A greedy action of q, the behavior action when it attains the max."""
+    return behavior if q[behavior] == q.max() else int(np.argmax(q))
 
 
-class SarsaAccumulate(_ControlLearner):
-    """Sarsa(lambda) with accumulating traces on action features."""
-
-    variant = "sarsa-accumulate"
-
-    def step(self, psi: np.ndarray, psi_next: np.ndarray, reward: float, gamma: float) -> None:
-        theta, e = self._theta, self.e
-        delta = reward + gamma * (theta @ psi_next) - theta @ psi
-        e *= gamma * self.lam
-        e += psi
-        theta += (self.alpha * delta) * e
-        self.t += 1
-
-
-class SarsaReplace(_ControlLearner):
-    """Sarsa(lambda) with replacing traces; binary action features only."""
-
-    variant = "sarsa-replace"
-
-    def step(self, psi: np.ndarray, psi_next: np.ndarray, reward: float, gamma: float) -> None:
-        active = psi == 1.0
-        if not np.all(active | (psi == 0.0)):
-            raise ConfigError("replacing traces are only defined for binary features")
-        theta, e = self._theta, self.e
-        delta = reward + gamma * (theta @ psi_next) - theta @ psi
-        e *= gamma * self.lam
-        e[active] = 1.0
-        theta += (self.alpha * delta) * e
-        self.t += 1
-
-
-class TrueOnlineSarsa(_ControlLearner):
-    """True online TD(lambda) on state-action features."""
-
-    variant = "true-online-sarsa"
-
-    def step(self, psi: np.ndarray, psi_next: np.ndarray, reward: float, gamma: float) -> None:
-        """psi_next must be the zero vector if the next state is terminal."""
-        theta, e = self._theta, self.e
-        gl = gamma * self.lam
-        q = theta @ psi
-        q_next = theta @ psi_next
-        delta = reward + gamma * q_next - q
-        e_dot_psi = e @ psi
-        e *= gl
-        e += psi
-        e -= (self.alpha * gl * e_dot_psi) * psi
-        dq = q - self.q_old
-        theta += (self.alpha * (delta + dq)) * e
-        theta -= (self.alpha * dq) * psi
-        self.q_old = q_next
-        self.t += 1
-
-
-class TrueOnlineWatkinsQ(_ControlLearner):
+class TrueOnlineWatkinsQ(TrueOnlineTD):
     """True online learning of the greedy policy's values from any behavior.
 
-    The bootstrap uses the features of the argmax action (ties resolved
-    toward the behavior action by the caller), and the trace is zeroed
-    after the weight update whenever the behavior action was non-greedy.
+    The dutch step on action-stacked features, whose bootstrap features
+    psi' belong to the argmax action (ties resolved toward the behavior
+    action by the caller); the trace is zeroed after the weight update
+    whenever the behavior action was non-greedy.
     """
 
     variant = "true-online-watkins-q"
 
-    def step(
-        self,
-        psi: np.ndarray,
-        psi_star_next: np.ndarray,
-        reward: float,
-        gamma: float,
-        next_action_greedy: bool,
-    ) -> None:
-        theta, e = self._theta, self.e
-        gl = gamma * self.lam
-        q = theta @ psi
-        q_next = theta @ psi_star_next
-        delta = reward + gamma * q_next - q
-        e_dot_psi = e @ psi
-        e *= gl
-        e += psi
-        e -= (self.alpha * gl * e_dot_psi) * psi
-        dq = q - self.q_old
-        theta += (self.alpha * (delta + dq)) * e
-        theta -= (self.alpha * dq) * psi
-        if not next_action_greedy:
-            e[:] = 0.0
-        self.q_old = q_next
-        self.t += 1
+    def step(self, tr: Transition, greedy: bool) -> None:
+        super().step(tr)
+        if not greedy:
+            self.e[:] = 0.0
+
+
+def _constant_alpha_t(n: int, alpha: float, lam: float, theta_init=None) -> TrueOnlineTDAlphaT:
+    check_step_size(alpha)
+    return TrueOnlineTDAlphaT(n, alpha_schedule=lambda t: alpha, lam=lam, theta_init=theta_init)
+
+
+_PREDICTION_LEARNERS = {
+    "accumulate": AccumulateTD,
+    "replace": ReplaceTD,
+    "true-online": TrueOnlineTD,
+    "true-online-alpha-t": _constant_alpha_t,
+}
+PREDICTION_VARIANTS = tuple(_PREDICTION_LEARNERS)
 
 
 def make_prediction_learner(
     variant: str, n: int, alpha: float, lam: float, theta_init=None
 ) -> _LinearLearner:
-    classes = {
-        "accumulate": AccumulateTD,
-        "replace": ReplaceTD,
-        "true-online": TrueOnlineTD,
-    }
-    if variant == "true-online-alpha-t":
-        return TrueOnlineTDAlphaT(n, alpha_schedule=lambda t: alpha, lam=lam, theta_init=theta_init)
-    if variant not in classes:
+    if variant not in _PREDICTION_LEARNERS:
         raise ConfigError(f"unknown prediction variant {variant!r}; expected {PREDICTION_VARIANTS}")
-    return classes[variant](n, alpha=alpha, lam=lam, theta_init=theta_init)
+    return _PREDICTION_LEARNERS[variant](n, alpha=alpha, lam=lam, theta_init=theta_init)
 
 
 def run_episode(
@@ -434,16 +347,26 @@ def run_control_episode(
     epsilon: float,
     max_steps: int | None = None,
 ) -> Trajectory:
-    """Drive a control learner with an epsilon-greedy behavior policy.
+    """Drive a learner on action-stacked features with an epsilon-greedy policy.
 
-    Records per-step actions and greedy flags so the run can be replayed
-    against the truncated forward view. Action selection always uses the
-    pre-update weights, matching the pseudocode order.
+    The learner steps on Transition(psi, R, psi', gamma): Sarsa(lambda) is
+    any trace kernel of length representation.n * num_actions, and a
+    TrueOnlineWatkinsQ bootstraps on the greedy action instead and cuts
+    its trace after non-greedy ones. Records per-step actions and greedy
+    flags so the run can be replayed against the truncated forward view.
+    Action selection always uses the pre-update weights, matching the
+    pseudocode order.
     """
     if not mdp.terminal_states and max_steps is None:
         raise ConfigError("continuing MDP requires a step cap")
-    learner.start_episode()
     num_actions = mdp.num_actions
+    n = getattr(learner, "n", None)
+    if n != representation.n * num_actions:
+        raise ConfigError(
+            f"control learner needs {representation.n} * {num_actions} action features, has {n}"
+        )
+    watkins = isinstance(learner, TrueOnlineWatkinsQ)
+    learner.start_episode()
     state = mdp.initial_state(rng)
     action, greedy = epsilon_greedy(
         learner.theta, representation.phi(state), num_actions, epsilon, rng
@@ -451,7 +374,7 @@ def run_control_episode(
     steps: list[Transition] = []
     actions: list[int] = []
     flags: list[bool] = []
-    psi = _stack_dense(representation.phi(state), action, num_actions)
+    psi = stack_action_features(representation.phi(state), action, num_actions)
     final_action: int | None = None
     final_greedy: bool | None = None
     while True:
@@ -472,32 +395,26 @@ def run_control_episode(
         actions.append(action)
         flags.append(greedy)
         if terminal:
-            if isinstance(learner, TrueOnlineWatkinsQ):
-                learner.step(psi, np.zeros(learner.n), reward, mdp.gamma, True)
-            else:
-                learner.step(psi, np.zeros(learner.n), reward, mdp.gamma)
-            break
-        next_action, next_greedy = epsilon_greedy(
-            learner.theta, phi_next, num_actions, epsilon, rng
-        )
-        if isinstance(learner, TrueOnlineWatkinsQ):
-            q_next = action_values(learner.theta, phi_next, num_actions)
-            a_star = next_action if q_next[next_action] == q_next.max() else int(np.argmax(q_next))
-            psi_star = _stack_dense(phi_next, a_star, num_actions)
-            learner.step(psi, psi_star, reward, mdp.gamma, next_action == a_star)
-            psi = psi_star
+            psi_next = np.zeros(n)
         else:
-            psi_next = _stack_dense(phi_next, next_action, num_actions)
-            learner.step(psi, psi_next, reward, mdp.gamma)
-            psi = psi_next
+            next_action, next_greedy = epsilon_greedy(
+                learner.theta, phi_next, num_actions, epsilon, rng
+            )
+            bootstrap = next_action
+            if watkins:
+                q_next = action_values(learner.theta, phi_next, num_actions)
+                bootstrap = greedy_toward(q_next, next_action)
+            psi_next = stack_action_features(phi_next, bootstrap, num_actions)
+        tr = Transition(psi, reward, psi_next, mdp.gamma, terminal=terminal)
+        if watkins:
+            learner.step(tr, terminal or next_action == bootstrap)
+        else:
+            learner.step(tr)
+        if terminal:
+            break
+        psi = psi_next
         state, action, greedy = nxt, next_action, next_greedy
     return Trajectory(
         steps=steps, actions=actions, greedy=flags, num_actions=num_actions,
         final_action=final_action, final_greedy=final_greedy,
     )
-
-
-def _stack_dense(phi: np.ndarray, action: int, num_actions: int) -> np.ndarray:
-    out = np.zeros(phi.shape[0] * num_actions)
-    out[action * phi.shape[0] : (action + 1) * phi.shape[0]] = phi
-    return out

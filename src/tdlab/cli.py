@@ -75,17 +75,38 @@ def _load_config_file(path: str) -> dict:
     raise ConfigError(f"{path} is not a tdlab-config file or manifest")
 
 
-def _apply_config_defaults(args: argparse.Namespace, parser_defaults: dict) -> None:
+def _coerce(action: argparse.Action, value):
+    """A config-file value as the flag's argparse type would parse it."""
+    if value is None:
+        return None
+    if action.nargs == 0:  # store_true flags take a JSON boolean
+        if not isinstance(value, bool):
+            raise ConfigError(
+                f"config value for {action.dest} must be true or false, got {value!r}"
+            )
+        return value
+    try:
+        value = (action.type or str)(str(value))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config value for {action.dest}: {exc}") from exc
+    if action.choices is not None and value not in action.choices:
+        raise ConfigError(
+            f"config value for {action.dest} must be one of {list(action.choices)}"
+        )
+    return value
+
+
+def _apply_config_defaults(args: argparse.Namespace, actions: dict) -> None:
     """Config file values fill in flags the user did not set explicitly."""
     if not getattr(args, "config", None):
         return
     overrides = _load_config_file(args.config)
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr):
             continue
-        if getattr(args, attr) == parser_defaults.get(attr):
-            setattr(args, attr, value)
+        if getattr(args, attr) == actions[attr].default:
+            setattr(args, attr, _coerce(actions[attr], value))
 
 
 def _resolve_seed(seed: int) -> int:
@@ -202,7 +223,7 @@ def cmd_figures(args: argparse.Namespace) -> int:
 
 
 def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
-    """The CLI parser plus each subcommand's flag defaults (for --config merging)."""
+    """The CLI parser plus each subcommand's flag actions (for --config merging)."""
     parser = argparse.ArgumentParser(
         prog="tdlab",
         description="TD(lambda) family benchmarks: generate environments, run sweeps, "
@@ -235,7 +256,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     s.add_argument("--seed", type=int, default=0)
     s.add_argument("--gamma", type=float, default=0.99)
     s.add_argument("--weighting", default="stationary", choices=["stationary", "uniform"])
-    s.add_argument("--workers", type=int, default=1)
+    s.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the CPU count")
     s.add_argument("--out", default=None, help="output CSV (default: stdout)")
     s.add_argument("--config", default=None, help="JSON config/manifest file")
     s.set_defaults(func=cmd_sweep)
@@ -252,22 +273,22 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     f.add_argument("--runs", type=int, default=None)
     f.add_argument("--steps", type=int, default=100)
     f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--workers", type=int, default=1)
+    f.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the CPU count")
     f.add_argument("--out", default=None, help="output CSV (default: stdout)")
     f.set_defaults(func=cmd_figures)
 
-    defaults = {
-        name: {a.dest: a.default for a in p._actions}
+    actions = {
+        name: {a.dest: a for a in p._actions}
         for name, p in (("gen-mrp", g), ("sweep", s), ("verify", v), ("figures", f))
     }
-    return parser, defaults
+    return parser, actions
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, defaults = build_parser()
+    parser, actions = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args, defaults[args.command])
+        _apply_config_defaults(args, actions[args.command])
         if args.command == "figures" and args.runs is None:
             args.runs = 200 if args.figure == 2 else 50
         return args.func(args)

@@ -1,10 +1,10 @@
 """Shared numeric types: feature vectors, transitions, trajectories.
 
-Feature vectors are plain float64 numpy arrays by default; a sparse
-index/value representation is available behind the same dot-product
-interface for large binary encodings such as tile coding. A terminal
-state is represented by the all-zero feature vector, which makes its
-value estimate exactly 0 without special-casing.
+Feature vectors are dense float64 numpy arrays: state features phi for
+prediction, or action-stacked features psi (one block of phi per action)
+for control, which every learner consumes alike. A terminal state is
+represented by the all-zero feature vector, which makes its value
+estimate exactly 0 without special-casing.
 """
 
 from __future__ import annotations
@@ -18,51 +18,14 @@ class ConfigError(ValueError):
     """Fatal configuration problem (dimension mismatch, invalid parameter)."""
 
 
-@dataclass(frozen=True)
-class SparseVector:
-    """Index/value representation of a length-n real vector."""
-
-    n: int
-    indices: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=np.float64))
-        if self.indices.shape != self.values.shape:
-            raise ConfigError("sparse indices and values must have equal length")
-        if self.indices.size and (self.indices.min() < 0 or self.indices.max() >= self.n):
-            raise ConfigError("sparse index out of range")
-
-    def to_dense(self) -> np.ndarray:
-        out = np.zeros(self.n)
-        np.add.at(out, self.indices, self.values)
-        return out
-
-
-FeatureVector = np.ndarray | SparseVector
-
-
-def dimension(phi: FeatureVector) -> int:
-    return phi.n if isinstance(phi, SparseVector) else phi.shape[0]
-
-
-def as_dense(phi: FeatureVector) -> np.ndarray:
-    return phi.to_dense() if isinstance(phi, SparseVector) else np.asarray(phi, dtype=np.float64)
-
-
-def dot(w: np.ndarray, phi: FeatureVector) -> float:
+def dot(w: np.ndarray, phi: np.ndarray) -> float:
     """Inner product w . phi, the linear value estimate."""
-    if isinstance(phi, SparseVector):
-        if w.shape[0] != phi.n:
-            raise ConfigError(f"dimension mismatch: weights {w.shape[0]}, features {phi.n}")
-        return float(w[phi.indices] @ phi.values)
     if w.shape[0] != phi.shape[0]:
         raise ConfigError(f"dimension mismatch: weights {w.shape[0]}, features {phi.shape[0]}")
     return float(w @ phi)
 
 
-def stack_action_features(phi: FeatureVector, action: int, num_actions: int) -> FeatureVector:
+def stack_action_features(phi: np.ndarray, action: int, num_actions: int) -> np.ndarray:
     """Embed state features into the block of one action.
 
     The result has length n * num_actions; block `action` holds phi and
@@ -70,27 +33,24 @@ def stack_action_features(phi: FeatureVector, action: int, num_actions: int) -> 
     """
     if not 0 <= action < num_actions:
         raise ConfigError(f"action {action} out of range for {num_actions} actions")
-    n = dimension(phi)
-    if isinstance(phi, SparseVector):
-        return SparseVector(n * num_actions, phi.indices + action * n, phi.values)
+    n = phi.shape[0]
     out = np.zeros(n * num_actions)
     out[action * n : (action + 1) * n] = phi
     return out
 
 
-def max_action_value(theta: np.ndarray, phi: FeatureVector, num_actions: int) -> float:
+def max_action_value(theta: np.ndarray, phi: np.ndarray, num_actions: int) -> float:
     """max_a theta . stack_action_features(phi, a)."""
     return float(np.max(action_values(theta, phi, num_actions)))
 
 
-def action_values(theta: np.ndarray, phi: FeatureVector, num_actions: int) -> np.ndarray:
-    dense = as_dense(phi)
-    n = dense.shape[0]
+def action_values(theta: np.ndarray, phi: np.ndarray, num_actions: int) -> np.ndarray:
+    n = phi.shape[0]
     if theta.shape[0] != n * num_actions:
         raise ConfigError(
             f"dimension mismatch: weights {theta.shape[0]}, expected {n * num_actions}"
         )
-    return theta.reshape(num_actions, n) @ dense
+    return theta.reshape(num_actions, n) @ phi
 
 
 @dataclass(frozen=True)
@@ -153,4 +113,4 @@ class Trajectory:
     def action_features(self, t: int) -> np.ndarray:
         if self.actions is None or self.num_actions is None:
             raise ConfigError("trajectory lacks action annotations")
-        return as_dense(stack_action_features(self.phi(t), self.actions[t], self.num_actions))
+        return stack_action_features(self.phi(t), self.actions[t], self.num_actions)

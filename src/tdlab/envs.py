@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ConfigError, SparseVector
+from .core import ConfigError
 from .rng import SplitMix64, mix64
 
 ROW_SUM_TOL = 1e-12
@@ -335,8 +335,12 @@ class TileCoderConfig:
         return self.num_tilings + (1 if self.bias_unit else 0)
 
 
-def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> SparseVector:
-    """Sparse binary encoding of the signals; out-of-range values are clipped."""
+def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> np.ndarray:
+    """Dense length-n encoding of the signals; out-of-range values are clipped.
+
+    Each active feature adds 1 at its hashed index, so tilings whose
+    hashes collide share one entry of value 2 (or more).
+    """
     signals = np.asarray(signals, dtype=np.float64)
     if signals.shape[0] != len(config.signal_ranges):
         raise ConfigError(
@@ -355,7 +359,9 @@ def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> Spa
         indices[i] = h % config.hash_size
     if config.bias_unit:
         indices[nt] = config.hash_size
-    return SparseVector(config.n, indices, np.ones(config.active_features))
+    out = np.zeros(config.n)
+    np.add.at(out, indices, 1.0)
+    return out
 
 
 def true_values(mrp: Mrp) -> np.ndarray:

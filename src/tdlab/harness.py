@@ -11,6 +11,7 @@ result does not depend on execution order or worker count.
 
 from __future__ import annotations
 
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -21,12 +22,12 @@ from .algos import (
     PREDICTION_VARIANTS,
     AccumulateTD,
     TabularTrueOnlineTD,
-    TrueOnlineSarsa,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
+    check_step_size,
     make_prediction_learner,
 )
-from .core import ConfigError, Trajectory, Transition, stack_action_features, as_dense
+from .core import ConfigError, Trajectory, Transition, stack_action_features
 from .envs import (
     Mrp,
     Representation,
@@ -34,12 +35,12 @@ from .envs import (
     canonical_task,
     generate_mrp,
     sample_step,
-    stationary_distribution,
 )
 from .oracle import (
     lms_solution,
     online_lambda_return_algorithm,
     replay_watkins,
+    state_weights,
     watkins_forward_view,
 )
 from .rng import SplitMix64, mix64
@@ -88,6 +89,8 @@ class SweepConfig:
             raise ConfigError("alpha and lambda grids must be non-empty")
         if self.runs < 1 or self.steps < 1:
             raise ConfigError("runs and steps must be >= 1")
+        for alpha in self.alphas:
+            check_step_size(alpha)
         for v in self.variants:
             if v not in PREDICTION_VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {PREDICTION_VARIANTS}")
@@ -138,18 +141,9 @@ def error_quadratic(
     """(M, theta_star, initial_error) so that the weighted squared value
     error of theta against the best linear solution is (d' M d) with
     d = theta - theta_star."""
-    nt = mrp.nonterminal_states()
-    if isinstance(weighting, str):
-        if weighting == "stationary":
-            w = stationary_distribution(mrp)[nt]
-        elif weighting == "uniform":
-            w = np.full(nt.size, 1.0 / nt.size)
-        else:
-            raise ConfigError(f"unknown weighting {weighting!r}")
-    else:
-        w = np.asarray(weighting, dtype=np.float64)[nt]
+    w = state_weights(mrp, weighting)
     theta_star, _ = lms_solution(mrp, representation, weighting)
-    phi = representation.table[nt]
+    phi = representation.table[mrp.nonterminal_states()]
     M = phi.T @ (w[:, None] * phi)
     e0 = float(theta_star @ M @ theta_star)  # error of the zero vector
     return M, theta_star, e0
@@ -273,6 +267,9 @@ def run_sweep(config: SweepConfig, mrp: Mrp | None = None, workers: int = 1) -> 
     finite weights; its (large) metric still enters the cell mean, so
     divergence is visible in the data rather than silently dropped.
     """
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
     if mrp is None:
         mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
     representation = build_representation(
@@ -407,17 +404,13 @@ def action_feature_trajectory(traj: Trajectory) -> Trajectory:
     steps = []
     T = len(traj)
     for j, step in enumerate(traj.steps):
-        psi = as_dense(stack_action_features(step.phi, traj.actions[j], traj.num_actions))
+        psi = traj.action_features(j)
         if step.terminal:
             psi_next = np.zeros(psi.shape[0])
         elif j + 1 < T:
-            psi_next = as_dense(
-                stack_action_features(step.phi_next, traj.actions[j + 1], traj.num_actions)
-            )
+            psi_next = stack_action_features(step.phi_next, traj.actions[j + 1], traj.num_actions)
         elif traj.final_action is not None:
-            psi_next = as_dense(
-                stack_action_features(step.phi_next, traj.final_action, traj.num_actions)
-            )
+            psi_next = stack_action_features(step.phi_next, traj.final_action, traj.num_actions)
         else:
             raise ConfigError("capped control trajectory lacks the final selected action")
         steps.append(Transition(
@@ -480,18 +473,9 @@ def _pair_histories(traj, alpha, lam, theta_init, pair):
         b = online_lambda_return_algorithm(traj, alpha, lam, theta_init).theta_history
     elif pair == "sarsa-vs-oracle-on-psi":
         psi_traj = action_feature_trajectory(traj)
-        n = psi_traj.steps[0].phi.shape[0]
-        if traj.num_actions is None or n % traj.num_actions:
-            raise ConfigError("action feature length must be n_state_features * num_actions")
-        learner = TrueOnlineSarsa(
-            n // traj.num_actions, traj.num_actions, alpha=alpha, lam=lam, theta_init=theta_init
+        a = _replay_prediction(
+            TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), psi_traj
         )
-        history = np.empty((len(psi_traj) + 1, n))
-        history[0] = learner.theta
-        for j, step in enumerate(psi_traj.steps):
-            learner.step(step.phi, step.phi_next, step.reward, step.gamma)
-            history[j + 1] = learner.theta
-        a = history
         b = online_lambda_return_algorithm(psi_traj, alpha, lam, theta_init).theta_history
     elif pair == "watkins-vs-truncated-oracle":
         a = replay_watkins(traj, alpha, lam, theta_init)

@@ -19,8 +19,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algos import AccumulateTD, TrueOnlineWatkinsQ
-from .core import ConfigError, Trajectory, action_values
+from .algos import AccumulateTD, TrueOnlineWatkinsQ, greedy_toward
+from .core import ConfigError, Trajectory, Transition, action_values, stack_action_features
 from .envs import Mrp, Representation, stationary_distribution, true_values
 
 ThetaLookup = Callable[[int], np.ndarray]
@@ -249,12 +249,8 @@ def watkins_forward_view(
         if t >= 2:
             k = t - 1
             q = action_values(history[k - 1], traj.phi(k), num_actions)
-            behavior = traj.actions[k]
-            a_star = behavior if q[behavior] == q.max() else int(np.argmax(q))
-            psi = np.zeros(n)
-            block = traj.phi(k)
-            psi[a_star * block.shape[0] : (a_star + 1) * block.shape[0]] = block
-            psis.append(psi)
+            a_star = greedy_toward(q, traj.actions[k])
+            psis.append(stack_action_features(traj.phi(k), a_star, num_actions))
         lookup = lambda j: history[j]
         theta = history[0].copy()
         for k in range(t):
@@ -278,20 +274,15 @@ def replay_watkins(
         raise ConfigError("Watkins replay needs action annotations")
     T = len(traj)
     num_actions = traj.num_actions
-    learner = TrueOnlineWatkinsQ(
-        n_state_features=traj.steps[0].phi.shape[0],
-        num_actions=num_actions,
-        alpha=alpha,
-        lam=lam,
-        theta_init=theta_init,
-    )
+    learner = TrueOnlineWatkinsQ(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
     psi = traj.action_features(0)
     for j in range(T):
         step = traj.steps[j]
         if step.terminal:
-            learner.step(psi, np.zeros(learner.n), step.reward, step.gamma, True)
+            tr = Transition(psi, step.reward, np.zeros(learner.n), step.gamma, terminal=True)
+            learner.step(tr, True)
         else:
             q = action_values(learner.theta, step.phi_next, num_actions)
             if j + 1 < T:
@@ -300,11 +291,9 @@ def replay_watkins(
                 behavior = traj.final_action
             else:
                 raise ConfigError("capped control trajectory lacks the final selected action")
-            a_star = behavior if q[behavior] == q.max() else int(np.argmax(q))
-            psi_star = np.zeros(learner.n)
-            block = step.phi_next
-            psi_star[a_star * block.shape[0] : (a_star + 1) * block.shape[0]] = block
-            learner.step(psi, psi_star, step.reward, step.gamma, behavior == a_star)
+            a_star = greedy_toward(q, behavior)
+            psi_star = stack_action_features(step.phi_next, a_star, num_actions)
+            learner.step(Transition(psi, step.reward, psi_star, step.gamma), behavior == a_star)
             psi = psi_star
         history[j + 1] = learner.theta
     return history
@@ -411,18 +400,26 @@ def lms_solution(
     """
     v = true_values(mrp)
     nt = mrp.nonterminal_states()
-    if isinstance(weighting, str):
-        if weighting == "stationary":
-            w = stationary_distribution(mrp)[nt]
-        elif weighting == "uniform":
-            w = np.full(nt.size, 1.0 / nt.size)
-        else:
-            raise ConfigError(f"unknown weighting {weighting!r}")
-    else:
-        w = np.asarray(weighting, dtype=np.float64)[nt]
+    w = state_weights(mrp, weighting)
     phi = representation.table[nt]
     sqrt_w = np.sqrt(w)
     theta_star, *_ = np.linalg.lstsq(sqrt_w[:, None] * phi, sqrt_w * v[nt], rcond=None)
     residual = v[nt] - phi @ theta_star
     mse_star = float(w @ residual**2)
     return theta_star, mse_star
+
+
+def state_weights(mrp: Mrp, weighting: str | np.ndarray = "stationary") -> np.ndarray:
+    """Weights of the non-terminal states, in `nonterminal_states()` order.
+
+    "stationary" (valid for continuing chains), "uniform", or an explicit
+    weight vector over all k states.
+    """
+    nt = mrp.nonterminal_states()
+    if not isinstance(weighting, str):
+        return np.asarray(weighting, dtype=np.float64)[nt]
+    if weighting == "stationary":
+        return stationary_distribution(mrp)[nt]
+    if weighting == "uniform":
+        return np.full(nt.size, 1.0 / nt.size)
+    raise ConfigError(f"unknown weighting {weighting!r}")

@@ -15,9 +15,6 @@ import numpy as np
 from .algos import (
     AccumulateTD,
     ReplaceTD,
-    SarsaAccumulate,
-    SarsaReplace,
-    TrueOnlineSarsa,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,
@@ -120,8 +117,8 @@ def proposition_checks(seed: int = 0) -> list[CheckResult]:
     mdp = generate_mdp(6, 2, 0.1, 0.9, num_actions=3, seed=mix64(seed ^ 0x2))
     crep = build_representation("tabular", generate_mrp(6, 2, 0.1, 0.9, seed=1), seed=0)
     control_hists = []
-    for cls in (SarsaAccumulate, SarsaReplace, TrueOnlineSarsa):
-        learner = cls(crep.n, 3, alpha=0.3, lam=0.0)
+    for cls in (AccumulateTD, ReplaceTD, TrueOnlineTD):
+        learner = cls(crep.n * 3, alpha=0.3, lam=0.0)
         ctraj = run_control_episode(
             learner, mdp, crep, SplitMix64(mix64(seed ^ 0x3)), epsilon=0.2, max_steps=80
         )
@@ -231,8 +228,8 @@ def equivalence_checks(trials: int, seed: int) -> list[CheckResult]:
                 generate_mrp(8, 3, 0.1, 0.9, seed=1),
                 seed=rng.next_u64(),
             )
-            cls = TrueOnlineSarsa if pair.startswith("sarsa") else TrueOnlineWatkinsQ
-            learner = cls(rep.n, 3, alpha=alpha, lam=lam)
+            cls = TrueOnlineTD if pair.startswith("sarsa") else TrueOnlineWatkinsQ
+            learner = cls(rep.n * 3, alpha=alpha, lam=lam)
             traj = run_control_episode(
                 learner, mdp, rep, rng.split(), epsilon=0.1 + 0.4 * rng.random(), max_steps=100
             )

@@ -18,7 +18,6 @@ from tdlab import (
     TabularTrueOnlineTD,
     Trajectory,
     Transition,
-    TrueOnlineSarsa,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,
@@ -254,21 +253,21 @@ def test_criterion_6_variant_cross_checks():
     # greedy-only behavior: the max-bootstrap learner equals the on-policy one
     mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=11)
     rep = build_representation("tabular", generate_mrp(8, 3, 0.1, 0.9, seed=2), seed=0)
-    w = TrueOnlineWatkinsQ(rep.n, 3, alpha=0.5, lam=0.9)
+    w = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.5, lam=0.9)
     traj_greedy = run_control_episode(w, mdp, rep, SplitMix64(13), epsilon=0.0, max_steps=150)
     assert all(traj_greedy.greedy)
     a = replay_watkins(traj_greedy, 0.5, 0.9, np.zeros(rep.n * 3))
     psi_traj = action_feature_trajectory(traj_greedy)
-    sarsa = TrueOnlineSarsa(rep.n, 3, alpha=0.5, lam=0.9)
+    sarsa = TrueOnlineTD(rep.n * 3, alpha=0.5, lam=0.9)
     b = [sarsa.theta.copy()]
     for step in psi_traj.steps:
-        sarsa.step(step.phi, step.phi_next, step.reward, step.gamma)
+        sarsa.step(step)
         b.append(sarsa.theta.copy())
     diff_ws = float(np.abs(a - np.array(b)).max())
     assert diff_ws <= 1e-12, diff_ws
 
     # exploring behavior: the learner equals its truncated forward view
-    w2 = TrueOnlineWatkinsQ(rep.n, 3, alpha=0.5, lam=0.9)
+    w2 = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.5, lam=0.9)
     traj_explore = run_control_episode(w2, mdp, rep, SplitMix64(14), epsilon=0.3, max_steps=150)
     assert not all(traj_explore.greedy)
     r4 = certify_equivalence(

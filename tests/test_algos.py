@@ -9,23 +9,25 @@ from tdlab import (
     AccumulateTD,
     ConfigError,
     ReplaceTD,
-    SarsaAccumulate,
     SplitMix64,
     TabularTrueOnlineTD,
+    TileCoderConfig,
     Trajectory,
     Transition,
-    TrueOnlineSarsa,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,
     build_representation,
     canonical_task,
+    certify_equivalence,
     epsilon_greedy,
     generate_mdp,
     generate_mrp,
     run_control_episode,
     run_episode,
+    tile_code,
 )
+from tdlab.algos import make_prediction_learner
 from tests.conftest import make_mrp_trajectory, synthetic_trajectory
 
 
@@ -125,6 +127,43 @@ class TestTrueOnline:
         learner = TrueOnlineTD(2, alpha=0.1, lam=0.5)
         with pytest.raises(ValueError):
             learner.theta[0] = 1.0
+
+    def test_tile_coded_features_match_forward_view(self):
+        # 32 buckets for 4 tilings, so some observations collide into a 2
+        config = TileCoderConfig(
+            num_tilings=4, bins_per_signal=5, signal_ranges=((0.0, 1.0),), hash_size=32
+        )
+        rng = np.random.default_rng(17)
+        x = 0.5
+        steps = []
+        for _ in range(80):
+            x_next = float(np.clip(x + rng.normal(scale=0.1), 0.0, 1.0))
+            steps.append(Transition(
+                tile_code([x], config), x_next + rng.normal(scale=0.1),
+                tile_code([x_next], config), 0.95,
+            ))
+            x = x_next
+        traj = Trajectory(steps=steps)
+        report = certify_equivalence(
+            traj, 0.1 / config.active_features, 0.9, np.zeros(config.n), "true-online-vs-oracle"
+        )
+        assert report.compared_steps == len(traj)
+        assert report.max_rel_diff <= 1e-8, report
+
+
+@pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -0.1])
+def test_invalid_step_size_rejected(alpha):
+    for build in (
+        lambda: AccumulateTD(2, alpha=alpha, lam=0.5),
+        lambda: ReplaceTD(2, alpha=alpha, lam=0.5),
+        lambda: TrueOnlineTD(2, alpha=alpha, lam=0.5),
+        lambda: TrueOnlineWatkinsQ(2, alpha=alpha, lam=0.5),
+        lambda: TabularTrueOnlineTD(2, alpha=alpha, lam=0.5),
+        lambda: make_prediction_learner("true-online-alpha-t", 2, alpha, 0.5),
+    ):
+        with pytest.raises(ConfigError, match="alpha"):
+            build()
+    TrueOnlineTD(2, alpha=0.0, lam=0.5)  # zero-step recorders stay valid
 
 
 class TestAlphaT:
@@ -229,8 +268,8 @@ class TestControl:
 
     def test_sarsa_lambda_zero_is_one_step(self):
         mdp, rep = self._setting(3)
-        a = TrueOnlineSarsa(rep.n, 3, alpha=0.3, lam=0.0)
-        b = SarsaAccumulate(rep.n, 3, alpha=0.3, lam=0.0)
+        a = TrueOnlineTD(rep.n * 3, alpha=0.3, lam=0.0)
+        b = AccumulateTD(rep.n * 3, alpha=0.3, lam=0.0)
         ta = run_control_episode(a, mdp, rep, SplitMix64(9), epsilon=0.2, max_steps=60)
         tb = run_control_episode(b, mdp, rep, SplitMix64(9), epsilon=0.2, max_steps=60)
         assert ta.actions == tb.actions
@@ -239,30 +278,38 @@ class TestControl:
     def test_sarsa_fixed_point_single_pair(self):
         # one state-action looping on itself with reward 1: Q -> 1/(1-gamma)
         gamma = 0.5
-        learner = TrueOnlineSarsa(1, 1, alpha=0.1, lam=0.0)
+        learner = TrueOnlineTD(1, alpha=0.1, lam=0.0)
         psi = np.array([1.0])
         learner.start_episode()
         for _ in range(1000):
-            learner.step(psi, psi, 1.0, gamma)
+            learner.step(Transition(psi, 1.0, psi, gamma))
         assert learner.theta[0] == pytest.approx(1.0 / (1.0 - gamma), abs=1e-3)
 
     def test_watkins_trace_reset_exact_zero(self):
         mdp, rep = self._setting(4)
-        learner = TrueOnlineWatkinsQ(rep.n, 3, alpha=0.4, lam=0.9)
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
         psi = np.zeros(learner.n)
         psi[0] = 1.0
-        learner.step(psi, psi, 1.0, 0.9, next_action_greedy=False)
+        learner.step(Transition(psi, 1.0, psi, 0.9), greedy=False)
         assert not learner.e.any()
 
     def test_watkins_epsilon_zero_equals_sarsa(self):
         mdp, rep = self._setting(5)
-        w = TrueOnlineWatkinsQ(rep.n, 3, alpha=0.5, lam=0.9)
-        s = TrueOnlineSarsa(rep.n, 3, alpha=0.5, lam=0.9)
+        w = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.5, lam=0.9)
+        s = TrueOnlineTD(rep.n * 3, alpha=0.5, lam=0.9)
         tw = run_control_episode(w, mdp, rep, SplitMix64(77), epsilon=0.0, max_steps=80)
         ts = run_control_episode(s, mdp, rep, SplitMix64(77), epsilon=0.0, max_steps=80)
         assert tw.actions == ts.actions
         assert all(tw.greedy)
         assert np.abs(w.theta - s.theta).max() <= 1e-12
+
+    def test_driver_rejects_state_sized_learner(self):
+        mdp, rep = self._setting(7)
+        with pytest.raises(ConfigError, match="action features"):
+            run_control_episode(
+                TrueOnlineTD(rep.n, alpha=0.1, lam=0.5), mdp, rep, SplitMix64(1),
+                epsilon=0.1, max_steps=10,
+            )
 
     def test_watkins_lambda_zero_is_q_learning(self):
         # trace-free one-step oracle honoring the carried pair: after the
@@ -270,7 +317,7 @@ class TestControl:
         # action, exactly as the incremental learner's feature carry does
         mdp, rep = self._setting(6)
         alpha = 0.3
-        learner = TrueOnlineWatkinsQ(rep.n, 3, alpha=alpha, lam=0.0)
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=0.0)
         traj = run_control_episode(learner, mdp, rep, SplitMix64(31), epsilon=0.3, max_steps=50)
         n = rep.n
         q = np.zeros(learner.n)

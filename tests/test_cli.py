@@ -1,8 +1,11 @@
 import json
+import os
 
 import numpy as np
 import pytest
 
+from tdlab import ConfigError, SweepConfig, harness, run_sweep
+from tdlab.algos import PREDICTION_VARIANTS
 from tdlab.cli import main
 
 
@@ -141,3 +144,58 @@ def test_usage_error_exit_code():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "--repr", "nonsense"])
     assert exc.value.code == 2
+
+
+SMALL_SWEEP = ["sweep", "--task", "mrp(4,2,0.1)", "--variants", "true-online",
+               "--lambdas", "0.5", "--steps", "5"]
+
+
+def test_sweep_unbuildable_variant_is_config_error(capsys):
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--variants", "tabular-true-online"]) == 2
+    err = capsys.readouterr().err
+    assert "unknown variant 'tabular-true-online'" in err
+    assert str(PREDICTION_VARIANTS) in err
+    assert "tabular-true-online" not in str(PREDICTION_VARIANTS)
+
+
+@pytest.mark.parametrize("alphas", ["nan", "-0.1"])
+def test_sweep_invalid_alpha_is_config_error(alphas, capsys):
+    assert main(SMALL_SWEEP + ["--alphas", alphas]) == 2
+    assert "alpha must be finite and >= 0" in capsys.readouterr().err
+
+
+def test_config_values_coerced_through_flag_types(tmp_path):
+    cfg, out1, out2 = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1,
+                               "params": {"runs": "2", "gamma": "0.9"}}))
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--runs", "2", "--gamma", "0.9",
+                               "--out", str(out2)]) == 0
+    assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("params", [{"runs": "two"}, {"runs": 2.5}, {"paper_grid": "yes"},
+                                    {"weighting": "nonsense"}])
+def test_config_value_of_wrong_type_is_config_error(params, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1, "params": params}))
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(cfg)]) == 2
+    assert "config value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [0, -3, (os.cpu_count() or 1) + 1])
+def test_sweep_workers_bounded_before_any_pool(workers, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    config = SweepConfig(env="mrp(4,2,0.1)", representation="tabular", variants=("true-online",),
+                         alphas=(0.1,), lambdas=(0.5,), steps=5, runs=1, master_seed=0)
+    with pytest.raises(ConfigError, match="workers"):
+        run_sweep(config, workers=workers)
+
+
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_sweep_cli_workers_out_of_range(workers, capsys):
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--workers", workers]) == 2
+    assert "workers must lie in" in capsys.readouterr().err

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tdlab import ConfigError, SparseVector, Trajectory, Transition, dot, stack_action_features
-from tdlab.core import as_dense, dimension, max_action_value
+from tdlab import ConfigError, Trajectory, Transition, dot, stack_action_features
+from tdlab.core import max_action_value
 
 
 def test_dot_terminal_zero_features():
@@ -24,21 +24,6 @@ def test_dot_zero_weights():
 def test_dot_dimension_mismatch_is_fatal():
     with pytest.raises(ConfigError):
         dot(np.zeros(3), np.zeros(4))
-    with pytest.raises(ConfigError):
-        dot(np.zeros(3), SparseVector(4, [1], [1.0]))
-
-
-def test_sparse_dense_dot_identity():
-    rng = np.random.default_rng(0)
-    for _ in range(50):
-        n = 20
-        idx = rng.choice(n, size=6, replace=False)
-        vals = rng.normal(size=6)
-        sparse = SparseVector(n, idx, vals)
-        w = rng.normal(size=n)
-        a, b = dot(w, sparse), dot(w, sparse.to_dense())
-        scale = np.abs(w[idx] * vals).sum()  # relative to the summand magnitudes
-        assert abs(a - b) <= 1e-15 * scale
 
 
 @given(st.integers(0, 2**32), st.floats(-3, 3), st.floats(-3, 3))
@@ -96,31 +81,10 @@ def test_stacked_blocks_are_disjoint():
             assert dot(block, psi) == 0.0
 
 
-def test_stack_sparse_matches_dense():
-    sparse = SparseVector(4, [0, 2], [1.0, -0.5])
-    stacked = stack_action_features(sparse, 1, 2)
-    assert isinstance(stacked, SparseVector)
-    dense = stack_action_features(sparse.to_dense(), 1, 2)
-    assert np.array_equal(stacked.to_dense(), dense)
-
-
 def test_max_action_value():
     theta = np.array([1.0, 0.0, -2.0, 0.0, 3.0, 0.0])
     phi = np.array([2.0, 0.0])
     assert max_action_value(theta, phi, 3) == 6.0
-
-
-def test_dimension_helpers():
-    assert dimension(np.zeros(5)) == 5
-    assert dimension(SparseVector(9, [], [])) == 9
-    assert as_dense(SparseVector(3, [1], [2.0])).tolist() == [0.0, 2.0, 0.0]
-
-
-def test_sparse_validation():
-    with pytest.raises(ConfigError):
-        SparseVector(3, [3], [1.0])
-    with pytest.raises(ConfigError):
-        SparseVector(3, [0, 1], [1.0])
 
 
 def test_transition_terminal_requires_zero_next():

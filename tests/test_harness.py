@@ -18,7 +18,7 @@ from tdlab import (
     run_sweep,
     sweep_to_csv,
 )
-from tdlab.algos import TrueOnlineSarsa
+from tdlab.algos import TrueOnlineTD
 from tdlab.harness import CellResult, SweepResult, _sweep_cells, resolve_env
 from tdlab.envs import build_representation as build_rep
 from tdlab.rng import mix64
@@ -265,7 +265,7 @@ class TestCertify:
     def test_sarsa_pair_on_capped_control_run(self):
         mdp = generate_mdp(6, 2, 0.1, 0.9, num_actions=2, seed=70)
         rep = build_representation("random-normalized", generate_mrp(6, 2, 0.1, 0.9, seed=2), seed=3)
-        learner = TrueOnlineSarsa(rep.n, 2, alpha=0.6, lam=0.9)
+        learner = TrueOnlineTD(rep.n * 2, alpha=0.6, lam=0.9)
         traj = run_control_episode(learner, mdp, rep, SplitMix64(8), epsilon=0.25, max_steps=70)
         assert traj.final_action is not None
         report = certify_equivalence(traj, 0.6, 0.9, np.zeros(rep.n * 2), "sarsa-vs-oracle-on-psi")

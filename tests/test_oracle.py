@@ -233,7 +233,7 @@ class TestWatkins:
     def _control_traj(self, epsilon, seed=13, steps=80):
         mdp = generate_mdp(6, 3, 0.1, 0.9, num_actions=3, seed=seed)
         rep = build_representation("tabular", generate_mrp(6, 3, 0.1, 0.9, seed=1), seed=0)
-        learner = TrueOnlineWatkinsQ(rep.n, 3, alpha=0.4, lam=0.8)
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.8)
         traj = run_control_episode(
             learner, mdp, rep, SplitMix64(seed), epsilon=epsilon, max_steps=steps
         )
