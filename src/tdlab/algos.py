@@ -8,10 +8,15 @@ rule for a time-dependent step-size, its tabular specialization, and the
 Watkins-style learner, which is the dutch rule plus a trace cut after
 non-greedy actions.
 
-Each learner is a single-threaded state machine over a weight vector and
-an eligibility trace. Update order follows the published pseudocode
-exactly; in particular the previous value estimate (v_old / q_old) is
-always captured from pre-update weights, which the exact forward-view
+Each rule is written once, as a function (accumulate_rule, replace_rule,
+dutch_rule, dutch_alpha_t_rule) over an optional leading row axis: a
+learner class calls it on its one weight vector, and the sweep harness
+calls it on a (rows x n) array to advance many independent runs in
+lockstep, each row bit-identical to its learner. Each learner is a
+single-threaded state machine over a weight vector and an eligibility
+trace. Update order follows the published pseudocode exactly; in
+particular the previous value estimate (v_old / q_old) is always
+captured from pre-update weights, which the exact forward-view
 equivalence of the true online variants depends on.
 
 Episode boundaries reset the trace and the stored previous value. For
@@ -35,10 +40,83 @@ def check_step_size(alpha: float) -> None:
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
 
 
-def _check_params(alpha: float, lam: float) -> None:
-    check_step_size(alpha)
+def check_trace_decay(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lambda must lie in [0, 1]")
+
+
+def _check_params(alpha: float, lam: float) -> None:
+    check_step_size(alpha)
+    check_trace_decay(lam)
+
+
+# The trace rules. Each advances theta and e in place over one transition
+# and returns the new stored previous value. Arrays may carry a leading
+# row axis: theta, e, phi and phi_next are then (rows, n), and reward,
+# alpha, lam and v_old are (rows, 1) columns, so every row is stepped as
+# the one-dimensional call would step it, bit for bit (np.vecdot on a row
+# is the 1-D dot product). gamma is one float for all rows.
+
+
+def _dot(a: np.ndarray, b: np.ndarray):
+    """a . b, or for rows the (rows, 1) column of row-wise inner products."""
+    d = np.vecdot(a, b)
+    return d if a.ndim == 1 else d[:, None]
+
+
+def accumulate_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """e <- gamma*lambda*e + phi; theta <- theta + alpha*delta*e."""
+    delta = reward + gamma * _dot(theta, phi_next) - _dot(theta, phi)
+    e *= gamma * lam
+    e += phi
+    theta += (alpha * delta) * e
+    return v_old
+
+
+def replace_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """Decay e by gamma*lambda, then set it to 1 on active features (binary phi only)."""
+    active = phi == 1.0
+    if not np.all(active | (phi == 0.0)):
+        raise ConfigError(
+            "replacing traces are only defined for binary features; "
+            f"got non-binary value(s) {phi[~(active | (phi == 0.0))][:3]}"
+        )
+    delta = reward + gamma * _dot(theta, phi_next) - _dot(theta, phi)
+    e *= gamma * lam
+    e[active] = 1.0
+    theta += (alpha * delta) * e
+    return v_old
+
+
+def dutch_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """The true online TD(lambda) step (see TrueOnlineTD)."""
+    gl = gamma * lam
+    v = _dot(theta, phi)
+    v_next = _dot(theta, phi_next)
+    delta = reward + gamma * v_next - v
+    e_dot_phi = _dot(e, phi)
+    e *= gl
+    e += phi
+    e -= (alpha * gl * e_dot_phi) * phi
+    dv = v - v_old
+    theta += (alpha * (delta + dv)) * e
+    theta -= (alpha * dv) * phi
+    return v_next
+
+
+def dutch_alpha_t_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """The true online step for a time-dependent step-size; alpha is alpha_t."""
+    gl = gamma * lam
+    v = _dot(theta, phi)
+    v_next = _dot(theta, phi_next)
+    delta_mod = reward + gamma * v_next - v_old
+    e_dot_phi = _dot(e, phi)
+    e *= gl
+    e += alpha * phi
+    e -= (alpha * gl * e_dot_phi) * phi
+    theta += delta_mod * e
+    theta -= (alpha * (v - v_old)) * phi
+    return v_next
 
 
 class _LinearLearner:
@@ -73,9 +151,13 @@ class _LinearLearner:
     def value(self, phi: np.ndarray) -> float:
         return float(self._theta @ phi)
 
-    def _check(self, tr: Transition) -> None:
+    def _advance(self, rule, tr: Transition, alpha: float) -> None:
         if tr.phi.shape != (self.n,) or tr.phi_next.shape != (self.n,):
             raise ConfigError("transition feature dimension does not match learner")
+        self.v_old = rule(
+            self._theta, self.e, self.v_old, tr.phi, tr.reward, tr.phi_next, tr.gamma, alpha, self.lam
+        )
+        self.t += 1
 
 
 class AccumulateTD(_LinearLearner):
@@ -84,13 +166,7 @@ class AccumulateTD(_LinearLearner):
     variant = "accumulate"
 
     def step(self, tr: Transition) -> None:
-        self._check(tr)
-        theta, e = self._theta, self.e
-        delta = tr.reward + tr.gamma * (theta @ tr.phi_next) - theta @ tr.phi
-        e *= tr.gamma * self.lam
-        e += tr.phi
-        theta += (self.alpha * delta) * e
-        self.t += 1
+        self._advance(accumulate_rule, tr, self.alpha)
 
 
 class ReplaceTD(_LinearLearner):
@@ -99,20 +175,7 @@ class ReplaceTD(_LinearLearner):
     variant = "replace"
 
     def step(self, tr: Transition) -> None:
-        self._check(tr)
-        phi = tr.phi
-        active = phi == 1.0
-        if not np.all(active | (phi == 0.0)):
-            raise ConfigError(
-                "replacing traces are only defined for binary features; "
-                f"got non-binary value(s) {phi[~(active | (phi == 0.0))][:3]}"
-            )
-        theta, e = self._theta, self.e
-        delta = tr.reward + tr.gamma * (theta @ tr.phi_next) - theta @ phi
-        e *= tr.gamma * self.lam
-        e[active] = 1.0
-        theta += (self.alpha * delta) * e
-        self.t += 1
+        self._advance(replace_rule, tr, self.alpha)
 
 
 class TrueOnlineTD(_LinearLearner):
@@ -129,21 +192,7 @@ class TrueOnlineTD(_LinearLearner):
     variant = "true-online"
 
     def step(self, tr: Transition) -> None:
-        self._check(tr)
-        theta, e = self._theta, self.e
-        gl = tr.gamma * self.lam
-        v = theta @ tr.phi
-        v_next = theta @ tr.phi_next
-        delta = tr.reward + tr.gamma * v_next - v
-        e_dot_phi = e @ tr.phi
-        e *= gl
-        e += tr.phi
-        e -= (self.alpha * gl * e_dot_phi) * tr.phi
-        dv = v - self.v_old
-        theta += (self.alpha * (delta + dv)) * e
-        theta -= (self.alpha * dv) * tr.phi
-        self.v_old = v_next
-        self.t += 1
+        self._advance(dutch_rule, tr, self.alpha)
 
 
 class TrueOnlineTDAlphaT(_LinearLearner):
@@ -163,21 +212,7 @@ class TrueOnlineTDAlphaT(_LinearLearner):
         self.alpha = float("nan")  # no constant step-size
 
     def step(self, tr: Transition) -> None:
-        self._check(tr)
-        alpha_t = self.alpha_schedule(self.t)
-        theta, e = self._theta, self.e
-        gl = tr.gamma * self.lam
-        v = theta @ tr.phi
-        v_next = theta @ tr.phi_next
-        delta_mod = tr.reward + tr.gamma * v_next - self.v_old
-        e_dot_phi = e @ tr.phi
-        e *= gl
-        e += alpha_t * tr.phi
-        e -= (alpha_t * gl * e_dot_phi) * tr.phi
-        theta += delta_mod * e
-        theta -= (alpha_t * (v - self.v_old)) * tr.phi
-        self.v_old = v_next
-        self.t += 1
+        self._advance(dutch_alpha_t_rule, tr, self.alpha_schedule(self.t))
 
 
 class TabularTrueOnlineTD:
@@ -283,6 +318,13 @@ _PREDICTION_LEARNERS = {
     "true-online-alpha-t": _constant_alpha_t,
 }
 PREDICTION_VARIANTS = tuple(_PREDICTION_LEARNERS)
+# The rule each variant's learner steps with, called with its constant alpha.
+PREDICTION_RULES = {
+    "accumulate": accumulate_rule,
+    "replace": replace_rule,
+    "true-online": dutch_rule,
+    "true-online-alpha-t": dutch_alpha_t_rule,
+}
 
 
 def make_prediction_learner(

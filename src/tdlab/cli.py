@@ -96,17 +96,32 @@ def _coerce(action: argparse.Action, value):
     return value
 
 
-def _apply_config_defaults(args: argparse.Namespace, actions: dict) -> None:
-    """Config file values fill in flags the user did not set explicitly."""
+def _explicit_flags(argv: list[str] | None) -> set[str]:
+    """Destinations of the flags actually given on the command line.
+
+    Parsed again with every default suppressed, so a flag the user passed
+    is seen even when its value equals the default.
+    """
+    parser, actions = build_parser()
+    for command_actions in actions.values():
+        for action in command_actions.values():
+            action.default = argparse.SUPPRESS
+    return set(vars(parser.parse_args(argv)))
+
+
+def _apply_config_defaults(
+    args: argparse.Namespace, actions: dict, argv: list[str] | None
+) -> None:
+    """Config file values fill in the flags not given on the command line."""
     if not getattr(args, "config", None):
         return
     overrides = _load_config_file(args.config)
+    explicit = _explicit_flags(argv)
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if attr not in actions or not hasattr(args, attr):
+        if attr not in actions or not hasattr(args, attr) or attr in explicit:
             continue
-        if getattr(args, attr) == actions[attr].default:
-            setattr(args, attr, _coerce(actions[attr], value))
+        setattr(args, attr, _coerce(actions[attr], value))
 
 
 def _resolve_seed(seed: int) -> int:
@@ -288,7 +303,7 @@ def main(argv: list[str] | None = None) -> int:
     parser, actions = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args, actions[args.command])
+        _apply_config_defaults(args, actions[args.command], argv)
         if args.command == "figures" and args.runs is None:
             args.runs = 200 if args.figure == 2 else 50
         return args.func(args)

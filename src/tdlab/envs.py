@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ConfigError
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64, SplitMix64Rows, mix64
 
 ROW_SUM_TOL = 1e-12
 
@@ -180,6 +180,42 @@ def sample_step(mrp: Mrp, state: int, rng: SplitMix64) -> tuple[int, float]:
     mean = mrp.r_mean[state, nxt]
     reward = mean if mrp.sigma == 0.0 else rng.normal(mean, mrp.sigma)
     return nxt, reward
+
+
+def sample_steps(
+    mrp: Mrp, states: np.ndarray, rng: SplitMix64Rows
+) -> tuple[np.ndarray, np.ndarray]:
+    """sample_step for many chains at once: row i steps from states[i] on rng row i.
+
+    Counting the entries of the cumulative row that are <= u is
+    searchsorted(side="right") on that row, so each row draws exactly what
+    sample_step would.
+    """
+    if mrp.terminal_states:
+        stuck = np.isin(states, list(mrp.terminal_states))
+        if stuck.any():
+            raise ConfigError(f"cannot step from terminal state {states[stuck][0]}")
+    u = rng.random()
+    nxt = np.minimum((np.cumsum(mrp.P, axis=1)[states] <= u[:, None]).sum(axis=1), mrp.k - 1)
+    mean = mrp.r_mean[states, nxt]
+    reward = mean if mrp.sigma == 0.0 else rng.normal(mean, mrp.sigma)
+    return nxt, reward
+
+
+def simulate_chains(mrp: Mrp, steps: int, rng: SplitMix64Rows) -> tuple[np.ndarray, np.ndarray]:
+    """(states, rewards) of one chain per rng row, time-major: (steps + 1, rows)
+    and (steps, rows). Row i is the chain that initial_state and sample_step
+    draw from SplitMix64 row i."""
+    states = np.empty((steps + 1, len(rng)), dtype=np.int64)
+    rewards = np.empty((steps, len(rng)))
+    if isinstance(mrp.initial, (int, np.integer)):
+        states[0] = mrp.initial
+    else:
+        cum = np.cumsum(np.asarray(mrp.initial, dtype=np.float64))
+        states[0] = np.minimum((cum <= rng.random()[:, None]).sum(axis=1), mrp.k - 1)
+    for t in range(steps):
+        states[t + 1], rewards[t] = sample_steps(mrp, states[t], rng)
+    return states, rewards
 
 
 def sample_mdp_step(mdp: Mdp, state: int, action: int, rng: SplitMix64) -> tuple[int, float]:

@@ -7,6 +7,16 @@ Seeding contract (all constants from tdlab.rng):
 Cell seeds are shared across variants, so variant comparisons are paired
 through common random numbers. Aggregation folds by cell index, so the
 result does not depend on execution order or worker count.
+
+The sweep engine is batched by chunk: a chunk of cells (all cells, or
+one worker's share) draws every (cell, run) chain at once through
+SplitMix64Rows, then advances one (rows x n) learner per variant through
+the algos trace rules, all runs in lockstep. Each row computes exactly
+what a scalar learner on that run's seed computes, so sweep CSVs are
+byte-identical to running the runs one at a time. Memory per chunk is
+O(rows x (n + steps)): the chains and each row's per-step errors, never
+a weight history; chunks larger than CHAIN_BLOCK_VALUES chain entries
+are run in blocks of whole cells.
 """
 
 from __future__ import annotations
@@ -19,13 +29,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algos import (
+    PREDICTION_RULES,
     PREDICTION_VARIANTS,
     AccumulateTD,
     TabularTrueOnlineTD,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     check_step_size,
-    make_prediction_learner,
+    check_trace_decay,
 )
 from .core import ConfigError, Trajectory, Transition, stack_action_features
 from .envs import (
@@ -34,7 +45,7 @@ from .envs import (
     build_representation,
     canonical_task,
     generate_mrp,
-    sample_step,
+    simulate_chains,
 )
 from .oracle import (
     lms_solution,
@@ -43,9 +54,12 @@ from .oracle import (
     state_weights,
     watkins_forward_view,
 )
-from .rng import SplitMix64, mix64
+from .rng import SplitMix64Rows, mix64
 
 DIVERGENCE_THRESHOLD = 1e100
+# Chain entries (rows x (steps + 1)) the sweep engine holds at once: about
+# 16 MB for each of its per-block arrays (states, rewards, errors).
+CHAIN_BLOCK_VALUES = 1 << 21
 EQUIVALENCE_TOL = 1e-8
 # A run whose weights have grown this much past their start is exponentially
 # divergent; beyond it, float64 rounding is amplified faster than any fixed
@@ -91,6 +105,8 @@ class SweepConfig:
             raise ConfigError("runs and steps must be >= 1")
         for alpha in self.alphas:
             check_step_size(alpha)
+        for lam in self.lambdas:
+            check_trace_decay(lam)
         for v in self.variants:
             if v not in PREDICTION_VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {PREDICTION_VARIANTS}")
@@ -141,9 +157,12 @@ def error_quadratic(
     """(M, theta_star, initial_error) so that the weighted squared value
     error of theta against the best linear solution is (d' M d) with
     d = theta - theta_star."""
+    nt = mrp.nonterminal_states()
     w = state_weights(mrp, weighting)
-    theta_star, _ = lms_solution(mrp, representation, weighting)
-    phi = representation.table[mrp.nonterminal_states()]
+    resolved = np.zeros(mrp.k)
+    resolved[nt] = w  # so lms_solution does not resolve (and solve for) it again
+    theta_star, _ = lms_solution(mrp, representation, resolved)
+    phi = representation.table[nt]
     M = phi.T @ (w[:, None] * phi)
     e0 = float(theta_star @ M @ theta_star)  # error of the zero vector
     return M, theta_star, e0
@@ -170,56 +189,46 @@ def normalized_mse(
     return float((errors[1 : horizon + 1] / errors[0]).mean())
 
 
-def _simulate_chain(mrp: Mrp, steps: int, rng: SplitMix64) -> tuple[np.ndarray, np.ndarray]:
-    states = np.empty(steps + 1, dtype=np.int64)
-    rewards = np.empty(steps)
-    states[0] = mrp.initial_state(rng)
-    s = states[0]
-    for t in range(steps):
-        s, r = sample_step(mrp, int(s), rng)
-        states[t + 1] = s
-        rewards[t] = r
-    return states, rewards
-
-
-def _run_metric(
+def _run_metrics(
     variant: str,
     states: np.ndarray,
     rewards: np.ndarray,
     table: np.ndarray,
     gamma: float,
-    alpha: float,
-    lam: float,
+    alpha: np.ndarray,
+    lam: np.ndarray,
     M: np.ndarray,
     theta_star: np.ndarray,
     e0: float,
-) -> tuple[float, bool]:
-    """One learner run over a pre-sampled chain; returns (metric, diverged)."""
-    steps = rewards.shape[0]
+) -> tuple[np.ndarray, np.ndarray]:
+    """One learner per row over its pre-sampled chain, all rows in lockstep.
+
+    `states` and `rewards` are time-major, alpha and lam (rows, 1)
+    columns. Returns each row's (metric, diverged). A row whose weights
+    leave the threshold is frozen at them, or at its last weights if they
+    went non-finite, for the rest of its run.
+    """
+    rule = PREDICTION_RULES[variant]
+    steps, rows = rewards.shape
     n = table.shape[1]
-    learner = make_prediction_learner(variant, n, alpha, lam)
-    theta = learner._theta
-    H = np.empty((steps + 1, n))
-    H[0] = theta
-    diverged = False
-    with np.errstate(over="ignore", invalid="ignore"):
-        for t in range(steps):
-            tr = Transition(
-                phi=table[states[t]],
-                reward=rewards[t],
-                phi_next=table[states[t + 1]],
-                gamma=gamma,
-            )
-            learner.step(tr)
-            if not (np.abs(theta).max() <= DIVERGENCE_THRESHOLD):
-                diverged = True
-                frozen = theta.copy() if np.all(np.isfinite(theta)) else H[t].copy()
-                H[t + 1 :] = frozen
-                break
-            H[t + 1] = theta
-        D = H - theta_star
-        metric = float((np.einsum("ti,ij,tj->t", D, M, D)[1:] / e0).mean())
-    return metric, diverged
+    theta, e = np.zeros((rows, n)), np.zeros((rows, n))
+    v_old = np.zeros((rows, 1))
+    shown = np.zeros((rows, n))  # the weights the metric sees
+    live = np.ones(rows, dtype=bool)
+    errors = np.empty((rows, steps))
+    for t in range(steps):
+        v_old = rule(
+            theta, e, v_old, table[states[t]], rewards[t][:, None], table[states[t + 1]],
+            gamma, alpha, lam,
+        )
+        size = np.abs(theta).max(axis=1)  # NaN if any weight is
+        moved = live & np.isfinite(size)
+        live &= size <= DIVERGENCE_THRESHOLD
+        np.copyto(shown, theta, where=moved[:, None])
+        D = shown - theta_star
+        errors[:, t] = np.einsum("ri,ij,rj->r", D, M, D)
+    errors /= e0
+    return errors.mean(axis=1), ~live
 
 
 def _sweep_cells(
@@ -228,33 +237,41 @@ def _sweep_cells(
     representation: Representation,
     cell_indices: list[int],
 ) -> list[tuple[int, str, float, float, int]]:
-    """Raw per-cell aggregates: (cell_index, variant, mean, se, diverged)."""
+    """Raw per-cell aggregates: (cell_index, variant, mean, se, diverged).
+
+    Cells are batched in blocks of at most CHAIN_BLOCK_VALUES chain
+    entries (rows x steps), so memory stays bounded however many cells a
+    chunk holds; rows are independent, so blocking changes no result.
+    """
     M, theta_star, e0 = error_quadratic(mrp, representation, config.weighting)
     if e0 == 0.0:
         raise ConfigError("degenerate configuration: zero initial error")
-    table = representation.table
-    n_alpha = len(config.alphas)
+    n_alpha, runs = len(config.alphas), config.runs
+    block = max(1, CHAIN_BLOCK_VALUES // (runs * (config.steps + 1)))
     out = []
-    with np.errstate(over="ignore", invalid="ignore"):
-        for ci in cell_indices:
-            lam = config.lambdas[ci // n_alpha]
-            alpha = config.alphas[ci % n_alpha]
+    for start in range(0, len(cell_indices), block):
+        cells = cell_indices[start : start + block]
+        seeds = []
+        for ci in cells:
             cell_seed = mix64(config.master_seed ^ ci)
-            metrics = {v: np.empty(config.runs) for v in config.variants}
-            diverged = {v: 0 for v in config.variants}
-            for r in range(config.runs):
-                rng = SplitMix64(mix64(cell_seed ^ mix64(r + 1)))
-                states, rewards = _simulate_chain(mrp, config.steps, rng)
-                for variant in config.variants:
-                    m, d = _run_metric(
-                        variant, states, rewards, table, mrp.gamma, alpha, lam, M, theta_star, e0
-                    )
-                    metrics[variant][r] = m
-                    diverged[variant] += int(d)
+            seeds.extend(mix64(cell_seed ^ mix64(r + 1)) for r in range(runs))
+        states, rewards = simulate_chains(mrp, config.steps, SplitMix64Rows(seeds))
+        alpha = np.repeat([config.alphas[ci % n_alpha] for ci in cells], runs)[:, None]
+        lam = np.repeat([config.lambdas[ci // n_alpha] for ci in cells], runs)[:, None]
+        columns = []
+        with np.errstate(over="ignore", invalid="ignore"):
             for variant in config.variants:
-                vals = metrics[variant]
-                se = float(vals.std(ddof=1) / np.sqrt(config.runs)) if config.runs > 1 else 0.0
-                out.append((ci, variant, float(vals.mean()), se, diverged[variant]))
+                metrics, diverged = _run_metrics(
+                    variant, states, rewards, representation.table, mrp.gamma,
+                    alpha, lam, M, theta_star, e0,
+                )
+                vals = metrics.reshape(len(cells), runs)
+                se = vals.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(len(cells))
+                counts = diverged.reshape(len(cells), runs).sum(axis=1)
+                columns.append((vals.mean(axis=1).tolist(), se.tolist(), counts.tolist()))
+        for i, ci in enumerate(cells):
+            for variant, (means, ses, counts) in zip(config.variants, columns):
+                out.append((ci, variant, means[i], ses[i], counts[i]))
     return out
 
 

@@ -7,11 +7,17 @@ normal variates come from the Box-Muller transform. Exact stream equality
 with other SplitMix64 implementations is not a goal, but the algorithm is
 documented precisely so results can be reproduced from this description
 alone.
+
+SplitMix64Rows advances many streams at once on numpy uint64 state (the
+sweep harness draws all of a chunk's chains this way); row i yields
+exactly the floats of SplitMix64(seeds[i]), call for call.
 """
 
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 _MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
@@ -26,7 +32,7 @@ def mix64(x: int) -> int:
     (documented there), so the constants above are part of the
     reproducibility contract.
     """
-    x &= _MASK64
+    x = x & _MASK64  # not in place: x may be a numpy uint64 array
     x ^= x >> 30
     x = (x * _MIX_MUL_1) & _MASK64
     x ^= x >> 27
@@ -85,3 +91,47 @@ class SplitMix64:
     def split(self) -> "SplitMix64":
         """Independent child generator seeded from this stream."""
         return SplitMix64(self.next_u64())
+
+
+def _each(f, x: np.ndarray) -> np.ndarray:
+    """f applied per element through Python floats."""
+    return np.fromiter(map(f, x.tolist()), np.float64, x.shape[0])
+
+
+class SplitMix64Rows:
+    """One SplitMix64 stream per seed, all advanced by the same calls.
+
+    Wrapping uint64 arithmetic makes `random` exact, and the Box-Muller
+    log/cos/sin go through `math` element by element, because numpy's
+    versions differ from it by one ulp on some inputs. Every row makes
+    the same calls, so a pending Box-Muller spare is one state for all.
+    """
+
+    __slots__ = ("_state", "_spare_normal")
+
+    def __init__(self, seeds):
+        self._state = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+        self._spare_normal: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return self._state.shape[0]
+
+    def next_u64(self) -> np.ndarray:
+        self._state = self._state + np.uint64(GOLDEN_GAMMA)  # wraps mod 2**64
+        return mix64(self._state)
+
+    def random(self) -> np.ndarray:
+        return (self.next_u64() >> np.uint64(11)) * 2.0**-53
+
+    def normal(self, mean=0.0, std: float = 1.0) -> np.ndarray:
+        if self._spare_normal is not None:
+            z = self._spare_normal
+            self._spare_normal = None
+        else:
+            u1 = 1.0 - self.random()
+            u2 = self.random()
+            r = np.sqrt(-2.0 * _each(math.log, u1))  # sqrt is exactly rounded either way
+            a = 2.0 * math.pi * u2
+            z = r * _each(math.cos, a)
+            self._spare_normal = r * _each(math.sin, a)
+        return mean + std * z

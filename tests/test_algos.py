@@ -27,7 +27,7 @@ from tdlab import (
     run_episode,
     tile_code,
 )
-from tdlab.algos import make_prediction_learner
+from tdlab.algos import PREDICTION_RULES, PREDICTION_VARIANTS, make_prediction_learner
 from tests.conftest import make_mrp_trajectory, synthetic_trajectory
 
 
@@ -402,3 +402,34 @@ def test_traces_reset_at_episode_start(seed, lam, alpha):
         learner.step(step)
     learner.start_episode()
     assert not learner.e.any() and learner.v_old == 0.0
+
+
+def test_every_prediction_variant_has_its_rule():
+    assert tuple(PREDICTION_RULES) == PREDICTION_VARIANTS
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    variant=st.sampled_from(PREDICTION_VARIANTS),
+    rows=st.integers(1, 5),
+    n=st.integers(1, 12),
+    steps=st.integers(1, 20),
+    seed=st.integers(0, 2**32),
+)
+def test_rule_rows_step_like_scalar_learners(variant, rows, n, steps, seed):
+    """Each row of a batched rule call is bit-identical to its own learner."""
+    rng = SplitMix64(seed)
+    alpha = np.array([[2.0 * rng.random()] for _ in range(rows)])
+    lam = np.array([[rng.random()] for _ in range(rows)])
+    learners = [make_prediction_learner(variant, n, alpha[i, 0], lam[i, 0]) for i in range(rows)]
+    theta, e, v_old = np.zeros((rows, n)), np.zeros((rows, n)), np.zeros((rows, 1))
+    for _ in range(steps):
+        phi = np.array([[float(rng.below(2)) for _ in range(n)] for _ in range(rows + 1)])
+        reward = np.array([[rng.normal()] for _ in range(rows)])
+        v_old = PREDICTION_RULES[variant](
+            theta, e, v_old, phi[:-1], reward, phi[1:], 0.9, alpha, lam
+        )
+        for i, learner in enumerate(learners):
+            learner.step(Transition(phi[i], reward[i, 0], phi[i + 1], 0.9))
+    assert np.array_equal(theta, [learner.theta for learner in learners], equal_nan=True)
+    assert np.array_equal(e, [learner.e for learner in learners], equal_nan=True)

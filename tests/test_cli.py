@@ -199,3 +199,16 @@ def test_sweep_workers_bounded_before_any_pool(workers, monkeypatch):
 def test_sweep_cli_workers_out_of_range(workers, capsys):
     assert main(SMALL_SWEEP + ["--alphas", "0.1", "--workers", workers]) == 2
     assert "workers must lie in" in capsys.readouterr().err
+
+
+def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+    cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1,
+                               "params": {"runs": 2, "steps": 7}}))
+    # 50 is the --runs default; the config still fills the unset --steps
+    assert main(SMALL_SWEEP[:-2] + ["--alphas", "0.1", "--runs", "50", "--config", str(cfg),
+                                    "--out", str(out)]) == 0
+    first, _, row = out.read_text().strip().split("\n")
+    params = json.loads(first[len("# manifest="):])["params"]
+    assert (params["runs"], params["steps"]) == (50, 7)
+    assert row.split(",")[5] == "50"

@@ -17,7 +17,15 @@ from tdlab import (
     tile_code,
     true_values,
 )
-from tdlab.envs import Mrp, binary_feature_length, mrp_from_dict, mrp_to_dict
+from tdlab.envs import (
+    Mrp,
+    binary_feature_length,
+    mrp_from_dict,
+    mrp_to_dict,
+    sample_steps,
+    simulate_chains,
+)
+from tdlab.rng import SplitMix64Rows
 
 
 def test_generate_mrp_structure():
@@ -300,3 +308,39 @@ def test_mdp_roundtrip_serialization():
     assert back.num_actions == 3
     with pytest.raises(ConfigError):
         mdp_from_dict({"format": "tdlab-mrp"})
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    k=st.integers(min_value=2, max_value=9),
+    sigma=st.sampled_from([0.0, 0.3]),
+    env_seed=st.integers(min_value=0, max_value=10_000),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
+    steps=st.integers(min_value=1, max_value=25),
+)
+def test_simulate_chains_match_sample_step(k, sigma, env_seed, seeds, steps):
+    mrp = generate_mrp(k, min(3, k), sigma, 0.9, seed=env_seed)
+    states, rewards = simulate_chains(mrp, steps, SplitMix64Rows(seeds))
+    assert states.shape == (steps + 1, len(seeds)) and rewards.shape == (steps, len(seeds))
+    for i, seed in enumerate(seeds):
+        rng = SplitMix64(seed)
+        state = mrp.initial_state(rng)
+        assert states[0, i] == state
+        for t in range(steps):
+            state, reward = sample_step(mrp, state, rng)
+            assert (states[t + 1, i], rewards[t, i]) == (state, reward)
+
+
+def test_sample_steps_from_given_states():
+    mrp = generate_mrp(7, 3, 0.5, 0.9, seed=5)
+    starts = np.array([0, 6, 3, 3])
+    rows = SplitMix64Rows([11, 12, 13, 14])
+    nxt, reward = sample_steps(mrp, starts, rows)
+    want = [sample_step(mrp, int(s), SplitMix64(seed)) for s, seed in zip(starts, [11, 12, 13, 14])]
+    assert list(zip(nxt.tolist(), reward.tolist())) == want
+
+
+def test_sample_steps_terminal_fatal():
+    mrp, _ = canonical_task("one-state")
+    with pytest.raises(ConfigError, match="cannot step from terminal state 1"):
+        sample_steps(mrp, np.array([0, 1]), SplitMix64Rows([0, 1]))

@@ -1,5 +1,9 @@
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tdlab import (
     ConfigError,
@@ -11,15 +15,26 @@ from tdlab import (
     certify_equivalence,
     generate_mdp,
     generate_mrp,
+    harness,
     normalized_mse,
+    oracle,
     paper_alpha_grid,
     paper_lambda_grid,
     run_control_episode,
     run_sweep,
+    sample_step,
     sweep_to_csv,
 )
-from tdlab.algos import TrueOnlineTD
-from tdlab.harness import CellResult, SweepResult, _sweep_cells, resolve_env
+from tdlab.algos import PREDICTION_VARIANTS, TrueOnlineTD, make_prediction_learner
+from tdlab.core import Transition
+from tdlab.harness import (
+    DIVERGENCE_THRESHOLD,
+    CellResult,
+    SweepResult,
+    _sweep_cells,
+    error_quadratic,
+    resolve_env,
+)
 from tdlab.envs import build_representation as build_rep
 from tdlab.rng import mix64
 from tests.conftest import make_mrp_trajectory
@@ -157,6 +172,125 @@ class TestRunSweep:
         assert mrp2.k == 6 and mrp2.sigma == 0.25 and mrp2.gamma == 0.9
         with pytest.raises(ConfigError):
             resolve_env("mdp(3)", 0.9, 0)
+
+
+def scalar_sweep_cells(config, mrp, rep, cell_indices):
+    """_sweep_cells written one run at a time: a learner per run stepping on
+    sample_step's chain, frozen on divergence at its last finite weights."""
+    M, theta_star, e0 = error_quadratic(mrp, rep, config.weighting)
+    n_alpha = len(config.alphas)
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for ci, variant in itertools.product(cell_indices, config.variants):
+            lam, alpha = config.lambdas[ci // n_alpha], config.alphas[ci % n_alpha]
+            cell_seed = mix64(config.master_seed ^ ci)
+            metrics, diverged = np.empty(config.runs), 0
+            for r in range(config.runs):
+                rng = SplitMix64(mix64(cell_seed ^ mix64(r + 1)))
+                state = mrp.initial_state(rng)
+                learner = make_prediction_learner(variant, rep.n, alpha, lam)
+                H = np.zeros((config.steps + 1, rep.n))
+                for t in range(config.steps):
+                    nxt, reward = sample_step(mrp, state, rng)
+                    learner.step(Transition(rep.phi(state), reward, rep.phi(nxt), mrp.gamma))
+                    state, theta = nxt, learner.theta
+                    if not np.abs(theta).max() <= DIVERGENCE_THRESHOLD:
+                        diverged += 1
+                        H[t + 1 :] = theta if np.isfinite(theta).all() else H[t]
+                        break
+                    H[t + 1] = theta
+                D = H - theta_star
+                metrics[r] = (np.einsum("ti,ij,tj->t", D, M, D)[1:] / e0).mean()
+            se = metrics.std(ddof=1) / np.sqrt(config.runs) if config.runs > 1 else 0.0
+            out.append((ci, variant, float(metrics.mean()), float(se), diverged))
+    return out
+
+
+def exact(rows):
+    """Rows with every float as its hex form: equal iff bit-identical (NaN too)."""
+    return [tuple(x.hex() if isinstance(x, float) else x for x in row) for row in rows]
+
+
+def sweep_setting(config):
+    mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
+    return mrp, build_rep(config.representation, mrp, seed=config.resolved_env_seed() + 1)
+
+
+class TestBatchedEngine:
+    """The chunk-batched sweep equals the sweep run one scalar learner at a time."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        kind=st.sampled_from(["tabular", "binary", "random-normalized"]),
+        variants=st.sets(st.sampled_from(PREDICTION_VARIANTS), min_size=1),
+        alphas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3, unique=True),
+        lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2, unique=True),
+        steps=st.integers(1, 40),
+        runs=st.integers(1, 3),
+        sigma=st.sampled_from([0.0, 0.1, 1.0]),
+        seed=st.integers(0, 2**32),
+        data=st.data(),
+    )
+    def test_sweep_cells_equal_scalar_reference(
+        self, kind, variants, alphas, lambdas, steps, runs, sigma, seed, data
+    ):
+        if kind == "random-normalized":
+            variants.discard("replace")
+        config = small_config(
+            env=f"mrp(7,3,{sigma})", representation=kind, alphas=tuple(alphas),
+            lambdas=tuple(lambdas), steps=steps, runs=runs, master_seed=seed,
+            weighting="uniform",
+            variants=tuple(v for v in PREDICTION_VARIANTS if v in variants) or ("accumulate",),
+        )
+        cells = data.draw(st.lists(
+            st.integers(0, len(alphas) * len(lambdas) - 1), min_size=1, unique=True
+        ))
+        mrp, rep = sweep_setting(config)
+        assert exact(_sweep_cells(config, mrp, rep, cells)) == exact(
+            scalar_sweep_cells(config, mrp, rep, cells)
+        )
+
+    @pytest.mark.parametrize("kind", ["tabular", "binary", "random-normalized"])
+    def test_divergent_corner(self, kind):
+        # alpha=1.79e308 on rewards of sd 10 overflows to non-finite weights in
+        # one step for most runs (frozen at the previous weights) and stays
+        # finite past the threshold for the rest; alpha=2 diverges gradually
+        config = small_config(
+            env="mrp(10,3,10.0)", representation=kind, variants=("accumulate", "true-online"),
+            alphas=(2.0, 1.79e308), lambdas=(1.0,), steps=300, runs=3,
+        )
+        mrp, rep = sweep_setting(config)
+        rows = _sweep_cells(config, mrp, rep, [0, 1])
+        assert sum(row[4] for row in rows) >= 6
+        assert exact(rows) == exact(scalar_sweep_cells(config, mrp, rep, [0, 1]))
+
+
+def test_blocked_sweep_cells_match_one_block(monkeypatch):
+    config = small_config(runs=3, steps=30)
+    mrp, rep = sweep_setting(config)
+    whole = _sweep_cells(config, mrp, rep, [0, 1, 2, 3])
+    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 1)  # one cell per block
+    assert exact(_sweep_cells(config, mrp, rep, [0, 1, 2, 3])) == exact(whole)
+
+
+def test_error_quadratic_solves_stationary_once(monkeypatch):
+    calls = []
+    original = oracle.stationary_distribution
+
+    def counted(mrp):
+        calls.append(mrp)
+        return original(mrp)
+
+    monkeypatch.setattr(oracle, "stationary_distribution", counted)
+    mrp = generate_mrp(10, 3, 0.1, 0.99, seed=4)
+    error_quadratic(mrp, build_representation("binary", mrp), "stationary")
+    assert len(calls) == 1
+
+
+def test_sweep_config_rejects_lambda_outside_unit_interval():
+    for lam in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ConfigError, match="lambda must lie in"):
+            small_config(lambdas=(0.5, lam))
 
 
 class TestCsv:
