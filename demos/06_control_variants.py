@@ -18,12 +18,11 @@ from tdlab import (
     build_representation,
     certify_equivalence,
     generate_mdp,
-    generate_mrp,
     run_control_episode,
 )
 
 mdp = generate_mdp(k=8, b=3, sigma=0.1, gamma=0.9, num_actions=3, seed=404)
-rep = build_representation("tabular", generate_mrp(8, 3, 0.1, 0.9, seed=404), seed=0)
+rep = build_representation("tabular", mdp.chains[0], seed=0)
 theta0 = np.zeros(rep.n * 3)
 
 sarsa = TrueOnlineTD(rep.n * 3, alpha=0.4, lam=0.9)

@@ -18,7 +18,6 @@ from .envs import (
     canonical_task,
     generate_mdp,
     generate_mrp,
-    sample_mdp_step,
     sample_step,
     stationary_distribution,
     tile_code,

@@ -30,7 +30,7 @@ import math
 import numpy as np
 
 from .core import ConfigError, Trajectory, Transition, action_values, stack_action_features
-from .envs import Mdp, Mrp, Representation, sample_mdp_step, sample_step
+from .envs import Mdp, Mrp, Representation, sample_step
 from .rng import SplitMix64
 
 
@@ -399,7 +399,8 @@ def run_control_episode(
     Action selection always uses the pre-update weights, matching the
     pseudocode order.
     """
-    if not mdp.terminal_states and max_steps is None:
+    chain = mdp.chains[0]  # gamma, terminal states and start, shared by every action
+    if not chain.terminal_states and max_steps is None:
         raise ConfigError("continuing MDP requires a step cap")
     num_actions = mdp.num_actions
     n = getattr(learner, "n", None)
@@ -409,7 +410,7 @@ def run_control_episode(
         )
     watkins = isinstance(learner, TrueOnlineWatkinsQ)
     learner.start_episode()
-    state = mdp.initial_state(rng)
+    state = chain.initial_state(rng)
     action, greedy = epsilon_greedy(
         learner.theta, representation.phi(state), num_actions, epsilon, rng
     )
@@ -421,18 +422,18 @@ def run_control_episode(
     final_greedy: bool | None = None
     while True:
         if max_steps is not None and len(steps) >= max_steps:
-            if mdp.terminal_states:
+            if chain.terminal_states:
                 raise RuntimeError(
                     f"episode exceeded the {max_steps}-step cap without terminating"
                 )
             final_action, final_greedy = action, greedy
             break
-        nxt, reward = sample_mdp_step(mdp, state, action, rng)
-        terminal = nxt in mdp.terminal_states
+        nxt, reward = sample_step(mdp.chains[action], state, rng)
+        terminal = nxt in chain.terminal_states
         phi_next = representation.phi(nxt)
         steps.append(Transition(
             phi=representation.phi(state), reward=reward, phi_next=phi_next,
-            gamma=mdp.gamma, terminal=terminal,
+            gamma=chain.gamma, terminal=terminal,
         ))
         actions.append(action)
         flags.append(greedy)
@@ -447,7 +448,7 @@ def run_control_episode(
                 q_next = action_values(learner.theta, phi_next, num_actions)
                 bootstrap = greedy_toward(q_next, next_action)
             psi_next = stack_action_features(phi_next, bootstrap, num_actions)
-        tr = Transition(psi, reward, psi_next, mdp.gamma, terminal=terminal)
+        tr = Transition(psi, reward, psi_next, chain.gamma, terminal=terminal)
         if watkins:
             learner.step(tr, terminal or next_action == bootstrap)
         else:

@@ -4,9 +4,12 @@ and figure-data export.
 Environment files are JSON with the envelope fields `format` (tdlab-mrp),
 `version` (1), and the payload keys `k`, `b`, `sigma`, `gamma`, `P`,
 `r_mean`, `terminal_states`, `initial`, `name`, plus the `manifest` that
-produced the file. Config files passed via --config use the same envelope
-with format tdlab-config and flag names as keys; explicit command-line
-flags take precedence over config-file values. The environment variable
+produced the file. `sweep --task file:PATH` loads one through
+`harness.resolve_env`, like every other --task form. Config files passed
+via --config use the same envelope with format tdlab-config and flag
+names as keys; explicit command-line flags take precedence over
+config-file values. An input file that cannot be read or parsed is a
+configuration error naming the file. The environment variable
 TDLAB_SEED, when set, overrides any seed.
 
 Every emitted artifact embeds its manifest (a JSON object holding the
@@ -27,13 +30,12 @@ import os
 import sys
 
 from . import __version__
-from .core import ConfigError
-from .envs import generate_mrp, mrp_from_dict, mrp_to_dict
+from .core import ConfigError, read_json_object
+from .envs import generate_mrp, mrp_to_dict
 from .harness import (
     SweepConfig,
     paper_alpha_grid,
     paper_lambda_grid,
-    resolve_env,
     run_sweep,
     sweep_to_csv,
 )
@@ -66,13 +68,17 @@ def _write_text(path: str | None, text: str) -> None:
 
 
 def _load_config_file(path: str) -> dict:
-    with open(path) as fh:
-        data = json.load(fh)
+    data = read_json_object(path)
     if data.get("format") == CONFIG_FORMAT:
-        return data.get("params", {k: v for k, v in data.items() if k not in ("format", "version")})
-    if data.get("command") is not None and "params" in data:
-        return data["params"]  # a bare manifest replays too
-    raise ConfigError(f"{path} is not a tdlab-config file or manifest")
+        flat = {k: v for k, v in data.items() if k not in ("format", "version")}
+        params = data.get("params", flat)
+    elif data.get("command") is not None and "params" in data:
+        params = data["params"]  # a bare manifest replays too
+    else:
+        raise ConfigError(f"{path} is not a tdlab-config file or manifest")
+    if not isinstance(params, dict):
+        raise ConfigError(f"{path}: params must be a JSON object")
+    return params
 
 
 def _coerce(action: argparse.Action, value):
@@ -165,13 +171,6 @@ def cmd_gen_mrp(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_env_argument(task: str, gamma: float, env_seed: int):
-    if task.startswith("file:"):
-        with open(task[5:]) as fh:
-            return mrp_from_dict(json.load(fh))
-    return resolve_env(task, gamma, env_seed)
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if args.paper_grid:
@@ -192,8 +191,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         gamma=args.gamma,
         weighting=args.weighting,
     )
-    mrp = _load_env_argument(args.task, args.gamma, config.resolved_env_seed())
-    result = run_sweep(config, mrp=mrp, workers=args.workers)
+    result = run_sweep(config, workers=args.workers)
     manifest = _manifest("sweep", {
         "task": args.task, "repr": args.repr, "variants": args.variants,
         "paper_grid": args.paper_grid, "alphas": args.alphas, "lambdas": args.lambdas,
@@ -258,7 +256,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
 
     s = sub.add_parser("sweep", help="parameter scan over (variant, alpha, lambda)")
     s.add_argument("--task", default="mrp(10,3,0.1)",
-                   help="canonical name, mrp(k,b,sigma), or file:PATH")
+                   help="a continuing chain: mrp(k,b,sigma) or file:PATH")
     s.add_argument("--repr", default="tabular",
                    choices=["tabular", "binary", "random-normalized"])
     s.add_argument("--variants", default="accumulate,replace,true-online")
@@ -307,10 +305,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "figures" and args.runs is None:
             args.runs = 200 if args.figure == 2 else 50
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:  # OSError: an --out path that cannot be written
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -1,4 +1,5 @@
-"""Shared numeric types: feature vectors, transitions, trajectories.
+"""Shared types: feature vectors, transitions, trajectories, the
+configuration error, and the reader for JSON input files.
 
 Feature vectors are dense float64 numpy arrays: state features phi for
 prediction, or action-stacked features psi (one block of phi per action)
@@ -9,6 +10,7 @@ estimate exactly 0 without special-casing.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -16,6 +18,18 @@ import numpy as np
 
 class ConfigError(ValueError):
     """Fatal configuration problem (dimension mismatch, invalid parameter)."""
+
+
+def read_json_object(path: str) -> dict:
+    """The JSON object a file holds; anything else is a ConfigError naming the file."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except (OSError, ValueError) as exc:  # ValueError covers bad JSON and bad UTF-8
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"{path} holds a JSON {type(data).__name__}, not an object")
+    return data
 
 
 def dot(w: np.ndarray, phi: np.ndarray) -> float:

@@ -5,7 +5,9 @@ k states, branching factor b, and reward noise sigma. Construction draws,
 for each state, b distinct successors uniformly without replacement,
 transition probabilities from b-1 sorted uniform cut points of the unit
 interval, and expected rewards from a standard normal. Generated chains
-are continuing (no terminal states).
+are continuing (no terminal states). A Markov decision process is one
+such chain per action: the chain the process follows while that action
+is taken.
 
 Three canonical small tasks are provided by name, plus three discrete
 representations (tabular / binary / random-normalized) and a hashed tile
@@ -45,13 +47,25 @@ class Mrp:
         object.__setattr__(self, "r_mean", np.asarray(self.r_mean, dtype=np.float64))
         if P.shape != (self.k, self.k) or self.r_mean.shape != (self.k, self.k):
             raise ConfigError("P and r_mean must be k x k")
+        bad = ~(P >= 0.0).all(axis=1)  # NaN fails this too
+        if bad.any():
+            raise ConfigError(f"transition probabilities must be >= 0: states {np.nonzero(bad)[0]}")
         bad = np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL
         if bad.any():
             raise ConfigError(f"transition rows must sum to 1: states {np.nonzero(bad)[0]}")
-        if self.sigma < 0:
+        if not self.sigma >= 0:
             raise ConfigError("sigma must be >= 0")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
+        if any(not 0 <= s < self.k for s in self.terminal_states):
+            raise ConfigError(f"terminal states must lie in 0..{self.k - 1}")
+        if isinstance(self.initial, (int, np.integer)):
+            if not 0 <= self.initial < self.k:
+                raise ConfigError(f"initial state {self.initial} must lie in 0..{self.k - 1}")
+        else:
+            d = np.asarray(self.initial, dtype=np.float64)
+            if d.shape != (self.k,) or not (d >= 0.0).all() or abs(d.sum() - 1.0) > ROW_SUM_TOL:
+                raise ConfigError("initial must be a state or a distribution over the k states")
 
     @property
     def continuing(self) -> bool:
@@ -74,33 +88,28 @@ class Mrp:
 
 @dataclass(frozen=True)
 class Mdp:
-    """As Mrp but with P and r_mean indexed by (state, action, next state)."""
+    """Markov decision process as one Mrp per action: chains[a] is the
+    chain followed while action a is taken.
 
-    k: int
-    num_actions: int
-    P: np.ndarray
-    r_mean: np.ndarray
-    sigma: float
-    gamma: float
-    terminal_states: frozenset[int] = frozenset()
-    initial: int | np.ndarray = 0
+    The chains share k, gamma and the terminal states; episodes start
+    from chains[0]'s initial state.
+    """
+
+    chains: tuple[Mrp, ...]
 
     def __post_init__(self):
-        P = np.asarray(self.P, dtype=np.float64)
-        object.__setattr__(self, "P", P)
-        object.__setattr__(self, "r_mean", np.asarray(self.r_mean, dtype=np.float64))
-        shape = (self.k, self.num_actions, self.k)
-        if P.shape != shape or self.r_mean.shape != shape:
-            raise ConfigError("P and r_mean must be k x num_actions x k")
-        if np.any(np.abs(P.sum(axis=2) - 1.0) > ROW_SUM_TOL):
-            raise ConfigError("each (state, action) row of P must sum to 1")
+        if not self.chains:
+            raise ConfigError("an MDP needs at least one action")
+        shared = [(c.k, c.gamma, c.terminal_states) for c in self.chains]
+        for a, key in enumerate(shared):
+            if key != shared[0]:
+                raise ConfigError(
+                    f"action {a}'s chain differs from action 0's in k, gamma or terminal states"
+                )
 
-    def initial_state(self, rng: SplitMix64) -> int:
-        if isinstance(self.initial, (int, np.integer)):
-            return int(self.initial)
-        dist = np.asarray(self.initial, dtype=np.float64)
-        u = rng.random()
-        return int(np.searchsorted(np.cumsum(dist), u, side="right").clip(0, self.k - 1))
+    @property
+    def num_actions(self) -> int:
+        return len(self.chains)
 
 
 @dataclass(frozen=True)
@@ -122,17 +131,9 @@ def _cut_point_probabilities(rng: SplitMix64, b: int) -> np.ndarray:
     return np.diff(np.concatenate(([0.0], cuts, [1.0])))
 
 
-def generate_mrp(k: int, b: int, sigma: float, gamma: float, seed: int) -> Mrp:
-    """Random continuing MRP; deterministic given the seed.
-
-    Per state, in stream order: b successors, b-1 cut points, b expected
-    rewards. The initial-state distribution is uniform.
-    """
-    if not 1 <= b <= k:
-        raise ConfigError(f"branching factor {b} must satisfy 1 <= b <= k={k}")
-    if sigma < 0:
-        raise ConfigError("sigma must be >= 0")
-    rng = SplitMix64(seed)
+def _random_chain(rng: SplitMix64, k: int, b: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P, r_mean) of one random chain. Per state, in stream order: b
+    successors, b-1 cut points, b expected rewards."""
     P = np.zeros((k, k))
     r_mean = np.zeros((k, k))
     for s in range(k):
@@ -142,33 +143,32 @@ def generate_mrp(k: int, b: int, sigma: float, gamma: float, seed: int) -> Mrp:
             P[s, nxt] = p
         for nxt in successors:
             r_mean[s, nxt] = rng.normal()
-    return Mrp(
-        k=k, P=P, r_mean=r_mean, sigma=sigma, gamma=gamma,
-        initial=np.full(k, 1.0 / k), b=b, name=f"mrp({k},{b},{sigma:g})",
-    )
+    return P, r_mean
 
 
 def generate_mdp(
     k: int, b: int, sigma: float, gamma: float, num_actions: int, seed: int
 ) -> Mdp:
-    """Random continuing MDP: the MRP construction applied once per action."""
+    """Random continuing MDP; deterministic given the seed.
+
+    One random chain per action, drawn in action order from a single
+    stream. Every chain starts from the uniform initial-state distribution.
+    """
     if not 1 <= b <= k:
         raise ConfigError(f"branching factor {b} must satisfy 1 <= b <= k={k}")
     rng = SplitMix64(seed)
-    P = np.zeros((k, num_actions, k))
-    r_mean = np.zeros((k, num_actions, k))
-    for a in range(num_actions):
-        for s in range(k):
-            successors = rng.sample_without_replacement(k, b)
-            probs = _cut_point_probabilities(rng, b)
-            for nxt, p in zip(successors, probs):
-                P[s, a, nxt] = p
-            for nxt in successors:
-                r_mean[s, a, nxt] = rng.normal()
-    return Mdp(
-        k=k, num_actions=num_actions, P=P, r_mean=r_mean, sigma=sigma, gamma=gamma,
-        initial=np.full(k, 1.0 / k),
-    )
+    return Mdp(tuple(
+        Mrp(
+            k, *_random_chain(rng, k, b), sigma=sigma, gamma=gamma,
+            initial=np.full(k, 1.0 / k), b=b, name=f"mrp({k},{b},{sigma:g})",
+        )
+        for _ in range(num_actions)
+    ))
+
+
+def generate_mrp(k: int, b: int, sigma: float, gamma: float, seed: int) -> Mrp:
+    """Random continuing MRP: the one-action random MDP."""
+    return generate_mdp(k, b, sigma, gamma, 1, seed).chains[0]
 
 
 def sample_step(mrp: Mrp, state: int, rng: SplitMix64) -> tuple[int, float]:
@@ -216,17 +216,6 @@ def simulate_chains(mrp: Mrp, steps: int, rng: SplitMix64Rows) -> tuple[np.ndarr
     for t in range(steps):
         states[t + 1], rewards[t] = sample_steps(mrp, states[t], rng)
     return states, rewards
-
-
-def sample_mdp_step(mdp: Mdp, state: int, action: int, rng: SplitMix64) -> tuple[int, float]:
-    if state in mdp.terminal_states:
-        raise ConfigError(f"cannot step from terminal state {state}")
-    row = mdp.P[state, action]
-    u = rng.random()
-    nxt = int(np.searchsorted(np.cumsum(row), u, side="right").clip(0, mdp.k - 1))
-    mean = mdp.r_mean[state, action, nxt]
-    reward = mean if mdp.sigma == 0.0 else rng.normal(mean, mdp.sigma)
-    return nxt, reward
 
 
 CANONICAL_TASKS = ("random-walk-10", "one-state", "two-state")
@@ -436,7 +425,6 @@ def stationary_distribution(mrp: Mrp, tol: float = 1e-12, max_iter: int = 200_00
 
 
 MRP_FORMAT = "tdlab-mrp"
-MDP_FORMAT = "tdlab-mdp"
 FORMAT_VERSION = 1
 
 
@@ -458,58 +446,26 @@ def mrp_to_dict(mrp: Mrp) -> dict:
     }
 
 
-def mdp_to_dict(mdp: Mdp) -> dict:
-    initial = mdp.initial
-    return {
-        "format": MDP_FORMAT,
-        "version": FORMAT_VERSION,
-        "k": mdp.k,
-        "num_actions": mdp.num_actions,
-        "sigma": mdp.sigma,
-        "gamma": mdp.gamma,
-        "P": mdp.P.tolist(),
-        "r_mean": mdp.r_mean.tolist(),
-        "terminal_states": sorted(mdp.terminal_states),
-        "initial": initial.tolist() if isinstance(initial, np.ndarray) else int(initial),
-    }
-
-
-def mdp_from_dict(data: dict) -> Mdp:
-    if data.get("format") != MDP_FORMAT:
-        raise ConfigError(f"not an MDP file (format={data.get('format')!r})")
-    if data.get("version") != FORMAT_VERSION:
-        raise ConfigError(f"unsupported MDP file version {data.get('version')!r}")
-    initial = data["initial"]
-    if isinstance(initial, list):
-        initial = np.asarray(initial, dtype=np.float64)
-    return Mdp(
-        k=int(data["k"]),
-        num_actions=int(data["num_actions"]),
-        P=np.asarray(data["P"], dtype=np.float64),
-        r_mean=np.asarray(data["r_mean"], dtype=np.float64),
-        sigma=float(data["sigma"]),
-        gamma=float(data["gamma"]),
-        terminal_states=frozenset(int(s) for s in data["terminal_states"]),
-        initial=initial,
-    )
-
-
 def mrp_from_dict(data: dict) -> Mrp:
+    """The Mrp of an env-file payload; a malformed payload is a ConfigError."""
     if data.get("format") != MRP_FORMAT:
         raise ConfigError(f"not an MRP file (format={data.get('format')!r})")
     if data.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported MRP file version {data.get('version')!r}")
-    initial = data["initial"]
-    if isinstance(initial, list):
-        initial = np.asarray(initial, dtype=np.float64)
-    return Mrp(
-        k=int(data["k"]),
-        P=np.asarray(data["P"], dtype=np.float64),
-        r_mean=np.asarray(data["r_mean"], dtype=np.float64),
-        sigma=float(data["sigma"]),
-        gamma=float(data["gamma"]),
-        terminal_states=frozenset(int(s) for s in data["terminal_states"]),
-        initial=initial,
-        b=None if data.get("b") is None else int(data["b"]),
-        name=data.get("name"),
-    )
+    try:
+        initial = data["initial"]
+        return Mrp(
+            k=int(data["k"]),
+            P=np.asarray(data["P"], dtype=np.float64),
+            r_mean=np.asarray(data["r_mean"], dtype=np.float64),
+            sigma=float(data["sigma"]),
+            gamma=float(data["gamma"]),
+            terminal_states=frozenset(int(s) for s in data["terminal_states"]),
+            initial=np.asarray(initial, dtype=np.float64) if isinstance(initial, list) else initial,
+            b=None if data.get("b") is None else int(data["b"]),
+            name=data.get("name"),
+        )
+    except KeyError as exc:
+        raise ConfigError(f"MRP file lacks the key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a ConfigError from Mrp's checks too
+        raise ConfigError(f"malformed MRP file: {exc}") from exc

@@ -38,13 +38,14 @@ from .algos import (
     check_step_size,
     check_trace_decay,
 )
-from .core import ConfigError, Trajectory, Transition, stack_action_features
+from .core import ConfigError, Trajectory, Transition, read_json_object, stack_action_features
 from .envs import (
     Mrp,
     Representation,
     build_representation,
     canonical_task,
     generate_mrp,
+    mrp_from_dict,
     simulate_chains,
 )
 from .oracle import (
@@ -142,7 +143,20 @@ _MRP_PATTERN = re.compile(r"^mrp\(\s*(\d+)\s*,\s*(\d+)\s*,\s*([0-9.eE+-]+)\s*\)$
 
 
 def resolve_env(env: str, gamma: float, env_seed: int) -> Mrp:
-    """Canonical task name or an mrp(k,b,sigma) generator string."""
+    """The chain an env string names; every --task form resolves here.
+
+    `file:PATH` loads an env file as `tdlab gen-mrp` writes it (the file's
+    own gamma applies); `mrp(k,b,sigma)` generates a chain from env_seed
+    with the given gamma; anything else is a canonical task name. A file
+    that cannot be read or is not a valid env file is a ConfigError
+    naming it.
+    """
+    if env.startswith("file:"):
+        path = env[len("file:"):]
+        try:
+            return mrp_from_dict(read_json_object(path))
+        except ConfigError as exc:
+            raise ConfigError(f"env file {path}: {exc}") from exc
     m = _MRP_PATTERN.match(env.strip())
     if m:
         k, b, sigma = int(m.group(1)), int(m.group(2)), float(m.group(3))
@@ -275,20 +289,26 @@ def _sweep_cells(
     return out
 
 
-def run_sweep(config: SweepConfig, mrp: Mrp | None = None, workers: int = 1) -> SweepResult:
+def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     """Grid scan over (variant, alpha, lambda) with paired per-cell seeds.
 
-    Every run starts a fresh learner at theta_0 = 0 on a fresh trajectory
-    from the run seed. A run whose weight magnitude exceeds the divergence
-    threshold (or goes non-finite) is flagged and frozen at its last
-    finite weights; its (large) metric still enters the cell mean, so
-    divergence is visible in the data rather than silently dropped.
+    The env must resolve to a continuing chain: a run is a fixed-length
+    stretch of one chain, with no episode restarts. Every run starts a
+    fresh learner at theta_0 = 0 on a fresh trajectory from the run seed.
+    A run whose weight magnitude exceeds the divergence threshold (or
+    goes non-finite) is flagged and frozen at its last finite weights;
+    its (large) metric still enters the cell mean, so divergence is
+    visible in the data rather than silently dropped.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
-    if mrp is None:
-        mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
+    mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
+    if not mrp.continuing:
+        raise ConfigError(
+            f"sweeps need a continuing chain; {config.env} has terminal states "
+            f"{sorted(mrp.terminal_states)}"
+        )
     representation = build_representation(
         config.representation, mrp, seed=mix64(config.resolved_env_seed() ^ REPRESENTATION_SEED_SALT)
     )

@@ -78,14 +78,8 @@ def interim_lambda_returns_all(
     """
     if not 0 < h <= len(traj):
         raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
-    g = np.empty(h)
-    last = traj.steps[h - 1]
-    g[h - 1] = last.reward + last.gamma * float(theta_lookup(h - 1) @ last.phi_next)
-    for k in range(h - 2, -1, -1):
-        step = traj.steps[k]
-        v_next = float(theta_lookup(k) @ step.phi_next)
-        g[k] = step.reward + step.gamma * ((1.0 - lam) * v_next + lam * g[k + 1])
-    return g
+    v_next = np.array([theta_lookup(k) @ traj.steps[k].phi_next for k in range(h)])
+    return _targets_from_cached(traj, h, lam, v_next)
 
 
 def offline_lambda_return(
@@ -153,6 +147,8 @@ def online_lambda_return_algorithm(
 
 
 def _targets_from_cached(traj: Trajectory, h: int, lam: float, v_next: np.ndarray) -> np.ndarray:
+    """The backward recursion of interim_lambda_returns_all, given each
+    bootstrap value v_next[k] = V_k(S_{k+1}) for k < h."""
     g = np.empty(h)
     last = traj.steps[h - 1]
     g[h - 1] = last.reward + last.gamma * v_next[h - 1]

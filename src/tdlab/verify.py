@@ -115,7 +115,7 @@ def proposition_checks(seed: int = 0) -> list[CheckResult]:
 
     # lambda = 0 for the control variants, paired behavior streams
     mdp = generate_mdp(6, 2, 0.1, 0.9, num_actions=3, seed=mix64(seed ^ 0x2))
-    crep = build_representation("tabular", generate_mrp(6, 2, 0.1, 0.9, seed=1), seed=0)
+    crep = build_representation("tabular", mdp.chains[0], seed=0)
     control_hists = []
     for cls in (AccumulateTD, ReplaceTD, TrueOnlineTD):
         learner = cls(crep.n * 3, alpha=0.3, lam=0.0)
@@ -224,9 +224,7 @@ def equivalence_checks(trials: int, seed: int) -> list[CheckResult]:
         if pair in ("sarsa-vs-oracle-on-psi", "watkins-vs-truncated-oracle"):
             mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64())
             rep = build_representation(
-                ("tabular", "random-normalized")[rng.below(2)],
-                generate_mrp(8, 3, 0.1, 0.9, seed=1),
-                seed=rng.next_u64(),
+                ("tabular", "random-normalized")[rng.below(2)], mdp.chains[0], seed=rng.next_u64()
             )
             cls = TrueOnlineTD if pair.startswith("sarsa") else TrueOnlineWatkinsQ
             learner = cls(rep.n * 3, alpha=alpha, lam=lam)

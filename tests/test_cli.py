@@ -212,3 +212,70 @@ def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
     params = json.loads(first[len("# manifest="):])["params"]
     assert (params["runs"], params["steps"]) == (50, 7)
     assert row.split(",")[5] == "50"
+
+
+def _env_payload(**overrides):
+    from tdlab.envs import generate_mrp, mrp_to_dict
+
+    return {**mrp_to_dict(generate_mrp(4, 2, 0.1, 0.9, seed=1)), **overrides}
+
+
+def _write_bad_file(tmp_path, case):
+    """A path whose contents the named case spoils; a directory for 'directory'."""
+    path = tmp_path / "input.json"
+    if case == "directory":
+        path.mkdir()
+    elif case == "malformed-json":
+        path.write_text('{"format": ')
+    elif case == "json-list":
+        path.write_text("[1, 2]")
+    elif case == "missing-key":
+        data = _env_payload()
+        del data["r_mean"]
+        path.write_text(json.dumps(data))
+    elif case == "bad-initial":
+        path.write_text(json.dumps(_env_payload(initial=99)))
+    elif case == "params-not-object":
+        path.write_text(json.dumps({"format": "tdlab-config", "version": 1, "params": [1]}))
+    return path
+
+
+@pytest.mark.parametrize("case", ["malformed-json", "json-list", "directory", "missing-key",
+                                  "bad-initial"])
+def test_bad_env_file_is_config_error(case, tmp_path, capsys):
+    path = _write_bad_file(tmp_path, case)
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--task", f"file:{path}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: env file ") and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", ["malformed-json", "json-list", "directory", "params-not-object"])
+def test_bad_config_file_is_config_error(case, tmp_path, capsys):
+    path = _write_bad_file(tmp_path, case)
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--task", "random-walk-10", "--weighting", "uniform", "--steps", "5"],
+    ["--task", "random-walk-10", "--weighting", "uniform", "--steps", "100"],
+    ["--task", "random-walk-10", "--steps", "100"],
+    ["--task", "one-state", "--weighting", "uniform"],
+    ["--task", "EPISODIC_FILE"],
+])
+def test_sweep_rejects_episodic_chains(extra, tmp_path, capsys):
+    from tdlab.envs import canonical_task, mrp_to_dict
+
+    episodic = tmp_path / "episodic.json"
+    episodic.write_text(json.dumps(mrp_to_dict(canonical_task("random-walk-10")[0])))
+    extra = [f"file:{episodic}" if arg == "EPISODIC_FILE" else arg for arg in extra]
+    out = tmp_path / "sweep.csv"
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--out", str(out)] + extra) == 2
+    assert "error: sweeps need a continuing chain" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unwritable_out_path_is_config_error(tmp_path, capsys):
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--out", str(tmp_path)]) == 2
+    assert str(tmp_path) in capsys.readouterr().err

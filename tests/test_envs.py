@@ -11,13 +11,13 @@ from tdlab import (
     canonical_task,
     generate_mdp,
     generate_mrp,
-    sample_mdp_step,
     sample_step,
     stationary_distribution,
     tile_code,
     true_values,
 )
 from tdlab.envs import (
+    Mdp,
     Mrp,
     binary_feature_length,
     mrp_from_dict,
@@ -63,10 +63,44 @@ def test_generate_mrp_validates_branching():
 
 def test_generate_mdp_rows():
     mdp = generate_mdp(6, 2, 0.1, 0.9, num_actions=3, seed=5)
-    assert mdp.P.shape == (6, 3, 6)
-    assert np.all(np.abs(mdp.P.sum(axis=2) - 1.0) <= 1e-12)
-    nxt, reward = sample_mdp_step(mdp, 0, 1, SplitMix64(1))
+    assert mdp.num_actions == 3
+    for chain in mdp.chains:
+        assert chain.P.shape == (6, 6)
+        assert np.all(np.abs(chain.P.sum(axis=1) - 1.0) <= 1e-12)
+    nxt, reward = sample_step(mdp.chains[1], 0, SplitMix64(1))
     assert 0 <= nxt < 6 and np.isfinite(reward)
+
+
+@given(st.integers(1, 9), st.integers(0, 2**48))
+@settings(max_examples=30, deadline=None)
+def test_generate_mrp_is_the_one_action_mdp(k, seed):
+    b = 1 + seed % k
+    mrp = generate_mrp(k, b, 0.2, 0.9, seed=seed)
+    chain = generate_mdp(k, b, 0.2, 0.9, num_actions=3, seed=seed).chains[0]
+    assert np.array_equal(mrp.P, chain.P) and np.array_equal(mrp.r_mean, chain.r_mean)
+
+
+@pytest.mark.parametrize("sigma, gamma, match", [
+    (-1.0, 0.9, "sigma"), (float("nan"), 0.9, "sigma"), (0.1, 1.5, "gamma"), (0.1, -0.1, "gamma"),
+])
+def test_generate_mdp_validates_sigma_and_gamma(sigma, gamma, match):
+    with pytest.raises(ConfigError, match=match):
+        generate_mdp(4, 2, sigma, gamma, num_actions=2, seed=0)
+
+
+def test_mdp_chains_must_agree():
+    a = generate_mrp(4, 2, 0.1, 0.9, seed=1)
+    with pytest.raises(ConfigError, match="at least one action"):
+        Mdp(())
+    with pytest.raises(ConfigError, match="action 1"):
+        Mdp((a, generate_mrp(5, 2, 0.1, 0.9, seed=2)))
+    with pytest.raises(ConfigError, match="action 1"):
+        Mdp((a, generate_mrp(4, 2, 0.1, 0.8, seed=2)))
+    episodic = Mrp(k=4, P=a.P, r_mean=a.r_mean, sigma=0.1, gamma=0.9,
+                   terminal_states=frozenset({3}))
+    with pytest.raises(ConfigError, match="action 2"):
+        Mdp((a, a, episodic))
+    assert Mdp((a, generate_mrp(4, 3, 0.5, 0.9, seed=3))).num_actions == 2
 
 
 def test_random_walk_task():
@@ -298,16 +332,36 @@ def test_mrp_row_sum_validation():
             sigma=0.0, gamma=0.9)
 
 
-def test_mdp_roundtrip_serialization():
-    from tdlab.envs import mdp_from_dict, mdp_to_dict
+@pytest.mark.parametrize("row", [[1.5, -0.5, 0.0], [float("nan"), 0.5, 0.5]])
+def test_mrp_rejects_negative_or_nan_probabilities(row):
+    P = np.array([row, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    with pytest.raises(ConfigError, match=r"must be >= 0: states \[0\]"):
+        Mrp(k=3, P=P, r_mean=np.zeros((3, 3)), sigma=0.0, gamma=0.9)
 
-    mdp = generate_mdp(5, 2, 0.2, 0.9, num_actions=3, seed=8)
-    back = mdp_from_dict(mdp_to_dict(mdp))
-    assert np.array_equal(back.P, mdp.P)
-    assert np.array_equal(back.r_mean, mdp.r_mean)
-    assert back.num_actions == 3
-    with pytest.raises(ConfigError):
-        mdp_from_dict({"format": "tdlab-mrp"})
+
+@pytest.mark.parametrize("field", [
+    {"initial": 3}, {"initial": -1}, {"initial": np.array([0.5, 0.5])},
+    {"initial": np.array([0.5, 0.6, -0.1])}, {"initial": np.array([0.5, 0.2, 0.2])},
+    {"terminal_states": frozenset({3})},
+])
+def test_mrp_rejects_bad_initial_or_terminal_states(field):
+    with pytest.raises(ConfigError, match="initial|terminal states"):
+        Mrp(k=3, P=np.eye(3), r_mean=np.zeros((3, 3)), sigma=0.0, gamma=0.9, **field)
+
+
+@pytest.mark.parametrize("drop", ["P", "initial", "terminal_states"])
+def test_mrp_from_dict_names_missing_keys(drop):
+    data = mrp_to_dict(generate_mrp(4, 2, 0.1, 0.9, seed=1))
+    del data[drop]
+    with pytest.raises(ConfigError, match=f"lacks the key '{drop}'"):
+        mrp_from_dict(data)
+
+
+def test_mrp_from_dict_malformed_values():
+    data = mrp_to_dict(generate_mrp(4, 2, 0.1, 0.9, seed=1))
+    data["P"] = [[1.0], [0.5, 0.5]]
+    with pytest.raises(ConfigError, match="malformed MRP file"):
+        mrp_from_dict(data)
 
 
 @settings(max_examples=30, deadline=None)

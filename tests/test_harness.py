@@ -1,4 +1,5 @@
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -172,6 +173,25 @@ class TestRunSweep:
         assert mrp2.k == 6 and mrp2.sigma == 0.25 and mrp2.gamma == 0.9
         with pytest.raises(ConfigError):
             resolve_env("mdp(3)", 0.9, 0)
+
+    @pytest.mark.parametrize("env", ["random-walk-10", "one-state", "two-state"])
+    @pytest.mark.parametrize("weighting", ["stationary", "uniform"])
+    def test_sweeps_reject_episodic_chains(self, env, weighting):
+        with pytest.raises(ConfigError, match="sweeps need a continuing chain"):
+            run_sweep(small_config(env=env, weighting=weighting, variants=("true-online",)))
+
+    def test_env_file_resolves_like_its_generator(self, tmp_path):
+        from tdlab.envs import mrp_to_dict
+
+        mrp = resolve_env("mrp(6,2,0.3)", 0.9, 4)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(mrp_to_dict(mrp)))
+        loaded = resolve_env(f"file:{path}", 0.5, 0)  # the file's own gamma applies
+        assert np.array_equal(loaded.P, mrp.P) and np.array_equal(loaded.r_mean, mrp.r_mean)
+        assert loaded.gamma == 0.9
+        config = small_config(env="mrp(6,2,0.3)", gamma=0.9, env_seed=4)
+        from_file = small_config(env=f"file:{path}", env_seed=4)
+        assert sweep_to_csv(run_sweep(config)) == sweep_to_csv(run_sweep(from_file))
 
 
 def scalar_sweep_cells(config, mrp, rep, cell_indices):
