@@ -195,7 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     manifest = _manifest("sweep", {
         "task": args.task, "repr": args.repr, "variants": args.variants,
         "paper_grid": args.paper_grid, "alphas": args.alphas, "lambdas": args.lambdas,
-        "steps": args.steps, "runs": args.runs, "seed": seed, "gamma": args.gamma,
+        "steps": args.steps, "runs": args.runs, "seed": seed, "gamma": result.config.gamma,
         "weighting": args.weighting,
     })
     _write_text(args.out, _manifest_line(manifest) + sweep_to_csv(result))
@@ -267,7 +267,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     s.add_argument("--runs", type=int, default=50)
     s.add_argument("--steps", type=int, default=100)
     s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--gamma", type=float, default=0.99)
+    s.add_argument("--gamma", type=float, default=0.99,
+                   help="discount of an mrp(k,b,sigma) task; a file: env keeps its own")
     s.add_argument("--weighting", default="stationary", choices=["stationary", "uniform"])
     s.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the CPU count")
     s.add_argument("--out", default=None, help="output CSV (default: stdout)")

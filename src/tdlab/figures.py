@@ -79,6 +79,8 @@ def one_state_step_size_curve(
     pseudo step-size T*alpha leaves the stable range, while the true
     online column stays bounded for alpha <= 1.
     """
+    if runs < 1 or episodes < 1:
+        raise ConfigError(f"runs and episodes must be >= 1, got runs={runs}, episodes={episodes}")
     if alphas is None:
         alphas = tuple((i + 1) / 20 for i in range(40))  # 0.05 .. 2.0
     mrp, rep = canonical_task("one-state")

@@ -24,7 +24,7 @@ from __future__ import annotations
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -298,7 +298,9 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     A run whose weight magnitude exceeds the divergence threshold (or
     goes non-finite) is flagged and frozen at its last finite weights;
     its (large) metric still enters the cell mean, so divergence is
-    visible in the data rather than silently dropped.
+    visible in the data rather than silently dropped. The result's config
+    records the gamma the chain used: an env file's own, whatever
+    config.gamma says.
     """
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
@@ -339,7 +341,7 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                     variant=variant, alpha=alpha, lam=lam,
                     metric_mean=mean, metric_se=se, runs=config.runs, diverged=div,
                 ))
-    return SweepResult(config=config, cells=tuple(cells))
+    return SweepResult(config=replace(config, gamma=mrp.gamma), cells=tuple(cells))
 
 
 def sweep_to_csv(result: SweepResult) -> str:

@@ -1,9 +1,18 @@
 """Forward-view reference algorithms and diagnostics.
 
 These are the ground truth the incremental learners are checked against.
-They replay the full update sequence from the initial weights at every
-time step, so per-step cost grows with time; that is acceptable here
-because trust matters more than speed.
+They rebuild the weights of every time step by replaying its whole update
+sequence from the initial weights (the Watkins replay resumes after a
+prefix whose targets are final, from the weights it already holds for
+it). Both online replays cost O(T^2 * n) for T steps and n
+features, because interim targets reuse what does not depend on the
+horizon: the lambda-return replay computes each bootstrap value once,
+and the Watkins replay keeps each origin's reward sum, discount, mixture
+prefix and weight, extending them by one step per horizon. Every target
+is made with the float operations of its reference, in the same order,
+so the weights are bit-identical to a replay that evaluates
+`interim_lambda_returns_all` or `watkins_interim_target` afresh at each
+horizon (the tests pin both).
 
 Weight-vector convention: theta_k^t is the k-th iterate of the update
 sequence performed at time t, and theta_t (single index) means theta_t^t,
@@ -78,8 +87,8 @@ def interim_lambda_returns_all(
     """
     if not 0 < h <= len(traj):
         raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
-    v_next = np.array([theta_lookup(k) @ traj.steps[k].phi_next for k in range(h)])
-    return _targets_from_cached(traj, h, lam, v_next)
+    v_next = [float(theta_lookup(k) @ traj.steps[k].phi_next) for k in range(h)]
+    return np.array(_targets_from_cached(*_rewards_and_discounts(traj), lam, v_next))
 
 
 def offline_lambda_return(
@@ -110,15 +119,12 @@ class ForwardViewRun:
         """theta_k^t: the k-th iterate of the sequence performed at time t."""
         if not 0 <= k <= t <= len(self.traj):
             raise ConfigError(f"need 0 <= k <= t <= T, got k={k}, t={t}")
-        theta = self.theta_history[0].copy()
         if t == 0:
-            return theta
+            return self.theta_history[0].copy()
         lookup = lambda j: self.theta_history[j]
         targets = interim_lambda_returns_all(self.traj, t, self.lam, lookup)
-        for i in range(k):
-            phi = self.traj.steps[i].phi
-            theta += self.alpha * (targets[i] - float(theta @ phi)) * phi
-        return theta
+        phis = [step.phi for step in self.traj.steps[:k]]
+        return _replay(self.theta_history[0], self.alpha, targets.tolist(), phis)
 
 
 def online_lambda_return_algorithm(
@@ -127,35 +133,48 @@ def online_lambda_return_algorithm(
     """At each time t, replay one update per visited state with horizon-t targets.
 
     Bootstraps use the run's own single-index vectors theta_j := theta_j^j,
-    so the whole history is rebuilt from theta_init at every step.
+    so the whole history is rebuilt from theta_init at every step. Each
+    bootstrap value theta_j . phi_{j+1} is computed once, when theta_j
+    is; a horizon then costs one O(t) backward recursion for its targets
+    and t O(n) updates, O(T^2 * n) in all.
     """
     T = len(traj)
-    n = theta_init.shape[0]
-    history = np.empty((T + 1, n))
+    rewards, gammas = _rewards_and_discounts(traj)
+    phis = [step.phi for step in traj.steps]
+    history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
-    phis = [traj.steps[k].phi for k in range(T)]
-    v_next = np.empty(T)  # v_next[j] = theta_j . phi_{j+1}
+    v_next: list[float] = []  # v_next[j] = theta_j . phi_{j+1}
     for t in range(1, T + 1):
-        v_next[t - 1] = history[t - 1] @ traj.steps[t - 1].phi_next
-        targets = _targets_from_cached(traj, t, lam, v_next)
-        theta = history[0].copy()
-        for k in range(t):
-            phi = phis[k]
-            theta += alpha * (targets[k] - theta @ phi) * phi
-        history[t] = theta
+        v_next.append(float(history[t - 1] @ traj.steps[t - 1].phi_next))
+        targets = _targets_from_cached(rewards, gammas, lam, v_next)
+        history[t] = _replay(history[0], alpha, targets, phis)
     return ForwardViewRun(traj=traj, alpha=alpha, lam=lam, theta_history=history)
 
 
-def _targets_from_cached(traj: Trajectory, h: int, lam: float, v_next: np.ndarray) -> np.ndarray:
-    """The backward recursion of interim_lambda_returns_all, given each
-    bootstrap value v_next[k] = V_k(S_{k+1}) for k < h."""
-    g = np.empty(h)
-    last = traj.steps[h - 1]
-    g[h - 1] = last.reward + last.gamma * v_next[h - 1]
+def _rewards_and_discounts(traj: Trajectory) -> tuple[list[float], list[float]]:
+    return [float(s.reward) for s in traj.steps], [float(s.gamma) for s in traj.steps]
+
+
+def _targets_from_cached(
+    rewards: list[float], gammas: list[float], lam: float, v_next: list[float]
+) -> list[float]:
+    """The backward recursion of interim_lambda_returns_all at horizon
+    h = len(v_next), given each bootstrap value v_next[k] = V_k(S_{k+1})."""
+    h = len(v_next)
+    g = [0.0] * h
+    g[h - 1] = rewards[h - 1] + gammas[h - 1] * v_next[h - 1]
     for k in range(h - 2, -1, -1):
-        step = traj.steps[k]
-        g[k] = step.reward + step.gamma * ((1.0 - lam) * v_next[k] + lam * g[k + 1])
+        g[k] = rewards[k] + gammas[k] * ((1.0 - lam) * v_next[k] + lam * g[k + 1])
     return g
+
+
+def _replay(theta_init: np.ndarray, alpha: float, targets, features) -> np.ndarray:
+    """theta_init after the updates theta += alpha * (u_k - theta . x_k) * x_k,
+    one per target u_k, in order."""
+    theta = theta_init.copy()
+    for u, x in zip(targets, features):
+        theta += alpha * (u - float(theta @ x)) * x
+    return theta
 
 
 def offline_lambda_return_algorithm(
@@ -168,13 +187,8 @@ def offline_lambda_return_algorithm(
     """
     if not traj.episodic:
         raise ConfigError("the offline algorithm requires a complete episode")
-    lookup = constant_lookup(theta_init)
-    targets = interim_lambda_returns_all(traj, len(traj), lam, lookup)
-    theta = theta_init.copy()
-    for k in range(len(traj)):
-        phi = traj.steps[k].phi
-        theta += alpha * (targets[k] - float(theta @ phi)) * phi
-    return theta
+    targets = interim_lambda_returns_all(traj, len(traj), lam, constant_lookup(theta_init))
+    return _replay(theta_init, alpha, targets.tolist(), [step.phi for step in traj.steps])
 
 
 def _first_nongreedy_after(traj: Trajectory, t: int) -> int:
@@ -232,28 +246,47 @@ def watkins_forward_view(
     carried by the learner after its greedy re-selection (ties resolved
     toward the recorded behavior action); step 0 uses the behavior pair.
     Returns the (T+1) x n weight history.
+
+    Each horizon t computes U_k^t = watkins_interim_target(traj, k, t)
+    for every k < t with the same float operations, without re-summing:
+    origin k's reward sum, discount, mixture prefix and weight lam^(n-1)
+    do not depend on t, so they are kept and extended by one step per
+    horizon, and the one new bootstrap max_a theta_{t-1} . psi(S_t, a) is
+    shared by every origin. Once t reaches tau_k, the first non-greedy
+    step after k, U_k is final; when that holds for every k < t the
+    replay prefix through them is theta_t itself, so later horizons
+    resume from it. O(T^2 * n) in all, less when exploration cuts.
     """
     if traj.actions is None or traj.greedy is None or traj.num_actions is None:
         raise ConfigError("Watkins replay needs action and greedy-flag annotations")
     T = len(traj)
     num_actions = traj.num_actions
-    n = theta_init.shape[0]
-    history = np.empty((T + 1, n))
+    history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
     psis: list[np.ndarray] = [traj.action_features(0)]
+    # origin k's running sums; prefix is sum_m (1-lam) * lam^(m-1) * g_m, weight lam^(n-1)
+    reward_sum, disc = np.zeros(T), np.ones(T)
+    prefix, weight = np.zeros(T), np.ones(T)
+    lo = 0  # origins k < lo have met tau_k, so history[lo] ends their replay
     for t in range(1, T + 1):
-        if t >= 2:
-            k = t - 1
-            q = action_values(history[k - 1], traj.phi(k), num_actions)
-            a_star = greedy_toward(q, traj.actions[k])
-            psis.append(stack_action_features(traj.phi(k), a_star, num_actions))
-        lookup = lambda j: history[j]
-        theta = history[0].copy()
-        for k in range(t):
-            u = watkins_interim_target(traj, k, t, lam, lookup)
-            psi = psis[k]
-            theta += alpha * (u - float(theta @ psi)) * psi
-        history[t] = theta
+        step = traj.steps[t - 1]
+        span = slice(lo, t)
+        reward_sum[span] += disc[span] * step.reward
+        disc[span] *= step.gamma
+        g = reward_sum[span]  # origin k's n-step return, n = t - k
+        q = action_values(history[t - 1], traj.phi(t), num_actions)
+        if not step.terminal:
+            g = g + disc[span] * float(np.max(q))
+        targets = prefix[span] + weight[span] * g  # U_k^t
+        prefix[span] += (1.0 - lam) * weight[span] * g
+        weight[span] *= lam
+        history[t] = _replay(history[lo], alpha, targets.tolist(), psis[lo:t])
+        if t < T:  # the learner's greedy pair for S_t, picked with theta_{t-1}
+            psis.append(stack_action_features(
+                traj.phi(t), greedy_toward(q, traj.actions[t]), num_actions
+            ))
+            if not traj.greedy[t]:
+                lo = t  # tau_k = t for every open origin k < t
     return history
 
 

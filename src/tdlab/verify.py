@@ -249,6 +249,8 @@ def equivalence_checks(trials: int, seed: int) -> list[CheckResult]:
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0) -> list[CheckResult]:
+    if suite in ("equivalence", "all") and trials < 1:
+        raise ConfigError(f"trials must be >= 1, got {trials}")
     if suite == "closed-forms":
         return closed_form_checks()
     if suite == "propositions":

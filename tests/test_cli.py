@@ -279,3 +279,43 @@ def test_sweep_rejects_episodic_chains(extra, tmp_path, capsys):
 def test_unwritable_out_path_is_config_error(tmp_path, capsys):
     assert main(SMALL_SWEEP + ["--alphas", "0.1", "--out", str(tmp_path)]) == 2
     assert str(tmp_path) in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("suite", ["equivalence", "all"])
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_verify_rejects_non_positive_trials(suite, trials, capsys):
+    assert main(["verify", "--suite", suite, "--trials", trials]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: trials must be >= 1, got {trials}\n"
+    assert captured.out == ""
+
+
+def test_verify_trials_ignored_by_suites_without_trials():
+    assert main(["verify", "--suite", "closed-forms", "--trials", "0"]) == 0
+
+
+@pytest.mark.parametrize("runs", ["0", "-3"])
+def test_figure_2_rejects_runs_below_one(runs, tmp_path, capsys):
+    out = tmp_path / "fig2.csv"
+    assert main(["figures", "--figure", "2", "--runs", runs, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: runs and episodes must be >= 1, got runs={runs}")
+    assert "Traceback" not in err and not out.exists()
+
+
+@pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "0.5"]])
+def test_sweep_manifest_records_the_gamma_of_an_env_file(gamma_flag, tmp_path):
+    env = tmp_path / "env.json"
+    assert main(["gen-mrp", "--k", "5", "--b", "2", "--sigma", "0.1", "--gamma", "0.9",
+                 "--seed", "3", "--out", str(env)]) == 0
+    out, replay = tmp_path / "sweep.csv", tmp_path / "replay.csv"
+    assert main(["sweep", "--task", f"file:{env}", "--variants", "true-online",
+                 "--alphas", "0.2", "--lambdas", "0.5", "--runs", "2", "--steps", "10",
+                 "--out", str(out)] + gamma_flag) == 0
+    text = out.read_text()
+    manifest = json.loads(text.split("\n")[0][len("# manifest="):])
+    assert manifest["params"]["gamma"] == 0.9
+    cfg = tmp_path / "manifest.json"
+    cfg.write_text(json.dumps(manifest))
+    assert main(["sweep", "--config", str(cfg), "--out", str(replay)]) == 0
+    assert replay.read_text() == text

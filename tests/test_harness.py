@@ -193,6 +193,16 @@ class TestRunSweep:
         from_file = small_config(env=f"file:{path}", env_seed=4)
         assert sweep_to_csv(run_sweep(config)) == sweep_to_csv(run_sweep(from_file))
 
+    def test_result_records_the_gamma_the_chain_used(self, tmp_path):
+        from tdlab.envs import mrp_to_dict
+
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps(mrp_to_dict(resolve_env("mrp(6,2,0.3)", 0.9, 4))))
+        config = small_config(env=f"file:{path}", gamma=0.5)
+        assert run_sweep(config).config.gamma == 0.9
+        generated = small_config(env="mrp(6,2,0.3)", gamma=0.5)
+        assert run_sweep(generated).config == generated
+
 
 def scalar_sweep_cells(config, mrp, rep, cell_indices):
     """_sweep_cells written one run at a time: a learner per run stepping on

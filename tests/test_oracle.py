@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from tdlab import (
     AccumulateTD,
     ConfigError,
+    Mdp,
+    Mrp,
     SplitMix64,
     Trajectory,
     Transition,
@@ -28,6 +30,8 @@ from tdlab import (
     theorem1_ratio,
     watkins_interim_target,
 )
+from tdlab.algos import greedy_toward
+from tdlab.core import action_values, stack_action_features
 from tdlab.oracle import (
     constant_lookup,
     interim_lambda_returns_all,
@@ -35,7 +39,7 @@ from tdlab.oracle import (
     theorem1_delta_terms,
     watkins_forward_view,
 )
-from tests.conftest import synthetic_trajectory
+from tests.conftest import make_mrp_trajectory, make_walk_episode, synthetic_trajectory
 
 
 def one_state_episode(T):
@@ -283,6 +287,111 @@ class TestWatkins:
         traj = synthetic_trajectory(SplitMix64(14), n=2, steps=5)
         with pytest.raises(ConfigError):
             watkins_interim_target(traj, 0, 3, 0.5, constant_lookup(np.zeros(2)))
+
+
+def bits_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+def watkins_per_horizon_loop(traj, alpha, lam, theta_init):
+    """The Watkins forward view evaluated definitionally: every interim
+    target of every horizon from watkins_interim_target, O(T^3)."""
+    T, num_actions = len(traj), traj.num_actions
+    history = np.empty((T + 1, theta_init.shape[0]))
+    history[0] = theta_init
+    psis = [traj.action_features(0)]
+    for t in range(1, T + 1):
+        if t >= 2:
+            q = action_values(history[t - 2], traj.phi(t - 1), num_actions)
+            a_star = greedy_toward(q, traj.actions[t - 1])
+            psis.append(stack_action_features(traj.phi(t - 1), a_star, num_actions))
+        theta = history[0].copy()
+        for k in range(t):
+            u = watkins_interim_target(traj, k, t, lam, lambda j: history[j])
+            theta += alpha * (u - float(theta @ psis[k])) * psis[k]
+        history[t] = theta
+    return history
+
+
+def lambda_return_per_horizon_loop(traj, alpha, lam, theta_init):
+    """The online lambda-return algorithm replayed from interim_lambda_returns_all."""
+    T = len(traj)
+    history = np.empty((T + 1, theta_init.shape[0]))
+    history[0] = theta_init
+    for t in range(1, T + 1):
+        targets = interim_lambda_returns_all(traj, t, lam, lambda j: history[j])
+        theta = history[0].copy()
+        for k in range(t):
+            phi = traj.steps[k].phi
+            theta += alpha * (targets[k] - float(theta @ phi)) * phi
+        history[t] = theta
+    return history
+
+
+def episodic_mdp(seed, k=6, num_actions=3, end_prob=0.1):
+    """Random MDP in which every action ends the episode (state k-1) with
+    probability end_prob per step."""
+    chains = []
+    for chain in generate_mdp(k - 1, 2, 0.1, 0.9, num_actions, seed=seed).chains:
+        P, r = np.zeros((k, k)), np.zeros((k, k))
+        P[: k - 1, : k - 1] = (1.0 - end_prob) * chain.P
+        P[: k - 1, k - 1] = end_prob
+        P[k - 1, k - 1] = 1.0
+        r[: k - 1, : k - 1] = chain.r_mean
+        r[: k - 1, k - 1] = 1.0
+        chains.append(Mrp(k, P, r, sigma=0.1, gamma=0.9, terminal_states=frozenset({k - 1})))
+    return Mdp(tuple(chains))
+
+
+unit_or_ends = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
+
+
+class TestIncrementalOracles:
+    """The horizon-incremental replays against their per-horizon definitions, bit for bit."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
+        unit_or_ends,
+        st.floats(0.01, 1.0),
+        st.sampled_from(["tabular", "random-normalized"]),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_watkins_forward_view_is_the_per_horizon_loop(
+        self, seed, epsilon, lam, alpha, kind, episodic
+    ):
+        rng = SplitMix64(seed)
+        if episodic:
+            mdp, cap = episodic_mdp(rng.next_u64()), None
+        else:
+            mdp, cap = generate_mdp(6, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64()), 40
+        rep = build_representation(kind, mdp.chains[0], seed=rng.next_u64())
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=lam)
+        traj = run_control_episode(learner, mdp, rep, rng.split(), epsilon=epsilon, max_steps=cap)
+        assert traj.episodic == episodic
+        if epsilon == 0.0:
+            assert all(traj.greedy)  # tau is infinite for every origin
+        theta_init = np.array([rng.normal() for _ in range(rep.n * 3)])
+        got = watkins_forward_view(traj, alpha, lam, theta_init)
+        assert bits_equal(got, watkins_per_horizon_loop(traj, alpha, lam, theta_init))
+
+    @given(
+        st.integers(0, 2**16),
+        unit_or_ends,
+        st.floats(0.01, 1.0),
+        st.sampled_from(["tabular", "random-normalized", "random-walk"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_online_lambda_return_is_the_per_horizon_loop(self, seed, lam, alpha, source):
+        if source == "random-walk":
+            traj, n = make_walk_episode(seed)  # ends at the terminal state
+        else:
+            traj, n = make_mrp_trajectory(steps=40, seed=seed, kind=source)  # capped
+        theta_init = np.random.default_rng(seed).normal(size=n)
+        run = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
+        want = lambda_return_per_horizon_loop(traj, alpha, lam, theta_init)
+        assert bits_equal(run.theta_history, want)
 
 
 class TestNonRecursiveTrace:
