@@ -62,6 +62,7 @@ from .harness import (
     paper_alpha_grid,
     paper_lambda_grid,
     run_sweep,
+    run_sweeps,
     sweep_to_csv,
 )
 from .rng import SplitMix64, mix64

@@ -17,7 +17,7 @@ coder for continuous signals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -40,6 +40,10 @@ class Mrp:
     initial: int | np.ndarray = 0
     b: int | None = None
     name: str | None = None
+    # cumulative rows of P and of a distributional initial (None for a state),
+    # computed once for the samplers
+    cum_P: np.ndarray = field(init=False, repr=False, compare=False)
+    cum_initial: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         P = np.asarray(self.P, dtype=np.float64)
@@ -59,6 +63,7 @@ class Mrp:
             raise ConfigError("gamma must lie in [0, 1]")
         if any(not 0 <= s < self.k for s in self.terminal_states):
             raise ConfigError(f"terminal states must lie in 0..{self.k - 1}")
+        cum_initial = None
         if isinstance(self.initial, (int, np.integer)):
             if not 0 <= self.initial < self.k:
                 raise ConfigError(f"initial state {self.initial} must lie in 0..{self.k - 1}")
@@ -66,6 +71,9 @@ class Mrp:
             d = np.asarray(self.initial, dtype=np.float64)
             if d.shape != (self.k,) or not (d >= 0.0).all() or abs(d.sum() - 1.0) > ROW_SUM_TOL:
                 raise ConfigError("initial must be a state or a distribution over the k states")
+            cum_initial = np.cumsum(d)
+        object.__setattr__(self, "cum_P", np.cumsum(P, axis=1))
+        object.__setattr__(self, "cum_initial", cum_initial)
 
     @property
     def continuing(self) -> bool:
@@ -79,11 +87,10 @@ class Mrp:
         return (self.P * self.r_mean).sum(axis=1)
 
     def initial_state(self, rng: SplitMix64) -> int:
-        if isinstance(self.initial, (int, np.integer)):
+        if self.cum_initial is None:
             return int(self.initial)
-        dist = np.asarray(self.initial, dtype=np.float64)
         u = rng.random()
-        return int(np.searchsorted(np.cumsum(dist), u, side="right").clip(0, self.k - 1))
+        return min(int(np.searchsorted(self.cum_initial, u, side="right")), self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -176,7 +183,7 @@ def sample_step(mrp: Mrp, state: int, rng: SplitMix64) -> tuple[int, float]:
     if state in mrp.terminal_states:
         raise ConfigError(f"cannot step from terminal state {state}")
     u = rng.random()
-    nxt = int(np.searchsorted(np.cumsum(mrp.P[state]), u, side="right").clip(0, mrp.k - 1))
+    nxt = min(int(np.searchsorted(mrp.cum_P[state], u, side="right")), mrp.k - 1)
     mean = mrp.r_mean[state, nxt]
     reward = mean if mrp.sigma == 0.0 else rng.normal(mean, mrp.sigma)
     return nxt, reward
@@ -196,7 +203,7 @@ def sample_steps(
         if stuck.any():
             raise ConfigError(f"cannot step from terminal state {states[stuck][0]}")
     u = rng.random()
-    nxt = np.minimum((np.cumsum(mrp.P, axis=1)[states] <= u[:, None]).sum(axis=1), mrp.k - 1)
+    nxt = np.minimum((mrp.cum_P[states] <= u[:, None]).sum(axis=1), mrp.k - 1)
     mean = mrp.r_mean[states, nxt]
     reward = mean if mrp.sigma == 0.0 else rng.normal(mean, mrp.sigma)
     return nxt, reward
@@ -208,11 +215,10 @@ def simulate_chains(mrp: Mrp, steps: int, rng: SplitMix64Rows) -> tuple[np.ndarr
     draw from SplitMix64 row i."""
     states = np.empty((steps + 1, len(rng)), dtype=np.int64)
     rewards = np.empty((steps, len(rng)))
-    if isinstance(mrp.initial, (int, np.integer)):
+    if mrp.cum_initial is None:
         states[0] = mrp.initial
     else:
-        cum = np.cumsum(np.asarray(mrp.initial, dtype=np.float64))
-        states[0] = np.minimum((cum <= rng.random()[:, None]).sum(axis=1), mrp.k - 1)
+        states[0] = np.minimum((mrp.cum_initial <= rng.random()[:, None]).sum(axis=1), mrp.k - 1)
     for t in range(steps):
         states[t + 1], rewards[t] = sample_steps(mrp, states[t], rng)
     return states, rewards

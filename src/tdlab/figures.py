@@ -16,7 +16,7 @@ from .harness import (
     best_per_lambda,
     paper_alpha_grid,
     paper_lambda_grid,
-    run_sweep,
+    run_sweeps,
 )
 from .oracle import offline_lambda_return_algorithm, online_lambda_return_algorithm
 from .rng import SplitMix64
@@ -213,13 +213,14 @@ def mrp_best_lambda_curves(
 ) -> FigureTable:
     """Best-over-alpha normalized MSE per lambda on a random MRP.
 
-    One sweep per representation; replacing traces are skipped where the
-    features are not binary. Empty cells (no eligible alpha) are emitted
-    with blank metric fields.
+    One sweep per representation, run together in one pass: the three
+    share every chain, so each chain is simulated once and one process
+    pool serves them all. Replacing traces are skipped where the features
+    are not binary. Empty cells (no eligible alpha) are emitted with blank
+    metric fields.
     """
-    rows: list[list] = []
-    for rep_kind, variants in FIG4_REPRESENTATIONS:
-        config = SweepConfig(
+    configs = tuple(
+        SweepConfig(
             env=f"mrp({k},{b},{sigma:g})",
             representation=rep_kind,
             variants=variants,
@@ -229,11 +230,14 @@ def mrp_best_lambda_curves(
             runs=runs,
             master_seed=master_seed,
         )
-        curves = best_per_lambda(run_sweep(config, workers=workers))
-        for variant, points in curves.items():
+        for rep_kind, variants in FIG4_REPRESENTATIONS
+    )
+    rows: list[list] = []
+    for result in run_sweeps(configs, workers=workers):
+        for variant, points in best_per_lambda(result).items():
             for p in points:
                 rows.append([
-                    rep_kind, variant, p.lam,
+                    result.config.representation, variant, p.lam,
                     "" if p.alpha is None else p.alpha,
                     "" if p.metric_mean is None else p.metric_mean,
                     "" if p.metric_se is None else p.metric_se,

@@ -17,14 +17,21 @@ byte-identical to running the runs one at a time. Memory per chunk is
 O(rows x (n + steps)): the chains and each row's per-step errors, never
 a weight history; chunks larger than CHAIN_BLOCK_VALUES chain entries
 are run in blocks of whole cells.
+
+Sweeps that differ only in representation and variants share every
+chain, so run_sweeps runs them in one pass: one process pool, each chain
+simulated once, every config's learners stepped on it. run_sweep is
+run_sweeps on one config.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -245,24 +252,44 @@ def _run_metrics(
     return errors.mean(axis=1), ~live
 
 
-def _sweep_cells(
-    config: SweepConfig,
-    mrp: Mrp,
-    representation: Representation,
-    cell_indices: list[int],
-) -> list[tuple[int, str, float, float, int]]:
-    """Raw per-cell aggregates: (cell_index, variant, mean, se, diverged).
+_Row = tuple[int, str, float, float, int]  # (cell_index, variant, mean, se, diverged)
 
-    Cells are batched in blocks of at most CHAIN_BLOCK_VALUES chain
-    entries (rows x steps), so memory stays bounded however many cells a
-    chunk holds; rows are independent, so blocking changes no result.
-    """
+
+class _SweepPlan(NamedTuple):
+    """One config's share of a sweep: its features and error quadratic."""
+
+    config: SweepConfig
+    table: np.ndarray
+    M: np.ndarray
+    theta_star: np.ndarray
+    e0: float
+
+
+def _plan_sweep(config: SweepConfig, mrp: Mrp, representation: Representation) -> _SweepPlan:
+    if "replace" in config.variants and np.any((representation.table != 0) & (representation.table != 1)):
+        raise ConfigError("replacing traces require binary features; pick tabular or binary")
     M, theta_star, e0 = error_quadratic(mrp, representation, config.weighting)
     if e0 == 0.0:
         raise ConfigError("degenerate configuration: zero initial error")
+    return _SweepPlan(config, representation.table, M, theta_star, e0)
+
+
+def _sweep_cells(
+    mrp: Mrp, plans: tuple[_SweepPlan, ...], cell_indices: list[int]
+) -> list[list[_Row]]:
+    """Raw per-cell aggregate rows for each plan.
+
+    The plans share their chains (every config field but representation
+    and variants agrees), so each block's chains are simulated once and
+    every (plan, variant) steps on them. Cells are batched in blocks of at
+    most CHAIN_BLOCK_VALUES chain entries (rows x steps), so memory stays
+    bounded however many cells a chunk holds; rows are independent, so
+    blocking changes no result.
+    """
+    config = plans[0].config
     n_alpha, runs = len(config.alphas), config.runs
     block = max(1, CHAIN_BLOCK_VALUES // (runs * (config.steps + 1)))
-    out = []
+    out: list[list[_Row]] = [[] for _ in plans]
     for start in range(0, len(cell_indices), block):
         cells = cell_indices[start : start + block]
         seeds = []
@@ -272,25 +299,31 @@ def _sweep_cells(
         states, rewards = simulate_chains(mrp, config.steps, SplitMix64Rows(seeds))
         alpha = np.repeat([config.alphas[ci % n_alpha] for ci in cells], runs)[:, None]
         lam = np.repeat([config.lambdas[ci // n_alpha] for ci in cells], runs)[:, None]
-        columns = []
-        with np.errstate(over="ignore", invalid="ignore"):
-            for variant in config.variants:
-                metrics, diverged = _run_metrics(
-                    variant, states, rewards, representation.table, mrp.gamma,
-                    alpha, lam, M, theta_star, e0,
-                )
-                vals = metrics.reshape(len(cells), runs)
-                se = vals.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(len(cells))
-                counts = diverged.reshape(len(cells), runs).sum(axis=1)
-                columns.append((vals.mean(axis=1).tolist(), se.tolist(), counts.tolist()))
-        for i, ci in enumerate(cells):
-            for variant, (means, ses, counts) in zip(config.variants, columns):
-                out.append((ci, variant, means[i], ses[i], counts[i]))
+        for plan, rows in zip(plans, out):
+            columns = []
+            with np.errstate(over="ignore", invalid="ignore"):
+                for variant in plan.config.variants:
+                    metrics, diverged = _run_metrics(
+                        variant, states, rewards, plan.table, mrp.gamma,
+                        alpha, lam, plan.M, plan.theta_star, plan.e0,
+                    )
+                    vals = metrics.reshape(len(cells), runs)
+                    se = vals.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(len(cells))
+                    counts = diverged.reshape(len(cells), runs).sum(axis=1)
+                    columns.append((vals.mean(axis=1).tolist(), se.tolist(), counts.tolist()))
+            for i, ci in enumerate(cells):
+                for variant, (means, ses, counts) in zip(plan.config.variants, columns):
+                    rows.append((ci, variant, means[i], ses[i], counts[i]))
     return out
 
 
-def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
-    """Grid scan over (variant, alpha, lambda) with paired per-cell seeds.
+def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[SweepResult, ...]:
+    """Grid scans over (variant, alpha, lambda) with paired per-cell seeds.
+
+    The configs may differ only in representation and variants, so they
+    share every (cell, run) chain: each chain is simulated once, and every
+    config's learners step on it. One result per config, each equal to
+    running that config alone.
 
     The env must resolve to a continuing chain: a run is a fixed-length
     stretch of one chain, with no episode restarts. Every run starts a
@@ -298,38 +331,49 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
     A run whose weight magnitude exceeds the divergence threshold (or
     goes non-finite) is flagged and frozen at its last finite weights;
     its (large) metric still enters the cell mean, so divergence is
-    visible in the data rather than silently dropped. The result's config
-    records the gamma the chain used: an env file's own, whatever
+    visible in the data rather than silently dropped. Each result's
+    config records the gamma the chain used: an env file's own, whatever
     config.gamma says.
     """
+    if not configs:
+        raise ConfigError("run_sweeps needs at least one config")
+    first = configs[0]
+    for config in configs[1:]:
+        if replace(config, representation=first.representation, variants=first.variants) != first:
+            raise ConfigError(
+                "sweeps run together must differ only in representation and variants"
+            )
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
-    mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
+    mrp = resolve_env(first.env, first.gamma, first.resolved_env_seed())
     if not mrp.continuing:
         raise ConfigError(
-            f"sweeps need a continuing chain; {config.env} has terminal states "
+            f"sweeps need a continuing chain; {first.env} has terminal states "
             f"{sorted(mrp.terminal_states)}"
         )
-    representation = build_representation(
-        config.representation, mrp, seed=mix64(config.resolved_env_seed() ^ REPRESENTATION_SEED_SALT)
+    rep_seed = mix64(first.resolved_env_seed() ^ REPRESENTATION_SEED_SALT)
+    plans = tuple(
+        _plan_sweep(config, mrp, build_representation(config.representation, mrp, seed=rep_seed))
+        for config in configs
     )
-    if "replace" in config.variants and np.any((representation.table != 0) & (representation.table != 1)):
-        raise ConfigError("replacing traces require binary features; pick tabular or binary")
-    n_cells = len(config.lambdas) * len(config.alphas)
-    indices = list(range(n_cells))
+    indices = list(range(len(first.lambdas) * len(first.alphas)))
     if workers > 1:
-        chunks = [indices[i::workers] for i in range(workers)]
-        rows: list[tuple[int, str, float, float, int]] = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
             futures = [
-                pool.submit(_sweep_cells, config, mrp, representation, chunk)
-                for chunk in chunks if chunk
+                pool.submit(_sweep_cells, mrp, plans, chunk)
+                for chunk in (indices[i::workers] for i in range(workers)) if chunk
             ]
-            for f in futures:
-                rows.extend(f.result())
+            chunks = [f.result() for f in futures]
     else:
-        rows = _sweep_cells(config, mrp, representation, indices)
+        chunks = [_sweep_cells(mrp, plans, indices)]
+    return tuple(
+        _collect(config, mrp, [row for chunk in chunks for row in chunk[p]])
+        for p, config in enumerate(configs)
+    )
+
+
+def _collect(config: SweepConfig, mrp: Mrp, rows: list[_Row]) -> SweepResult:
     by_key = {(ci, variant): (mean, se, div) for ci, variant, mean, se, div in rows}
     cells = []
     n_alpha = len(config.alphas)
@@ -342,6 +386,11 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
                     metric_mean=mean, metric_se=se, runs=config.runs, diverged=div,
                 ))
     return SweepResult(config=replace(config, gamma=mrp.gamma), cells=tuple(cells))
+
+
+def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
+    """One config's sweep: run_sweeps on that config alone."""
+    return run_sweeps((config,), workers)[0]
 
 
 def sweep_to_csv(result: SweepResult) -> str:
@@ -370,15 +419,18 @@ def best_per_lambda(result: SweepResult) -> dict[str, list[BestPoint]]:
 
     Cells where more than half the runs diverged are ineligible; ties
     prefer the smaller alpha (cells are scanned in ascending-alpha order).
+    The cells are grouped by (variant, lambda) in one pass, each group in
+    the order of result.cells.
     """
+    by_curve: dict[tuple[str, float], list[CellResult]] = {}
+    for c in result.cells:
+        by_curve.setdefault((c.variant, c.lam), []).append(c)
     curves: dict[str, list[BestPoint]] = {v: [] for v in result.config.variants}
     for variant in result.config.variants:
         for lam in result.config.lambdas:
             best: BestPoint | None = None
-            for c in result.cells:
-                if c.variant != variant or c.lam != lam:
-                    continue
-                if 2 * c.diverged > c.runs or not np.isfinite(c.metric_mean):
+            for c in by_curve.get((variant, lam), ()):
+                if 2 * c.diverged > c.runs or not math.isfinite(c.metric_mean):
                     continue
                 if best is None or c.metric_mean < best.metric_mean:
                     best = BestPoint(lam, c.alpha, c.metric_mean, c.metric_se)

@@ -385,6 +385,30 @@ def test_simulate_chains_match_sample_step(k, sigma, env_seed, seeds, steps):
             assert (states[t + 1, i], rewards[t, i]) == (state, reward)
 
 
+class FixedUniform:
+    """An rng whose every uniform draw is u."""
+
+    def __init__(self, u):
+        self.u = u
+
+    def random(self):
+        return self.u
+
+
+@pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 0.5 - 1e-13, 0.9999999999999, 1.0 - 2.0**-53])
+def test_samplers_draw_what_a_per_call_cumsum_draws(u):
+    # rows and the initial distribution sum to 1 - 1e-13, so a u close to 1
+    # lands past the last cumulative entry and is clipped to state k - 1
+    short = [0.5, 0.5 - 1e-13, 0.0]
+    P = np.array([short, [0.0, 0.25, 0.75], [1.0, 0.0, 0.0]])
+    mrp = Mrp(3, P, np.zeros((3, 3)), sigma=0.0, gamma=0.9, initial=np.array(short))
+    for s in range(3):
+        want = int(np.searchsorted(np.cumsum(P[s]), u, side="right").clip(0, 2))
+        assert sample_step(mrp, s, FixedUniform(u))[0] == want
+    want = int(np.searchsorted(np.cumsum(short), u, side="right").clip(0, 2))
+    assert mrp.initial_state(FixedUniform(u)) == want
+
+
 def test_sample_steps_from_given_states():
     mrp = generate_mrp(7, 3, 0.5, 0.9, seed=5)
     starts = np.array([0, 6, 3, 3])

@@ -1,3 +1,4 @@
+from tdlab import harness
 from tdlab.figures import (
     mrp_best_lambda_curves,
     one_state_step_size_curve,
@@ -47,6 +48,26 @@ def test_fig4_structure_small():
     assert reps == {"tabular", "binary", "random-normalized"}
     rn_variants = {r[1] for r in rows if r[0] == "random-normalized"}
     assert "replace" not in rn_variants
+
+
+def test_fig4_same_csv_at_one_and_two_workers():
+    one = table_to_csv(mrp_best_lambda_curves(runs=2, steps=30, master_seed=3, workers=1))
+    two = table_to_csv(mrp_best_lambda_curves(runs=2, steps=30, master_seed=3, workers=2))
+    assert one == two
+
+
+def test_fig4_simulates_each_chain_once(monkeypatch):
+    # the three representation sweeps share their chains: 600 cells x 2 runs, one block
+    calls = []
+    original = harness.simulate_chains
+
+    def counted(mrp, steps, rng):
+        calls.append((steps, len(rng)))
+        return original(mrp, steps, rng)
+
+    monkeypatch.setattr(harness, "simulate_chains", counted)
+    mrp_best_lambda_curves(runs=2, steps=30, master_seed=5)
+    assert calls == [(30, 600 * 2)]
 
 
 def test_table_to_csv_formatting():

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdlab import (
+    BestPoint,
     ConfigError,
     SplitMix64,
     SweepConfig,
@@ -23,6 +24,7 @@ from tdlab import (
     paper_lambda_grid,
     run_control_episode,
     run_sweep,
+    run_sweeps,
     sample_step,
     sweep_to_csv,
 )
@@ -32,6 +34,7 @@ from tdlab.harness import (
     DIVERGENCE_THRESHOLD,
     CellResult,
     SweepResult,
+    _plan_sweep,
     _sweep_cells,
     error_quadratic,
     resolve_env,
@@ -157,7 +160,7 @@ class TestRunSweep:
             config.representation, mrp,
             seed=mix64(config.resolved_env_seed() ^ REPRESENTATION_SEED_SALT),
         )
-        rows = _sweep_cells(config, mrp, rep, [3])  # lambda=0.9, alpha=0.3
+        rows = sweep_cells(config, mrp, rep, [3])  # lambda=0.9, alpha=0.3
         for ci, variant, mean, se, div in rows:
             cell = result.cell(variant, 0.3, 0.9)
             assert (cell.metric_mean, cell.metric_se, cell.diverged) == (mean, se, div)
@@ -202,6 +205,62 @@ class TestRunSweep:
         assert run_sweep(config).config.gamma == 0.9
         generated = small_config(env="mrp(6,2,0.3)", gamma=0.5)
         assert run_sweep(generated).config == generated
+
+
+MIXED_SWEEPS = (
+    ("tabular", ("accumulate", "replace", "true-online")),
+    ("binary", ("replace",)),
+    ("random-normalized", ("true-online", "accumulate")),
+    ("tabular", ("true-online",)),
+)
+
+
+class TestRunSweeps:
+    """Sweeps that share their chains, run in one pass."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_each_result_equals_its_sweep_alone(self, workers):
+        configs = tuple(small_config(representation=r, variants=v) for r, v in MIXED_SWEEPS)
+        results = run_sweeps(configs, workers=workers)
+        assert len(results) == len(configs)
+        for config, result in zip(configs, results):
+            assert result.config == config
+            assert sweep_to_csv(result) == sweep_to_csv(run_sweep(config))
+
+    @pytest.mark.parametrize("change", [
+        dict(steps=41), dict(runs=5), dict(master_seed=100), dict(env="mrp(10,3,0.2)"),
+        dict(alphas=(0.05, 0.4)), dict(lambdas=(0.0,)), dict(env_seed=3), dict(gamma=0.9),
+        dict(weighting="uniform"),
+    ])
+    def test_configs_must_share_their_chains(self, change):
+        with pytest.raises(ConfigError, match="differ only in representation and variants"):
+            run_sweeps((small_config(), small_config(representation="binary", **change)))
+
+    def test_no_configs_rejected(self):
+        with pytest.raises(ConfigError, match="at least one config"):
+            run_sweeps(())
+
+    def test_zero_initial_error_rejected_before_the_pool(self, tmp_path, monkeypatch):
+        from tdlab.envs import mrp_to_dict
+
+        mrp = resolve_env("mrp(6,2,0.3)", 0.9, 4)
+        path = tmp_path / "env.json"
+        path.write_text(json.dumps({**mrp_to_dict(mrp), "r_mean": np.zeros((6, 6)).tolist()}))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        configs = tuple(
+            small_config(env=f"file:{path}", representation=r) for r in ("tabular", "binary")
+        )
+        with pytest.raises(ConfigError, match="zero initial error"):
+            run_sweeps(configs, workers=2)
+
+
+def sweep_cells(config, mrp, rep, cell_indices):
+    """The sweep's pool task run on one config's plan."""
+    return _sweep_cells(mrp, (_plan_sweep(config, mrp, rep),), cell_indices)[0]
 
 
 def scalar_sweep_cells(config, mrp, rep, cell_indices):
@@ -276,7 +335,7 @@ class TestBatchedEngine:
             st.integers(0, len(alphas) * len(lambdas) - 1), min_size=1, unique=True
         ))
         mrp, rep = sweep_setting(config)
-        assert exact(_sweep_cells(config, mrp, rep, cells)) == exact(
+        assert exact(sweep_cells(config, mrp, rep, cells)) == exact(
             scalar_sweep_cells(config, mrp, rep, cells)
         )
 
@@ -290,7 +349,7 @@ class TestBatchedEngine:
             alphas=(2.0, 1.79e308), lambdas=(1.0,), steps=300, runs=3,
         )
         mrp, rep = sweep_setting(config)
-        rows = _sweep_cells(config, mrp, rep, [0, 1])
+        rows = sweep_cells(config, mrp, rep, [0, 1])
         assert sum(row[4] for row in rows) >= 6
         assert exact(rows) == exact(scalar_sweep_cells(config, mrp, rep, [0, 1]))
 
@@ -298,9 +357,9 @@ class TestBatchedEngine:
 def test_blocked_sweep_cells_match_one_block(monkeypatch):
     config = small_config(runs=3, steps=30)
     mrp, rep = sweep_setting(config)
-    whole = _sweep_cells(config, mrp, rep, [0, 1, 2, 3])
+    whole = sweep_cells(config, mrp, rep, [0, 1, 2, 3])
     monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 1)  # one cell per block
-    assert exact(_sweep_cells(config, mrp, rep, [0, 1, 2, 3])) == exact(whole)
+    assert exact(sweep_cells(config, mrp, rep, [0, 1, 2, 3])) == exact(whole)
 
 
 def test_error_quadratic_solves_stationary_once(monkeypatch):
@@ -400,6 +459,44 @@ class TestBestPerLambda:
             ),
         )
         assert best_per_lambda(result)["accumulate"][0].alpha == 0.1
+
+
+def scanned_best_per_lambda(result):
+    """best_per_lambda as one scan of every cell per (variant, lambda)."""
+    curves = {v: [] for v in result.config.variants}
+    for variant in result.config.variants:
+        for lam in result.config.lambdas:
+            best = None
+            for c in result.cells:
+                if c.variant != variant or c.lam != lam:
+                    continue
+                if 2 * c.diverged > c.runs or not np.isfinite(c.metric_mean):
+                    continue
+                if best is None or c.metric_mean < best.metric_mean:
+                    best = BestPoint(lam, c.alpha, c.metric_mean, c.metric_se)
+            curves[variant].append(best if best is not None else BestPoint(lam, None, None, None))
+    return curves
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), runs=st.integers(1, 4))
+def test_best_per_lambda_equals_the_scan_of_every_cell(data, runs):
+    # few metric values, so ties are common; NaN and inf means; any divergence count
+    alphas, lambdas = (0.3, 0.05, 0.7), (0.0, 0.5, 1.0)
+    config = small_config(alphas=alphas, lambdas=lambdas, runs=runs)
+    grid = list(itertools.product(config.variants, lambdas, alphas))
+    cells = data.draw(st.permutations(grid))
+    cells = cells[: data.draw(st.integers(0, len(cells)))]
+    result = SweepResult(config=config, cells=tuple(
+        CellResult(
+            variant, alpha, lam,
+            data.draw(st.sampled_from([0.25, 0.5, 0.5, 1.0, float("nan"), float("inf")])),
+            data.draw(st.sampled_from([0.0, 0.01, 0.02])), runs,
+            data.draw(st.integers(0, runs)),
+        )
+        for variant, lam, alpha in cells
+    ))
+    assert best_per_lambda(result) == scanned_best_per_lambda(result)
 
 
 class TestCertify:
