@@ -67,4 +67,4 @@ from .harness import (
 )
 from .rng import SplitMix64, mix64
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

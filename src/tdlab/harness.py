@@ -22,6 +22,15 @@ Sweeps that differ only in representation and variants share every
 chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
 run_sweeps on one config.
+
+The metric's error d' M d (d = theta - theta_star) is one ordered sum per
+row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
+from +0.0, over M's nonzero entries (a zero entry adds +-0, which changes
+no such sum). A row's bits therefore never depend on how many rows share
+its block, so a sweep's CSV is the same at any worker count. This is the
+order np.einsum("ri,ij,rj->r") takes for blocks of 3 or more rows and
+n <= 90 features, so sweeps there keep the bits of tdlab 0.1.0; 0.1.0
+differed on blocks of 1 or 2 rows and at n >= 91.
 """
 
 from __future__ import annotations
@@ -115,6 +124,10 @@ class SweepConfig:
             check_step_size(alpha)
         for lam in self.lambdas:
             check_trace_decay(lam)
+        # best_per_lambda's tie rule and the CSV's row order read the grids in order
+        for name, grid in (("alpha", self.alphas), ("lambda", self.lambdas)):
+            if any(b <= a for a, b in zip(grid, grid[1:])):
+                raise ConfigError(f"{name} grid must be ascending without duplicates, got {grid}")
         for v in self.variants:
             if v not in PREDICTION_VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {PREDICTION_VARIANTS}")
@@ -189,6 +202,28 @@ def error_quadratic(
     return M, theta_star, e0
 
 
+def _quadratic_terms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(i, j, M_ij column) of M's nonzero entries in row-major order."""
+    pi, pj = np.nonzero(M)
+    return pi, pj, M[pi, pj][:, None]
+
+
+def _quadratic(D: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+    """Each row's d' M d as one ordered sum: the terms (d_i M_ij) d_j over
+    M's nonzero entries in row-major (i, j) order, added one by one from
+    +0.0. For finite d a zero entry's term is +-0, which leaves such a sum
+    unchanged, so this is the sum over every (i, j). Each row's bits
+    depend on that row alone, never on how many rows share the call."""
+    pi, pj, m = terms
+    Dt = D.T
+    P = Dt[pi] * m
+    P *= Dt[pj]
+    acc = np.zeros(D.shape[0])
+    for q in P:  # not np.add.reduce: on one row it sums pairwise
+        acc += q
+    return acc
+
+
 def normalized_mse(
     theta_history: np.ndarray,
     mrp: Mrp,
@@ -197,13 +232,13 @@ def normalized_mse(
     weighting: str | np.ndarray = "stationary",
 ) -> float:
     """Mean weighted squared error vs the best linear values over
-    theta_1..theta_horizon, divided by the error of theta_0."""
+    theta_1..theta_horizon, divided by the error of theta_0; each error is
+    the sweep metric's ordered sum (_quadratic)."""
     H = np.asarray(theta_history, dtype=np.float64)
     if horizon > H.shape[0] - 1:
         raise ConfigError(f"horizon {horizon} exceeds history of {H.shape[0] - 1} steps")
     M, theta_star, _ = error_quadratic(mrp, representation, weighting)
-    D = H - theta_star
-    errors = np.einsum("ti,ij,tj->t", D, M, D)
+    errors = _quadratic(H - theta_star, _quadratic_terms(M))
     if errors[0] == 0.0:
         raise ConfigError("degenerate configuration: zero initial error")
     # normalize before averaging so an unmoved history scores exactly 1.0
@@ -227,7 +262,13 @@ def _run_metrics(
     `states` and `rewards` are time-major, alpha and lam (rows, 1)
     columns. Returns each row's (metric, diverged). A row whose weights
     leave the threshold is frozen at them, or at its last weights if they
-    went non-finite, for the rest of its run.
+    went non-finite, for the rest of its run. While every row is live one
+    test of the whole block stands in for the per-row bookkeeping; from
+    the first step it fails, the per-row freeze runs.
+
+    Each step's error is _quadratic's ordered sum, row-major over M's
+    nonzero entries from +0.0, so a row's metric has the same bits in a
+    block of any size.
     """
     rule = PREDICTION_RULES[variant]
     steps, rows = rewards.shape
@@ -236,18 +277,20 @@ def _run_metrics(
     v_old = np.zeros((rows, 1))
     shown = np.zeros((rows, n))  # the weights the metric sees
     live = np.ones(rows, dtype=bool)
+    terms = _quadratic_terms(M)
     errors = np.empty((rows, steps))
+    phi_next = table[states[0]]
     for t in range(steps):
-        v_old = rule(
-            theta, e, v_old, table[states[t]], rewards[t][:, None], table[states[t + 1]],
-            gamma, alpha, lam,
-        )
-        size = np.abs(theta).max(axis=1)  # NaN if any weight is
-        moved = live & np.isfinite(size)
-        live &= size <= DIVERGENCE_THRESHOLD
-        np.copyto(shown, theta, where=moved[:, None])
-        D = shown - theta_star
-        errors[:, t] = np.einsum("ri,ij,rj->r", D, M, D)
+        phi, phi_next = phi_next, table[states[t + 1]]
+        v_old = rule(theta, e, v_old, phi, rewards[t][:, None], phi_next, gamma, alpha, lam)
+        if live.all() and np.abs(theta).max() <= DIVERGENCE_THRESHOLD:  # False on NaN
+            np.copyto(shown, theta)
+        else:
+            size = np.abs(theta).max(axis=1)  # NaN if any weight is
+            moved = live & np.isfinite(size)
+            live &= size <= DIVERGENCE_THRESHOLD
+            np.copyto(shown, theta, where=moved[:, None])
+        errors[:, t] = _quadratic(shown - theta_star, terms)
     errors /= e0
     return errors.mean(axis=1), ~live
 

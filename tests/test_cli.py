@@ -164,6 +164,20 @@ def test_sweep_invalid_alpha_is_config_error(alphas, capsys):
     assert "alpha must be finite and >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("name, alphas, lambdas", [
+    ("alpha", "0.3,0.1", "0.5"),
+    ("alpha", "0.1 0.1", "0.5"),
+    ("lambda", "0.1", "0.9,0.5"),
+    ("lambda", "0.1", "0.5 0.5"),
+])
+def test_sweep_unsorted_or_duplicate_grid_is_config_error(name, alphas, lambdas, tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    args = SMALL_SWEEP + ["--alphas", alphas, "--lambdas", lambdas, "--out", str(out)]
+    assert main(args) == 2
+    assert f"{name} grid must be ascending without duplicates" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_values_coerced_through_flag_types(tmp_path):
     cfg, out1, out2 = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
     cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1,

@@ -3,7 +3,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdlab import (
@@ -39,8 +39,9 @@ from tdlab.harness import (
     error_quadratic,
     resolve_env,
 )
+from tdlab.envs import Representation, simulate_chains
 from tdlab.envs import build_representation as build_rep
-from tdlab.rng import mix64
+from tdlab.rng import SplitMix64Rows, mix64
 from tests.conftest import make_mrp_trajectory
 
 
@@ -263,6 +264,35 @@ def sweep_cells(config, mrp, rep, cell_indices):
     return _sweep_cells(mrp, (_plan_sweep(config, mrp, rep),), cell_indices)[0]
 
 
+def quadratic_by_definition(d, M):
+    """d' M d written out: (d_i M_ij) d_j over every (i, j) in row-major
+    order, added one by one from +0.0."""
+    d, M = d.tolist(), M.tolist()
+    total = 0.0
+    for i in range(len(d)):
+        for j in range(len(d)):
+            total += (d[i] * M[i][j]) * d[j]
+    return total
+
+
+def scalar_run(variant, n, alpha, lam, transitions, M, theta_star, e0):
+    """One run's (metric, diverged) from a scalar learner stepping through
+    the transitions, frozen on divergence at its last finite weights."""
+    learner = make_prediction_learner(variant, n, alpha, lam)
+    H = np.zeros((len(transitions) + 1, n))
+    diverged = False
+    for t, step in enumerate(transitions):
+        learner.step(step)
+        theta = learner.theta
+        if not np.abs(theta).max() <= DIVERGENCE_THRESHOLD:
+            diverged = True
+            H[t + 1 :] = theta if np.isfinite(theta).all() else H[t]
+            break
+        H[t + 1] = theta
+    errors = np.array([quadratic_by_definition(h - theta_star, M) for h in H])
+    return (errors[1:] / e0).mean(), diverged
+
+
 def scalar_sweep_cells(config, mrp, rep, cell_indices):
     """_sweep_cells written one run at a time: a learner per run stepping on
     sample_step's chain, frozen on divergence at its last finite weights."""
@@ -277,19 +307,15 @@ def scalar_sweep_cells(config, mrp, rep, cell_indices):
             for r in range(config.runs):
                 rng = SplitMix64(mix64(cell_seed ^ mix64(r + 1)))
                 state = mrp.initial_state(rng)
-                learner = make_prediction_learner(variant, rep.n, alpha, lam)
-                H = np.zeros((config.steps + 1, rep.n))
+                transitions = []
                 for t in range(config.steps):
                     nxt, reward = sample_step(mrp, state, rng)
-                    learner.step(Transition(rep.phi(state), reward, rep.phi(nxt), mrp.gamma))
-                    state, theta = nxt, learner.theta
-                    if not np.abs(theta).max() <= DIVERGENCE_THRESHOLD:
-                        diverged += 1
-                        H[t + 1 :] = theta if np.isfinite(theta).all() else H[t]
-                        break
-                    H[t + 1] = theta
-                D = H - theta_star
-                metrics[r] = (np.einsum("ti,ij,tj->t", D, M, D)[1:] / e0).mean()
+                    transitions.append(Transition(rep.phi(state), reward, rep.phi(nxt), mrp.gamma))
+                    state = nxt
+                metrics[r], run_diverged = scalar_run(
+                    variant, rep.n, alpha, lam, transitions, M, theta_star, e0
+                )
+                diverged += run_diverged
             se = metrics.std(ddof=1) / np.sqrt(config.runs) if config.runs > 1 else 0.0
             out.append((ci, variant, float(metrics.mean()), float(se), diverged))
     return out
@@ -312,8 +338,8 @@ class TestBatchedEngine:
     @given(
         kind=st.sampled_from(["tabular", "binary", "random-normalized"]),
         variants=st.sets(st.sampled_from(PREDICTION_VARIANTS), min_size=1),
-        alphas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3, unique=True),
-        lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2, unique=True),
+        alphas=st.lists(st.floats(0.0, 2.0), min_size=1, max_size=3, unique=True).map(sorted),
+        lambdas=st.lists(st.floats(0.0, 1.0), min_size=1, max_size=2, unique=True).map(sorted),
         steps=st.integers(1, 40),
         runs=st.integers(1, 3),
         sigma=st.sampled_from([0.0, 0.1, 1.0]),
@@ -352,6 +378,124 @@ class TestBatchedEngine:
         rows = sweep_cells(config, mrp, rep, [0, 1])
         assert sum(row[4] for row in rows) >= 6
         assert exact(rows) == exact(scalar_sweep_cells(config, mrp, rep, [0, 1]))
+
+
+class TestRunMetrics:
+    """The sweep metric is an ordered sum whose bits per row do not depend
+    on the block, and divergence hands off from the whole-block test to the
+    per-row freeze at the step it happens."""
+
+    @staticmethod
+    def chains(mrp, rows, steps, seed):
+        return simulate_chains(mrp, steps, SplitMix64Rows([seed + r for r in range(rows)]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        kind=st.sampled_from(["tabular", "binary", "random-normalized", "dense"]),
+        n=st.integers(1, 8),
+        variant=st.sampled_from(PREDICTION_VARIANTS),
+        rows=st.integers(1, 5),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+        alphas=st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5),
+        lambdas=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+    )
+    # two binary features: one- and two-row blocks once took another einsum order
+    @example(k=3, kind="binary", n=1, variant="accumulate", rows=3, steps=30, seed=2,
+             alphas=[0.1, 0.2, 0.3, 0.4, 0.5], lambdas=[0.5] * 5)
+    def test_block_equals_each_row_alone(
+        self, k, kind, n, variant, rows, steps, seed, alphas, lambdas
+    ):
+        mrp = generate_mrp(k, min(k, 2), 1.0, 0.9, seed=seed)
+        if kind == "dense":  # n = 1..8 features, any k
+            rep = Representation("dense", np.random.default_rng(seed).standard_normal((k, n)), n)
+        else:  # tabular n = k; binary n = 2 at k = 2, 3; random-normalized n = 5
+            rep = build_representation(kind, mrp, seed=seed)
+        if variant == "replace" and kind not in ("tabular", "binary"):
+            variant = "accumulate"
+        M, theta_star, e0 = error_quadratic(mrp, rep)
+        states, rewards = self.chains(mrp, rows, steps, seed)
+        alpha, lam = np.array(alphas[:rows]), np.array(lambdas[:rows])
+
+        def run(r):
+            return harness._run_metrics(
+                variant, states[:, r], rewards[:, r], rep.table, mrp.gamma,
+                alpha[r, None], lam[r, None], M, theta_star, e0,
+            )
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            metrics, diverged = run(slice(None))
+            alone = [run(slice(r, r + 1)) for r in range(rows)]
+        assert [m.hex() for m in metrics.tolist()] == [m[0].hex() for m, _ in alone]
+        assert diverged.tolist() == [d[0] for _, d in alone]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 64),
+        rows=st.integers(3, 40),
+        structure=st.sampled_from(["dense", "diagonal", "half-zero"]),
+        seed=st.integers(0, 2**32),
+    )
+    def test_metric_equals_einsum_from_three_rows(self, n, rows, structure, seed):
+        rng = np.random.default_rng(seed)
+        A = rng.standard_normal((n, n))
+        M = A @ A.T
+        if structure == "diagonal":
+            M = np.diag(np.diag(M))
+        elif structure == "half-zero":
+            M[rng.random((n, n)) < 0.5] = 0.0
+        D = rng.standard_normal((rows, n)) * 10.0 ** rng.integers(-8, 9, (rows, n))
+        got = harness._quadratic(D, harness._quadratic_terms(M))
+        assert got.tobytes() == np.einsum("ri,ij,rj->r", D, M, D).tobytes()
+
+    def test_metric_is_the_definition(self):
+        rng = np.random.default_rng(3)
+        M = rng.standard_normal((6, 6))
+        M[rng.random((6, 6)) < 0.4] = 0.0
+        D = rng.standard_normal((5, 6)) * 10.0 ** rng.integers(-8, 9, (5, 6))
+        got = harness._quadratic(D, harness._quadratic_terms(M))
+        assert got.tolist() == [quadratic_by_definition(d, M) for d in D]
+
+    @pytest.mark.parametrize("variant", ["accumulate", "true-online"])
+    @pytest.mark.parametrize("spike", [1e101, np.inf, np.nan])
+    def test_hand_off_when_one_row_leaves_the_threshold(self, variant, spike):
+        # every row is live until step 12, when a reward spike sends row 1's
+        # weights past the threshold: to finite weights (it is frozen at
+        # them, and stays frozen after its weights come back under the
+        # threshold) or to inf/NaN (it is frozen at step 11's weights)
+        mrp = generate_mrp(6, 2, 0.1, 0.5, seed=8)
+        rep = build_representation("random-normalized", mrp, seed=1)
+        M, theta_star, e0 = error_quadratic(mrp, rep)
+        rows, steps, t0 = 4, 40, 12
+        states, rewards = self.chains(mrp, rows, steps, 0)
+        alpha, lam = np.full((rows, 1), 0.5), np.full((rows, 1), 0.9)
+
+        def run(rewards):
+            return harness._run_metrics(
+                variant, states, rewards, rep.table, mrp.gamma, alpha, lam, M, theta_star, e0
+            )
+
+        assert not run(rewards)[1].any()
+        rewards[t0, 1] = spike
+        chains = [
+            [Transition(rep.phi(states[t, r]), rewards[t, r], rep.phi(states[t + 1, r]), mrp.gamma)
+             for t in range(steps)]
+            for r in range(rows)
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            metrics, diverged = run(rewards)
+            expected = [
+                scalar_run(variant, rep.n, 0.5, 0.9, chain, M, theta_star, e0) for chain in chains
+            ]
+            unfrozen = make_prediction_learner(variant, rep.n, 0.5, 0.9)
+            for step in chains[1]:
+                unfrozen.step(step)
+        assert (np.abs(unfrozen.theta).max() <= DIVERGENCE_THRESHOLD) == np.isfinite(spike)
+        assert diverged.tolist() == [False, True, False, False]
+        assert [d for _, d in expected] == [False, True, False, False]
+        assert np.isfinite(metrics).all()
+        assert [m.hex() for m in metrics.tolist()] == [float(m).hex() for m, _ in expected]
 
 
 def test_blocked_sweep_cells_match_one_block(monkeypatch):
@@ -482,7 +626,7 @@ def scanned_best_per_lambda(result):
 @given(data=st.data(), runs=st.integers(1, 4))
 def test_best_per_lambda_equals_the_scan_of_every_cell(data, runs):
     # few metric values, so ties are common; NaN and inf means; any divergence count
-    alphas, lambdas = (0.3, 0.05, 0.7), (0.0, 0.5, 1.0)
+    alphas, lambdas = (0.05, 0.3, 0.7), (0.0, 0.5, 1.0)
     config = small_config(alphas=alphas, lambdas=lambdas, runs=runs)
     grid = list(itertools.product(config.variants, lambdas, alphas))
     cells = data.draw(st.permutations(grid))
