@@ -6,7 +6,6 @@ from .core import (
     Trajectory,
     Transition,
     dot,
-    max_action_value,
     stack_action_features,
 )
 from .envs import (
@@ -36,8 +35,6 @@ from .algos import (
     run_episode,
 )
 from .oracle import (
-    ForwardViewRun,
-    TheoremOneDiagnostics,
     accumulating_trace_nonrecursive,
     interim_lambda_return,
     lms_solution,
@@ -46,7 +43,6 @@ from .oracle import (
     offline_lambda_return_algorithm,
     online_lambda_return_algorithm,
     prop2_condition_holds,
-    theorem1_diagnostics,
     theorem1_ratio,
     watkins_interim_target,
 )
@@ -58,7 +54,6 @@ from .harness import (
     SweepResult,
     best_per_lambda,
     certify_equivalence,
-    normalized_mse,
     paper_alpha_grid,
     paper_lambda_grid,
     run_sweep,

@@ -419,14 +419,13 @@ def run_control_episode(
     flags: list[bool] = []
     psi = stack_action_features(representation.phi(state), action, num_actions)
     final_action: int | None = None
-    final_greedy: bool | None = None
     while True:
         if max_steps is not None and len(steps) >= max_steps:
             if chain.terminal_states:
                 raise RuntimeError(
                     f"episode exceeded the {max_steps}-step cap without terminating"
                 )
-            final_action, final_greedy = action, greedy
+            final_action = action
             break
         nxt, reward = sample_step(mdp.chains[action], state, rng)
         terminal = nxt in chain.terminal_states
@@ -459,5 +458,5 @@ def run_control_episode(
         state, action, greedy = nxt, next_action, next_greedy
     return Trajectory(
         steps=steps, actions=actions, greedy=flags, num_actions=num_actions,
-        final_action=final_action, final_greedy=final_greedy,
+        final_action=final_action,
     )

@@ -145,7 +145,10 @@ def _parse_variants(text: str) -> tuple[str, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, ...]:
-    return tuple(float(x) for x in text.replace(",", " ").split())
+    try:
+        return tuple(float(x) for x in text.replace(",", " ").split())
+    except ValueError as exc:
+        raise ConfigError(f"malformed grid {text!r}: {exc}") from exc
 
 
 def cmd_gen_mrp(args: argparse.Namespace) -> int:

@@ -53,11 +53,6 @@ def stack_action_features(phi: np.ndarray, action: int, num_actions: int) -> np.
     return out
 
 
-def max_action_value(theta: np.ndarray, phi: np.ndarray, num_actions: int) -> float:
-    """max_a theta . stack_action_features(phi, a)."""
-    return float(np.max(action_values(theta, phi, num_actions)))
-
-
 def action_values(theta: np.ndarray, phi: np.ndarray, num_actions: int) -> np.ndarray:
     n = phi.shape[0]
     if theta.shape[0] != n * num_actions:
@@ -98,7 +93,6 @@ class Trajectory:
     greedy: list[bool] | None = None
     num_actions: int | None = None
     final_action: int | None = None
-    final_greedy: bool | None = None
 
     def __len__(self) -> int:
         return len(self.steps)

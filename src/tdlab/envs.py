@@ -57,8 +57,8 @@ class Mrp:
         bad = np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL
         if bad.any():
             raise ConfigError(f"transition rows must sum to 1: states {np.nonzero(bad)[0]}")
-        if not self.sigma >= 0:
-            raise ConfigError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:  # NaN fails this too
+            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.gamma <= 1.0:
             raise ConfigError("gamma must lie in [0, 1]")
         if any(not 0 <= s < self.k for s in self.terminal_states):
@@ -125,7 +125,10 @@ class Representation:
 
     kind: str
     table: np.ndarray
-    n: int
+
+    @property
+    def n(self) -> int:
+        return self.table.shape[1]
 
     def phi(self, state: int) -> np.ndarray:
         return self.table[state]
@@ -266,7 +269,7 @@ def canonical_task(name: str) -> tuple[Mrp, Representation]:
         )
         table = np.zeros((k, 10))
         table[:10, :10] = np.eye(10)
-        return mrp, Representation(kind="tabular", table=table, n=10)
+        return mrp, Representation(kind="tabular", table=table)
     if name == "one-state":
         p = ONE_STATE_CONTINUE_PROB
         P = np.array([[p, 1.0 - p], [0.0, 1.0]])
@@ -276,7 +279,7 @@ def canonical_task(name: str) -> tuple[Mrp, Representation]:
             terminal_states=frozenset({1}), initial=0, name=name,
         )
         table = np.array([[1.0], [0.0]])
-        return mrp, Representation(kind="tabular", table=table, n=1)
+        return mrp, Representation(kind="tabular", table=table)
     if name == "two-state":
         P = np.array([
             [0.0, 1.0, 0.0],
@@ -290,7 +293,7 @@ def canonical_task(name: str) -> tuple[Mrp, Representation]:
             terminal_states=frozenset({2}), initial=0, name=name,
         )
         table = np.array([[1.0], [1.0], [0.0]])
-        return mrp, Representation(kind="binary", table=table, n=1)
+        return mrp, Representation(kind="binary", table=table)
     raise ConfigError(f"unknown canonical task {name!r}; expected one of {CANONICAL_TASKS}")
 
 
@@ -329,7 +332,7 @@ def build_representation(kind: str, mrp: Mrp, seed: int = 0) -> Representation:
             table[s] = row / np.linalg.norm(row)
     for s in mrp.terminal_states:
         table[s] = 0.0
-    return Representation(kind=kind, table=table, n=table.shape[1])
+    return Representation(kind=kind, table=table)
 
 
 @dataclass(frozen=True)

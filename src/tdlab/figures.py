@@ -51,17 +51,17 @@ def random_walk_learning_curves(
     t = 0
     for traj in trajs:
         acc.start_episode()
-        run = online_lambda_return_algorithm(traj, alpha, lam, theta_on)
+        online = online_lambda_return_algorithm(traj, alpha, lam, theta_on)
         for j, step in enumerate(traj.steps):
             acc.step(step)
             t += 1
             rows.append([
                 t,
                 _walk_rms(theta_off, v, rms0),
-                _walk_rms(run.theta_history[j + 1], v, rms0),
+                _walk_rms(online[j + 1], v, rms0),
                 _walk_rms(acc.theta, v, rms0),
             ])
-        theta_on = run.theta_history[-1].copy()
+        theta_on = online[-1]
         theta_off = offline_lambda_return_algorithm(traj, alpha, lam, theta_off)
     return ["time", "offline", "online", "accumulate"], rows
 

@@ -111,7 +111,6 @@ class SweepConfig:
     steps: int
     runs: int
     master_seed: int
-    env_seed: int | None = None
     gamma: float = 0.99
     weighting: str = "stationary"
 
@@ -128,12 +127,11 @@ class SweepConfig:
         for name, grid in (("alpha", self.alphas), ("lambda", self.lambdas)):
             if any(b <= a for a, b in zip(grid, grid[1:])):
                 raise ConfigError(f"{name} grid must be ascending without duplicates, got {grid}")
+        if not self.variants or len(set(self.variants)) < len(self.variants):
+            raise ConfigError(f"variant list must be non-empty without repeats, got {self.variants}")
         for v in self.variants:
             if v not in PREDICTION_VARIANTS:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {PREDICTION_VARIANTS}")
-
-    def resolved_env_seed(self) -> int:
-        return self.master_seed if self.env_seed is None else self.env_seed
 
 
 @dataclass(frozen=True)
@@ -179,7 +177,11 @@ def resolve_env(env: str, gamma: float, env_seed: int) -> Mrp:
             raise ConfigError(f"env file {path}: {exc}") from exc
     m = _MRP_PATTERN.match(env.strip())
     if m:
-        k, b, sigma = int(m.group(1)), int(m.group(2)), float(m.group(3))
+        try:
+            sigma = float(m.group(3))
+        except ValueError as exc:
+            raise ConfigError(f"malformed sigma in {env!r}: {m.group(3)!r}") from exc
+        k, b = int(m.group(1)), int(m.group(2))
         return generate_mrp(k=k, b=b, sigma=sigma, gamma=gamma, seed=env_seed)
     mrp, _ = canonical_task(env.strip())
     return mrp
@@ -222,27 +224,6 @@ def _quadratic(D: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) 
     for q in P:  # not np.add.reduce: on one row it sums pairwise
         acc += q
     return acc
-
-
-def normalized_mse(
-    theta_history: np.ndarray,
-    mrp: Mrp,
-    representation: Representation,
-    horizon: int,
-    weighting: str | np.ndarray = "stationary",
-) -> float:
-    """Mean weighted squared error vs the best linear values over
-    theta_1..theta_horizon, divided by the error of theta_0; each error is
-    the sweep metric's ordered sum (_quadratic)."""
-    H = np.asarray(theta_history, dtype=np.float64)
-    if horizon > H.shape[0] - 1:
-        raise ConfigError(f"horizon {horizon} exceeds history of {H.shape[0] - 1} steps")
-    M, theta_star, _ = error_quadratic(mrp, representation, weighting)
-    errors = _quadratic(H - theta_star, _quadratic_terms(M))
-    if errors[0] == 0.0:
-        raise ConfigError("degenerate configuration: zero initial error")
-    # normalize before averaging so an unmoved history scores exactly 1.0
-    return float((errors[1 : horizon + 1] / errors[0]).mean())
 
 
 def _run_metrics(
@@ -389,13 +370,13 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
     cpus = os.cpu_count() or 1
     if not 1 <= workers <= cpus:
         raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
-    mrp = resolve_env(first.env, first.gamma, first.resolved_env_seed())
+    mrp = resolve_env(first.env, first.gamma, first.master_seed)
     if not mrp.continuing:
         raise ConfigError(
             f"sweeps need a continuing chain; {first.env} has terminal states "
             f"{sorted(mrp.terminal_states)}"
         )
-    rep_seed = mix64(first.resolved_env_seed() ^ REPRESENTATION_SEED_SALT)
+    rep_seed = mix64(first.master_seed ^ REPRESENTATION_SEED_SALT)
     plans = tuple(
         _plan_sweep(config, mrp, build_representation(config.representation, mrp, seed=rep_seed))
         for config in configs
@@ -506,7 +487,8 @@ class EquivalenceReport:
         return self.compared_steps < self.steps
 
 
-def _replay_prediction(learner, traj: Trajectory) -> np.ndarray:
+def replay_prediction(learner, traj: Trajectory) -> np.ndarray:
+    """The (T+1) x n weight history of a prediction learner stepped over traj."""
     history = np.empty((len(traj) + 1, learner.theta.shape[0]))
     history[0] = learner.theta
     for j, step in enumerate(traj.steps):
@@ -596,37 +578,37 @@ def certify_equivalence(
 
 def _pair_histories(traj, alpha, lam, theta_init, pair):
     if pair == "true-online-vs-oracle":
-        a = _replay_prediction(
+        a = replay_prediction(
             TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
         )
-        b = online_lambda_return_algorithm(traj, alpha, lam, theta_init).theta_history
+        b = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
     elif pair == "accumulate-vs-oracle":
-        a = _replay_prediction(
+        a = replay_prediction(
             AccumulateTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
         )
-        b = online_lambda_return_algorithm(traj, alpha, lam, theta_init).theta_history
+        b = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
     elif pair == "sarsa-vs-oracle-on-psi":
         psi_traj = action_feature_trajectory(traj)
-        a = _replay_prediction(
+        a = replay_prediction(
             TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), psi_traj
         )
-        b = online_lambda_return_algorithm(psi_traj, alpha, lam, theta_init).theta_history
+        b = online_lambda_return_algorithm(psi_traj, alpha, lam, theta_init)
     elif pair == "watkins-vs-truncated-oracle":
         a = replay_watkins(traj, alpha, lam, theta_init)
         b = watkins_forward_view(traj, alpha, lam, theta_init)
     elif pair == "alpha-t-constant-vs-true-online":
-        a = _replay_prediction(
+        a = replay_prediction(
             TrueOnlineTDAlphaT(
                 theta_init.shape[0], alpha_schedule=lambda t: alpha, lam=lam, theta_init=theta_init
             ),
             traj,
         )
-        b = _replay_prediction(
+        b = replay_prediction(
             TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
         )
     elif pair == "tabular-vs-one-hot-true-online":
         a = _replay_tabular(traj, alpha, lam, theta_init)
-        b = _replay_prediction(
+        b = replay_prediction(
             TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
         )
     else:

@@ -4,15 +4,16 @@ These are the ground truth the incremental learners are checked against.
 They rebuild the weights of every time step by replaying its whole update
 sequence from the initial weights (the Watkins replay resumes after a
 prefix whose targets are final, from the weights it already holds for
-it). Both online replays cost O(T^2 * n) for T steps and n
-features, because interim targets reuse what does not depend on the
-horizon: the lambda-return replay computes each bootstrap value once,
-and the Watkins replay keeps each origin's reward sum, discount, mixture
-prefix and weight, extending them by one step per horizon. Every target
-is made with the float operations of its reference, in the same order,
-so the weights are bit-identical to a replay that evaluates
-`interim_lambda_returns_all` or `watkins_interim_target` afresh at each
-horizon (the tests pin both).
+it). Both online replays return the (T+1) x n weight history as one
+array, row t holding theta_t and row 0 the initial weights. They cost
+O(T^2 * n) for T steps and n features, because interim targets reuse
+what does not depend on the horizon: the lambda-return replay computes
+each bootstrap value once, and the Watkins replay keeps each origin's
+reward sum, discount, mixture prefix and weight, extending them by one
+step per horizon. Every target is made with the float operations of its
+reference, in the same order, so the weights are bit-identical to a
+replay that evaluates `interim_lambda_returns_all` or
+`watkins_interim_target` afresh at each horizon (the tests pin both).
 
 Weight-vector convention: theta_k^t is the k-th iterate of the update
 sequence performed at time t, and theta_t (single index) means theta_t^t,
@@ -23,7 +24,6 @@ callables supply them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,43 +100,17 @@ def offline_lambda_return(
     return interim_lambda_return(traj, t, len(traj), lam, theta_lookup)
 
 
-@dataclass
-class ForwardViewRun:
-    """Weights produced by replaying forward-view updates at each step.
-
-    theta_history[t] is theta_t^t; row 0 is the initial vector.
-    """
-
-    traj: Trajectory
-    alpha: float
-    lam: float
-    theta_history: np.ndarray
-
-    def theta(self, t: int) -> np.ndarray:
-        return self.theta_history[t]
-
-    def intermediate(self, t: int, k: int) -> np.ndarray:
-        """theta_k^t: the k-th iterate of the sequence performed at time t."""
-        if not 0 <= k <= t <= len(self.traj):
-            raise ConfigError(f"need 0 <= k <= t <= T, got k={k}, t={t}")
-        if t == 0:
-            return self.theta_history[0].copy()
-        lookup = lambda j: self.theta_history[j]
-        targets = interim_lambda_returns_all(self.traj, t, self.lam, lookup)
-        phis = [step.phi for step in self.traj.steps[:k]]
-        return _replay(self.theta_history[0], self.alpha, targets.tolist(), phis)
-
-
 def online_lambda_return_algorithm(
     traj: Trajectory, alpha: float, lam: float, theta_init: np.ndarray
-) -> ForwardViewRun:
+) -> np.ndarray:
     """At each time t, replay one update per visited state with horizon-t targets.
 
-    Bootstraps use the run's own single-index vectors theta_j := theta_j^j,
-    so the whole history is rebuilt from theta_init at every step. Each
-    bootstrap value theta_j . phi_{j+1} is computed once, when theta_j
-    is; a horizon then costs one O(t) backward recursion for its targets
-    and t O(n) updates, O(T^2 * n) in all.
+    Returns the (T+1) x n weight history: row t is theta_t^t, row 0 is
+    theta_init. Bootstraps use the run's own single-index vectors
+    theta_j := theta_j^j, so the whole history is rebuilt from theta_init
+    at every step. Each bootstrap value theta_j . phi_{j+1} is computed
+    once, when theta_j is; a horizon then costs one O(t) backward
+    recursion for its targets and t O(n) updates, O(T^2 * n) in all.
     """
     T = len(traj)
     rewards, gammas = _rewards_and_discounts(traj)
@@ -148,7 +122,7 @@ def online_lambda_return_algorithm(
         v_next.append(float(history[t - 1] @ traj.steps[t - 1].phi_next))
         targets = _targets_from_cached(rewards, gammas, lam, v_next)
         history[t] = _replay(history[0], alpha, targets, phis)
-    return ForwardViewRun(traj=traj, alpha=alpha, lam=lam, theta_history=history)
+    return history
 
 
 def _rewards_and_discounts(traj: Trajectory) -> tuple[list[float], list[float]]:
@@ -358,16 +332,6 @@ def prop2_condition_holds(traj: Trajectory) -> bool:
     return True
 
 
-@dataclass
-class TheoremOneDiagnostics:
-    """Step-size-free update directions and the closeness ratio they control."""
-
-    delta_terms: np.ndarray
-    ratio: float
-    alpha: float
-    lam: float
-
-
 def theorem1_delta_terms(traj: Trajectory, lam: float, theta_init: np.ndarray) -> np.ndarray:
     """Delta_i^T = (G-bar_i^{lambda|T} - theta_0 . phi_i) phi_i, all bootstraps at theta_0."""
     T = len(traj)
@@ -395,23 +359,11 @@ def theorem1_ratio(
     for step in traj.steps:
         learner.step(step)
     theta_td = learner.theta
-    run = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
-    theta_lam = run.theta_history[-1]
+    theta_lam = online_lambda_return_algorithm(traj, alpha, lam, theta_init)[-1]
     denom = float(np.linalg.norm(theta_td - theta_init))
     if denom == 0.0:
         raise ConfigError("degenerate input: accumulating TD never moved the weights")
     return float(np.linalg.norm(theta_td - theta_lam)) / denom
-
-
-def theorem1_diagnostics(
-    traj: Trajectory, alpha: float, lam: float, theta_init: np.ndarray
-) -> TheoremOneDiagnostics:
-    return TheoremOneDiagnostics(
-        delta_terms=theorem1_delta_terms(traj, lam, theta_init),
-        ratio=theorem1_ratio(traj, alpha, lam, theta_init),
-        alpha=alpha,
-        lam=lam,
-    )
 
 
 def lms_solution(

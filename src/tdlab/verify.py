@@ -23,7 +23,7 @@ from .algos import (
 )
 from .core import ConfigError, Trajectory, Transition
 from .envs import build_representation, canonical_task, generate_mdp, generate_mrp
-from .harness import certify_equivalence
+from .harness import certify_equivalence, replay_prediction
 from .oracle import prop2_condition_holds, theorem1_ratio
 from .rng import SplitMix64, mix64
 
@@ -81,17 +81,6 @@ def closed_form_checks() -> list[CheckResult]:
     ]
 
 
-def _prediction_histories(traj: Trajectory, learners) -> list[np.ndarray]:
-    out = []
-    for learner in learners:
-        hist = [learner.theta.copy()]
-        for step in traj.steps:
-            learner.step(step)
-            hist.append(learner.theta.copy())
-        out.append(np.array(hist))
-    return out
-
-
 def proposition_checks(seed: int = 0) -> list[CheckResult]:
     checks: list[CheckResult] = []
     mrp, rep = canonical_task("random-walk-10")
@@ -100,12 +89,12 @@ def proposition_checks(seed: int = 0) -> list[CheckResult]:
 
     # lambda = 0: every prediction variant takes identical steps
     alpha = 0.4
-    hists = _prediction_histories(traj, [
+    hists = [replay_prediction(learner, traj) for learner in (
         AccumulateTD(rep.n, alpha, 0.0),
         ReplaceTD(rep.n, alpha, 0.0),
         TrueOnlineTD(rep.n, alpha, 0.0),
         TrueOnlineTDAlphaT(rep.n, lambda t: alpha, 0.0),
-    ])
+    )]
     worst = max(float(np.abs(h - hists[0]).max()) for h in hists[1:])
     checks.append(CheckResult(
         "proposition: lambda=0 collapses all prediction variants",
@@ -142,11 +131,11 @@ def proposition_checks(seed: int = 0) -> list[CheckResult]:
             eye[s], rng.normal(), np.zeros(n) if terminal else eye[s + 1], 1.0, terminal=terminal,
         ))
     chain = Trajectory(steps=steps)
-    hists = _prediction_histories(chain, [
+    hists = [replay_prediction(learner, chain) for learner in (
         AccumulateTD(n, 0.7, 0.9),
         ReplaceTD(n, 0.7, 0.9),
         TrueOnlineTD(n, 0.7, 0.9),
-    ])
+    )]
     worst_nr = max(float(np.abs(h - hists[0]).max()) for h in hists[1:])
     checks.append(CheckResult(
         "proposition: no-revisit tabular episodes collapse the variants",

@@ -1,0 +1,55 @@
+"""Every name the tdlab package exports has a caller in the package or
+its demos; tests alone do not keep a name alive."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "tdlab"
+
+# Definitional references the tests pin the fast code against.
+REFERENCES = (
+    "interim_lambda_return",
+    "offline_lambda_return",
+    "watkins_interim_target",
+    "accumulating_trace_nonrecursive",
+    "make_prediction_learner",
+)
+
+
+def exported_names():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [
+        alias.asname or alias.name
+        for node in tree.body if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+
+
+def used_names(node, defining=frozenset()):
+    """Names loaded or read as attributes under node, except inside the
+    function or class that defines them (imports are not uses)."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        defining = defining | {node.name}
+    found = set()
+    if isinstance(node, ast.Name):
+        found.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        found.add(node.attr)
+    for child in ast.iter_child_nodes(node):
+        found |= used_names(child, defining)
+    return found - defining
+
+
+def test_every_export_has_a_caller():
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources += (ROOT / "demos").glob("*.py")
+    used = set()
+    for path in sources:
+        used |= used_names(ast.parse(path.read_text()))
+    unused = [n for n in exported_names() if n not in used and n not in REFERENCES]
+    assert unused == []
+
+
+def test_references_are_exported():
+    assert set(REFERENCES) <= set(exported_names())

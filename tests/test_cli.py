@@ -178,6 +178,28 @@ def test_sweep_unsorted_or_duplicate_grid_is_config_error(name, alphas, lambdas,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("args, message", [
+    (SMALL_SWEEP + ["--alphas", "0.1 x"], "malformed grid '0.1 x'"),
+    (SMALL_SWEEP + ["--alphas", "0.1", "--lambdas", "0.5,,y"], "malformed grid '0.5,,y'"),
+    (SMALL_SWEEP + ["--alphas", "0.1", "--task", "mrp(10,3,1..2)"],
+     "malformed sigma in 'mrp(10,3,1..2)'"),
+    (SMALL_SWEEP + ["--alphas", "0.1", "--task", "mrp(10,3,1e999)"],
+     "sigma must be finite and >= 0"),
+    (SMALL_SWEEP + ["--alphas", "0.1", "--variants", ""],
+     "variant list must be non-empty without repeats, got ()"),
+    (SMALL_SWEEP + ["--alphas", "0.1", "--variants", "true-online,true-online"],
+     "variant list must be non-empty without repeats, got ('true-online', 'true-online')"),
+    (["gen-mrp", "--k", "3", "--b", "2", "--sigma", "inf"], "sigma must be finite and >= 0"),
+    (["gen-mrp", "--k", "3", "--b", "2", "--sigma", "nan"], "sigma must be finite and >= 0"),
+])
+def test_malformed_number_or_list_is_config_error(args, message, tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(args + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_config_values_coerced_through_flag_types(tmp_path):
     cfg, out1, out2 = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
     cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1,
@@ -249,13 +271,15 @@ def _write_bad_file(tmp_path, case):
         path.write_text(json.dumps(data))
     elif case == "bad-initial":
         path.write_text(json.dumps(_env_payload(initial=99)))
+    elif case == "infinite-sigma":
+        path.write_text(json.dumps(_env_payload(sigma=float("inf"))))  # writes Infinity
     elif case == "params-not-object":
         path.write_text(json.dumps({"format": "tdlab-config", "version": 1, "params": [1]}))
     return path
 
 
 @pytest.mark.parametrize("case", ["malformed-json", "json-list", "directory", "missing-key",
-                                  "bad-initial"])
+                                  "bad-initial", "infinite-sigma"])
 def test_bad_env_file_is_config_error(case, tmp_path, capsys):
     path = _write_bad_file(tmp_path, case)
     assert main(SMALL_SWEEP + ["--alphas", "0.1", "--task", f"file:{path}"]) == 2

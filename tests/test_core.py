@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from tdlab import ConfigError, Trajectory, Transition, dot, stack_action_features
-from tdlab.core import max_action_value
 
 
 def test_dot_terminal_zero_features():
@@ -79,12 +78,6 @@ def test_stacked_blocks_are_disjoint():
             block = np.zeros(12)
             block[other * 4 : (other + 1) * 4] = theta[other * 4 : (other + 1) * 4]
             assert dot(block, psi) == 0.0
-
-
-def test_max_action_value():
-    theta = np.array([1.0, 0.0, -2.0, 0.0, 3.0, 0.0])
-    phi = np.array([2.0, 0.0])
-    assert max_action_value(theta, phi, 3) == 6.0
 
 
 def test_transition_terminal_requires_zero_next():

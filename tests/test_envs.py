@@ -82,6 +82,7 @@ def test_generate_mrp_is_the_one_action_mdp(k, seed):
 
 @pytest.mark.parametrize("sigma, gamma, match", [
     (-1.0, 0.9, "sigma"), (float("nan"), 0.9, "sigma"), (0.1, 1.5, "gamma"), (0.1, -0.1, "gamma"),
+    (float("inf"), 0.9, "sigma must be finite and >= 0"),
 ])
 def test_generate_mdp_validates_sigma_and_gamma(sigma, gamma, match):
     with pytest.raises(ConfigError, match=match):

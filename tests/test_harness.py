@@ -18,7 +18,6 @@ from tdlab import (
     generate_mdp,
     generate_mrp,
     harness,
-    normalized_mse,
     oracle,
     paper_alpha_grid,
     paper_lambda_grid,
@@ -60,50 +59,6 @@ class TestPaperGrids:
         assert grid[0] == 0.0 and grid[-1] == 1.0
         assert grid.count(0.9) == 1
         assert 0.95 in grid
-
-
-class TestNormalizedMse:
-    def _setting(self):
-        mrp = generate_mrp(8, 3, 0.1, 0.95, seed=50)
-        rep = build_representation("tabular", mrp, seed=0)
-        return mrp, rep
-
-    def test_constant_history_is_one(self):
-        mrp, rep = self._setting()
-        theta0 = np.full(rep.n, 0.1)
-        history = np.tile(theta0, (11, 1))
-        assert normalized_mse(history, mrp, rep, horizon=10) == 1.0
-
-    def test_solution_history_is_zero(self):
-        mrp, rep = self._setting()
-        from tdlab import lms_solution
-
-        theta_star, _ = lms_solution(mrp, rep)
-        history = np.vstack([np.zeros(rep.n), np.tile(theta_star, (10, 1))])
-        assert normalized_mse(history, mrp, rep, horizon=10) <= 1e-16
-
-    def test_two_state_hand_computed(self):
-        # spreadsheet-style: single weight, uniform weighting, v=(2,0), theta*=1
-        mrp, rep = canonical_task("two-state")
-        history = np.array([[0.0], [0.5], [2.0]])
-        # errors vs the best linear values (both states predict theta):
-        # E(theta) = (theta-1)^2; E(0)=1, E(0.5)=0.25, E(2)=1 -> mean 0.625
-        got = normalized_mse(history, mrp, rep, horizon=2, weighting="uniform")
-        assert got == pytest.approx(0.625, abs=1e-12)
-
-    def test_zero_initial_error_fatal(self):
-        mrp, rep = self._setting()
-        from tdlab import lms_solution
-
-        theta_star, _ = lms_solution(mrp, rep)
-        history = np.tile(theta_star, (5, 1))
-        with pytest.raises(ConfigError):
-            normalized_mse(history, mrp, rep, horizon=4)
-
-    def test_horizon_bounds(self):
-        mrp, rep = self._setting()
-        with pytest.raises(ConfigError):
-            normalized_mse(np.zeros((3, rep.n)), mrp, rep, horizon=5)
 
 
 def small_config(**overrides):
@@ -154,12 +109,12 @@ class TestRunSweep:
         """A cell recomputed standalone from its documented seed matches the sweep."""
         config = small_config()
         result = run_sweep(config)
-        mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
+        mrp = resolve_env(config.env, config.gamma, config.master_seed)
         from tdlab.harness import REPRESENTATION_SEED_SALT
 
         rep = build_rep(
             config.representation, mrp,
-            seed=mix64(config.resolved_env_seed() ^ REPRESENTATION_SEED_SALT),
+            seed=mix64(config.master_seed ^ REPRESENTATION_SEED_SALT),
         )
         rows = sweep_cells(config, mrp, rep, [3])  # lambda=0.9, alpha=0.3
         for ci, variant, mean, se, div in rows:
@@ -193,8 +148,8 @@ class TestRunSweep:
         loaded = resolve_env(f"file:{path}", 0.5, 0)  # the file's own gamma applies
         assert np.array_equal(loaded.P, mrp.P) and np.array_equal(loaded.r_mean, mrp.r_mean)
         assert loaded.gamma == 0.9
-        config = small_config(env="mrp(6,2,0.3)", gamma=0.9, env_seed=4)
-        from_file = small_config(env=f"file:{path}", env_seed=4)
+        config = small_config(env="mrp(6,2,0.3)", gamma=0.9, master_seed=4)
+        from_file = small_config(env=f"file:{path}", master_seed=4)
         assert sweep_to_csv(run_sweep(config)) == sweep_to_csv(run_sweep(from_file))
 
     def test_result_records_the_gamma_the_chain_used(self, tmp_path):
@@ -230,7 +185,7 @@ class TestRunSweeps:
 
     @pytest.mark.parametrize("change", [
         dict(steps=41), dict(runs=5), dict(master_seed=100), dict(env="mrp(10,3,0.2)"),
-        dict(alphas=(0.05, 0.4)), dict(lambdas=(0.0,)), dict(env_seed=3), dict(gamma=0.9),
+        dict(alphas=(0.05, 0.4)), dict(lambdas=(0.0,)), dict(gamma=0.9),
         dict(weighting="uniform"),
     ])
     def test_configs_must_share_their_chains(self, change):
@@ -273,6 +228,23 @@ def quadratic_by_definition(d, M):
         for j in range(len(d)):
             total += (d[i] * M[i][j]) * d[j]
     return total
+
+
+def metric_cases():
+    """(M, rows of d, each row's error by hand or None) for the sweep metric."""
+    rng = np.random.default_rng(3)
+    M = rng.standard_normal((6, 6))
+    M[rng.random((6, 6)) < 0.4] = 0.0
+    yield M, rng.standard_normal((5, 6)) * 10.0 ** rng.integers(-8, 9, (5, 6)), None
+    # one weight, uniform weighting, v = (2, 0): theta* = 1 and E(theta) = (theta - 1)^2,
+    # so E(0) = 1, E(0.5) = 0.25 and E(2) = 1
+    mrp, rep = canonical_task("two-state")
+    M, theta_star, _ = error_quadratic(mrp, rep, "uniform")
+    yield M, np.array([[0.0], [0.5], [2.0]]) - theta_star, [1.0, 0.25, 1.0]
+    # the error at theta* itself is 0
+    mrp = generate_mrp(8, 3, 0.1, 0.95, seed=50)
+    M, theta_star, _ = error_quadratic(mrp, build_representation("tabular", mrp, seed=0))
+    yield M, np.tile(theta_star, (3, 1)) - theta_star, [0.0, 0.0, 0.0]
 
 
 def scalar_run(variant, n, alpha, lam, transitions, M, theta_star, e0):
@@ -327,8 +299,8 @@ def exact(rows):
 
 
 def sweep_setting(config):
-    mrp = resolve_env(config.env, config.gamma, config.resolved_env_seed())
-    return mrp, build_rep(config.representation, mrp, seed=config.resolved_env_seed() + 1)
+    mrp = resolve_env(config.env, config.gamma, config.master_seed)
+    return mrp, build_rep(config.representation, mrp, seed=config.master_seed + 1)
 
 
 class TestBatchedEngine:
@@ -409,7 +381,7 @@ class TestRunMetrics:
     ):
         mrp = generate_mrp(k, min(k, 2), 1.0, 0.9, seed=seed)
         if kind == "dense":  # n = 1..8 features, any k
-            rep = Representation("dense", np.random.default_rng(seed).standard_normal((k, n)), n)
+            rep = Representation("dense", np.random.default_rng(seed).standard_normal((k, n)))
         else:  # tabular n = k; binary n = 2 at k = 2, 3; random-normalized n = 5
             rep = build_representation(kind, mrp, seed=seed)
         if variant == "replace" and kind not in ("tabular", "binary"):
@@ -450,12 +422,11 @@ class TestRunMetrics:
         assert got.tobytes() == np.einsum("ri,ij,rj->r", D, M, D).tobytes()
 
     def test_metric_is_the_definition(self):
-        rng = np.random.default_rng(3)
-        M = rng.standard_normal((6, 6))
-        M[rng.random((6, 6)) < 0.4] = 0.0
-        D = rng.standard_normal((5, 6)) * 10.0 ** rng.integers(-8, 9, (5, 6))
-        got = harness._quadratic(D, harness._quadratic_terms(M))
-        assert got.tolist() == [quadratic_by_definition(d, M) for d in D]
+        for M, D, by_hand in metric_cases():
+            got = harness._quadratic(D, harness._quadratic_terms(M))
+            assert got.tolist() == [quadratic_by_definition(d, M) for d in D]
+            if by_hand is not None:
+                assert got.tolist() == pytest.approx(by_hand, abs=1e-12)
 
     @pytest.mark.parametrize("variant", ["accumulate", "true-online"])
     @pytest.mark.parametrize("spike", [1e101, np.inf, np.nan])
