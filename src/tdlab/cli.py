@@ -8,9 +8,11 @@ produced the file. `sweep --task file:PATH` loads one through
 `harness.resolve_env`, like every other --task form. Config files passed
 via --config use the same envelope with format tdlab-config and flag
 names as keys; explicit command-line flags take precedence over
-config-file values. An input file that cannot be read or parsed is a
-configuration error naming the file. The environment variable
-TDLAB_SEED, when set, overrides any seed.
+config-file values, and a null value leaves its flag at the default. An
+input file that cannot be read or parsed is a configuration error naming
+the file. The environment variable TDLAB_SEED, when set, overrides any
+seed. A seed outside [0, 2^64), from either source, is a configuration
+error.
 
 Every emitted artifact embeds its manifest (a JSON object holding the
 tool version, the subcommand, and every parameter including the master
@@ -83,8 +85,6 @@ def _load_config_file(path: str) -> dict:
 
 def _coerce(action: argparse.Action, value):
     """A config-file value as the flag's argparse type would parse it."""
-    if value is None:
-        return None
     if action.nargs == 0:  # store_true flags take a JSON boolean
         if not isinstance(value, bool):
             raise ConfigError(
@@ -118,25 +118,31 @@ def _explicit_flags(argv: list[str] | None) -> set[str]:
 def _apply_config_defaults(
     args: argparse.Namespace, actions: dict, argv: list[str] | None
 ) -> None:
-    """Config file values fill in the flags not given on the command line."""
+    """Config file values fill in the flags not given on the command line;
+    a null value leaves its flag at the default."""
     if not getattr(args, "config", None):
         return
     overrides = _load_config_file(args.config)
     explicit = _explicit_flags(argv)
     for key, value in overrides.items():
         attr = key.replace("-", "_")
-        if attr not in actions or not hasattr(args, attr) or attr in explicit:
+        if value is None or attr not in actions or not hasattr(args, attr) or attr in explicit:
             continue
         setattr(args, attr, _coerce(actions[attr], value))
 
 
 def _resolve_seed(seed: int) -> int:
+    """The master seed: TDLAB_SEED when set, else the flag, in [0, 2^64)."""
     env = os.environ.get("TDLAB_SEED")
+    source = "--seed"
     if env is not None:
+        source = "TDLAB_SEED"
         try:
-            return int(env)
+            seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"TDLAB_SEED must be an integer, got {env!r}") from exc
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"{source} must be in [0, 2^64), got {seed}")
     return seed
 
 

@@ -427,7 +427,7 @@ def stationary_distribution(mrp: Mrp, tol: float = 1e-12, max_iter: int = 200_00
         if np.max(np.abs(d_next - d_next @ mrp.P)) <= tol:
             return d_next
         d = d_next
-    raise RuntimeError(
+    raise ConfigError(
         f"power iteration did not reach residual {tol:g} in {max_iter} iterations; "
         "the chain may be periodic or reducible"
     )

@@ -1,19 +1,23 @@
 """Forward-view reference algorithms and diagnostics.
 
 These are the ground truth the incremental learners are checked against.
-They rebuild the weights of every time step by replaying its whole update
-sequence from the initial weights (the Watkins replay resumes after a
-prefix whose targets are final, from the weights it already holds for
-it). Both online replays return the (T+1) x n weight history as one
-array, row t holding theta_t and row 0 the initial weights. They cost
-O(T^2 * n) for T steps and n features, because interim targets reuse
-what does not depend on the horizon: the lambda-return replay computes
-each bootstrap value once, and the Watkins replay keeps each origin's
-reward sum, discount, mixture prefix and weight, extending them by one
-step per horizon. Every target is made with the float operations of its
-reference, in the same order, so the weights are bit-identical to a
-replay that evaluates `interim_lambda_returns_all` or
+Both online replays return the (T+1) x n weight history as one array,
+row t holding theta_t and row 0 the initial weights. Interim targets
+reuse what does not depend on the horizon: the lambda-return replay
+computes each bootstrap value once, and the Watkins replay keeps each
+origin's reward sum, discount, mixture prefix and weight, extending them
+by one step per horizon. Every target is made with the float operations
+of its reference, in the same order, so the weights are bit-identical to
+a replay that evaluates `interim_lambda_returns_all` or
 `watkins_interim_target` afresh at each horizon (the tests pin both).
+
+Each replay keeps a (T+1) x n buffer of iterates, row k holding the k-th
+iterate of the latest horizon, and writes every update straight into the
+next row. A horizon whose first changed target is at index c (bits
+compared, sign of zero included) shares rows 0..c with the previous
+horizon, so it resumes at row c and replays only the changed suffix:
+O(changed suffix * n) per horizon, O(T^2 * n) in all in the worst case,
+for T steps and n features.
 
 Weight-vector convention: theta_k^t is the k-th iterate of the update
 sequence performed at time t, and theta_t (single index) means theta_t^t,
@@ -24,6 +28,7 @@ callables supply them.
 
 from __future__ import annotations
 
+from math import copysign
 from typing import Callable
 
 import numpy as np
@@ -88,7 +93,9 @@ def interim_lambda_returns_all(
     if not 0 < h <= len(traj):
         raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
     v_next = [float(theta_lookup(k) @ traj.steps[k].phi_next) for k in range(h)]
-    return np.array(_targets_from_cached(*_rewards_and_discounts(traj), lam, v_next))
+    targets: list[float] = []
+    _retarget(targets, *_rewards_and_discounts(traj), lam, v_next)
+    return np.array(targets)
 
 
 def offline_lambda_return(
@@ -107,21 +114,28 @@ def online_lambda_return_algorithm(
 
     Returns the (T+1) x n weight history: row t is theta_t^t, row 0 is
     theta_init. Bootstraps use the run's own single-index vectors
-    theta_j := theta_j^j, so the whole history is rebuilt from theta_init
-    at every step. Each bootstrap value theta_j . phi_{j+1} is computed
-    once, when theta_j is; a horizon then costs one O(t) backward
-    recursion for its targets and t O(n) updates, O(T^2 * n) in all.
+    theta_j := theta_j^j. Each bootstrap value theta_j . phi_{j+1} is
+    computed once, when theta_j is. Horizon t recomputes its targets
+    backward from the newest and stops at the first one whose bits equal
+    the previous horizon's: every earlier target is a function of it, so
+    it is unchanged too, and so are the iterates through it. The horizon
+    then replays only from its first changed target, over the iterates of
+    the previous horizon, in place. A horizon costs O(changed suffix * n),
+    O(T^2 * n) in all in the worst case.
     """
     T = len(traj)
     rewards, gammas = _rewards_and_discounts(traj)
     phis = [step.phi for step in traj.steps]
+    rows = _iterate_rows(theta_init, T)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
     v_next: list[float] = []  # v_next[j] = theta_j . phi_{j+1}
+    targets: list[float] = []  # the latest horizon's targets
     for t in range(1, T + 1):
         v_next.append(float(history[t - 1] @ traj.steps[t - 1].phi_next))
-        targets = _targets_from_cached(rewards, gammas, lam, v_next)
-        history[t] = _replay(history[0], alpha, targets, phis)
+        start = _retarget(targets, rewards, gammas, lam, v_next)
+        _replay(rows, alpha, targets[start:], phis, start)
+        history[t] = rows[t]
     return history
 
 
@@ -129,26 +143,54 @@ def _rewards_and_discounts(traj: Trajectory) -> tuple[list[float], list[float]]:
     return [float(s.reward) for s in traj.steps], [float(s.gamma) for s in traj.steps]
 
 
-def _targets_from_cached(
-    rewards: list[float], gammas: list[float], lam: float, v_next: list[float]
-) -> list[float]:
+def _retarget(
+    targets: list[float], rewards: list[float], gammas: list[float], lam: float,
+    v_next: list[float],
+) -> int:
     """The backward recursion of interim_lambda_returns_all at horizon
-    h = len(v_next), given each bootstrap value v_next[k] = V_k(S_{k+1})."""
+    h = len(v_next), given each bootstrap value v_next[k] = V_k(S_{k+1}),
+    written over `targets`: empty, or the targets at horizon h - 1.
+
+    Stops at the first old target whose bits (sign of zero included; a NaN
+    counts as changed) the new one repeats, since every earlier target is
+    a function of it. Returns the index of the first changed target.
+    """
     h = len(v_next)
-    g = [0.0] * h
-    g[h - 1] = rewards[h - 1] + gammas[h - 1] * v_next[h - 1]
+    old = len(targets)
+    targets.extend([0.0] * (h - old))
+    u = rewards[h - 1] + gammas[h - 1] * v_next[h - 1]
+    targets[h - 1] = u
     for k in range(h - 2, -1, -1):
-        g[k] = rewards[k] + gammas[k] * ((1.0 - lam) * v_next[k] + lam * g[k + 1])
-    return g
+        u = rewards[k] + gammas[k] * ((1.0 - lam) * v_next[k] + lam * u)
+        if k < old and _same_bits(u, targets[k]):
+            return k + 1
+        targets[k] = u
+    return 0
 
 
-def _replay(theta_init: np.ndarray, alpha: float, targets, features) -> np.ndarray:
-    """theta_init after the updates theta += alpha * (u_k - theta . x_k) * x_k,
-    one per target u_k, in order."""
-    theta = theta_init.copy()
-    for u, x in zip(targets, features):
-        theta += alpha * (u - float(theta @ x)) * x
-    return theta
+def _same_bits(a: float, b: float) -> bool:
+    """a and b have the same bits, sign of zero included; a NaN never does."""
+    return a == b and copysign(1.0, a) == copysign(1.0, b)
+
+
+def _iterate_rows(theta_init: np.ndarray, steps: int) -> list[np.ndarray]:
+    """The rows of a (steps + 1) x n iterate buffer, row 0 holding theta_init."""
+    buffer = np.empty((steps + 1, theta_init.shape[0]))
+    buffer[0] = theta_init
+    return list(buffer)
+
+
+def _replay(
+    rows: list[np.ndarray], alpha: float, targets: list[float], features, start: int
+) -> None:
+    """Rows start+1 .. start+len(targets) of the iterate buffer from row
+    start, in place: row k+1 = row k + alpha * (u_k - row k . x_k) * x_k
+    with targets[k - start] as u_k and features[k] as x_k."""
+    step = np.empty_like(rows[0])
+    for k, u in enumerate(targets, start):
+        row, x = rows[k], features[k]
+        np.multiply(x, alpha * (u - float(row.dot(x))), out=step)
+        np.add(row, step, out=rows[k + 1])
 
 
 def offline_lambda_return_algorithm(
@@ -161,8 +203,11 @@ def offline_lambda_return_algorithm(
     """
     if not traj.episodic:
         raise ConfigError("the offline algorithm requires a complete episode")
-    targets = interim_lambda_returns_all(traj, len(traj), lam, constant_lookup(theta_init))
-    return _replay(theta_init, alpha, targets.tolist(), [step.phi for step in traj.steps])
+    T = len(traj)
+    targets = interim_lambda_returns_all(traj, T, lam, constant_lookup(theta_init))
+    rows = _iterate_rows(theta_init, T)
+    _replay(rows, alpha, targets.tolist(), [step.phi for step in traj.steps], 0)
+    return rows[T].copy()
 
 
 def _first_nongreedy_after(traj: Trajectory, t: int) -> int:
@@ -227,21 +272,26 @@ def watkins_forward_view(
     do not depend on t, so they are kept and extended by one step per
     horizon, and the one new bootstrap max_a theta_{t-1} . psi(S_t, a) is
     shared by every origin. Once t reaches tau_k, the first non-greedy
-    step after k, U_k is final; when that holds for every k < t the
-    replay prefix through them is theta_t itself, so later horizons
-    resume from it. O(T^2 * n) in all, less when exploration cuts.
+    step after k, U_k is final, and origins before the last non-greedy
+    step are not revisited. A horizon compares its other targets with
+    the previous horizon's and resumes at max(lo, first changed target),
+    lo being that last non-greedy step, over the previous horizon's
+    iterates. A horizon costs O(changed suffix * n), O(T^2 * n) in all in
+    the worst case, less when exploration cuts or targets settle.
     """
     if traj.actions is None or traj.greedy is None or traj.num_actions is None:
         raise ConfigError("Watkins replay needs action and greedy-flag annotations")
     T = len(traj)
     num_actions = traj.num_actions
+    rows = _iterate_rows(theta_init, T)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
     psis: list[np.ndarray] = [traj.action_features(0)]
     # origin k's running sums; prefix is sum_m (1-lam) * lam^(m-1) * g_m, weight lam^(n-1)
     reward_sum, disc = np.zeros(T), np.ones(T)
     prefix, weight = np.zeros(T), np.ones(T)
-    lo = 0  # origins k < lo have met tau_k, so history[lo] ends their replay
+    targets: list[float] = []  # U_k of the latest horizon
+    lo = 0  # origins k < lo have met tau_k, so their targets are final
     for t in range(1, T + 1):
         step = traj.steps[t - 1]
         span = slice(lo, t)
@@ -251,10 +301,15 @@ def watkins_forward_view(
         q = action_values(history[t - 1], traj.phi(t), num_actions)
         if not step.terminal:
             g = g + disc[span] * float(np.max(q))
-        targets = prefix[span] + weight[span] * g  # U_k^t
+        fresh = (prefix[span] + weight[span] * g).tolist()  # U_k^t
         prefix[span] += (1.0 - lam) * weight[span] * g
         weight[span] *= lam
-        history[t] = _replay(history[lo], alpha, targets.tolist(), psis[lo:t])
+        start = lo  # the first changed target; the newest, U_{t-1}^t, always is
+        while start < t - 1 and _same_bits(fresh[start - lo], targets[start]):
+            start += 1
+        targets[span] = fresh
+        _replay(rows, alpha, fresh[start - lo:], psis, start)
+        history[t] = rows[t]
         if t < T:  # the learner's greedy pair for S_t, picked with theta_{t-1}
             psis.append(stack_action_features(
                 traj.phi(t), greedy_toward(q, traj.actions[t]), num_actions

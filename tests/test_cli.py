@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -109,6 +110,14 @@ def test_verify_exit_codes():
     assert main(["verify", "--suite", "equivalence", "--trials", "5"]) == 0
 
 
+@pytest.mark.parametrize("seed", [16, 6421])
+def test_theorem1_suite_passes_when_the_first_episode_revisits_no_state(seed, capsys):
+    # seeds whose first random-walk episode walks straight to the end, where
+    # accumulating TD is the lambda-return exactly and the ratio is noise
+    assert main(["verify", "--suite", "theorem1", "--seed", str(seed)]) == 0
+    assert "2/2 checks passed" in capsys.readouterr().out
+
+
 def test_verify_output_lines(capsys):
     main(["verify", "--suite", "propositions"])
     lines = capsys.readouterr().out.strip().split("\n")
@@ -132,6 +141,18 @@ def test_figures_fig1_offline_piecewise_constant(tmp_path):
     lines = out.read_text().strip().split("\n")[2:]
     offline = [float(line.split(",")[1]) for line in lines]
     assert len(set(offline)) <= 3  # one level per episode
+
+
+def test_figures_fig1_csv_body_is_pinned(tmp_path):
+    # the online and offline lambda-return oracles on one-hot features, whose
+    # dot products are exact, so the digest holds on any BLAS
+    out = tmp_path / "fig1.csv"
+    assert main(["figures", "--figure", "1", "--out", str(out)]) == 0
+    manifest, body = out.read_text().split("\n", 1)
+    assert json.loads(manifest[len("# manifest="):])["params"]["seed"] == 1
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "ce9a48d10963b1d7f68887255b9459b9659a2384d01ddcabe219baa68d929351"
+    )
 
 
 def test_figures_unknown_id():
@@ -217,6 +238,15 @@ def test_config_value_of_wrong_type_is_config_error(params, tmp_path, capsys):
     cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1, "params": params}))
     assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(cfg)]) == 2
     assert "config value" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key", ["task", "variants", "runs", "seed", "gamma", "weighting"])
+def test_config_null_leaves_the_flag_at_its_default(key, tmp_path):
+    cfg, out1, out2 = tmp_path / "cfg.json", tmp_path / "a.csv", tmp_path / "b.csv"
+    cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1, "params": {key: None}}))
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(cfg), "--out", str(out1)]) == 0
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--out", str(out2)]) == 0
+    assert out1.read_text() == out2.read_text()
 
 
 @pytest.mark.parametrize("workers", [0, -3, (os.cpu_count() or 1) + 1])
@@ -357,3 +387,30 @@ def test_sweep_manifest_records_the_gamma_of_an_env_file(gamma_flag, tmp_path):
     cfg.write_text(json.dumps(manifest))
     assert main(["sweep", "--config", str(cfg), "--out", str(replay)]) == 0
     assert replay.read_text() == text
+
+
+SEEDED = {
+    "gen-mrp": ["gen-mrp", "--k", "3", "--b", "2", "--sigma", "0.1"],
+    "sweep": SMALL_SWEEP + ["--alphas", "0.1", "--runs", "1"],
+    "verify": ["verify", "--suite", "closed-forms"],
+    "figures": ["figures", "--figure", "4", "--runs", "1", "--steps", "5"],
+}
+
+
+@pytest.mark.parametrize("command", SEEDED)
+@pytest.mark.parametrize("seed", [-1, 2**64, 2**70])
+def test_seed_outside_u64_is_config_error(command, seed, monkeypatch, capsys):
+    assert main(SEEDED[command] + [f"--seed={seed}"]) == 2
+    assert f"error: --seed must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+    monkeypatch.setenv("TDLAB_SEED", str(seed))
+    assert main(SEEDED[command]) == 2
+    assert f"error: TDLAB_SEED must be in [0, 2^64), got {seed}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", SEEDED)
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_seed_bounds_are_accepted(command, seed, monkeypatch, capsys):
+    assert main(SEEDED[command] + [f"--seed={seed}"]) == 0
+    monkeypatch.setenv("TDLAB_SEED", str(seed))
+    assert main(SEEDED[command]) == 0
+    assert "error" not in capsys.readouterr().err

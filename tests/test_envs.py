@@ -315,6 +315,15 @@ def test_stationary_requires_continuing():
         stationary_distribution(mrp)
 
 
+def test_stationary_of_a_periodic_chain_is_config_error():
+    # 2 -> 0 and the cycle 0 <-> 1: from uniform, the mass swaps between 0
+    # and 1 forever, so power iteration never settles
+    P = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+    mrp = Mrp(k=3, P=P, r_mean=np.zeros((3, 3)), sigma=0.0, gamma=0.9)
+    with pytest.raises(ConfigError, match="periodic or reducible"):
+        stationary_distribution(mrp, max_iter=100)
+
+
 def test_mrp_roundtrip_serialization():
     mrp = generate_mrp(7, 2, 0.3, 0.95, seed=33)
     data = mrp_to_dict(mrp)

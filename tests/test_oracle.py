@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -30,6 +32,7 @@ from tdlab import (
     watkins_interim_target,
 )
 from tdlab.algos import greedy_toward
+from tdlab import oracle as oracle_module
 from tdlab.core import action_values, stack_action_features
 from tdlab.oracle import (
     constant_lookup,
@@ -286,39 +289,46 @@ def bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def watkins_per_horizon_loop(traj, alpha, lam, theta_init):
+def watkins_per_horizon_loop(traj, alpha, lam, theta_init, interim_target=watkins_interim_target):
     """The Watkins forward view evaluated definitionally: every interim
-    target of every horizon from watkins_interim_target, O(T^3)."""
+    target of every horizon from `interim_target` (watkins_interim_target
+    unless given), O(T^3). Returns the weight history and each horizon's
+    targets (entry t-1 for horizon t)."""
     T, num_actions = len(traj), traj.num_actions
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
     psis = [traj.action_features(0)]
+    targets = []
     for t in range(1, T + 1):
         if t >= 2:
             q = action_values(history[t - 2], traj.phi(t - 1), num_actions)
             a_star = greedy_toward(q, traj.actions[t - 1])
             psis.append(stack_action_features(traj.phi(t - 1), a_star, num_actions))
-        theta = history[0].copy()
-        for k in range(t):
-            u = watkins_interim_target(traj, k, t, lam, lambda j: history[j])
-            theta += alpha * (u - float(theta @ psis[k])) * psis[k]
-        history[t] = theta
-    return history
+        us = [interim_target(traj, k, t, lam, lambda j: history[j]) for k in range(t)]
+        history[t] = replay_from_init(history[0], alpha, us, psis)
+        targets.append(np.array(us))
+    return history, targets
 
 
 def lambda_return_per_horizon_loop(traj, alpha, lam, theta_init):
-    """The online lambda-return algorithm replayed from interim_lambda_returns_all."""
+    """The online lambda-return algorithm replayed from interim_lambda_returns_all.
+    Returns the weight history and each horizon's targets."""
     T = len(traj)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
+    targets = []
     for t in range(1, T + 1):
-        targets = interim_lambda_returns_all(traj, t, lam, lambda j: history[j])
-        theta = history[0].copy()
-        for k in range(t):
-            phi = traj.steps[k].phi
-            theta += alpha * (targets[k] - float(theta @ phi)) * phi
-        history[t] = theta
-    return history
+        targets.append(interim_lambda_returns_all(traj, t, lam, lambda j: history[j]))
+        history[t] = replay_from_init(history[0], alpha, targets[-1], [s.phi for s in traj.steps])
+    return history, targets
+
+
+def replay_from_init(theta_init, alpha, targets, features):
+    """theta_init after one update per target, in order."""
+    theta = theta_init.copy()
+    for u, x in zip(targets, features):
+        theta += alpha * (u - float(theta @ x)) * x
+    return theta
 
 
 def episodic_mdp(seed, k=6, num_actions=3, end_prob=0.1):
@@ -367,7 +377,7 @@ class TestIncrementalOracles:
             assert all(traj.greedy)  # tau is infinite for every origin
         theta_init = np.array([rng.normal() for _ in range(rep.n * 3)])
         got = watkins_forward_view(traj, alpha, lam, theta_init)
-        assert bits_equal(got, watkins_per_horizon_loop(traj, alpha, lam, theta_init))
+        assert bits_equal(got, watkins_per_horizon_loop(traj, alpha, lam, theta_init)[0])
 
     @given(
         st.integers(0, 2**16),
@@ -383,8 +393,154 @@ class TestIncrementalOracles:
             traj, n = make_mrp_trajectory(steps=40, seed=seed, kind=source)  # capped
         theta_init = np.random.default_rng(seed).normal(size=n)
         run = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
-        want = lambda_return_per_horizon_loop(traj, alpha, lam, theta_init)
+        want, _ = lambda_return_per_horizon_loop(traj, alpha, lam, theta_init)
         assert bits_equal(run, want)
+
+
+def greedy_interim_target():
+    """watkins_interim_target on an all-greedy trajectory (tau infinite),
+    with the same float operations in the same order, but each bootstrap
+    max_a theta_j . psi(S_{j+1}, a) computed once."""
+    boot = {}
+
+    def target(traj, t, h, lam, theta_lookup):
+        total, weight, reward_sum, disc = 0.0, 1.0, 0.0, 1.0
+        for j in range(t, h):
+            step = traj.steps[j]
+            reward_sum += disc * step.reward
+            disc *= step.gamma
+            g_n = reward_sum
+            if not step.terminal:
+                if j not in boot:
+                    q = action_values(theta_lookup(j), traj.phi(j + 1), traj.num_actions)
+                    boot[j] = float(np.max(q))
+                g_n = reward_sum + disc * boot[j]
+            if j < h - 1:
+                total += (1.0 - lam) * weight * g_n
+                weight *= lam
+            else:
+                total += weight * g_n
+        return total
+    return target
+
+
+def first_changed_targets(targets):
+    """For each horizon, the index of its first target whose bits differ
+    from the previous horizon's, or that is a NaN (0 at the first horizon)."""
+    starts = [0]
+    for old, new in zip(targets, targets[1:]):
+        kept = (old.view(np.uint64) == new[:-1].view(np.uint64)) & ~np.isnan(old)
+        starts.append(int(np.argmin(np.append(kept, False))))
+    return starts
+
+
+def replay_starts(oracle, *args):
+    """The oracle's weight history and the iterate each of its horizons resumed at."""
+    starts = []
+    replay = oracle_module._replay
+
+    def spy(rows, alpha, targets, features, start):
+        starts.append(start)
+        replay(rows, alpha, targets, features, start)
+
+    with mock.patch.object(oracle_module, "_replay", spy):
+        return oracle(*args), starts
+
+
+def zero_stretch_trajectory(rng, k, steps, stretch=25):
+    """One-hot continuing chain whose rewards are exactly zero in every other
+    stretch of `stretch` steps, the first included, and normal elsewhere."""
+    phis = np.eye(k)
+    state = rng.next_u64() % k
+    out = []
+    for t in range(steps):
+        nxt = rng.next_u64() % k
+        reward = 0.0 if (t // stretch) % 2 == 0 else rng.normal()
+        out.append(Transition(phis[state], reward, phis[nxt], 0.9))
+        state = nxt
+    return Trajectory(steps=out)
+
+
+LAMBDAS_THAT_SETTLE = st.one_of(st.just(0.0), st.floats(0.0, 0.6))
+
+
+class TestResumingOracles:
+    """Each horizon resumes at its first changed target. On long chains
+    with lambda <= 0.6, a horizon's leading targets keep their bits, so the
+    resume skips work; every example checks that it does, from the
+    reference's own targets, and that the oracle resumed exactly there."""
+
+    @given(
+        st.integers(0, 2**16),
+        LAMBDAS_THAT_SETTLE,
+        st.floats(0.01, 2.0),
+        st.integers(150, 200),
+        st.sampled_from(["tabular", "random-normalized"]),
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_online_lambda_return_resumes_on_long_chains(self, seed, lam, alpha, steps, kind):
+        traj, n = make_mrp_trajectory(steps=steps, seed=seed, kind=kind)
+        theta_init = np.random.default_rng(seed).normal(size=n)
+        want, targets = lambda_return_per_horizon_loop(traj, alpha, lam, theta_init)
+        assert max(first_changed_targets(targets)) > 0
+        got, starts = replay_starts(online_lambda_return_algorithm, traj, alpha, lam, theta_init)
+        assert bits_equal(got, want)
+        assert starts == first_changed_targets(targets)
+
+    @given(st.integers(0, 2**32), LAMBDAS_THAT_SETTLE, st.floats(0.01, 2.0))
+    @settings(max_examples=10, deadline=None)
+    def test_online_lambda_return_resumes_over_zero_rewards(self, seed, lam, alpha):
+        traj = zero_stretch_trajectory(SplitMix64(seed), k=5, steps=150)
+        theta_init = np.zeros(5)
+        want, targets = lambda_return_per_horizon_loop(traj, alpha, lam, theta_init)
+        starts = first_changed_targets(targets)
+        assert any(s > 0 and targets[t][0] == 0.0 for t, s in enumerate(starts))
+        got, got_starts = replay_starts(
+            online_lambda_return_algorithm, traj, alpha, lam, theta_init
+        )
+        assert bits_equal(got, want)
+        assert got_starts == starts
+
+    def test_a_target_that_changes_only_its_sign_of_zero_is_replayed(self):
+        # theta_0 = -0.0 and a zero reward discounted by gamma = 0: target 0 is
+        # +0.0 at horizon 1 and -0.0 once target 1 (-1) mixes in; the update
+        # with -0.0 keeps theta's zeros negative, the one with +0.0 does not
+        e = np.eye(3)
+        traj = Trajectory(steps=[
+            Transition(e[0], -0.0, e[1], 0.0),
+            Transition(e[1], -1.0, e[2], 0.9),
+            Transition(e[2], 0.5, e[0], 0.9),
+        ])
+        theta_init = np.full(3, -0.0)
+        want, targets = lambda_return_per_horizon_loop(traj, 0.5, 0.5, theta_init)
+        assert targets[0][0] == targets[1][0] and not bits_equal(targets[0][:1], targets[1][:1])
+        assert bits_equal(online_lambda_return_algorithm(traj, 0.5, 0.5, theta_init), want)
+
+    @given(
+        st.integers(0, 2**32),
+        LAMBDAS_THAT_SETTLE,
+        st.floats(0.01, 2.0),
+        st.sampled_from(["tabular", "random-normalized"]),
+    )
+    @settings(max_examples=8, deadline=None)
+    def test_watkins_forward_view_resumes_on_long_greedy_episodes(self, seed, lam, alpha, kind):
+        rng = SplitMix64(seed)
+        mdp = generate_mdp(6, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64())
+        rep = build_representation(kind, mdp.chains[0], seed=rng.next_u64())
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=lam)
+        traj = run_control_episode(learner, mdp, rep, rng.split(), epsilon=0.0, max_steps=120)
+        assert all(traj.greedy)  # tau is infinite for every origin
+        theta_init = np.array([rng.normal() for _ in range(rep.n * 3)])
+        want, targets = watkins_per_horizon_loop(
+            traj, alpha, lam, theta_init, greedy_interim_target()
+        )
+        final = [watkins_interim_target(traj, k, len(traj), lam, lambda j: want[j])
+                 for k in range(len(traj))]
+        assert bits_equal(np.array(final), targets[-1])  # the shortcut is the definition
+        assert max(first_changed_targets(targets)) > 0
+        got, starts = replay_starts(watkins_forward_view, traj, alpha, lam, theta_init)
+        assert bits_equal(got, want)
+        assert starts == first_changed_targets(targets)
 
 
 class TestNonRecursiveTrace:
