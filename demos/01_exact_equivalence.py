@@ -11,7 +11,6 @@ import numpy as np
 
 from tdlab import (
     SplitMix64,
-    TrueOnlineTD,
     build_representation,
     certify_equivalence,
     generate_mrp,
@@ -21,8 +20,7 @@ from tdlab import (
 mrp = generate_mrp(k=10, b=3, sigma=0.1, gamma=0.99, seed=2024)
 rep = build_representation("random-normalized", mrp, seed=7)
 
-recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-traj = run_episode(recorder, mrp, rep, SplitMix64(5), max_steps=200)
+traj = run_episode(mrp, rep, SplitMix64(5), max_steps=200)
 print(f"recorded {len(traj)} steps on a random 10-state chain, "
       f"{rep.n}-dimensional unit-norm features\n")
 

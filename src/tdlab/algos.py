@@ -4,9 +4,9 @@ Three trace rules (accumulate, replace, dutch) are the whole family: each
 learner steps on a Transition of dense features, which are state features
 phi for prediction or action-stacked features psi for control, so
 Sarsa(lambda) is one of them run on psi. Next to them stand the dutch
-rule for a time-dependent step-size, its tabular specialization, and the
-Watkins-style learner, which is the dutch rule plus a trace cut after
-non-greedy actions.
+rule for a time-dependent step-size, its tabular form (the same update on
+one-hot features), and the Watkins-style learner, which is the dutch rule
+plus a trace cut after non-greedy actions.
 
 Each rule is written once, as a function (accumulate_rule, replace_rule,
 dutch_rule, dutch_alpha_t_rule) over an optional leading row axis: a
@@ -21,6 +21,8 @@ equivalence of the true online variants depends on.
 
 Episode boundaries reset the trace and the stored previous value. For
 continuing tasks there is no boundary and the trace is never reset.
+run_episode records a prediction episode without a learner; any learner
+then steps on its transitions.
 """
 
 from __future__ import annotations
@@ -43,11 +45,6 @@ def check_step_size(alpha: float) -> None:
 def check_trace_decay(lam: float) -> None:
     if not 0.0 <= lam <= 1.0:
         raise ConfigError("lambda must lie in [0, 1]")
-
-
-def _check_params(alpha: float, lam: float) -> None:
-    check_step_size(alpha)
-    check_trace_decay(lam)
 
 
 # The trace rules. Each advances theta and e in place over one transition
@@ -125,7 +122,8 @@ class _LinearLearner:
     variant: str
 
     def __init__(self, n: int, alpha: float, lam: float, theta_init=None):
-        _check_params(alpha, lam)
+        check_step_size(alpha)
+        check_trace_decay(lam)
         self.n = n
         self.alpha = alpha
         self.lam = lam
@@ -201,7 +199,8 @@ class TrueOnlineTDAlphaT(_LinearLearner):
     The trace absorbs the step-size (e+ = alpha*e for constant alpha) and
     the weight update uses the modified TD error
     delta' = R + gamma*theta.phi' - V_old. `alpha_schedule` is a pure
-    function of the global step counter, which never resets.
+    function of the global step counter, which never resets; each alpha_t
+    is checked like a constant step-size.
     """
 
     variant = "true-online-alpha-t"
@@ -212,52 +211,50 @@ class TrueOnlineTDAlphaT(_LinearLearner):
         self.alpha = float("nan")  # no constant step-size
 
     def step(self, tr: Transition) -> None:
-        self._advance(dutch_alpha_t_rule, tr, self.alpha_schedule(self.t))
+        alpha = self.alpha_schedule(self.t)
+        check_step_size(alpha)
+        self._advance(dutch_alpha_t_rule, tr, alpha)
 
 
-class TabularTrueOnlineTD:
-    """True online TD(lambda) specialized to one state value per entry.
+def _one_hot_state(x: np.ndarray) -> int | None:
+    """The index of x's single 1.0, or None for all-zero x."""
+    ones = np.flatnonzero(x == 1.0)
+    if ones.size > 1 or np.count_nonzero(x) != ones.size:
+        raise ConfigError(f"tabular learner needs one-hot features, got values {x[x != 0][:3]}")
+    return int(ones[0]) if ones.size else None
 
-    The dutch trace becomes a weighted average of an accumulating and a
-    replacing trace on the visited state: e(S) <- (1-alpha)*e(S) + 1,
-    with the gamma*lambda decay applied after the value sweep.
+
+def _tabular_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """The dutch step on one-hot phi (see TabularTrueOnlineTD); one weight vector only."""
+    s = _one_hot_state(phi)
+    if s is None:
+        raise ConfigError("tabular learner needs one-hot features, got all-zero phi")
+    s_next = _one_hot_state(phi_next)  # None: a terminal next state
+    v_next = 0.0 if s_next is None else theta[s_next]
+    dv = theta[s] - v_old
+    delta = reward + gamma * v_next - theta[s]
+    e[s] = (1.0 - alpha) * e[s] + 1.0
+    theta += (alpha * (delta + dv)) * e
+    e *= gamma * lam
+    theta[s] -= alpha * dv
+    return v_next
+
+
+class TabularTrueOnlineTD(_LinearLearner):
+    """True online TD(lambda) on one-hot features, one weight per state.
+
+    S and S' are the indices of the single 1.0 in phi and phi' (S' is a
+    terminal state when phi' is all zero); any other feature vector is a
+    ConfigError. The dutch trace becomes a weighted average of an
+    accumulating and a replacing trace on the visited state:
+    e(S) <- (1-alpha)*e(S) + 1, with the gamma*lambda decay applied after
+    the value sweep.
     """
 
     variant = "tabular-true-online"
 
-    def __init__(self, k: int, alpha: float, lam: float, values_init=None):
-        _check_params(alpha, lam)
-        self.k = k
-        self.alpha = alpha
-        self.lam = lam
-        self._v = np.zeros(k) if values_init is None else np.array(values_init, dtype=np.float64)
-        self.e = np.zeros(k)
-        self.v_old = 0.0
-        self.t = 0
-        self.start_episode()
-
-    @property
-    def theta(self) -> np.ndarray:
-        view = self._v.view()
-        view.flags.writeable = False
-        return view
-
-    def start_episode(self) -> None:
-        self.e[:] = 0.0
-        self.v_old = 0.0
-
-    def step(self, state: int, reward: float, next_state: int | None, gamma: float) -> None:
-        """One transition; next_state None marks entry into a terminal state."""
-        v, e = self._v, self.e
-        v_next = 0.0 if next_state is None else v[next_state]
-        dv = v[state] - self.v_old
-        self.v_old = v_next
-        delta = reward + gamma * v_next - v[state]
-        e[state] = (1.0 - self.alpha) * e[state] + 1.0
-        v += (self.alpha * (delta + dv)) * e
-        e *= gamma * self.lam
-        v[state] -= self.alpha * dv
-        self.t += 1
+    def step(self, tr: Transition) -> None:
+        self._advance(_tabular_rule, tr, self.alpha)
 
 
 def epsilon_greedy(
@@ -336,22 +333,19 @@ def make_prediction_learner(
 
 
 def run_episode(
-    learner,
     mrp: Mrp,
     representation: Representation,
     rng: SplitMix64,
     max_steps: int | None = None,
 ) -> Trajectory:
-    """Drive a prediction learner through one episode (or a capped run).
+    """Record one episode (or a capped run) of a chain; a learner then steps on it.
 
-    The trace and stored previous value are reset at the episode start.
-    Continuing chains require max_steps and the run is treated as one
-    uninterrupted trajectory; an episodic chain that outlives max_steps
-    raises, since silently truncating would corrupt forward-view replay.
+    Continuing chains require max_steps and the run is one uninterrupted
+    trajectory; an episodic chain that outlives max_steps raises, since
+    silently truncating would corrupt forward-view replay.
     """
     if mrp.continuing and max_steps is None:
         raise ConfigError("continuing chain requires a step cap")
-    learner.start_episode()
     state = mrp.initial_state(rng)
     steps: list[Transition] = []
     while True:
@@ -363,18 +357,9 @@ def run_episode(
             break
         nxt, reward = sample_step(mrp, state, rng)
         terminal = nxt in mrp.terminal_states
-        tr = Transition(
-            phi=representation.phi(state),
-            reward=reward,
-            phi_next=representation.phi(nxt),
-            gamma=mrp.gamma,
-            terminal=terminal,
-        )
-        if isinstance(learner, TabularTrueOnlineTD):
-            learner.step(state, reward, None if terminal else nxt, mrp.gamma)
-        else:
-            learner.step(tr)
-        steps.append(tr)
+        steps.append(Transition(
+            representation.phi(state), reward, representation.phi(nxt), mrp.gamma, terminal
+        ))
         state = nxt
         if terminal:
             break

@@ -417,16 +417,25 @@ def true_values(mrp: Mrp) -> np.ndarray:
 
 
 def stationary_distribution(mrp: Mrp, tol: float = 1e-12, max_iter: int = 200_000) -> np.ndarray:
-    """Stationary distribution of a continuing chain by power iteration."""
+    """Stationary distribution of a continuing chain by power iteration.
+
+    An iterate that repeats bit for bit cycles forever, so Brent's check
+    (one iterate, re-saved at each power-of-two step) raises at a repeat.
+    """
     if not mrp.continuing:
         raise ConfigError("stationary distribution requires a continuing chain")
     d = np.full(mrp.k, 1.0 / mrp.k)
-    for _ in range(max_iter):
+    saved = d.tobytes()
+    for i in range(1, max_iter + 1):
         d_next = d @ mrp.P
         d_next /= d_next.sum()
         if np.max(np.abs(d_next - d_next @ mrp.P)) <= tol:
             return d_next
         d = d_next
+        if d.tobytes() == saved:
+            break
+        if i & (i - 1) == 0:  # i is a power of two
+            saved = d.tobytes()
     raise ConfigError(
         f"power iteration did not reach residual {tol:g} in {max_iter} iterations; "
         "the chain may be periodic or reducible"

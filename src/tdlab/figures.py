@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algos import AccumulateTD, ReplaceTD, TrueOnlineTD, run_episode
+from .algos import AccumulateTD, TrueOnlineTD, make_prediction_learner, run_episode
 from .core import ConfigError, Transition
 from .envs import canonical_task, sample_step, true_values
 from .harness import (
@@ -41,8 +41,7 @@ def random_walk_learning_curves(
     v = true_values(mrp)[:10]
     rms0 = float(np.sqrt(np.mean(v**2)))  # error of the zero vector
     rng = SplitMix64(seed)
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    trajs = [run_episode(recorder, mrp, rep, rng, max_steps=100_000) for _ in range(episodes)]
+    trajs = [run_episode(mrp, rep, rng, max_steps=100_000) for _ in range(episodes)]
 
     rows: list[list] = []
     theta_off = np.zeros(rep.n)
@@ -143,13 +142,10 @@ def two_state_asymptotic_rms(
     Converged means the error changed by less than 1% over the trailing
     100-step window, for two windows in a row. With the shared always-on
     feature the error is sqrt(((theta-2)^2 + theta^2) / 2), minimized at
-    1 by theta = 1.
+    1 by theta = 1. variant is any prediction variant (PREDICTION_VARIANTS).
     """
     mrp, rep = canonical_task("two-state")
-    classes = {"accumulate": AccumulateTD, "replace": ReplaceTD, "true-online": TrueOnlineTD}
-    if variant not in classes:
-        raise ConfigError(f"unknown variant {variant!r} for the two-state figure")
-    learner = classes[variant](rep.n, alpha=alpha, lam=lam)
+    learner = make_prediction_learner(variant, rep.n, alpha, lam)
     zero = rep.phi(2)
     step_left = Transition(rep.phi(0), 2.0, rep.phi(1), 1.0)
     step_right = Transition(rep.phi(1), 0.0, zero, 1.0, terminal=True)

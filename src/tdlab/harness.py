@@ -497,22 +497,6 @@ def replay_prediction(learner, traj: Trajectory) -> np.ndarray:
     return history
 
 
-def _replay_tabular(traj: Trajectory, alpha: float, lam: float, theta_init: np.ndarray) -> np.ndarray:
-    for step in traj.steps:
-        one = np.flatnonzero(step.phi)
-        if one.size > 1 or (one.size == 1 and step.phi[one[0]] != 1.0):
-            raise ConfigError("tabular replay requires one-hot features")
-    learner = TabularTrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, values_init=theta_init)
-    history = np.empty((len(traj) + 1, theta_init.shape[0]))
-    history[0] = learner.theta
-    for j, step in enumerate(traj.steps):
-        state = int(np.argmax(step.phi))
-        nxt = None if not step.phi_next.any() else int(np.argmax(step.phi_next))
-        learner.step(state, step.reward, nxt, step.gamma)
-        history[j + 1] = learner.theta
-    return history
-
-
 def action_feature_trajectory(traj: Trajectory) -> Trajectory:
     """Lift a control trajectory to state-action feature space."""
     if traj.actions is None or traj.num_actions is None:
@@ -555,6 +539,7 @@ def certify_equivalence(
     reach (or leaves the representable range entirely), the comparison
     stops and `compared_steps` records the checked prefix.
     """
+    traj.validate()
     with np.errstate(over="ignore", invalid="ignore"):
         a, b = _pair_histories(traj, alpha, lam, theta_init, pair)
         scale = np.maximum(np.abs(a).max(axis=1), np.abs(b).max(axis=1))
@@ -577,40 +562,31 @@ def certify_equivalence(
 
 
 def _pair_histories(traj, alpha, lam, theta_init, pair):
+    def replay(cls, steps=traj, **step_size):
+        """cls's weight history over steps: at alpha, or at the schedule given."""
+        step_size = step_size or {"alpha": alpha}
+        learner = cls(theta_init.shape[0], lam=lam, theta_init=theta_init, **step_size)
+        return replay_prediction(learner, steps)
+
     if pair == "true-online-vs-oracle":
-        a = replay_prediction(
-            TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
-        )
+        a = replay(TrueOnlineTD)
         b = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
     elif pair == "accumulate-vs-oracle":
-        a = replay_prediction(
-            AccumulateTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
-        )
+        a = replay(AccumulateTD)
         b = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
     elif pair == "sarsa-vs-oracle-on-psi":
         psi_traj = action_feature_trajectory(traj)
-        a = replay_prediction(
-            TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), psi_traj
-        )
+        a = replay(TrueOnlineTD, psi_traj)
         b = online_lambda_return_algorithm(psi_traj, alpha, lam, theta_init)
     elif pair == "watkins-vs-truncated-oracle":
         a = replay_watkins(traj, alpha, lam, theta_init)
         b = watkins_forward_view(traj, alpha, lam, theta_init)
     elif pair == "alpha-t-constant-vs-true-online":
-        a = replay_prediction(
-            TrueOnlineTDAlphaT(
-                theta_init.shape[0], alpha_schedule=lambda t: alpha, lam=lam, theta_init=theta_init
-            ),
-            traj,
-        )
-        b = replay_prediction(
-            TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
-        )
+        a = replay(TrueOnlineTDAlphaT, alpha_schedule=lambda t: alpha)
+        b = replay(TrueOnlineTD)
     elif pair == "tabular-vs-one-hot-true-online":
-        a = _replay_tabular(traj, alpha, lam, theta_init)
-        b = replay_prediction(
-            TrueOnlineTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init), traj
-        )
+        a = replay(TabularTrueOnlineTD)
+        b = replay(TrueOnlineTD)
     else:
         raise ConfigError(f"unknown pair {pair!r}; expected one of {EQUIVALENCE_PAIRS}")
     return a, b

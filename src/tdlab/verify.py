@@ -84,8 +84,7 @@ def closed_form_checks() -> list[CheckResult]:
 def proposition_checks(seed: int = 0) -> list[CheckResult]:
     checks: list[CheckResult] = []
     mrp, rep = canonical_task("random-walk-10")
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    traj = run_episode(recorder, mrp, rep, SplitMix64(mix64(seed ^ 0x1)), max_steps=100_000)
+    traj = run_episode(mrp, rep, SplitMix64(mix64(seed ^ 0x1)), max_steps=100_000)
 
     # lambda = 0: every prediction variant takes identical steps
     alpha = 0.4
@@ -158,13 +157,12 @@ def proposition_checks(seed: int = 0) -> list[CheckResult]:
 
 def theorem1_checks(seed: int = 0) -> list[CheckResult]:
     mrp, rep = canonical_task("random-walk-10")
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
     rng = SplitMix64(mix64(seed ^ 0x7))
-    traj = run_episode(recorder, mrp, rep, rng, max_steps=100_000)
+    traj = run_episode(mrp, rep, rng, max_steps=100_000)
     # an episode that revisits no state has accumulating TD equal to the
     # lambda-return (Proposition 2), leaving a ratio of rounding noise
     while prop2_condition_holds(traj):
-        traj = run_episode(recorder, mrp, rep, rng, max_steps=100_000)
+        traj = run_episode(mrp, rep, rng, max_steps=100_000)
     lam = 0.9
     ratios = [theorem1_ratio(traj, a, lam, np.zeros(rep.n)) for a in THEOREM1_ALPHAS]
     table = ", ".join(f"alpha={a:g}: {r:.4e}" for a, r in zip(THEOREM1_ALPHAS, ratios))
@@ -198,12 +196,10 @@ def _random_prediction_setting(rng: SplitMix64, tabular_only: bool = False):
         mrp = generate_mrp(10, 3, 0.1, 0.99, seed=rng.next_u64())
         kind = ("tabular", "binary", "random-normalized")[rng.below(3)]
         rep = build_representation(kind, mrp, seed=rng.next_u64())
-        recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-        traj = run_episode(recorder, mrp, rep, rng.split(), max_steps=120)
+        traj = run_episode(mrp, rep, rng.split(), max_steps=120)
     else:
         mrp, rep = canonical_task("random-walk-10")
-        recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-        traj = run_episode(recorder, mrp, rep, rng.split(), max_steps=100_000)
+        traj = run_episode(mrp, rep, rng.split(), max_steps=100_000)
     return traj, rep.n
 
 

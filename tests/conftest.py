@@ -7,7 +7,6 @@ from tdlab import (
     SplitMix64,
     Trajectory,
     Transition,
-    TrueOnlineTD,
     build_representation,
     canonical_task,
     generate_mrp,
@@ -20,15 +19,13 @@ def make_mrp_trajectory(steps=120, seed=0, kind="random-normalized", k=10, b=3,
     """Recorded continuing-chain trajectory plus its feature dimension."""
     mrp = generate_mrp(k, b, sigma, gamma, seed=seed)
     rep = build_representation(kind, mrp, seed=seed + 1)
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    traj = run_episode(recorder, mrp, rep, SplitMix64(seed + 2), max_steps=steps)
+    traj = run_episode(mrp, rep, SplitMix64(seed + 2), max_steps=steps)
     return traj, rep.n
 
 
 def make_walk_episode(seed=0):
     mrp, rep = canonical_task("random-walk-10")
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    traj = run_episode(recorder, mrp, rep, SplitMix64(seed), max_steps=100_000)
+    traj = run_episode(mrp, rep, SplitMix64(seed), max_steps=100_000)
     return traj, rep.n
 
 

@@ -45,8 +45,7 @@ MASTER_SEED = 20260811
 def _record_mrp_trajectory(env_seed, rep_kind, steps, run_seed):
     mrp = generate_mrp(10, 3, 0.1, 0.99, seed=env_seed)
     rep = build_representation(rep_kind, mrp, seed=mix64(env_seed ^ 0xF))
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    traj = run_episode(recorder, mrp, rep, SplitMix64(run_seed), max_steps=steps)
+    traj = run_episode(mrp, rep, SplitMix64(run_seed), max_steps=steps)
     return traj, rep.n
 
 
@@ -56,8 +55,7 @@ def _record_walk_episodes(rep_kind, min_steps, run_seed):
     rng = SplitMix64(run_seed)
     episodes, total = [], 0
     while total < min_steps:
-        recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-        ep = run_episode(recorder, mrp, rep, rng, max_steps=100_000)
+        ep = run_episode(mrp, rep, rng, max_steps=100_000)
         episodes.append(ep)
         total += len(ep)
     return episodes, rep.n
@@ -163,27 +161,18 @@ def test_criterion_3_two_state_asymptotes():
 def test_criterion_4_propositions():
     """lambda=0 and no-revisit episodes collapse the variants within 1e-12."""
     mrp, rep = canonical_task("random-walk-10")
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    traj = run_episode(recorder, mrp, rep, SplitMix64(MASTER_SEED + 1), max_steps=100_000)
+    traj = run_episode(mrp, rep, SplitMix64(MASTER_SEED + 1), max_steps=100_000)
     alpha = 0.4
 
-    def histories(learners, stepper):
+    def histories(learners):
         out = []
         for learner in learners:
             hist = [learner.theta.copy()]
             for step in traj.steps:
-                stepper(learner, step)
+                learner.step(step)
                 hist.append(learner.theta.copy())
             out.append(np.array(hist))
         return out
-
-    def generic_step(learner, step):
-        if isinstance(learner, TabularTrueOnlineTD):
-            state = int(np.argmax(step.phi))
-            nxt = None if not step.phi_next.any() else int(np.argmax(step.phi_next))
-            learner.step(state, step.reward, nxt, step.gamma)
-        else:
-            learner.step(step)
 
     hists = histories([
         AccumulateTD(rep.n, alpha, 0.0),
@@ -191,7 +180,7 @@ def test_criterion_4_propositions():
         TrueOnlineTD(rep.n, alpha, 0.0),
         TrueOnlineTDAlphaT(rep.n, lambda t: alpha, 0.0),
         TabularTrueOnlineTD(rep.n, alpha, 0.0),
-    ], generic_step)
+    ])
     worst_l0 = max(float(np.abs(h - hists[0]).max()) for h in hists[1:])
     assert worst_l0 <= 1e-12
 
@@ -223,8 +212,7 @@ def test_criterion_4_propositions():
 
 def test_criterion_5_theorem_one_ratios():
     mrp, rep = canonical_task("random-walk-10")
-    recorder = TrueOnlineTD(rep.n, alpha=0.0, lam=0.0)
-    traj = run_episode(recorder, mrp, rep, SplitMix64(MASTER_SEED + 3), max_steps=100_000)
+    traj = run_episode(mrp, rep, SplitMix64(MASTER_SEED + 3), max_steps=100_000)
     alphas = (1e-1, 1e-2, 1e-3, 1e-4)
     ratios = [theorem1_ratio(traj, a, 0.9, np.zeros(rep.n)) for a in alphas]
     assert all(ratios[i + 1] < ratios[i] for i in range(3)), ratios

@@ -28,6 +28,7 @@ from tdlab import (
     tile_code,
 )
 from tdlab.algos import PREDICTION_RULES, PREDICTION_VARIANTS, make_prediction_learner
+from tdlab.harness import replay_prediction
 from tests.conftest import make_mrp_trajectory, synthetic_trajectory
 
 
@@ -74,10 +75,11 @@ class TestReplace:
             td0 = AccumulateTD(1, alpha=0.05, lam=0.0)
             rng = SplitMix64(1)
             for _ in range(40):
-                run_episode(repl, mrp, rep, SplitMix64(rng.next_u64()))
-            rng = SplitMix64(1)
-            for _ in range(40):
-                run_episode(td0, mrp, rep, SplitMix64(rng.next_u64()))
+                traj = run_episode(mrp, rep, SplitMix64(rng.next_u64()))
+                for learner in (repl, td0):
+                    learner.start_episode()
+                    for step in traj.steps:
+                        learner.step(step)
             assert repl.theta[0] == td0.theta[0]
 
     def test_replacement_rule(self):
@@ -163,7 +165,7 @@ def test_invalid_step_size_rejected(alpha):
     ):
         with pytest.raises(ConfigError, match="alpha"):
             build()
-    TrueOnlineTD(2, alpha=0.0, lam=0.5)  # zero-step recorders stay valid
+    TrueOnlineTD(2, alpha=0.0, lam=0.5)  # alpha = 0 freezes the weights and stays valid
 
 
 class TestAlphaT:
@@ -194,6 +196,16 @@ class TestAlphaT:
             learner.step(step)
         assert not learner.theta.any()
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -5.0])
+    def test_schedule_values_are_checked(self, bad):
+        learner = TrueOnlineTDAlphaT(1, alpha_schedule=lambda t: 0.1 if t == 0 else bad, lam=0.5)
+        step = Transition(np.ones(1), 1.0, np.ones(1), 0.9)
+        learner.step(step)
+        before = learner.theta.copy()
+        with pytest.raises(ConfigError, match="alpha"):
+            learner.step(step)
+        assert np.array_equal(learner.theta, before) and learner.t == 1
+
     def test_step_counter_is_global(self):
         seen = []
         learner = TrueOnlineTDAlphaT(1, alpha_schedule=lambda t: seen.append(t) or 0.1, lam=0.5)
@@ -206,16 +218,18 @@ class TestAlphaT:
 
 class TestTabular:
     def test_visit_update_weighted_average(self):
+        eye = np.eye(3)
         learner = TabularTrueOnlineTD(3, alpha=0.2, lam=0.9)
         learner.e[1] = 2.0
-        learner.step(1, 0.0, 2, 0.9)
+        learner.step(Transition(eye[1], 0.0, eye[2], 0.9))
         # (1-alpha)*e + 1 applied on the visit, then the gamma*lambda decay
         assert learner.e[1] == pytest.approx(2.6 * 0.9 * 0.9, abs=1e-15)
 
     def test_alpha_one_is_replacing(self):
+        eye = np.eye(3)
         learner = TabularTrueOnlineTD(3, alpha=1.0, lam=0.5)
         learner.e[0] = 7.0
-        learner.step(0, 1.0, 1, 1.0)
+        learner.step(Transition(eye[0], 1.0, eye[1], 1.0))
         assert learner.e[0] == pytest.approx(0.5, abs=1e-15)  # set to 1, then decayed
 
     def test_matches_general_true_online_on_walk(self):
@@ -223,11 +237,83 @@ class TestTabular:
         alpha, lam = 0.3, 0.9
         general = TrueOnlineTD(rep.n, alpha=alpha, lam=lam)
         tab = TabularTrueOnlineTD(rep.n, alpha=alpha, lam=lam)
-        rng_a, rng_b = SplitMix64(42), SplitMix64(42)
+        rng = SplitMix64(42)
         for _ in range(10):
-            run_episode(general, mrp, rep, rng_a)
-            run_episode(tab, mrp, rep, rng_b)
+            traj = run_episode(mrp, rep, rng)
+            for learner in (general, tab):
+                learner.start_episode()
+                for step in traj.steps:
+                    learner.step(step)
             assert np.abs(general.theta - tab.theta).max() <= 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        kind=st.sampled_from(["walk", "mrp"]),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.floats(0.0, 2.5),
+        lam=st.floats(0.0, 1.0),
+        theta_scale=st.sampled_from([0.0, 1.0, 10.0]),
+    )
+    def test_equals_the_state_indexed_replay_bit_for_bit(self, kind, seed, alpha, lam, theta_scale):
+        if kind == "walk":
+            mrp, rep = canonical_task("random-walk-10")
+            traj = run_episode(mrp, rep, SplitMix64(seed), max_steps=100_000)
+        else:
+            mrp = generate_mrp(10, 3, 0.1, 0.99, seed=seed)
+            rep = build_representation("tabular", mrp, seed=0)
+            traj = run_episode(mrp, rep, SplitMix64(seed + 1), max_steps=120)
+        rng = SplitMix64(seed ^ 0x5A)
+        theta0 = np.array([theta_scale * rng.normal() for _ in range(rep.n)])
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = replay_prediction(TabularTrueOnlineTD(rep.n, alpha, lam, theta_init=theta0), traj)
+            want = state_indexed_tabular_replay(traj, alpha, lam, theta0)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("phi", [[0.0, 0.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.5, 0.0],
+                                     [0.0, 2.0, 0.0], [float("nan"), 0.0, 0.0]])
+    def test_phi_must_be_one_hot(self, phi):
+        learner = TabularTrueOnlineTD(3, alpha=0.5, lam=0.9)
+        with pytest.raises(ConfigError, match="one-hot"):
+            learner.step(Transition(np.array(phi), 1.0, np.eye(3)[0], 0.9))
+        assert not learner.theta.any() and learner.t == 0
+
+    @pytest.mark.parametrize("phi_next", [[1.0, 1.0, 0.0], [0.0, 0.5, 0.0], [0.0, -1.0, 0.0]])
+    def test_phi_next_must_be_one_hot_or_zero(self, phi_next):
+        learner = TabularTrueOnlineTD(3, alpha=0.5, lam=0.9)
+        with pytest.raises(ConfigError, match="one-hot"):
+            learner.step(Transition(np.eye(3)[0], 1.0, np.array(phi_next), 0.9))
+        learner.step(Transition(np.eye(3)[0], 1.0, np.zeros(3), 0.9, terminal=True))
+        assert learner.theta.tolist() == [0.5, 0.0, 0.0]
+
+    def test_dimension_checks(self):
+        with pytest.raises(ConfigError, match="theta_init"):
+            TabularTrueOnlineTD(3, alpha=0.5, lam=0.9, theta_init=np.zeros(2))
+        learner = TabularTrueOnlineTD(3, alpha=0.5, lam=0.9)
+        with pytest.raises(ConfigError, match="dimension"):
+            learner.step(Transition(np.eye(2)[0], 0.0, np.eye(2)[1], 0.9))
+
+
+def state_indexed_tabular_replay(traj, alpha, lam, theta_init):
+    """Reference: the replay tdlab 0.2.0 ran for the tabular learner, which
+    stepped on (state, reward, next_state, gamma) with states decoded from
+    one-hot features by argmax."""
+    v = np.array(theta_init, dtype=np.float64)
+    e = np.zeros(v.shape[0])
+    v_old = 0.0
+    history = [v.copy()]
+    for step in traj.steps:
+        state = int(np.argmax(step.phi))
+        nxt = None if not step.phi_next.any() else int(np.argmax(step.phi_next))
+        v_next = 0.0 if nxt is None else v[nxt]
+        dv = v[state] - v_old
+        v_old = v_next
+        delta = step.reward + step.gamma * v_next - v[state]
+        e[state] = (1.0 - alpha) * e[state] + 1.0
+        v += (alpha * (delta + dv)) * e
+        e *= step.gamma * lam
+        v[state] -= alpha * dv
+        history.append(v.copy())
+    return np.array(history)
 
 
 class TestEpsilonGreedy:
@@ -336,7 +422,7 @@ class TestControl:
 class TestRunEpisode:
     def test_one_state_episode_structure(self):
         mrp, rep = canonical_task("one-state")
-        traj = run_episode(TrueOnlineTD(1, 0.1, 0.9), mrp, rep, SplitMix64(2))
+        traj = run_episode(mrp, rep, SplitMix64(2))
         assert traj.episodic
         assert all(s.reward in (0.0, 1.0) for s in traj.steps)
         assert traj.steps[-1].reward == 1.0
@@ -344,14 +430,14 @@ class TestRunEpisode:
     def test_continuing_cap_is_exact(self):
         mrp = generate_mrp(10, 3, 0.1, 0.99, seed=2)
         rep = build_representation("tabular", mrp, seed=0)
-        traj = run_episode(TrueOnlineTD(rep.n, 0.1, 0.9), mrp, rep, SplitMix64(2), max_steps=100)
+        traj = run_episode(mrp, rep, SplitMix64(2), max_steps=100)
         assert len(traj) == 100 and not traj.episodic
 
     def test_replay_determinism(self):
         mrp = generate_mrp(10, 3, 0.1, 0.99, seed=2)
         rep = build_representation("binary", mrp, seed=0)
-        t1 = run_episode(TrueOnlineTD(rep.n, 0.1, 0.9), mrp, rep, SplitMix64(9), max_steps=50)
-        t2 = run_episode(TrueOnlineTD(rep.n, 0.1, 0.9), mrp, rep, SplitMix64(9), max_steps=50)
+        t1 = run_episode(mrp, rep, SplitMix64(9), max_steps=50)
+        t2 = run_episode(mrp, rep, SplitMix64(9), max_steps=50)
         assert all(
             np.array_equal(a.phi, b.phi) and a.reward == b.reward
             for a, b in zip(t1.steps, t2.steps)
@@ -360,13 +446,13 @@ class TestRunEpisode:
     def test_cap_exceeded_on_episodic_is_diagnostic(self):
         mrp, rep = canonical_task("random-walk-10")
         with pytest.raises(RuntimeError, match="cap"):
-            run_episode(TrueOnlineTD(rep.n, 0.1, 0.9), mrp, rep, SplitMix64(1), max_steps=2)
+            run_episode(mrp, rep, SplitMix64(1), max_steps=2)
 
     def test_continuing_requires_cap(self):
         mrp = generate_mrp(5, 2, 0.0, 0.9, seed=0)
         rep = build_representation("tabular", mrp, seed=0)
         with pytest.raises(ConfigError):
-            run_episode(TrueOnlineTD(rep.n, 0.1, 0.9), mrp, rep, SplitMix64(1))
+            run_episode(mrp, rep, SplitMix64(1))
 
 
 def test_step_cost_scales_linearly():

@@ -13,7 +13,6 @@ REFERENCES = (
     "offline_lambda_return",
     "watkins_interim_target",
     "accumulating_trace_nonrecursive",
-    "make_prediction_learner",
 )
 
 

@@ -155,6 +155,16 @@ def test_figures_fig1_csv_body_is_pinned(tmp_path):
     )
 
 
+def test_figures_fig3_csv_body_is_pinned(tmp_path):
+    # one always-on feature, so every dot product is a single product
+    out = tmp_path / "fig3.csv"
+    assert main(["figures", "--figure", "3", "--out", str(out)]) == 0
+    _, body = out.read_text().split("\n", 1)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "77549897942d04552f8fdd921db5992da551bed7fe63f3857fdf59b1e61cc583"
+    )
+
+
 def test_figures_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["figures", "--figure", "9"])

@@ -1,5 +1,7 @@
-"""Every narrative script under demos/ runs to completion."""
+"""Every narrative script under demos/ runs to completion; the exactness
+demos print the same bytes as tdlab 0.2.0."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -19,3 +21,22 @@ def test_demo_runs(demo):
         timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+# SHA-256 of the stdout of tdlab 0.2.0's demos: the recorded episodes and
+# every certified difference they print must not move
+PINNED_STDOUT = {
+    "01_exact_equivalence.py": "d3ba7f4c07a4f79cfe5a1672b93c8fdd16eaab01aae0a97286363232e2fc002c",
+    "06_control_variants.py": "82b72be512412dd0f5bfac72546af4206e2f1e5c360eb1ccd8606fcabe81bac6",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_demo_stdout_is_pinned(name):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env, capture_output=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_STDOUT[name]

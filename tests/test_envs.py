@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,20 @@ def test_stationary_of_a_periodic_chain_is_config_error():
     mrp = Mrp(k=3, P=P, r_mean=np.zeros((3, 3)), sigma=0.0, gamma=0.9)
     with pytest.raises(ConfigError, match="periodic or reducible"):
         stationary_distribution(mrp, max_iter=100)
+
+
+def test_stationary_of_a_cycling_chain_fails_fast():
+    # what `tdlab sweep --task "mrp(4,1,0.0)" --seed 2` builds: from uniform,
+    # its power iterate repeats bit for bit at iteration 3, so it can never
+    # settle; the cycle check raises at once instead of after max_iter
+    mrp = generate_mrp(4, 1, 0.0, 0.99, seed=2)
+    started = time.perf_counter()
+    with pytest.raises(ConfigError, match=(
+        r"^power iteration did not reach residual 1e-12 in 200000 iterations; "
+        r"the chain may be periodic or reducible$"
+    )):
+        stationary_distribution(mrp)
+    assert time.perf_counter() - started < 0.5
 
 
 def test_mrp_roundtrip_serialization():

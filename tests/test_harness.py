@@ -28,9 +28,10 @@ from tdlab import (
     sweep_to_csv,
 )
 from tdlab.algos import PREDICTION_VARIANTS, TrueOnlineTD, make_prediction_learner
-from tdlab.core import Transition
+from tdlab.core import Trajectory, Transition
 from tdlab.harness import (
     DIVERGENCE_THRESHOLD,
+    EQUIVALENCE_PAIRS,
     CellResult,
     SweepResult,
     _plan_sweep,
@@ -651,3 +652,19 @@ class TestCertify:
         traj, n = make_mrp_trajectory(steps=10, seed=63)
         with pytest.raises(ConfigError):
             certify_equivalence(traj, 0.1, 0.5, np.zeros(n), "sarsa-vs-watkins")
+
+    @pytest.mark.parametrize("pair", EQUIVALENCE_PAIRS)
+    def test_invalid_trajectory_is_rejected_before_replay(self, pair):
+        # a terminal first step followed by another step is no episode
+        phi, zero = np.ones(1), np.zeros(1)
+        traj = Trajectory(steps=[
+            Transition(phi, 1.0, zero, 1.0, terminal=True),
+            Transition(phi, 0.0, phi, 1.0),
+        ])
+        with pytest.raises(ConfigError, match="terminal"):
+            certify_equivalence(traj, 0.5, 0.9, np.zeros(1), pair)
+
+    def test_tabular_pair_rejects_features_that_are_not_one_hot(self):
+        traj, n = make_mrp_trajectory(steps=20, seed=64, kind="binary")
+        with pytest.raises(ConfigError, match="one-hot"):
+            certify_equivalence(traj, 0.5, 0.9, np.zeros(n), "tabular-vs-one-hot-true-online")
