@@ -28,6 +28,7 @@ then steps on its transitions.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -37,14 +38,14 @@ from .rng import SplitMix64
 
 
 def check_step_size(alpha: float) -> None:
-    """Step-sizes must be finite and >= 0; 0 freezes the weights."""
-    if not (math.isfinite(alpha) and alpha >= 0.0):
+    """Step-sizes must be real, finite and >= 0; 0 freezes the weights."""
+    if not (isinstance(alpha, Real) and math.isfinite(alpha) and alpha >= 0.0):
         raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
 
 
 def check_trace_decay(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
-        raise ConfigError("lambda must lie in [0, 1]")
+    if not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
+        raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
 
 
 # The trace rules. Each advances theta and e in place over one transition
@@ -270,8 +271,8 @@ def epsilon_greedy(
     iff the chosen action's value equals the maximum, so an exploratory
     draw that happens to hit the greedy action still counts as greedy.
     """
-    if not 0.0 <= epsilon <= 1.0:
-        raise ConfigError("epsilon must lie in [0, 1]")
+    if not (isinstance(epsilon, Real) and 0.0 <= epsilon <= 1.0):
+        raise ConfigError(f"epsilon must lie in [0, 1], got {epsilon!r}")
     q = action_values(theta, phi_s, num_actions)
     q_max = float(np.max(q))
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -379,8 +380,10 @@ def run_control_episode(
     The learner steps on Transition(psi, R, psi', gamma): Sarsa(lambda) is
     any trace kernel of length representation.n * num_actions, and a
     TrueOnlineWatkinsQ bootstraps on the greedy action instead and cuts
-    its trace after non-greedy ones. Records per-step actions and greedy
-    flags so the run can be replayed against the truncated forward view.
+    its trace after non-greedy ones. Records the state-level steps with
+    per-step actions and greedy flags, for the truncated forward view,
+    and in `stepped` the transitions the learner stepped on with the
+    trace-keeping flag each step passed, for replaying the learner.
     Action selection always uses the pre-update weights, matching the
     pseudocode order.
     """
@@ -399,28 +402,24 @@ def run_control_episode(
     action, greedy = epsilon_greedy(
         learner.theta, representation.phi(state), num_actions, epsilon, rng
     )
-    steps: list[Transition] = []
-    actions: list[int] = []
-    flags: list[bool] = []
+    traj = Trajectory(actions=[], greedy=[], num_actions=num_actions, stepped=Trajectory(greedy=[]))
     psi = stack_action_features(representation.phi(state), action, num_actions)
-    final_action: int | None = None
     while True:
-        if max_steps is not None and len(steps) >= max_steps:
+        if max_steps is not None and len(traj) >= max_steps:
             if chain.terminal_states:
                 raise RuntimeError(
                     f"episode exceeded the {max_steps}-step cap without terminating"
                 )
-            final_action = action
             break
         nxt, reward = sample_step(mdp.chains[action], state, rng)
         terminal = nxt in chain.terminal_states
         phi_next = representation.phi(nxt)
-        steps.append(Transition(
+        traj.steps.append(Transition(
             phi=representation.phi(state), reward=reward, phi_next=phi_next,
             gamma=chain.gamma, terminal=terminal,
         ))
-        actions.append(action)
-        flags.append(greedy)
+        traj.actions.append(action)
+        traj.greedy.append(greedy)
         if terminal:
             psi_next = np.zeros(n)
         else:
@@ -433,15 +432,15 @@ def run_control_episode(
                 bootstrap = greedy_toward(q_next, next_action)
             psi_next = stack_action_features(phi_next, bootstrap, num_actions)
         tr = Transition(psi, reward, psi_next, chain.gamma, terminal=terminal)
+        keep = terminal or next_action == bootstrap
         if watkins:
-            learner.step(tr, terminal or next_action == bootstrap)
+            learner.step(tr, keep)
         else:
             learner.step(tr)
+        traj.stepped.steps.append(tr)
+        traj.stepped.greedy.append(keep)
         if terminal:
             break
         psi = psi_next
         state, action, greedy = nxt, next_action, next_greedy
-    return Trajectory(
-        steps=steps, actions=actions, greedy=flags, num_actions=num_actions,
-        final_action=final_action,
-    )
+    return traj

@@ -81,18 +81,20 @@ class Transition:
 class Trajectory:
     """Recorded step sequence enabling exact forward-view replay.
 
-    For control tasks the per-step chosen action and greedy flag are
-    recorded as well; `steps[j]` then holds the state-level features of
-    S_j and S_{j+1}, with the action features derived on demand. A capped
-    continuing control run also records the action already selected for
-    the final state (`final_action`), which replay needs.
+    `steps` holds state-level transitions. A control run also records the
+    per-step chosen action and greedy flag, and in `stepped` the
+    action-stacked transitions its learner stepped on: `stepped.steps[j]`
+    is Transition(psi_j, R, psi', gamma), psi' the features of the
+    bootstrap pair, and `stepped.greedy[j]` is whether the learner kept
+    its trace after step j (false only where a Watkins learner's next
+    behavior action is not the greedy pair it bootstrapped on).
     """
 
     steps: list[Transition] = field(default_factory=list)
     actions: list[int] | None = None
     greedy: list[bool] | None = None
     num_actions: int | None = None
-    final_action: int | None = None
+    stepped: Trajectory | None = None
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -109,6 +111,10 @@ class Trajectory:
             raise ConfigError("one action per step required")
         if self.greedy is not None and len(self.greedy) != len(self.steps):
             raise ConfigError("one greedy flag per step required")
+        if self.stepped is not None:
+            self.stepped.validate()
+            if len(self.stepped) != len(self.steps):
+                raise ConfigError("one stepped transition per step required")
 
     def phi(self, t: int) -> np.ndarray:
         """Features of S_t for 0 <= t <= len: past the last step this is phi_next."""
@@ -117,8 +123,3 @@ class Trajectory:
         if t == len(self.steps) and self.steps:
             return self.steps[-1].phi_next
         raise IndexError(f"no state features at step {t}")
-
-    def action_features(self, t: int) -> np.ndarray:
-        if self.actions is None or self.num_actions is None:
-            raise ConfigError("trajectory lacks action annotations")
-        return stack_action_features(self.phi(t), self.actions[t], self.num_actions)

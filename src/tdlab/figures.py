@@ -95,7 +95,9 @@ def one_state_step_size_curve(
             lengths.append(t)
         lengths_per_run.append(lengths)
 
-    phi, zero = np.array([1.0]), np.array([0.0])
+    phi = np.array([1.0])  # the learners never write to a transition's features
+    stay = Transition(phi, 0.0, phi, 1.0)
+    end = Transition(phi, 1.0, np.array([0.0]), 1.0, terminal=True)
     rows: list[list] = []
     with np.errstate(over="ignore", invalid="ignore"):
         for alpha in alphas:
@@ -107,12 +109,9 @@ def one_state_step_size_curve(
                 for T in lengths:
                     for learner in (acc, to):
                         learner.start_episode()
-                        for t in range(T):
-                            last = t == T - 1
-                            learner.step(Transition(
-                                phi, 1.0 if last else 0.0, zero if last else phi,
-                                1.0, terminal=last,
-                            ))
+                        for _ in range(T - 1):
+                            learner.step(stay)
+                        learner.step(end)
                     sq["accumulate"] += (acc.theta[0] - 1.0) ** 2
                     sq["true_online"] += (to.theta[0] - 1.0) ** 2
             rows.append([

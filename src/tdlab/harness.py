@@ -51,10 +51,11 @@ from .algos import (
     TabularTrueOnlineTD,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
+    TrueOnlineWatkinsQ,
     check_step_size,
     check_trace_decay,
 )
-from .core import ConfigError, Trajectory, Transition, read_json_object, stack_action_features
+from .core import ConfigError, Trajectory, read_json_object
 from .envs import (
     Mrp,
     Representation,
@@ -67,7 +68,6 @@ from .envs import (
 from .oracle import (
     lms_solution,
     online_lambda_return_algorithm,
-    replay_watkins,
     state_weights,
     watkins_forward_view,
 )
@@ -497,29 +497,6 @@ def replay_prediction(learner, traj: Trajectory) -> np.ndarray:
     return history
 
 
-def action_feature_trajectory(traj: Trajectory) -> Trajectory:
-    """Lift a control trajectory to state-action feature space."""
-    if traj.actions is None or traj.num_actions is None:
-        raise ConfigError("trajectory lacks action annotations")
-    steps = []
-    T = len(traj)
-    for j, step in enumerate(traj.steps):
-        psi = traj.action_features(j)
-        if step.terminal:
-            psi_next = np.zeros(psi.shape[0])
-        elif j + 1 < T:
-            psi_next = stack_action_features(step.phi_next, traj.actions[j + 1], traj.num_actions)
-        elif traj.final_action is not None:
-            psi_next = stack_action_features(step.phi_next, traj.final_action, traj.num_actions)
-        else:
-            raise ConfigError("capped control trajectory lacks the final selected action")
-        steps.append(Transition(
-            phi=psi, reward=step.reward, phi_next=psi_next,
-            gamma=step.gamma, terminal=step.terminal,
-        ))
-    return Trajectory(steps=steps)
-
-
 def certify_equivalence(
     traj: Trajectory,
     alpha: float,
@@ -533,6 +510,12 @@ def certify_equivalence(
     (1 + ||theta_B(t)||_inf); a pair passes at 1e-8. The accumulate pair
     exists to document non-equivalence and is expected to fail at
     practical step-sizes.
+
+    The control pairs replay the recorded learner run: a fresh learner
+    steps over `traj.stepped`, whose bootstrap pairs (and, for Watkins,
+    trace-keeping flags) the driving learner's weights chose, so call them
+    with the alpha, lambda and theta_init the driver ran with. The
+    truncated forward view re-selects its greedy pairs from its own weights.
 
     Aggressive step-sizes can drive both sides into identical divergence;
     once the weight scale has been amplified past any fixed tolerance's
@@ -561,6 +544,13 @@ def certify_equivalence(
     )
 
 
+def _stepped(traj: Trajectory) -> Trajectory:
+    """The transitions a control run's learner stepped on, with its trace-keeping flags."""
+    if traj.stepped is None or traj.stepped.greedy is None:
+        raise ConfigError("control pairs replay the transitions run_control_episode records")
+    return traj.stepped
+
+
 def _pair_histories(traj, alpha, lam, theta_init, pair):
     def replay(cls, steps=traj, **step_size):
         """cls's weight history over steps: at alpha, or at the schedule given."""
@@ -575,11 +565,17 @@ def _pair_histories(traj, alpha, lam, theta_init, pair):
         a = replay(AccumulateTD)
         b = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
     elif pair == "sarsa-vs-oracle-on-psi":
-        psi_traj = action_feature_trajectory(traj)
-        a = replay(TrueOnlineTD, psi_traj)
-        b = online_lambda_return_algorithm(psi_traj, alpha, lam, theta_init)
+        stepped = _stepped(traj)
+        a = replay(TrueOnlineTD, stepped)
+        b = online_lambda_return_algorithm(stepped, alpha, lam, theta_init)
     elif pair == "watkins-vs-truncated-oracle":
-        a = replay_watkins(traj, alpha, lam, theta_init)
+        stepped = _stepped(traj)
+        learner = TrueOnlineWatkinsQ(theta_init.shape[0], alpha, lam, theta_init)
+        a = np.empty((len(traj) + 1, theta_init.shape[0]))
+        a[0] = theta_init
+        for j, (tr, keep) in enumerate(zip(stepped.steps, stepped.greedy)):
+            learner.step(tr, keep)
+            a[j + 1] = learner.theta
         b = watkins_forward_view(traj, alpha, lam, theta_init)
     elif pair == "alpha-t-constant-vs-true-online":
         a = replay(TrueOnlineTDAlphaT, alpha_schedule=lambda t: alpha)

@@ -33,8 +33,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algos import AccumulateTD, TrueOnlineWatkinsQ, greedy_toward
-from .core import ConfigError, Trajectory, Transition, action_values, stack_action_features
+from .algos import AccumulateTD, greedy_toward
+from .core import ConfigError, Trajectory, action_values, stack_action_features
 from .envs import Mrp, Representation, stationary_distribution, true_values
 
 ThetaLookup = Callable[[int], np.ndarray]
@@ -286,7 +286,7 @@ def watkins_forward_view(
     rows = _iterate_rows(theta_init, T)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
-    psis: list[np.ndarray] = [traj.action_features(0)]
+    psis = [stack_action_features(traj.phi(0), traj.actions[0], num_actions)]
     # origin k's running sums; prefix is sum_m (1-lam) * lam^(m-1) * g_m, weight lam^(n-1)
     reward_sum, disc = np.zeros(T), np.ones(T)
     prefix, weight = np.zeros(T), np.ones(T)
@@ -316,44 +316,6 @@ def watkins_forward_view(
             ))
             if not traj.greedy[t]:
                 lo = t  # tau_k = t for every open origin k < t
-    return history
-
-
-def replay_watkins(
-    traj: Trajectory, alpha: float, lam: float, theta_init: np.ndarray
-) -> np.ndarray:
-    """Run the incremental Watkins-style learner over a recorded trajectory.
-
-    Reproduces the driver protocol exactly: the carried feature vector
-    becomes the greedy pair's features after each step, and the greedy
-    re-selection uses the learner's pre-update weights.
-    """
-    if traj.actions is None or traj.num_actions is None:
-        raise ConfigError("Watkins replay needs action annotations")
-    T = len(traj)
-    num_actions = traj.num_actions
-    learner = TrueOnlineWatkinsQ(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init)
-    history = np.empty((T + 1, theta_init.shape[0]))
-    history[0] = theta_init
-    psi = traj.action_features(0)
-    for j in range(T):
-        step = traj.steps[j]
-        if step.terminal:
-            tr = Transition(psi, step.reward, np.zeros(learner.n), step.gamma, terminal=True)
-            learner.step(tr, True)
-        else:
-            q = action_values(learner.theta, step.phi_next, num_actions)
-            if j + 1 < T:
-                behavior = traj.actions[j + 1]
-            elif traj.final_action is not None:
-                behavior = traj.final_action
-            else:
-                raise ConfigError("capped control trajectory lacks the final selected action")
-            a_star = greedy_toward(q, behavior)
-            psi_star = stack_action_features(step.phi_next, a_star, num_actions)
-            learner.step(Transition(psi, step.reward, psi_star, step.gamma), behavior == a_star)
-            psi = psi_star
-        history[j + 1] = learner.theta
     return history
 
 

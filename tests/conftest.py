@@ -4,11 +4,15 @@ import numpy as np
 import pytest
 
 from tdlab import (
+    Mdp,
+    Mrp,
     SplitMix64,
     Trajectory,
     Transition,
+    TrueOnlineWatkinsQ,
     build_representation,
     canonical_task,
+    generate_mdp,
     generate_mrp,
     run_episode,
 )
@@ -39,6 +43,32 @@ def synthetic_trajectory(rng: SplitMix64, n=4, steps=25, gamma=0.9, episodic=Fal
         out.append(Transition(phi, rng.normal(), phi_next, gamma, terminal=last))
         phi = phi_next
     return Trajectory(steps=out)
+
+
+def episodic_mdp(seed, k=6, num_actions=3, end_prob=0.1):
+    """Random MDP in which every action ends the episode (state k-1) with
+    probability end_prob per step."""
+    chains = []
+    for chain in generate_mdp(k - 1, 2, 0.1, 0.9, num_actions, seed=seed).chains:
+        P, r = np.zeros((k, k)), np.zeros((k, k))
+        P[: k - 1, : k - 1] = (1.0 - end_prob) * chain.P
+        P[: k - 1, k - 1] = end_prob
+        P[k - 1, k - 1] = 1.0
+        r[: k - 1, : k - 1] = chain.r_mean
+        r[: k - 1, k - 1] = 1.0
+        chains.append(Mrp(k, P, r, sigma=0.1, gamma=0.9, terminal_states=frozenset({k - 1})))
+    return Mdp(tuple(chains))
+
+
+def stepped_watkins_history(traj, alpha, lam, theta_init):
+    """The (T+1) x n weight history of a fresh TrueOnlineWatkinsQ stepped
+    over the transitions and trace-keeping flags a control run recorded."""
+    learner = TrueOnlineWatkinsQ(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init)
+    history = [learner.theta.copy()]
+    for tr, keep in zip(traj.stepped.steps, traj.stepped.greedy):
+        learner.step(tr, keep)
+        history.append(learner.theta.copy())
+    return np.array(history)
 
 
 @pytest.fixture

@@ -27,9 +27,15 @@ from tdlab import (
     run_episode,
     tile_code,
 )
-from tdlab.algos import PREDICTION_RULES, PREDICTION_VARIANTS, make_prediction_learner
+from tdlab.algos import (
+    PREDICTION_RULES,
+    PREDICTION_VARIANTS,
+    greedy_toward,
+    make_prediction_learner,
+)
+from tdlab.core import action_values, stack_action_features
 from tdlab.harness import replay_prediction
-from tests.conftest import make_mrp_trajectory, synthetic_trajectory
+from tests.conftest import episodic_mdp, make_mrp_trajectory, synthetic_trajectory
 
 
 def one_state_episode(T):
@@ -166,6 +172,26 @@ def test_invalid_step_size_rejected(alpha):
         with pytest.raises(ConfigError, match="alpha"):
             build()
     TrueOnlineTD(2, alpha=0.0, lam=0.5)  # alpha = 0 freezes the weights and stays valid
+
+
+@pytest.mark.parametrize("call", [
+    lambda: TrueOnlineTD(2, None, 0.5),
+    lambda: TrueOnlineTD(2, "0.1", 0.5),
+    lambda: TrueOnlineTD(2, 0.1, None),
+    lambda: epsilon_greedy(np.zeros(2), np.ones(1), 2, None, SplitMix64(0)),
+    lambda: TrueOnlineTDAlphaT(1, lambda t: None, 0.5).step(
+        Transition(np.ones(1), 0.0, np.ones(1), 0.9)
+    ),
+], ids=["alpha-none", "alpha-str", "lambda-none", "epsilon-none", "alpha-t-none"])
+def test_non_numbers_are_config_errors(call):
+    with pytest.raises(ConfigError):
+        call()
+
+
+def test_ints_and_numpy_floats_are_numbers():
+    TrueOnlineTD(2, np.float64(0.1), np.float32(0.5))
+    TrueOnlineTD(2, 1, 0)
+    assert epsilon_greedy(np.zeros(2), np.ones(1), 2, np.float64(0.0), SplitMix64(0))[0] == 0
 
 
 class TestAlphaT:
@@ -411,12 +437,88 @@ class TestControl:
         pair = psi_index(int(np.argmax(traj.steps[0].phi)), traj.actions[0])
         for j, step in enumerate(traj.steps):
             s2 = int(np.argmax(step.phi_next))
-            behavior = traj.actions[j + 1] if j + 1 < len(traj) else traj.final_action
             values = [q[psi_index(s2, b)] for b in range(3)]
-            a_star = behavior if values[behavior] == max(values) else int(np.argmax(values))
-            q[pair] += alpha * (step.reward + step.gamma * values[a_star] - q[pair])
-            pair = psi_index(s2, a_star)
+            q[pair] += alpha * (step.reward + step.gamma * max(values) - q[pair])
+            if j + 1 < len(traj):  # the capped run's last pair is never updated
+                behavior = traj.actions[j + 1]
+                a_star = behavior if values[behavior] == max(values) else int(np.argmax(values))
+                pair = psi_index(s2, a_star)
         assert np.abs(learner.theta - q).max() <= 1e-12
+
+
+def relift(traj, final_action, watkins, alpha, lam):
+    """A control run's psi transitions and trace-keeping flags, rebuilt
+    from its state-level record: Sarsa bootstraps on the behavior pairs;
+    Watkins on the greedy pairs of a learner replayed alongside, ties
+    toward the behavior action, and keeps its trace iff they agree.
+    final_action is the action a capped run selected for its last state."""
+    num_actions = traj.num_actions
+    psi = stack_action_features(traj.phi(0), traj.actions[0], num_actions)
+    learner = TrueOnlineWatkinsQ(psi.shape[0], alpha=alpha, lam=lam)
+    steps, flags = [], []
+    for j, step in enumerate(traj.steps):
+        if step.terminal:
+            tr, keep = Transition(psi, step.reward, np.zeros(psi.shape[0]), step.gamma, True), True
+        else:
+            behavior = traj.actions[j + 1] if j + 1 < len(traj) else final_action
+            target = behavior
+            if watkins:
+                target = greedy_toward(
+                    action_values(learner.theta, step.phi_next, num_actions), behavior
+                )
+            psi_next = stack_action_features(step.phi_next, target, num_actions)
+            tr, keep = Transition(psi, step.reward, psi_next, step.gamma), behavior == target
+        if watkins:
+            learner.step(tr, keep)
+        steps.append(tr)
+        flags.append(keep)
+        psi = tr.phi_next
+    return steps, flags
+
+
+def same_bits(a, b):
+    a, b = np.atleast_1d(np.asarray(a, np.float64)), np.atleast_1d(np.asarray(b, np.float64))
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+@given(
+    st.integers(0, 2**32),
+    st.booleans(),
+    st.sampled_from(["tabular", "binary", "random-normalized"]),
+    st.floats(0.01, 2.0),
+    st.floats(0.0, 1.0),
+    st.floats(0.0, 1.0),
+    st.booleans(),
+)
+@settings(max_examples=60, deadline=None)
+def test_stepped_transitions_are_the_relift(seed, watkins, kind, alpha, lam, epsilon, episodic):
+    rng = SplitMix64(seed)
+    mdp = episodic_mdp(rng.next_u64()) if episodic else generate_mdp(
+        6, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64()
+    )
+    rep = build_representation(kind, mdp.chains[0], seed=rng.next_u64())
+    cls = TrueOnlineWatkinsQ if watkins else TrueOnlineTD
+    run_seed = rng.next_u64()
+
+    def record(cap):
+        learner = cls(rep.n * 3, alpha=alpha, lam=lam)
+        return run_control_episode(
+            learner, mdp, rep, SplitMix64(run_seed), epsilon=epsilon, max_steps=cap
+        )
+
+    with np.errstate(all="ignore"):
+        traj = record(None if episodic else 40)
+        final_action = None
+        if not episodic:  # one step more on the same stream selects the same final action
+            final_action = record(41).actions[40]
+        steps, flags = relift(traj, final_action, watkins, alpha, lam)
+    assert traj.episodic == episodic
+    assert traj.stepped.greedy == flags
+    assert len(traj.stepped) == len(steps)
+    for got, want in zip(traj.stepped.steps, steps):
+        assert same_bits(got.phi, want.phi) and same_bits(got.phi_next, want.phi_next)
+        assert same_bits(got.reward, want.reward) and same_bits(got.gamma, want.gamma)
+        assert got.terminal == want.terminal
 
 
 class TestRunEpisode:

@@ -1,5 +1,6 @@
 """Every name the tdlab package exports has a caller in the package or
-its demos; tests alone do not keep a name alive."""
+its demos; tests alone do not keep a name alive. No module imports a
+name it never uses."""
 
 import ast
 from pathlib import Path
@@ -52,3 +53,25 @@ def test_every_export_has_a_caller():
 
 def test_references_are_exported():
     assert set(REFERENCES) <= set(exported_names())
+
+
+def imported_names(tree):
+    """The names a module's imports bind, except `from __future__` ones."""
+    names = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            names += [alias.asname or alias.name for alias in node.names]
+    return names
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    unused = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":  # its imports are the exports
+            continue
+        tree = ast.parse(path.read_text())
+        loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in loaded]
+    assert unused == []

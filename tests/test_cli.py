@@ -165,6 +165,32 @@ def test_figures_fig3_csv_body_is_pinned(tmp_path):
     )
 
 
+def test_figures_fig2_csv_body_is_pinned(tmp_path):
+    # one always-on feature, so every dot product is a single product
+    out = tmp_path / "fig2.csv"
+    assert main(["figures", "--figure", "2", "--runs", "5", "--out", str(out)]) == 0
+    _, body = out.read_text().split("\n", 1)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "57f4dd1e541a8e281eb19bca8e034c9ff9289e54b9344660a55c263e6be4b4c7"
+    )
+
+
+# SHA-256 of `verify --suite all --trials 60` stdout as tdlab 0.2.0 prints it;
+# a change that moves any certified difference must declare it
+PINNED_VERIFY_STDOUT = {
+    0: "b6f6447ba6f8f541965408b8da15b49b3531ef2d5fdd48d4cd47e5162e75c68f",
+    1: "0226a2f3696295689690b7d7c0e39d95126d6ead7e3b5185a2c3331ee270fec3",
+    2: "b0421871cd2794b09b934e1200d4fd6f43656aa76231e8be2fd7208e56f078ed",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(PINNED_VERIFY_STDOUT))
+def test_verify_stdout_is_pinned(capsys, seed):
+    assert main(["verify", "--suite", "all", "--trials", "60", "--seed", str(seed)]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_STDOUT[seed]
+
+
 def test_figures_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["figures", "--figure", "9"])

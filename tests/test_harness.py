@@ -27,7 +27,13 @@ from tdlab import (
     sample_step,
     sweep_to_csv,
 )
-from tdlab.algos import PREDICTION_VARIANTS, TrueOnlineTD, make_prediction_learner
+from tdlab import algos
+from tdlab.algos import (
+    PREDICTION_VARIANTS,
+    TrueOnlineTD,
+    TrueOnlineWatkinsQ,
+    make_prediction_learner,
+)
 from tdlab.core import Trajectory, Transition
 from tdlab.harness import (
     DIVERGENCE_THRESHOLD,
@@ -644,9 +650,34 @@ class TestCertify:
         rep = build_representation("random-normalized", generate_mrp(6, 2, 0.1, 0.9, seed=2), seed=3)
         learner = TrueOnlineTD(rep.n * 2, alpha=0.6, lam=0.9)
         traj = run_control_episode(learner, mdp, rep, SplitMix64(8), epsilon=0.25, max_steps=70)
-        assert traj.final_action is not None
+        assert not traj.episodic and not traj.stepped.episodic
         report = certify_equivalence(traj, 0.6, 0.9, np.zeros(rep.n * 2), "sarsa-vs-oracle-on-psi")
         assert report.passed
+
+    @pytest.mark.parametrize("pair", ["sarsa-vs-oracle-on-psi", "watkins-vs-truncated-oracle"])
+    def test_control_pairs_need_the_stepped_transitions(self, pair):
+        mdp = generate_mdp(6, 2, 0.1, 0.9, num_actions=2, seed=71)
+        rep = build_representation("tabular", mdp.chains[0], seed=0)
+        learner = TrueOnlineWatkinsQ(rep.n * 2, alpha=0.5, lam=0.9)
+        traj = run_control_episode(learner, mdp, rep, SplitMix64(9), epsilon=0.3, max_steps=20)
+        bare = Trajectory(traj.steps, traj.actions, traj.greedy, traj.num_actions)
+        with pytest.raises(ConfigError, match="run_control_episode"):
+            certify_equivalence(bare, 0.5, 0.9, np.zeros(rep.n * 2), pair)
+
+    @pytest.mark.parametrize("ties_low", [False, True])
+    def test_watkins_pair_catches_a_driver_that_breaks_ties_low(self, monkeypatch, ties_low):
+        # demo 06's Watkins run: at theta = 0 every action ties, and the
+        # forward view re-selects its greedy pairs toward the behavior action
+        if ties_low:
+            monkeypatch.setattr(algos, "greedy_toward", lambda q, behavior: int(np.argmax(q)))
+        mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=404)
+        rep = build_representation("tabular", mdp.chains[0], seed=0)
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
+        traj = run_control_episode(learner, mdp, rep, SplitMix64(2), epsilon=0.3, max_steps=150)
+        report = certify_equivalence(
+            traj, 0.4, 0.9, np.zeros(rep.n * 3), "watkins-vs-truncated-oracle"
+        )
+        assert report.passed != ties_low, report
 
     def test_unknown_pair_fatal(self):
         traj, n = make_mrp_trajectory(steps=10, seed=63)

@@ -8,8 +8,6 @@ from hypothesis import strategies as st
 from tdlab import (
     AccumulateTD,
     ConfigError,
-    Mdp,
-    Mrp,
     SplitMix64,
     Trajectory,
     Transition,
@@ -37,11 +35,16 @@ from tdlab.core import action_values, stack_action_features
 from tdlab.oracle import (
     constant_lookup,
     interim_lambda_returns_all,
-    replay_watkins,
     theorem1_delta_terms,
     watkins_forward_view,
 )
-from tests.conftest import make_mrp_trajectory, make_walk_episode, synthetic_trajectory
+from tests.conftest import (
+    make_mrp_trajectory,
+    episodic_mdp,
+    make_walk_episode,
+    stepped_watkins_history,
+    synthetic_trajectory,
+)
 
 
 def one_state_episode(T):
@@ -274,7 +277,7 @@ class TestWatkins:
     def test_replay_matches_forward_view(self):
         for eps, seed in [(0.3, 31), (0.15, 32), (0.6, 33)]:
             traj, n = self._control_traj(epsilon=eps, seed=seed)
-            a = replay_watkins(traj, 0.4, 0.8, np.zeros(n))
+            a = stepped_watkins_history(traj, 0.4, 0.8, np.zeros(n))
             b = watkins_forward_view(traj, 0.4, 0.8, np.zeros(n))
             denom = 1.0 + np.abs(b).max(axis=1)
             assert (np.abs(a - b).max(axis=1) / denom).max() <= 1e-8
@@ -297,7 +300,7 @@ def watkins_per_horizon_loop(traj, alpha, lam, theta_init, interim_target=watkin
     T, num_actions = len(traj), traj.num_actions
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
-    psis = [traj.action_features(0)]
+    psis = [stack_action_features(traj.phi(0), traj.actions[0], num_actions)]
     targets = []
     for t in range(1, T + 1):
         if t >= 2:
@@ -329,21 +332,6 @@ def replay_from_init(theta_init, alpha, targets, features):
     for u, x in zip(targets, features):
         theta += alpha * (u - float(theta @ x)) * x
     return theta
-
-
-def episodic_mdp(seed, k=6, num_actions=3, end_prob=0.1):
-    """Random MDP in which every action ends the episode (state k-1) with
-    probability end_prob per step."""
-    chains = []
-    for chain in generate_mdp(k - 1, 2, 0.1, 0.9, num_actions, seed=seed).chains:
-        P, r = np.zeros((k, k)), np.zeros((k, k))
-        P[: k - 1, : k - 1] = (1.0 - end_prob) * chain.P
-        P[: k - 1, k - 1] = end_prob
-        P[k - 1, k - 1] = 1.0
-        r[: k - 1, : k - 1] = chain.r_mean
-        r[: k - 1, k - 1] = 1.0
-        chains.append(Mrp(k, P, r, sigma=0.1, gamma=0.9, terminal_states=frozenset({k - 1})))
-    return Mdp(tuple(chains))
 
 
 unit_or_ends = st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0))
