@@ -16,9 +16,10 @@ error.
 
 Every emitted artifact embeds its manifest (a JSON object holding the
 tool version, the subcommand, and every parameter including the master
-seed); feeding that manifest back through --config reproduces the
-artifact byte for byte. CSV outputs carry the manifest as a leading
-`# manifest=` comment line followed by the documented header row.
+seed). `sweep --config` replays a sweep's manifest, byte for byte while
+a `file:` env is unchanged, and refuses another subcommand's. CSV
+outputs carry the manifest as a leading `# manifest=` comment line
+followed by the documented header row.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 """
@@ -33,19 +34,19 @@ import sys
 
 from . import __version__
 from .core import ConfigError, read_json_object
-from .envs import generate_mrp, mrp_to_dict
+from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
     SweepConfig,
     paper_alpha_grid,
     paper_lambda_grid,
     run_sweep,
     sweep_to_csv,
+    table_to_csv,
 )
 from .figures import (
     mrp_best_lambda_curves,
     one_state_step_size_curve,
     random_walk_learning_curves,
-    table_to_csv,
     two_state_asymptote_curves,
 )
 from . import verify as verify_suites
@@ -69,13 +70,15 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
-def _load_config_file(path: str) -> dict:
+def _load_config_file(path: str, command: str) -> dict:
     data = read_json_object(path)
     if data.get("format") == CONFIG_FORMAT:
         flat = {k: v for k, v in data.items() if k not in ("format", "version")}
         params = data.get("params", flat)
     elif data.get("command") is not None and "params" in data:
-        params = data["params"]  # a bare manifest replays too
+        if data["command"] != command:  # a bare manifest replays its own command only
+            raise ConfigError(f"{path} is a {data['command']!r} manifest, not a {command!r} one")
+        params = data["params"]
     else:
         raise ConfigError(f"{path} is not a tdlab-config file or manifest")
     if not isinstance(params, dict):
@@ -122,7 +125,7 @@ def _apply_config_defaults(
     a null value leaves its flag at the default."""
     if not getattr(args, "config", None):
         return
-    overrides = _load_config_file(args.config)
+    overrides = _load_config_file(args.config, args.command)
     explicit = _explicit_flags(argv)
     for key, value in overrides.items():
         attr = key.replace("-", "_")
@@ -266,8 +269,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     s = sub.add_parser("sweep", help="parameter scan over (variant, alpha, lambda)")
     s.add_argument("--task", default="mrp(10,3,0.1)",
                    help="a continuing chain: mrp(k,b,sigma) or file:PATH")
-    s.add_argument("--repr", default="tabular",
-                   choices=["tabular", "binary", "random-normalized"])
+    s.add_argument("--repr", default="tabular", choices=REPRESENTATION_KINDS)
     s.add_argument("--variants", default="accumulate,replace,true-online")
     s.add_argument("--paper-grid", action="store_true",
                    help="use the benchmark alpha/lambda grids")

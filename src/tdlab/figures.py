@@ -238,17 +238,3 @@ def mrp_best_lambda_curves(
                     "" if p.metric_se is None else p.metric_se,
                 ])
     return ["representation", "variant", "lambda", "alpha", "metric_mean", "metric_se"], rows
-
-
-def table_to_csv(table: FigureTable) -> str:
-    header, rows = table
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_format_field(x) for x in row))
-    return "\n".join(lines) + "\n"
-
-
-def _format_field(x) -> str:
-    if isinstance(x, float):
-        return f"{x:.17g}"
-    return str(x)

@@ -419,12 +419,25 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
 def sweep_to_csv(result: SweepResult) -> str:
     """Rows in variant-major order, then lambda, then alpha ascending."""
-    lines = ["variant,alpha,lambda,metric_mean,metric_se,runs,diverged"]
-    for c in result.cells:
-        lines.append(
-            f"{c.variant},{c.alpha:.17g},{c.lam:.17g},{c.metric_mean:.17g},"
-            f"{c.metric_se:.17g},{c.runs},{c.diverged}"
-        )
+    return table_to_csv((
+        ["variant", "alpha", "lambda", "metric_mean", "metric_se", "runs", "diverged"],
+        [[c.variant, c.alpha, c.lam, c.metric_mean, c.metric_se, c.runs, c.diverged]
+         for c in result.cells],
+    ))
+
+
+def table_to_csv(table: tuple[list[str], list[list]]) -> str:
+    """A header and rows as CSV lines; floats keep all 17 significant digits."""
+    header, rows = table
+    lines = [",".join(header)]
+    templates: dict[tuple[type, ...], str] = {}  # one %-template per row of field types
+    for row in rows:
+        kinds = tuple(map(type, row))
+        if kinds not in templates:
+            templates[kinds] = ",".join(
+                "%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds
+            )
+        lines.append(templates[kinds] % tuple(row))
     return "\n".join(lines) + "\n"
 
 

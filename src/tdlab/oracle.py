@@ -2,14 +2,14 @@
 
 These are the ground truth the incremental learners are checked against.
 Both online replays return the (T+1) x n weight history as one array,
-row t holding theta_t and row 0 the initial weights. Interim targets
-reuse what does not depend on the horizon: the lambda-return replay
-computes each bootstrap value once, and the Watkins replay keeps each
-origin's reward sum, discount, mixture prefix and weight, extending them
-by one step per horizon. Every target is made with the float operations
-of its reference, in the same order, so the weights are bit-identical to
-a replay that evaluates `interim_lambda_returns_all` or
-`watkins_interim_target` afresh at each horizon (the tests pin both).
+row t holding theta_t and row 0 the initial weights. They share one
+horizon loop and one backward target recursion, U_k = R_{k+1} +
+gamma_k * ((1 - lam_k) * V_k + lam_k * U_{k+1}): the lambda-return replay
+bootstraps on V_k = theta_k . phi_{k+1}, the Watkins replay on the max
+action value, cutting the recursion after each non-greedy action. Each
+V_k is computed once, when theta_k is. The weights are bit-identical to
+the recursion evaluated afresh at every horizon, and agree with the
+definitional sums to rounding (the tests pin both).
 
 Each replay keeps a (T+1) x n buffer of iterates, row k holding the k-th
 iterate of the latest horizon, and writes every update straight into the
@@ -94,7 +94,7 @@ def interim_lambda_returns_all(
         raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
     v_next = [float(theta_lookup(k) @ traj.steps[k].phi_next) for k in range(h)]
     targets: list[float] = []
-    _retarget(targets, *_rewards_and_discounts(traj), lam, v_next)
+    _retarget(targets, *_rewards_and_discounts(traj), [lam] * h, v_next)
     return np.array(targets)
 
 
@@ -114,27 +114,37 @@ def online_lambda_return_algorithm(
 
     Returns the (T+1) x n weight history: row t is theta_t^t, row 0 is
     theta_init. Bootstraps use the run's own single-index vectors
-    theta_j := theta_j^j. Each bootstrap value theta_j . phi_{j+1} is
-    computed once, when theta_j is. Horizon t recomputes its targets
-    backward from the newest and stops at the first one whose bits equal
-    the previous horizon's: every earlier target is a function of it, so
-    it is unchanged too, and so are the iterates through it. The horizon
-    then replays only from its first changed target, over the iterates of
-    the previous horizon, in place. A horizon costs O(changed suffix * n),
-    O(T^2 * n) in all in the worst case.
+    theta_j := theta_j^j. Horizon t recomputes its targets backward from
+    the newest down to the first whose bits equal the previous horizon's
+    (every earlier target is a function of it) and replays from there.
+    """
+    return _online_replay(
+        traj, alpha, theta_init, [step.phi for step in traj.steps], [lam] * len(traj),
+        lambda j, theta: float(theta @ traj.steps[j].phi_next),
+    )
+
+
+def _online_replay(
+    traj: Trajectory, alpha: float, theta_init: np.ndarray, features: list[np.ndarray],
+    decays: list[float | None], bootstrap: Callable[[int, np.ndarray], float],
+) -> np.ndarray:
+    """The horizon loop of both online replays; returns the weight history.
+
+    Horizon t adds V_{t-1} = bootstrap(t - 1, theta_{t-1}), retargets with
+    `decays` and replays from the first changed target over `features`,
+    which `bootstrap` may extend: horizon t reads only features[:t].
     """
     T = len(traj)
     rewards, gammas = _rewards_and_discounts(traj)
-    phis = [step.phi for step in traj.steps]
     rows = _iterate_rows(theta_init, T)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
-    v_next: list[float] = []  # v_next[j] = theta_j . phi_{j+1}
+    v_next: list[float] = []  # v_next[j] = V_j, from theta_j
     targets: list[float] = []  # the latest horizon's targets
     for t in range(1, T + 1):
-        v_next.append(float(history[t - 1] @ traj.steps[t - 1].phi_next))
-        start = _retarget(targets, rewards, gammas, lam, v_next)
-        _replay(rows, alpha, targets[start:], phis, start)
+        v_next.append(bootstrap(t - 1, history[t - 1]))
+        start = _retarget(targets, rewards, gammas, decays, v_next)
+        _replay(rows, alpha, targets[start:], features, start)
         history[t] = rows[t]
     return history
 
@@ -144,16 +154,18 @@ def _rewards_and_discounts(traj: Trajectory) -> tuple[list[float], list[float]]:
 
 
 def _retarget(
-    targets: list[float], rewards: list[float], gammas: list[float], lam: float,
-    v_next: list[float],
+    targets: list[float], rewards: list[float], gammas: list[float],
+    decays: list[float | None], v_next: list[float],
 ) -> int:
-    """The backward recursion of interim_lambda_returns_all at horizon
-    h = len(v_next), given each bootstrap value v_next[k] = V_k(S_{k+1}),
-    written over `targets`: empty, or the targets at horizon h - 1.
-
-    Stops at the first old target whose bits (sign of zero included; a NaN
-    counts as changed) the new one repeats, since every earlier target is
-    a function of it. Returns the index of the first changed target.
+    """The targets at horizon h = len(v_next) by the backward recursion,
+    written over `targets` (empty, or the targets at horizon h - 1), with
+    V_k = v_next[k] and lam_k = decays[k]. A None decay is a cut: U_k =
+    R_{k+1} + gamma_k * V_k, as for U_{h-1}, without reading U_{k+1}
+    (0 * inf would be NaN). Stops at the first old target whose bits (sign
+    of zero included; a NaN counts as changed) the new one repeats, since
+    every earlier target is a function of it; a cut target never changes
+    with the horizon, so the scan ends there at the latest. Returns the
+    index of the first changed target.
     """
     h = len(v_next)
     old = len(targets)
@@ -161,7 +173,9 @@ def _retarget(
     u = rewards[h - 1] + gammas[h - 1] * v_next[h - 1]
     targets[h - 1] = u
     for k in range(h - 2, -1, -1):
-        u = rewards[k] + gammas[k] * ((1.0 - lam) * v_next[k] + lam * u)
+        lam = decays[k]
+        mix = v_next[k] if lam is None else (1.0 - lam) * v_next[k] + lam * u
+        u = rewards[k] + gammas[k] * mix
         if k < old and _same_bits(u, targets[k]):
             return k + 1
         targets[k] = u
@@ -266,57 +280,26 @@ def watkins_forward_view(
     toward the recorded behavior action); step 0 uses the behavior pair.
     Returns the (T+1) x n weight history.
 
-    Each horizon t computes U_k^t = watkins_interim_target(traj, k, t)
-    for every k < t with the same float operations, without re-summing:
-    origin k's reward sum, discount, mixture prefix and weight lam^(n-1)
-    do not depend on t, so they are kept and extended by one step per
-    horizon, and the one new bootstrap max_a theta_{t-1} . psi(S_t, a) is
-    shared by every origin. Once t reaches tau_k, the first non-greedy
-    step after k, U_k is final, and origins before the last non-greedy
-    step are not revisited. A horizon compares its other targets with
-    the previous horizon's and resumes at max(lo, first changed target),
-    lo being that last non-greedy step, over the previous horizon's
-    iterates. A horizon costs O(changed suffix * n), O(T^2 * n) in all in
-    the worst case, less when exploration cuts or targets settle.
+    The targets are watkins_interim_target's in recursion form: those of
+    online_lambda_return_algorithm with V_k = max_a theta_k . psi(S_{k+1}, a)
+    (0 after a terminal step), cut where A_{k+1} is not greedy, since growth
+    stops there (tau_k = k + 1): U_k = R_{k+1} + gamma_k * V_k.
     """
     if traj.actions is None or traj.greedy is None or traj.num_actions is None:
         raise ConfigError("Watkins replay needs action and greedy-flag annotations")
-    T = len(traj)
-    num_actions = traj.num_actions
-    rows = _iterate_rows(theta_init, T)
-    history = np.empty((T + 1, theta_init.shape[0]))
-    history[0] = theta_init
+    T, num_actions = len(traj), traj.num_actions
     psis = [stack_action_features(traj.phi(0), traj.actions[0], num_actions)]
-    # origin k's running sums; prefix is sum_m (1-lam) * lam^(m-1) * g_m, weight lam^(n-1)
-    reward_sum, disc = np.zeros(T), np.ones(T)
-    prefix, weight = np.zeros(T), np.ones(T)
-    targets: list[float] = []  # U_k of the latest horizon
-    lo = 0  # origins k < lo have met tau_k, so their targets are final
-    for t in range(1, T + 1):
-        step = traj.steps[t - 1]
-        span = slice(lo, t)
-        reward_sum[span] += disc[span] * step.reward
-        disc[span] *= step.gamma
-        g = reward_sum[span]  # origin k's n-step return, n = t - k
-        q = action_values(history[t - 1], traj.phi(t), num_actions)
-        if not step.terminal:
-            g = g + disc[span] * float(np.max(q))
-        fresh = (prefix[span] + weight[span] * g).tolist()  # U_k^t
-        prefix[span] += (1.0 - lam) * weight[span] * g
-        weight[span] *= lam
-        start = lo  # the first changed target; the newest, U_{t-1}^t, always is
-        while start < t - 1 and _same_bits(fresh[start - lo], targets[start]):
-            start += 1
-        targets[span] = fresh
-        _replay(rows, alpha, fresh[start - lo:], psis, start)
-        history[t] = rows[t]
-        if t < T:  # the learner's greedy pair for S_t, picked with theta_{t-1}
+
+    def max_bootstrap(j: int, theta: np.ndarray) -> float:
+        q = action_values(theta, traj.phi(j + 1), num_actions)
+        if j + 1 < T:  # the learner's greedy pair for S_{j+1}, picked with theta_j
             psis.append(stack_action_features(
-                traj.phi(t), greedy_toward(q, traj.actions[t]), num_actions
+                traj.phi(j + 1), greedy_toward(q, traj.actions[j + 1]), num_actions
             ))
-            if not traj.greedy[t]:
-                lo = t  # tau_k = t for every open origin k < t
-    return history
+        return 0.0 if traj.steps[j].terminal else float(np.max(q))
+
+    decays = [lam if greedy else None for greedy in traj.greedy[1:]]
+    return _online_replay(traj, alpha, theta_init, psis, decays, max_bootstrap)
 
 
 def accumulating_trace_nonrecursive(traj: Trajectory, t: int, lam: float) -> np.ndarray:

@@ -175,12 +175,13 @@ def test_figures_fig2_csv_body_is_pinned(tmp_path):
     )
 
 
-# SHA-256 of `verify --suite all --trials 60` stdout as tdlab 0.2.0 prints it;
+# SHA-256 of `verify --suite all --trials 60` stdout as tdlab 0.2.0 prints it,
+# since the Watkins oracle sums its targets by the backward recursion;
 # a change that moves any certified difference must declare it
 PINNED_VERIFY_STDOUT = {
-    0: "b6f6447ba6f8f541965408b8da15b49b3531ef2d5fdd48d4cd47e5162e75c68f",
-    1: "0226a2f3696295689690b7d7c0e39d95126d6ead7e3b5185a2c3331ee270fec3",
-    2: "b0421871cd2794b09b934e1200d4fd6f43656aa76231e8be2fd7208e56f078ed",
+    0: "02538d5179faefeba6b2ff0a645ae97947db2e6baf7e39985bb78e9b89e50d92",
+    1: "3f228df25eeec3ec0accfc9f0b23f31784505623f8512e1459cf2876043bc8bb",
+    2: "460e0dff706daf1fa16c57e9a057ab56a01a66a1551b8c63d6d5c6c0df61c4db",
 }
 
 
@@ -359,6 +360,20 @@ def test_bad_config_file_is_config_error(case, tmp_path, capsys):
     assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(path)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and str(path) in err and "Traceback" not in err
+
+
+def test_sweep_config_refuses_another_commands_manifest(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({
+        "tool": "tdlab", "version": "0.2.0", "command": "figures",
+        "params": {"figure": 1, "runs": 2, "steps": 5, "seed": 3},
+    }))
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--alphas", "0.1", "--lambdas", "0.5", "--variants", "true-online",
+                 "--config", str(manifest), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "'figures'" in err and "'sweep'" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("extra", [

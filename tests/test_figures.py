@@ -3,9 +3,9 @@ from tdlab.figures import (
     mrp_best_lambda_curves,
     one_state_step_size_curve,
     random_walk_learning_curves,
-    table_to_csv,
     two_state_asymptotic_rms,
 )
+from tdlab.harness import table_to_csv
 
 
 def test_learning_curves_start_at_one_and_improve():

@@ -16,6 +16,7 @@ from tdlab import (
     accumulating_trace_nonrecursive,
     build_representation,
     canonical_task,
+    certify_equivalence,
     generate_mdp,
     generate_mrp,
     interim_lambda_return,
@@ -292,11 +293,28 @@ def bits_equal(a, b):
     return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
 
 
-def watkins_per_horizon_loop(traj, alpha, lam, theta_init, interim_target=watkins_interim_target):
-    """The Watkins forward view evaluated definitionally: every interim
-    target of every horizon from `interim_target` (watkins_interim_target
-    unless given), O(T^3). Returns the weight history and each horizon's
-    targets (entry t-1 for horizon t)."""
+def watkins_recursion_targets(traj, h, lam, theta_lookup):
+    """Every Watkins target U_k^h, k < h, by the backward recursion from
+    scratch: U_k = R_{k+1} + gamma_k * ((1 - lam) * V_k + lam * U_{k+1}) with
+    V_k = max_a theta_k . psi(S_{k+1}, a) (0 after a terminal step), and
+    U_k = R_{k+1} + gamma_k * V_k at the horizon and before a non-greedy action."""
+    us = [0.0] * h
+    for k in range(h - 1, -1, -1):
+        step = traj.steps[k]
+        q = action_values(theta_lookup(k), traj.phi(k + 1), traj.num_actions)
+        v = 0.0 if step.terminal else float(np.max(q))
+        if k == h - 1 or not traj.greedy[k + 1]:
+            us[k] = step.reward + step.gamma * v
+        else:
+            us[k] = step.reward + step.gamma * ((1.0 - lam) * v + lam * us[k + 1])
+    return np.array(us)
+
+
+def watkins_per_horizon_loop(traj, alpha, lam, theta_init):
+    """The Watkins forward view with every horizon's targets evaluated
+    afresh by watkins_recursion_targets and replayed from theta_init,
+    O(T^2) targets. Returns the weight history and each horizon's targets
+    (entry t-1 for horizon t)."""
     T, num_actions = len(traj), traj.num_actions
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
@@ -307,9 +325,8 @@ def watkins_per_horizon_loop(traj, alpha, lam, theta_init, interim_target=watkin
             q = action_values(history[t - 2], traj.phi(t - 1), num_actions)
             a_star = greedy_toward(q, traj.actions[t - 1])
             psis.append(stack_action_features(traj.phi(t - 1), a_star, num_actions))
-        us = [interim_target(traj, k, t, lam, lambda j: history[j]) for k in range(t)]
-        history[t] = replay_from_init(history[0], alpha, us, psis)
-        targets.append(np.array(us))
+        targets.append(watkins_recursion_targets(traj, t, lam, lambda j: history[j]))
+        history[t] = replay_from_init(history[0], alpha, targets[-1], psis)
     return history, targets
 
 
@@ -364,8 +381,10 @@ class TestIncrementalOracles:
         if epsilon == 0.0:
             assert all(traj.greedy)  # tau is infinite for every origin
         theta_init = np.array([rng.normal() for _ in range(rep.n * 3)])
-        got = watkins_forward_view(traj, alpha, lam, theta_init)
-        assert bits_equal(got, watkins_per_horizon_loop(traj, alpha, lam, theta_init)[0])
+        want, targets = watkins_per_horizon_loop(traj, alpha, lam, theta_init)
+        got, starts = replay_starts(watkins_forward_view, traj, alpha, lam, theta_init)
+        assert bits_equal(got, want)
+        assert starts == first_changed_targets(targets)  # a cut ends the scan
 
     @given(
         st.integers(0, 2**16),
@@ -383,33 +402,6 @@ class TestIncrementalOracles:
         run = online_lambda_return_algorithm(traj, alpha, lam, theta_init)
         want, _ = lambda_return_per_horizon_loop(traj, alpha, lam, theta_init)
         assert bits_equal(run, want)
-
-
-def greedy_interim_target():
-    """watkins_interim_target on an all-greedy trajectory (tau infinite),
-    with the same float operations in the same order, but each bootstrap
-    max_a theta_j . psi(S_{j+1}, a) computed once."""
-    boot = {}
-
-    def target(traj, t, h, lam, theta_lookup):
-        total, weight, reward_sum, disc = 0.0, 1.0, 0.0, 1.0
-        for j in range(t, h):
-            step = traj.steps[j]
-            reward_sum += disc * step.reward
-            disc *= step.gamma
-            g_n = reward_sum
-            if not step.terminal:
-                if j not in boot:
-                    q = action_values(theta_lookup(j), traj.phi(j + 1), traj.num_actions)
-                    boot[j] = float(np.max(q))
-                g_n = reward_sum + disc * boot[j]
-            if j < h - 1:
-                total += (1.0 - lam) * weight * g_n
-                weight *= lam
-            else:
-                total += weight * g_n
-        return total
-    return target
 
 
 def first_changed_targets(targets):
@@ -519,16 +511,96 @@ class TestResumingOracles:
         traj = run_control_episode(learner, mdp, rep, rng.split(), epsilon=0.0, max_steps=120)
         assert all(traj.greedy)  # tau is infinite for every origin
         theta_init = np.array([rng.normal() for _ in range(rep.n * 3)])
-        want, targets = watkins_per_horizon_loop(
-            traj, alpha, lam, theta_init, greedy_interim_target()
-        )
-        final = [watkins_interim_target(traj, k, len(traj), lam, lambda j: want[j])
-                 for k in range(len(traj))]
-        assert bits_equal(np.array(final), targets[-1])  # the shortcut is the definition
+        want, targets = watkins_per_horizon_loop(traj, alpha, lam, theta_init)
         assert max(first_changed_targets(targets)) > 0
         got, starts = replay_starts(watkins_forward_view, traj, alpha, lam, theta_init)
         assert bits_equal(got, want)
         assert starts == first_changed_targets(targets)
+
+
+def recorded_targets(oracle, *args):
+    """The oracle's weight history and each horizon's targets as `_retarget` left them."""
+    horizons = []
+    retarget = oracle_module._retarget
+
+    def spy(targets, *rest):
+        start = retarget(targets, *rest)
+        horizons.append(np.array(targets))
+        return start
+
+    with mock.patch.object(oracle_module, "_retarget", spy):
+        return oracle(*args), horizons
+
+
+def demo_06_watkins_run():
+    """Demo 06's Watkins episode: 150 steps at epsilon 0.3, so exploration cuts the trace."""
+    mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=404)
+    rep = build_representation("tabular", mdp.chains[0], seed=0)
+    learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
+    traj = run_control_episode(learner, mdp, rep, SplitMix64(2), epsilon=0.3, max_steps=150)
+    return traj, rep.n * 3
+
+
+class TestWatkinsRecursion:
+    """The Watkins replay's targets are the lambda-return recursion with
+    max bootstraps, cut after every non-greedy action."""
+
+    @given(
+        st.integers(0, 2**32),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        unit_or_ends,
+        st.floats(0.01, 1.0),
+        st.sampled_from(["tabular", "binary", "random-normalized"]),
+        st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_recursion_targets_match_definition(self, seed, epsilon, lam, alpha, kind, episodic):
+        rng = SplitMix64(seed)
+        if episodic:
+            mdp, cap = episodic_mdp(rng.next_u64()), None
+        else:
+            mdp, cap = generate_mdp(6, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64()), 40
+        rep = build_representation(kind, mdp.chains[0], seed=rng.next_u64())
+        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=lam)
+        traj = run_control_episode(learner, mdp, rep, rng.split(), epsilon=epsilon, max_steps=cap)
+        theta_init = np.array([rng.normal() for _ in range(rep.n * 3)])
+        history, horizons = recorded_targets(watkins_forward_view, traj, alpha, lam, theta_init)
+        assert len(horizons) == len(traj)
+        for h, targets in enumerate(horizons, start=1):
+            for k in range(h):
+                want = watkins_interim_target(traj, k, h, lam, lambda j: history[j])
+                assert targets[k] == pytest.approx(want, rel=1e-12, abs=1e-12)
+
+    @pytest.mark.parametrize("ignore_cuts", [False, True])
+    def test_watkins_pair_catches_a_recursion_that_ignores_cuts(self, monkeypatch, ignore_cuts):
+        traj, n = demo_06_watkins_run()
+        assert not all(traj.greedy)
+        if ignore_cuts:
+            retarget = oracle_module._retarget
+            monkeypatch.setattr(
+                oracle_module, "_retarget",
+                lambda targets, rewards, gammas, decays, v_next: retarget(
+                    targets, rewards, gammas, [0.9] * len(decays), v_next
+                ),
+            )
+        report = certify_equivalence(traj, 0.4, 0.9, np.zeros(n), "watkins-vs-truncated-oracle")
+        assert report.passed != ignore_cuts, report
+
+    def test_a_cut_target_stays_finite_when_the_next_target_overflows(self):
+        # A_1 = 0 is not greedy (theta_0 prefers action 1), so U_0 is cut to
+        # R_1 + gamma * 1e308; U_1 = 1e308 + 0.9 * 1e308 overflows at horizon 2,
+        # and reading it as 0 * inf would make U_0 a NaN
+        phi = np.ones(1)
+        traj = Trajectory(
+            steps=[Transition(phi, 1.0, phi, 0.9), Transition(phi, 1e308, phi, 0.9)],
+            actions=[0, 0], greedy=[True, False], num_actions=2,
+        )
+        with np.errstate(over="ignore", invalid="ignore"):  # the replay of U_1 overflows
+            _, horizons = recorded_targets(
+                watkins_forward_view, traj, 0.5, 0.9, np.array([0.0, 1e308])
+            )
+        assert horizons[1][1] == np.inf
+        assert horizons[0][0] == horizons[1][0] == 1.0 + 0.9 * 1e308
 
 
 class TestNonRecursiveTrace:
