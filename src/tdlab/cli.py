@@ -6,20 +6,24 @@ Environment files are JSON with the envelope fields `format` (tdlab-mrp),
 `r_mean`, `terminal_states`, `initial`, `name`, plus the `manifest` that
 produced the file. `sweep --task file:PATH` loads one through
 `harness.resolve_env`, like every other --task form. Config files passed
-via --config use the same envelope with format tdlab-config and flag
-names as keys; explicit command-line flags take precedence over
-config-file values, and a null value leaves its flag at the default. An
-input file that cannot be read or parsed is a configuration error naming
-the file. The environment variable TDLAB_SEED, when set, overrides any
-seed. A seed outside [0, 2^64), from either source, is a configuration
-error.
+via --config use the same envelope with format tdlab-config, version 1,
+and flag names as keys. A config value becomes its flag's default, so a
+flag typed on the command line beats it; a null value leaves its flag at
+the default, and a key naming no flag is ignored. The file is validated
+whole: a malformed value is refused even where a typed flag overrides
+it. An input file that cannot be read or parsed is a configuration error
+naming the file. The environment variable TDLAB_SEED, when set,
+overrides any seed. A seed outside [0, 2^64), from either source, is a
+configuration error.
 
 Every emitted artifact embeds its manifest (a JSON object holding the
-tool version, the subcommand, and every parameter including the master
-seed). `sweep --config` replays a sweep's manifest, byte for byte while
-a `file:` env is unchanged, and refuses another subcommand's. CSV
-outputs carry the manifest as a leading `# manifest=` comment line
-followed by the documented header row.
+tool name and version, the subcommand, and every parameter including the
+master seed). `sweep --config` replays a sweep's manifest, byte for byte
+while a `file:` env is unchanged. It refuses a manifest of another
+subcommand, of another tool, or of another tdlab version, and a
+tdlab-config file of another format version. CSV outputs carry the
+manifest as a leading `# manifest=` comment line followed by the
+documented header row.
 
 Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 """
@@ -37,6 +41,7 @@ from .core import ConfigError, read_json_object
 from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
     SweepConfig,
+    check_workers,
     paper_alpha_grid,
     paper_lambda_grid,
     run_sweep,
@@ -52,6 +57,7 @@ from .figures import (
 from . import verify as verify_suites
 
 CONFIG_FORMAT = "tdlab-config"
+CONFIG_VERSION = 1
 
 
 def _manifest(command: str, params: dict) -> dict:
@@ -73,9 +79,15 @@ def _write_text(path: str | None, text: str) -> None:
 def _load_config_file(path: str, command: str) -> dict:
     data = read_json_object(path)
     if data.get("format") == CONFIG_FORMAT:
+        if data.get("version") != CONFIG_VERSION:
+            raise ConfigError(f"{path} is tdlab-config version {data.get('version')!r}, "
+                              f"this tdlab reads version {CONFIG_VERSION}")
         flat = {k: v for k, v in data.items() if k not in ("format", "version")}
         params = data.get("params", flat)
     elif data.get("command") is not None and "params" in data:
+        if (data.get("tool"), data.get("version")) != ("tdlab", __version__):
+            raise ConfigError(f"{path} is a manifest of {data.get('tool')!r} version "
+                              f"{data.get('version')!r}, not of tdlab {__version__}")
         if data["command"] != command:  # a bare manifest replays its own command only
             raise ConfigError(f"{path} is a {data['command']!r} manifest, not a {command!r} one")
         params = data["params"]
@@ -105,33 +117,17 @@ def _coerce(action: argparse.Action, value):
     return value
 
 
-def _explicit_flags(argv: list[str] | None) -> set[str]:
-    """Destinations of the flags actually given on the command line.
-
-    Parsed again with every default suppressed, so a flag the user passed
-    is seen even when its value equals the default.
-    """
-    parser, actions = build_parser()
-    for command_actions in actions.values():
-        for action in command_actions.values():
-            action.default = argparse.SUPPRESS
-    return set(vars(parser.parse_args(argv)))
-
-
-def _apply_config_defaults(
-    args: argparse.Namespace, actions: dict, argv: list[str] | None
-) -> None:
-    """Config file values fill in the flags not given on the command line;
-    a null value leaves its flag at the default."""
-    if not getattr(args, "config", None):
-        return
-    overrides = _load_config_file(args.config, args.command)
-    explicit = _explicit_flags(argv)
-    for key, value in overrides.items():
-        attr = key.replace("-", "_")
-        if value is None or attr not in actions or not hasattr(args, attr) or attr in explicit:
-            continue
-        setattr(args, attr, _coerce(actions[attr], value))
+def _config_defaults(args: argparse.Namespace, sweep: argparse.ArgumentParser) -> dict:
+    """The --config file's values as defaults for `sweep`'s flags, each
+    checked as its flag would be; null values and keys naming no flag
+    are left out."""
+    actions = {a.dest: a for a in sweep._actions if hasattr(args, a.dest)}
+    defaults = {}
+    for key, value in _load_config_file(args.config, args.command).items():
+        dest = key.replace("-", "_")
+        if value is not None and dest in actions:
+            defaults[dest] = _coerce(actions[dest], value)
+    return defaults
 
 
 def _resolve_seed(seed: int) -> int:
@@ -171,10 +167,7 @@ def cmd_gen_mrp(args: argparse.Namespace) -> int:
     })
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
     checksum = hashlib.sha256(text.encode()).hexdigest()
-    if args.out:
-        _write_text(args.out, text)
-    else:
-        sys.stdout.write(text)
+    _write_text(args.out, text)
     print(
         f"gen-mrp: k={args.k} b={args.b} sigma={args.sigma:g} gamma={args.gamma:g} "
         f"seed={seed} sha256={checksum[:16]}",
@@ -228,6 +221,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
+    if args.steps < 1 or (args.runs < 1 and args.figure != 2):  # figure 2 checks its own runs
+        raise ConfigError(f"runs and steps must be >= 1, got runs={args.runs}, steps={args.steps}")
+    check_workers(args.workers)
     if args.figure == 1:
         table = random_walk_learning_curves(seed=seed)
     elif args.figure == 2:
@@ -247,8 +243,8 @@ def cmd_figures(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
-    """The CLI parser plus each subcommand's flag actions (for --config merging)."""
+def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The CLI parser and its sweep subparser, whose defaults --config sets."""
     parser = argparse.ArgumentParser(
         prog="tdlab",
         description="TD(lambda) family benchmarks: generate environments, run sweeps, "
@@ -302,18 +298,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, dict]]:
     f.add_argument("--out", default=None, help="output CSV (default: stdout)")
     f.set_defaults(func=cmd_figures)
 
-    actions = {
-        name: {a.dest: a for a in p._actions}
-        for name, p in (("gen-mrp", g), ("sweep", s), ("verify", v), ("figures", f))
-    }
-    return parser, actions
+    return parser, s
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser, actions = build_parser()
+    parser, sweep = build_parser()
     args = parser.parse_args(argv)
     try:
-        _apply_config_defaults(args, actions[args.command], argv)
+        if getattr(args, "config", None):  # argv is parsed again, so a typed flag beats the file
+            sweep.set_defaults(**_config_defaults(args, sweep))
+            args = parser.parse_args(argv)
         if args.command == "figures" and args.runs is None:
             args.runs = 200 if args.figure == 2 else 50
         return args.func(args)

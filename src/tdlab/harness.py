@@ -341,6 +341,13 @@ def _sweep_cells(
     return out
 
 
+def check_workers(workers: int) -> None:
+    """A worker count must lie in [1, the CPU count]."""
+    cpus = os.cpu_count() or 1
+    if not 1 <= workers <= cpus:
+        raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
+
+
 def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[SweepResult, ...]:
     """Grid scans over (variant, alpha, lambda) with paired per-cell seeds.
 
@@ -367,9 +374,7 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
             raise ConfigError(
                 "sweeps run together must differ only in representation and variants"
             )
-    cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
-        raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
+    check_workers(workers)
     mrp = resolve_env(first.env, first.gamma, first.master_seed)
     if not mrp.continuing:
         raise ConfigError(

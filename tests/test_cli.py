@@ -1,11 +1,14 @@
 import hashlib
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from tdlab import ConfigError, SweepConfig, harness, run_sweep
+from tdlab import ConfigError, SweepConfig, __version__, harness, run_sweep
 from tdlab.algos import PREDICTION_VARIANTS
 from tdlab.cli import main
 
@@ -315,6 +318,109 @@ def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
     params = json.loads(first[len("# manifest="):])["params"]
     assert (params["runs"], params["steps"]) == (50, 7)
     assert row.split(",")[5] == "50"
+
+
+# valid sweep flag values, small enough that a paper-grid sweep stays fast;
+# binary features, as the default variants include replacing traces
+MERGE_VALUES = {
+    "task": st.builds("mrp({},{},{})".format, st.integers(3, 6), st.integers(2, 3),
+                      st.sampled_from([0.0, 0.1, 1.0])),
+    "repr": st.sampled_from(["tabular", "binary"]),
+    "variants": st.sampled_from(["true-online", "accumulate", "accumulate,true-online"]),
+    "paper_grid": st.booleans(),
+    "alphas": st.sampled_from(["0.1", "0.05,0.2"]),
+    "lambdas": st.sampled_from(["0.5", "0 0.9"]),
+    "runs": st.integers(1, 2),
+    "steps": st.integers(1, 5),
+    "seed": st.integers(0, 2**64 - 1),
+    "gamma": st.floats(0.0, 0.99),
+    "weighting": st.sampled_from(["stationary", "uniform"]),
+    "workers": st.just(1),
+}
+SIZED = ("alphas", "lambdas", "runs", "steps")  # never left to the 50 x 100 defaults
+CONFIG_FORMS = (
+    lambda p: {"format": "tdlab-config", "version": 1, "params": p},
+    lambda p: {"format": "tdlab-config", "version": 1, **p},
+    lambda p: {"tool": "tdlab", "version": __version__, "command": "sweep", "params": p},
+)
+
+
+def as_flags(values):
+    """Sweep flags for `values`; --paper-grid is given when its value is true."""
+    flags = []
+    for key, value in values.items():
+        flag = "--" + key.replace("_", "-")
+        if key != "paper_grid":
+            flags.append(f"{flag}={value}")
+        elif value:
+            flags.append(flag)
+    return flags
+
+
+@given(
+    st.fixed_dictionaries({}, optional={**MERGE_VALUES, "paper_grid": st.just(True)}),
+    st.fixed_dictionaries(
+        {key: MERGE_VALUES[key] for key in SIZED},
+        optional={key: st.none() | s for key, s in MERGE_VALUES.items() if key not in SIZED},
+    ),
+    st.sampled_from(CONFIG_FORMS),
+)
+@settings(max_examples=20, deadline=None)
+def test_config_values_are_the_defaults_of_the_flags_not_typed(typed, config, form):
+    merged = {**{k: v for k, v in config.items() if v is not None}, **typed}
+    with tempfile.TemporaryDirectory() as directory:
+        cfg, out1, out2 = (os.path.join(directory, name) for name in ("c.json", "a.csv", "b.csv"))
+        with open(cfg, "w") as fh:
+            json.dump(form(config), fh)
+        assert main(["sweep", *as_flags(typed), "--config", cfg, "--out", out1]) == 0
+        assert main(["sweep", *as_flags(merged), "--out", out2]) == 0
+        with open(out1) as a, open(out2) as b:
+            assert a.read() == b.read()
+
+
+def test_config_is_validated_whole(tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+    cfg.write_text(json.dumps({"format": "tdlab-config", "version": 1, "params": {"runs": "two"}}))
+    # the typed --runs wins, yet the file's malformed runs is still refused
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--runs", "2", "--config", str(cfg),
+                               "--out", str(out)]) == 2
+    assert "config value for runs" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("payload, versions", [
+    ({"tool": "tdlab", "version": "0.1.0", "command": "sweep", "params": {}},
+     ["'0.1.0'", f"tdlab {__version__}"]),
+    ({"tool": "other", "version": __version__, "command": "sweep", "params": {}},
+     ["'other'", f"tdlab {__version__}"]),
+    ({"format": "tdlab-config", "version": 99, "params": {}}, ["version 99", "version 1"]),
+])
+def test_config_refuses_a_file_of_another_tool_or_version(payload, versions, tmp_path, capsys):
+    cfg, out = tmp_path / "cfg.json", tmp_path / "a.csv"
+    cfg.write_text(json.dumps(payload))
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg} ") and all(v in err for v in versions)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["--figure", "1", "--runs", "-3"],
+    ["--figure", "3", "--steps", "-5"],
+    ["--figure", "2", "--workers", "0"],
+    ["--figure", "1", "--workers", str((os.cpu_count() or 1) + 1)],
+])
+def test_figures_rejects_every_invalid_size_flag(args, tmp_path, capsys):
+    out = tmp_path / "fig.csv"
+    assert main(["figures", *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err and not out.exists()
+
+
+def test_gen_mrp_empty_out_path_is_config_error(capsys):
+    assert main(["gen-mrp", "--k", "3", "--b", "2", "--sigma", "0", "--out", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and captured.out == ""
 
 
 def _env_payload(**overrides):

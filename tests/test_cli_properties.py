@@ -19,6 +19,7 @@ from unittest import mock
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdlab import __version__
 from tdlab.cli import main
 
 CPUS = os.cpu_count() or 1
@@ -104,9 +105,12 @@ CONFIG_PAYLOADS = mostly(
     st.one_of(
         CONFIG_PARAMS.map(lambda p: {"format": "tdlab-config", "version": 1, "params": p}),
         CONFIG_PARAMS.map(lambda p: {"format": "tdlab-config", "version": 1, **p}),
-        CONFIG_PARAMS.map(lambda p: {"tool": "tdlab", "command": "sweep", "params": p}),
+        CONFIG_PARAMS.map(
+            lambda p: {"tool": "tdlab", "version": __version__, "command": "sweep", "params": p}
+        ),
     ),
-    st.sampled_from([{"format": "tdlab-config", "params": [1]}, {"format": "other"}, [], 3]),
+    st.sampled_from([{"format": "tdlab-config", "params": [1]}, {"format": "other"}, [], 3,
+                     {"tool": "tdlab", "version": "0.1.0", "command": "sweep", "params": {}}]),
 ).map(lambda payload: json.dumps(payload).encode()) | st.sampled_from([b"{", b"", b"\xff"])
 
 
