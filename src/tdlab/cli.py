@@ -17,11 +17,12 @@ overrides any seed. A seed outside [0, 2^64), from either source, is a
 configuration error.
 
 Every emitted artifact embeds its manifest (a JSON object holding the
-tool name and version, the subcommand, and every parameter including the
-master seed). `sweep --config` replays a sweep's manifest, byte for byte
-while a `file:` env is unchanged. It refuses a manifest of another
-subcommand, of another tool, or of another tdlab version, and a
-tdlab-config file of another format version. CSV outputs carry the
+tool name and version, the subcommand, and the parameters the artifact
+depends on, the master seed among them: a figure's manifest names only
+the flags that figure reads). `sweep --config` replays a sweep's
+manifest, byte for byte while a `file:` env is unchanged. It refuses a
+manifest of another subcommand, of another tool, or of another tdlab
+version, and a tdlab-config file of another format version. CSV outputs carry the
 manifest as a leading `# manifest=` comment line followed by the
 documented header row.
 
@@ -40,6 +41,7 @@ from . import __version__
 from .core import ConfigError, read_json_object
 from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
+    DEFAULT_VARIANTS,
     SweepConfig,
     check_workers,
     paper_alpha_grid,
@@ -184,10 +186,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         if not args.alphas or not args.lambdas:
             raise ConfigError("pass --paper-grid or both --alphas and --lambdas")
         alphas, lambdas = _parse_grid(args.alphas), _parse_grid(args.lambdas)
+    variants = args.variants
+    if variants is None:  # neither typed nor in a config file
+        variants = ",".join(DEFAULT_VARIANTS[args.repr])
     config = SweepConfig(
         env=args.task,
         representation=args.repr,
-        variants=_parse_variants(args.variants),
+        variants=_parse_variants(variants),
         alphas=alphas,
         lambdas=lambdas,
         steps=args.steps,
@@ -198,7 +203,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     result = run_sweep(config, workers=args.workers)
     manifest = _manifest("sweep", {
-        "task": args.task, "repr": args.repr, "variants": args.variants,
+        "task": args.task, "repr": args.repr, "variants": variants,
         "paper_grid": args.paper_grid, "alphas": args.alphas, "lambdas": args.lambdas,
         "steps": args.steps, "runs": args.runs, "seed": seed, "gamma": result.config.gamma,
         "weighting": args.weighting,
@@ -225,20 +230,21 @@ def cmd_figures(args: argparse.Namespace) -> int:
         raise ConfigError(f"runs and steps must be >= 1, got runs={args.runs}, steps={args.steps}")
     check_workers(args.workers)
     if args.figure == 1:
-        table = random_walk_learning_curves(seed=seed)
+        table, reads = random_walk_learning_curves(seed=seed), ("seed",)
     elif args.figure == 2:
-        table = one_state_step_size_curve(runs=args.runs, seed=seed)
+        table, reads = one_state_step_size_curve(runs=args.runs, seed=seed), ("runs", "seed")
     elif args.figure == 3:
-        table = two_state_asymptote_curves()
+        table, reads = two_state_asymptote_curves(), ()
     elif args.figure == 4:
         table = mrp_best_lambda_curves(
             runs=args.runs, steps=args.steps, master_seed=seed, workers=args.workers
         )
+        reads = ("runs", "steps", "seed")
     else:
         raise ConfigError(f"unknown figure id {args.figure}")
-    manifest = _manifest("figures", {
-        "figure": args.figure, "runs": args.runs, "steps": args.steps, "seed": seed,
-    })
+    flags = {"runs": args.runs, "steps": args.steps, "seed": seed}
+    # the manifest names the flags this figure reads, so one artifact has one manifest
+    manifest = _manifest("figures", {"figure": args.figure, **{k: flags[k] for k in reads}})
     _write_text(args.out, _manifest_line(manifest) + table_to_csv(table))
     return 0
 
@@ -266,7 +272,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     s.add_argument("--task", default="mrp(10,3,0.1)",
                    help="a continuing chain: mrp(k,b,sigma) or file:PATH")
     s.add_argument("--repr", default="tabular", choices=REPRESENTATION_KINDS)
-    s.add_argument("--variants", default="accumulate,replace,true-online")
+    s.add_argument("--variants", default=None,
+                   help="comma-separated (default: every variant --repr supports)")
     s.add_argument("--paper-grid", action="store_true",
                    help="use the benchmark alpha/lambda grids")
     s.add_argument("--alphas", default=None, help="space- or comma-separated step-sizes")

@@ -8,10 +8,18 @@ from __future__ import annotations
 
 import numpy as np
 
-from .algos import AccumulateTD, TrueOnlineTD, make_prediction_learner, run_episode
+from .algos import (
+    AccumulateTD,
+    accumulate_rule,
+    check_step_size,
+    dutch_rule,
+    make_prediction_learner,
+    run_episode,
+)
 from .core import ConfigError, Transition
-from .envs import canonical_task, sample_step, true_values
+from .envs import canonical_task, true_values
 from .harness import (
+    DEFAULT_VARIANTS,
     SweepConfig,
     best_per_lambda,
     paper_alpha_grid,
@@ -73,53 +81,36 @@ def one_state_step_size_curve(
 ) -> FigureTable:
     """RMS error of the single state value at episode ends, per step-size.
 
-    Episode lengths are geometric; both methods see identical episodes per
-    run. The accumulating-trace column blows up once the per-episode
-    pseudo step-size T*alpha leaves the stable range, while the true
-    online column stays bounded for alpha <= 1.
+    Each run's episodes (geometric lengths) are recorded once; the accumulate
+    and dutch trace rules step over them on one weight row per step-size.
+    The accumulating-trace column blows up once the per-episode pseudo
+    step-size T*alpha leaves the stable range, while the true online
+    column stays bounded for alpha <= 1.
     """
     if runs < 1 or episodes < 1:
         raise ConfigError(f"runs and episodes must be >= 1, got runs={runs}, episodes={episodes}")
     if alphas is None:
         alphas = tuple((i + 1) / 20 for i in range(40))  # 0.05 .. 2.0
+    for alpha in alphas:
+        check_step_size(alpha)
+    alpha_col = np.array(alphas, dtype=np.float64)[:, None]
     mrp, rep = canonical_task("one-state")
-    lengths_per_run: list[list[int]] = []
+    sq = {accumulate_rule: np.zeros(len(alphas)), dutch_rule: np.zeros(len(alphas))}
     rng = SplitMix64(seed)
-    for _ in range(runs):
-        lengths = []
-        for _ in range(episodes):
-            t, state = 0, 0
-            while state == 0:
-                state, _ = sample_step(mrp, state, rng)
-                t += 1
-            lengths.append(t)
-        lengths_per_run.append(lengths)
-
-    phi = np.array([1.0])  # the learners never write to a transition's features
-    stay = Transition(phi, 0.0, phi, 1.0)
-    end = Transition(phi, 1.0, np.array([0.0]), 1.0, terminal=True)
-    rows: list[list] = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for alpha in alphas:
-            sq = {"accumulate": 0.0, "true_online": 0.0}
-            count = runs * episodes
-            for lengths in lengths_per_run:
-                acc = AccumulateTD(1, alpha=alpha, lam=1.0)
-                to = TrueOnlineTD(1, alpha=alpha, lam=1.0)
-                for T in lengths:
-                    for learner in (acc, to):
-                        learner.start_episode()
-                        for _ in range(T - 1):
-                            learner.step(stay)
-                        learner.step(end)
-                    sq["accumulate"] += (acc.theta[0] - 1.0) ** 2
-                    sq["true_online"] += (to.theta[0] - 1.0) ** 2
-            rows.append([
-                alpha,
-                float(np.sqrt(sq["accumulate"] / count)),
-                float(np.sqrt(sq["true_online"] / count)),
-            ])
-    return ["alpha", "accumulate", "true_online"], rows
+        for _ in range(runs):
+            trajs = [run_episode(mrp, rep, rng) for _ in range(episodes)]
+            for rule, total in sq.items():
+                theta = np.zeros((len(alphas), 1))
+                for traj in trajs:
+                    e, v_old = np.zeros_like(theta), 0.0
+                    for tr in traj.steps:
+                        v_old = rule(theta, e, v_old, tr.phi, tr.reward, tr.phi_next, tr.gamma,
+                                     alpha_col, 1.0)
+                    # a numpy scalar's ** 2 (libm pow); an array's can differ in the last bit
+                    total += [(x - 1.0) ** 2 for x in theta[:, 0]]
+    rms = [np.sqrt(total / (runs * episodes)).tolist() for total in sq.values()]
+    return ["alpha", "accumulate", "true_online"], [list(row) for row in zip(alphas, *rms)]
 
 
 TWO_STATE_CONVERGENCE_WINDOW = 100
@@ -190,13 +181,6 @@ def two_state_asymptote_curves(
     return ["lambda", "accumulate", "replace", "true_online"], rows
 
 
-FIG4_REPRESENTATIONS = (
-    ("tabular", ("accumulate", "replace", "true-online")),
-    ("binary", ("accumulate", "replace", "true-online")),
-    ("random-normalized", ("accumulate", "true-online")),
-)
-
-
 def mrp_best_lambda_curves(
     k: int = 10,
     b: int = 3,
@@ -225,7 +209,7 @@ def mrp_best_lambda_curves(
             runs=runs,
             master_seed=master_seed,
         )
-        for rep_kind, variants in FIG4_REPRESENTATIONS
+        for rep_kind, variants in DEFAULT_VARIANTS.items()
     )
     rows: list[list] = []
     for result in run_sweeps(configs, workers=workers):

@@ -83,6 +83,13 @@ EQUIVALENCE_TOL = 1e-8
 # relative tolerance can survive, so equivalence checks stop there.
 EQUIVALENCE_AMPLIFICATION_CUTOFF = 1e12
 REPRESENTATION_SEED_SALT = 0x52455052  # mixed into the env seed for feature tables
+# The trace variants a sweep runs on each representation kind unless told
+# otherwise; replacing traces are defined on binary features only.
+DEFAULT_VARIANTS = {
+    "tabular": ("accumulate", "replace", "true-online"),
+    "binary": ("accumulate", "replace", "true-online"),
+    "random-normalized": ("accumulate", "true-online"),
+}
 
 
 def paper_alpha_grid() -> tuple[float, ...]:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from tdlab import ConfigError, SweepConfig, __version__, harness, run_sweep
 from tdlab.algos import PREDICTION_VARIANTS
 from tdlab.cli import main
+from tdlab.envs import REPRESENTATION_KINDS
 
 
 def run_cli(args, capsys=None):
@@ -178,6 +179,40 @@ def test_figures_fig2_csv_body_is_pinned(tmp_path):
     )
 
 
+def test_figures_fig2_default_csv_body_is_pinned(tmp_path):
+    # 40 step-sizes x 200 runs x 10 episodes, as the scalar learner pairs computed it
+    out = tmp_path / "fig2.csv"
+    assert main(["figures", "--figure", "2", "--out", str(out)]) == 0
+    manifest, body = out.read_text().split("\n", 1)
+    assert json.loads(manifest[len("# manifest="):])["params"] == {
+        "figure": 2, "runs": 200, "seed": 1,
+    }
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "fd2769cbee68950fc2f44537f0212c576c8c62e6b998e9c6791b4f22862d1e25"
+    )
+
+
+@pytest.mark.parametrize("figure, params", [
+    (1, {"seed": 4}),
+    (2, {"runs": 2, "seed": 4}),
+    (3, {}),
+    (4, {"runs": 2, "steps": 3, "seed": 4}),
+])
+def test_figure_manifest_names_only_the_flags_it_reads(figure, params, tmp_path):
+    out = tmp_path / "fig.csv"
+    assert main(["figures", "--figure", str(figure), "--runs", "2", "--steps", "3",
+                 "--seed", "4", "--out", str(out)]) == 0
+    manifest = json.loads(out.read_text().split("\n", 1)[0][len("# manifest="):])
+    assert manifest["params"] == {"figure": figure, **params}
+
+
+def test_figure_1_file_does_not_depend_on_flags_it_ignores(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert main(["figures", "--figure", "1", "--runs", "1", "--steps", "1", "--out", str(a)]) == 0
+    assert main(["figures", "--figure", "1", "--runs", "7", "--steps", "9", "--out", str(b)]) == 0
+    assert a.read_text() == b.read_text()
+
+
 # SHA-256 of `verify --suite all --trials 60` stdout as tdlab 0.2.0 prints it,
 # since the Watkins oracle sums its targets by the backward recursion;
 # a change that moves any certified difference must declare it
@@ -320,12 +355,11 @@ def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
     assert row.split(",")[5] == "50"
 
 
-# valid sweep flag values, small enough that a paper-grid sweep stays fast;
-# binary features, as the default variants include replacing traces
+# valid sweep flag values, small enough that a paper-grid sweep stays fast
 MERGE_VALUES = {
     "task": st.builds("mrp({},{},{})".format, st.integers(3, 6), st.integers(2, 3),
                       st.sampled_from([0.0, 0.1, 1.0])),
-    "repr": st.sampled_from(["tabular", "binary"]),
+    "repr": st.sampled_from(REPRESENTATION_KINDS),
     "variants": st.sampled_from(["true-online", "accumulate", "accumulate,true-online"]),
     "paper_grid": st.booleans(),
     "alphas": st.sampled_from(["0.1", "0.05,0.2"]),
@@ -376,6 +410,39 @@ def test_config_values_are_the_defaults_of_the_flags_not_typed(typed, config, fo
         assert main(["sweep", *as_flags(merged), "--out", out2]) == 0
         with open(out1) as a, open(out2) as b:
             assert a.read() == b.read()
+
+
+def test_every_representation_has_default_variants():
+    assert set(harness.DEFAULT_VARIANTS) == set(REPRESENTATION_KINDS)
+    for variants in harness.DEFAULT_VARIANTS.values():
+        assert set(variants) <= set(PREDICTION_VARIANTS)
+
+
+@pytest.mark.parametrize("rep, variants", [
+    ("tabular", "accumulate,replace,true-online"),
+    ("binary", "accumulate,replace,true-online"),
+    ("random-normalized", "accumulate,true-online"),
+])
+def test_sweep_runs_the_variants_its_representation_supports(rep, variants, tmp_path):
+    out = tmp_path / "a.csv"
+    assert main(["sweep", "--repr", rep, "--alphas", "0.1", "--lambdas", "0.5", "--runs", "1",
+                 "--steps", "5", "--out", str(out)]) == 0
+    manifest, _, *rows = out.read_text().strip().split("\n")
+    assert json.loads(manifest[len("# manifest="):])["params"]["variants"] == variants
+    assert [row.split(",")[0] for row in rows] == variants.split(",")
+    # the manifest replays to the same bytes
+    cfg, replay = tmp_path / "m.json", tmp_path / "b.csv"
+    cfg.write_text(manifest[len("# manifest="):])
+    assert main(["sweep", "--config", str(cfg), "--out", str(replay)]) == 0
+    assert replay.read_text() == out.read_text()
+
+
+def test_explicit_replace_on_non_binary_features_is_refused(tmp_path, capsys):
+    out = tmp_path / "a.csv"
+    assert main(["sweep", "--repr", "random-normalized", "--variants", "replace", "--alphas", "0.1",
+                 "--lambdas", "0.5", "--runs", "1", "--steps", "5", "--out", str(out)]) == 2
+    assert "replacing traces require binary features" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_config_is_validated_whole(tmp_path, capsys):

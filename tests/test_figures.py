@@ -1,4 +1,7 @@
-from tdlab import harness
+import numpy as np
+import pytest
+
+from tdlab import AccumulateTD, ConfigError, TrueOnlineTD, canonical_task, harness, run_episode
 from tdlab.figures import (
     mrp_best_lambda_curves,
     one_state_step_size_curve,
@@ -6,6 +9,7 @@ from tdlab.figures import (
     two_state_asymptotic_rms,
 )
 from tdlab.harness import table_to_csv
+from tdlab.rng import SplitMix64
 
 
 def test_learning_curves_start_at_one_and_improve():
@@ -29,6 +33,42 @@ def test_one_state_curve_shape():
     # at alpha=1 the online method nails the value after one episode
     assert by_alpha[1.0][2] == 0.0
     assert by_alpha[1.0][1] > by_alpha[0.1][1]
+
+
+def scalar_one_state_curve(alphas, episodes, runs, seed):
+    """Figure 2 as one accumulate/true-online learner pair per (alpha, run)."""
+    mrp, rep = canonical_task("one-state")
+    rng = SplitMix64(seed)
+    recorded = [[run_episode(mrp, rep, rng) for _ in range(episodes)] for _ in range(runs)]
+    rows = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for alpha in alphas:
+            sq = [0.0, 0.0]
+            for trajs in recorded:
+                pair = (AccumulateTD(1, alpha, 1.0), TrueOnlineTD(1, alpha, 1.0))
+                for traj in trajs:
+                    for i, learner in enumerate(pair):
+                        learner.start_episode()
+                        for tr in traj.steps:
+                            learner.step(tr)
+                        sq[i] += (learner.theta[0] - 1.0) ** 2
+            rows.append([alpha, *(float(np.sqrt(x / (runs * episodes))) for x in sq)])
+    return rows
+
+
+@pytest.mark.parametrize("alphas, episodes, runs, seed", [
+    (tuple((i + 1) / 20 for i in range(40)), 10, 5, 1),  # an array ** 2 moves alpha 1.0's last bit
+    ((0, 1e-9, 0.5, 1, 3, 50), 3, 7, 11),
+])
+def test_one_state_curve_matches_scalar_learner_pairs(alphas, episodes, runs, seed):
+    _, rows = one_state_step_size_curve(alphas=alphas, episodes=episodes, runs=runs, seed=seed)
+    assert repr(rows) == repr(scalar_one_state_curve(alphas, episodes, runs, seed))
+
+
+@pytest.mark.parametrize("alpha", [-0.1, float("nan"), float("inf")])
+def test_one_state_curve_rejects_invalid_step_sizes(alpha):
+    with pytest.raises(ConfigError, match="alpha must be finite and >= 0"):
+        one_state_step_size_curve(alphas=(0.5, alpha), episodes=1, runs=1)
 
 
 def test_two_state_replace_flat_at_td0():
