@@ -291,17 +291,23 @@ class TrueOnlineWatkinsQ(TrueOnlineTD):
     """True online learning of the greedy policy's values from any behavior.
 
     The dutch step on action-stacked features, whose bootstrap features
-    psi' belong to the argmax action (ties resolved toward the behavior
-    action by the caller); the trace is zeroed after the weight update
-    whenever the behavior action was non-greedy.
+    psi' belong to a greedy action (ties resolved toward the behavior
+    action by the caller). A step whose pair psi is not the previous
+    step's bootstrap pair follows a non-greedy action, so the trace is
+    zeroed before it; the episode's first step follows no pair.
     """
 
     variant = "true-online-watkins-q"
 
-    def step(self, tr: Transition, greedy: bool) -> None:
-        super().step(tr)
-        if not greedy:
+    def start_episode(self) -> None:
+        super().start_episode()
+        self._bootstrap_pair = None
+
+    def step(self, tr: Transition) -> None:
+        if self._bootstrap_pair is not None and not np.array_equal(tr.phi, self._bootstrap_pair):
             self.e[:] = 0.0
+        super().step(tr)
+        self._bootstrap_pair = tr.phi_next
 
 
 def _constant_alpha_t(n: int, alpha: float, lam: float, theta_init=None) -> TrueOnlineTDAlphaT:
@@ -377,15 +383,15 @@ def run_control_episode(
 ) -> Trajectory:
     """Drive a learner on action-stacked features with an epsilon-greedy policy.
 
-    The learner steps on Transition(psi, R, psi', gamma): Sarsa(lambda) is
-    any trace kernel of length representation.n * num_actions, and a
-    TrueOnlineWatkinsQ bootstraps on the greedy action instead and cuts
-    its trace after non-greedy ones. Records the state-level steps with
-    per-step actions and greedy flags, for the truncated forward view,
-    and in `stepped` the transitions the learner stepped on with the
-    trace-keeping flag each step passed, for replaying the learner.
-    Action selection always uses the pre-update weights, matching the
-    pseudocode order.
+    Each step updates the pair the behavior took: the learner steps on
+    Transition(psi(S, A), R, psi', gamma). Sarsa(lambda) is any trace
+    kernel of length representation.n * num_actions; a TrueOnlineWatkinsQ
+    bootstraps on a greedy pair instead (ties toward the behavior action)
+    and cuts its own trace after non-greedy actions. Records the
+    state-level steps with per-step actions and greedy flags, for the
+    truncated forward view, and in `stepped` the transitions the learner
+    stepped on, for replaying the learner. Action selection always uses
+    the pre-update weights, matching the pseudocode order.
     """
     chain = mdp.chains[0]  # gamma, terminal states and start, shared by every action
     if not chain.terminal_states and max_steps is None:
@@ -399,11 +405,9 @@ def run_control_episode(
     watkins = isinstance(learner, TrueOnlineWatkinsQ)
     learner.start_episode()
     state = chain.initial_state(rng)
-    action, greedy = epsilon_greedy(
-        learner.theta, representation.phi(state), num_actions, epsilon, rng
-    )
-    traj = Trajectory(actions=[], greedy=[], num_actions=num_actions, stepped=Trajectory(greedy=[]))
-    psi = stack_action_features(representation.phi(state), action, num_actions)
+    phi = representation.phi(state)
+    action, greedy = epsilon_greedy(learner.theta, phi, num_actions, epsilon, rng)
+    traj = Trajectory(actions=[], greedy=[], num_actions=num_actions, stepped=Trajectory())
     while True:
         if max_steps is not None and len(traj) >= max_steps:
             if chain.terminal_states:
@@ -414,10 +418,7 @@ def run_control_episode(
         nxt, reward = sample_step(mdp.chains[action], state, rng)
         terminal = nxt in chain.terminal_states
         phi_next = representation.phi(nxt)
-        traj.steps.append(Transition(
-            phi=representation.phi(state), reward=reward, phi_next=phi_next,
-            gamma=chain.gamma, terminal=terminal,
-        ))
+        traj.steps.append(Transition(phi, reward, phi_next, chain.gamma, terminal=terminal))
         traj.actions.append(action)
         traj.greedy.append(greedy)
         if terminal:
@@ -431,16 +432,11 @@ def run_control_episode(
                 q_next = action_values(learner.theta, phi_next, num_actions)
                 bootstrap = greedy_toward(q_next, next_action)
             psi_next = stack_action_features(phi_next, bootstrap, num_actions)
+        psi = stack_action_features(phi, action, num_actions)
         tr = Transition(psi, reward, psi_next, chain.gamma, terminal=terminal)
-        keep = terminal or next_action == bootstrap
-        if watkins:
-            learner.step(tr, keep)
-        else:
-            learner.step(tr)
+        learner.step(tr)
         traj.stepped.steps.append(tr)
-        traj.stepped.greedy.append(keep)
         if terminal:
             break
-        psi = psi_next
-        state, action, greedy = nxt, next_action, next_greedy
+        state, phi, action, greedy = nxt, phi_next, next_action, next_greedy
     return traj

@@ -84,10 +84,8 @@ class Trajectory:
     `steps` holds state-level transitions. A control run also records the
     per-step chosen action and greedy flag, and in `stepped` the
     action-stacked transitions its learner stepped on: `stepped.steps[j]`
-    is Transition(psi_j, R, psi', gamma), psi' the features of the
-    bootstrap pair, and `stepped.greedy[j]` is whether the learner kept
-    its trace after step j (false only where a Watkins learner's next
-    behavior action is not the greedy pair it bootstrapped on).
+    is Transition(psi(S_j, A_j), R, psi', gamma), psi' the features of
+    the bootstrap pair.
     """
 
     steps: list[Transition] = field(default_factory=list)

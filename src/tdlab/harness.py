@@ -537,10 +537,10 @@ def certify_equivalence(
     practical step-sizes.
 
     The control pairs replay the recorded learner run: a fresh learner
-    steps over `traj.stepped`, whose bootstrap pairs (and, for Watkins,
-    trace-keeping flags) the driving learner's weights chose, so call them
-    with the alpha, lambda and theta_init the driver ran with. The
-    truncated forward view re-selects its greedy pairs from its own weights.
+    steps over `traj.stepped`, whose bootstrap pairs the driving learner's
+    weights chose, so call them with the alpha, lambda and theta_init the
+    driver ran with. The truncated forward view updates the behavior
+    pairs and takes its max bootstraps from its own weights.
 
     Aggressive step-sizes can drive both sides into identical divergence;
     once the weight scale has been amplified past any fixed tolerance's
@@ -570,8 +570,8 @@ def certify_equivalence(
 
 
 def _stepped(traj: Trajectory) -> Trajectory:
-    """The transitions a control run's learner stepped on, with its trace-keeping flags."""
-    if traj.stepped is None or traj.stepped.greedy is None:
+    """The transitions a control run's learner stepped on."""
+    if traj.stepped is None:
         raise ConfigError("control pairs replay the transitions run_control_episode records")
     return traj.stepped
 
@@ -594,13 +594,7 @@ def _pair_histories(traj, alpha, lam, theta_init, pair):
         a = replay(TrueOnlineTD, stepped)
         b = online_lambda_return_algorithm(stepped, alpha, lam, theta_init)
     elif pair == "watkins-vs-truncated-oracle":
-        stepped = _stepped(traj)
-        learner = TrueOnlineWatkinsQ(theta_init.shape[0], alpha, lam, theta_init)
-        a = np.empty((len(traj) + 1, theta_init.shape[0]))
-        a[0] = theta_init
-        for j, (tr, keep) in enumerate(zip(stepped.steps, stepped.greedy)):
-            learner.step(tr, keep)
-            a[j + 1] = learner.theta
+        a = replay(TrueOnlineWatkinsQ, _stepped(traj))
         b = watkins_forward_view(traj, alpha, lam, theta_init)
     elif pair == "alpha-t-constant-vs-true-online":
         a = replay(TrueOnlineTDAlphaT, alpha_schedule=lambda t: alpha)

@@ -33,7 +33,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algos import AccumulateTD, greedy_toward
+from .algos import AccumulateTD
 from .core import ConfigError, Trajectory, action_values, stack_action_features
 from .envs import Mrp, Representation, stationary_distribution, true_values
 
@@ -131,8 +131,7 @@ def _online_replay(
     """The horizon loop of both online replays; returns the weight history.
 
     Horizon t adds V_{t-1} = bootstrap(t - 1, theta_{t-1}), retargets with
-    `decays` and replays from the first changed target over `features`,
-    which `bootstrap` may extend: horizon t reads only features[:t].
+    `decays` and replays from the first changed target over `features`.
     """
     T = len(traj)
     rewards, gammas = _rewards_and_discounts(traj)
@@ -275,10 +274,8 @@ def watkins_forward_view(
 ) -> np.ndarray:
     """Replay of the truncated forward view behind the Watkins-style learner.
 
-    The updated feature vector for step k >= 1 is the pair (S_k, A*_k)
-    carried by the learner after its greedy re-selection (ties resolved
-    toward the recorded behavior action); step 0 uses the behavior pair.
-    Returns the (T+1) x n weight history.
+    Every step k updates the behavior pair psi(S_k, A_k). Returns the
+    (T+1) x n weight history.
 
     The targets are watkins_interim_target's in recursion form: those of
     online_lambda_return_algorithm with V_k = max_a theta_k . psi(S_{k+1}, a)
@@ -287,15 +284,11 @@ def watkins_forward_view(
     """
     if traj.actions is None or traj.greedy is None or traj.num_actions is None:
         raise ConfigError("Watkins replay needs action and greedy-flag annotations")
-    T, num_actions = len(traj), traj.num_actions
-    psis = [stack_action_features(traj.phi(0), traj.actions[0], num_actions)]
+    num_actions = traj.num_actions
+    psis = [stack_action_features(s.phi, a, num_actions) for s, a in zip(traj.steps, traj.actions)]
 
     def max_bootstrap(j: int, theta: np.ndarray) -> float:
         q = action_values(theta, traj.phi(j + 1), num_actions)
-        if j + 1 < T:  # the learner's greedy pair for S_{j+1}, picked with theta_j
-            psis.append(stack_action_features(
-                traj.phi(j + 1), greedy_toward(q, traj.actions[j + 1]), num_actions
-            ))
         return 0.0 if traj.steps[j].terminal else float(np.max(q))
 
     decays = [lam if greedy else None for greedy in traj.greedy[1:]]

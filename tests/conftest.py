@@ -14,6 +14,7 @@ from tdlab import (
     canonical_task,
     generate_mdp,
     generate_mrp,
+    run_control_episode,
     run_episode,
 )
 
@@ -60,15 +61,14 @@ def episodic_mdp(seed, k=6, num_actions=3, end_prob=0.1):
     return Mdp(tuple(chains))
 
 
-def stepped_watkins_history(traj, alpha, lam, theta_init):
-    """The (T+1) x n weight history of a fresh TrueOnlineWatkinsQ stepped
-    over the transitions and trace-keeping flags a control run recorded."""
-    learner = TrueOnlineWatkinsQ(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init)
-    history = [learner.theta.copy()]
-    for tr, keep in zip(traj.stepped.steps, traj.stepped.greedy):
-        learner.step(tr, keep)
-        history.append(learner.theta.copy())
-    return np.array(history)
+def demo_06_watkins_run(epsilon=0.3):
+    """Demo 06's Watkins episode: 150 steps from theta = 0, where every
+    action ties, at epsilon 0.3 by default, so exploration cuts the trace."""
+    mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=404)
+    rep = build_representation("tabular", mdp.chains[0], seed=0)
+    learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
+    traj = run_control_episode(learner, mdp, rep, SplitMix64(2), epsilon=epsilon, max_steps=150)
+    return traj, rep.n * 3
 
 
 @pytest.fixture

@@ -35,8 +35,8 @@ from tdlab import (
     theorem1_ratio,
 )
 from tdlab.figures import two_state_asymptotic_rms
+from tdlab.harness import replay_prediction
 from tdlab.rng import mix64
-from tests.conftest import stepped_watkins_history
 
 MASTER_SEED = 20260811
 
@@ -243,19 +243,15 @@ def test_criterion_6_variant_cross_checks():
     w = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.5, lam=0.9)
     traj_greedy = run_control_episode(w, mdp, rep, SplitMix64(13), epsilon=0.0, max_steps=150)
     assert all(traj_greedy.greedy)
-    a = stepped_watkins_history(traj_greedy, 0.5, 0.9, np.zeros(rep.n * 3))
+    a = replay_prediction(TrueOnlineWatkinsQ(rep.n * 3, alpha=0.5, lam=0.9), traj_greedy.stepped)
     # Sarsa's run on the same stream bootstraps on the behavior pairs
     traj_sarsa = run_control_episode(
         TrueOnlineTD(rep.n * 3, alpha=0.5, lam=0.9), mdp, rep, SplitMix64(13),
         epsilon=0.0, max_steps=150,
     )
     assert traj_sarsa.actions == traj_greedy.actions
-    sarsa = TrueOnlineTD(rep.n * 3, alpha=0.5, lam=0.9)
-    b = [sarsa.theta.copy()]
-    for step in traj_sarsa.stepped.steps:
-        sarsa.step(step)
-        b.append(sarsa.theta.copy())
-    diff_ws = float(np.abs(a - np.array(b)).max())
+    b = replay_prediction(TrueOnlineTD(rep.n * 3, alpha=0.5, lam=0.9), traj_sarsa.stepped)
+    diff_ws = float(np.abs(a - b).max())
     assert diff_ws <= 1e-12, diff_ws
 
     # exploring behavior: the learner equals its truncated forward view

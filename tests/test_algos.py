@@ -1,4 +1,5 @@
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from tdlab import (
     run_episode,
     tile_code,
 )
+from tdlab import algos
 from tdlab.algos import (
     PREDICTION_RULES,
     PREDICTION_VARIANTS,
@@ -400,10 +402,12 @@ class TestControl:
     def test_watkins_trace_reset_exact_zero(self):
         mdp, rep = self._setting(4)
         learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
-        psi = np.zeros(learner.n)
-        psi[0] = 1.0
-        learner.step(Transition(psi, 1.0, psi, 0.9), greedy=False)
-        assert not learner.e.any()
+        psi, other = np.zeros(learner.n), np.zeros(learner.n)
+        psi[0] = other[1] = 1.0
+        learner.step(Transition(psi, 1.0, psi, 0.9))
+        assert learner.e[0] != 0.0
+        learner.step(Transition(other, 1.0, other, 0.9))  # not the pair bootstrapped on
+        assert same_bits(learner.e, other)
 
     def test_watkins_epsilon_zero_equals_sarsa(self):
         mdp, rep = self._setting(5)
@@ -424,56 +428,45 @@ class TestControl:
             )
 
     def test_watkins_lambda_zero_is_q_learning(self):
-        # trace-free one-step oracle honoring the carried pair: after the
-        # update the carried pair becomes (S', A*), ties toward the behavior
-        # action, exactly as the incremental learner's feature carry does
+        # tabular one-step Q-learning on the pairs the behavior took
         mdp, rep = self._setting(6)
         alpha = 0.3
         learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=0.0)
         traj = run_control_episode(learner, mdp, rep, SplitMix64(31), epsilon=0.3, max_steps=50)
-        n = rep.n
-        q = np.zeros(learner.n)
-        psi_index = lambda s, a: a * n + s  # tabular features
-        pair = psi_index(int(np.argmax(traj.steps[0].phi)), traj.actions[0])
-        for j, step in enumerate(traj.steps):
-            s2 = int(np.argmax(step.phi_next))
-            values = [q[psi_index(s2, b)] for b in range(3)]
-            q[pair] += alpha * (step.reward + step.gamma * max(values) - q[pair])
-            if j + 1 < len(traj):  # the capped run's last pair is never updated
-                behavior = traj.actions[j + 1]
-                a_star = behavior if values[behavior] == max(values) else int(np.argmax(values))
-                pair = psi_index(s2, a_star)
-        assert np.abs(learner.theta - q).max() <= 1e-12
+        assert not all(traj.greedy)
+        q = np.zeros((3, rep.n))
+        for step, action in zip(traj.steps, traj.actions):
+            s, s2 = int(np.argmax(step.phi)), int(np.argmax(step.phi_next))
+            target = step.reward + step.gamma * (0.0 if step.terminal else q[:, s2].max())
+            q[action, s] += alpha * (target - q[action, s])
+        assert np.abs(learner.theta - q.ravel()).max() <= 1e-12
 
 
 def relift(traj, final_action, watkins, alpha, lam):
-    """A control run's psi transitions and trace-keeping flags, rebuilt
-    from its state-level record: Sarsa bootstraps on the behavior pairs;
-    Watkins on the greedy pairs of a learner replayed alongside, ties
-    toward the behavior action, and keeps its trace iff they agree.
-    final_action is the action a capped run selected for its last state."""
+    """A control run's psi transitions, rebuilt from its state-level
+    record: each steps from the behavior pair; Sarsa bootstraps on the
+    next behavior pair, Watkins on the greedy pair of a learner replayed
+    alongside, ties toward the behavior action. final_action is the
+    action a capped run selected for its last state."""
     num_actions = traj.num_actions
-    psi = stack_action_features(traj.phi(0), traj.actions[0], num_actions)
-    learner = TrueOnlineWatkinsQ(psi.shape[0], alpha=alpha, lam=lam)
-    steps, flags = [], []
+    learner = TrueOnlineWatkinsQ(traj.phi(0).shape[0] * num_actions, alpha=alpha, lam=lam)
+    steps = []
     for j, step in enumerate(traj.steps):
+        psi = stack_action_features(step.phi, traj.actions[j], num_actions)
         if step.terminal:
-            tr, keep = Transition(psi, step.reward, np.zeros(psi.shape[0]), step.gamma, True), True
+            tr = Transition(psi, step.reward, np.zeros(psi.shape[0]), step.gamma, True)
         else:
-            behavior = traj.actions[j + 1] if j + 1 < len(traj) else final_action
-            target = behavior
+            target = traj.actions[j + 1] if j + 1 < len(traj) else final_action
             if watkins:
                 target = greedy_toward(
-                    action_values(learner.theta, step.phi_next, num_actions), behavior
+                    action_values(learner.theta, step.phi_next, num_actions), target
                 )
             psi_next = stack_action_features(step.phi_next, target, num_actions)
-            tr, keep = Transition(psi, step.reward, psi_next, step.gamma), behavior == target
+            tr = Transition(psi, step.reward, psi_next, step.gamma)
         if watkins:
-            learner.step(tr, keep)
+            learner.step(tr)
         steps.append(tr)
-        flags.append(keep)
-        psi = tr.phi_next
-    return steps, flags
+    return steps
 
 
 def same_bits(a, b):
@@ -511,14 +504,47 @@ def test_stepped_transitions_are_the_relift(seed, watkins, kind, alpha, lam, eps
         final_action = None
         if not episodic:  # one step more on the same stream selects the same final action
             final_action = record(41).actions[40]
-        steps, flags = relift(traj, final_action, watkins, alpha, lam)
+        steps = relift(traj, final_action, watkins, alpha, lam)
     assert traj.episodic == episodic
-    assert traj.stepped.greedy == flags
     assert len(traj.stepped) == len(steps)
     for got, want in zip(traj.stepped.steps, steps):
         assert same_bits(got.phi, want.phi) and same_bits(got.phi_next, want.phi_next)
         assert same_bits(got.reward, want.reward) and same_bits(got.gamma, want.gamma)
         assert got.terminal == want.terminal
+
+
+@given(
+    st.integers(0, 2**32),
+    st.floats(0.0, 1.0),
+    st.floats(0.01, 1.0),
+    st.floats(0.0, 1.0),
+    st.sampled_from(["tabular", "binary", "random-normalized"]),
+)
+@settings(max_examples=60, deadline=None)
+def test_watkins_cuts_its_trace_after_exactly_the_non_greedy_actions(
+    seed, epsilon, alpha, lam, kind
+):
+    rng = SplitMix64(seed)
+    mdp = generate_mdp(6, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64())
+    rep = build_representation(kind, mdp.chains[0], seed=rng.next_u64())
+    driver = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=lam)
+    traj = run_control_episode(driver, mdp, rep, rng.split(), epsilon=epsilon, max_steps=40)
+    traces = []  # the trace each dutch step starts from and leaves
+    dutch_rule = algos.dutch_rule
+
+    def spy(theta, e, *rest):
+        before = e.copy()
+        v_old = dutch_rule(theta, e, *rest)
+        traces.append((before, e.copy()))
+        return v_old
+
+    replayer = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=lam)
+    with mock.patch.object(algos, "dutch_rule", spy):
+        history = replay_prediction(replayer, traj.stepped)
+    assert same_bits(history[-1], driver.theta)
+    cuts = [j for j in range(1, len(traj)) if not same_bits(traces[j][0], traces[j - 1][1])]
+    assert all(not traces[j][0].any() for j in cuts)
+    assert cuts == [j for j in range(1, len(traj)) if not traj.greedy[j]]
 
 
 class TestRunEpisode:

@@ -214,12 +214,12 @@ def test_figure_1_file_does_not_depend_on_flags_it_ignores(tmp_path):
 
 
 # SHA-256 of `verify --suite all --trials 60` stdout as tdlab 0.2.0 prints it,
-# since the Watkins oracle sums its targets by the backward recursion;
+# since every control step updates the pair the behavior took;
 # a change that moves any certified difference must declare it
 PINNED_VERIFY_STDOUT = {
-    0: "02538d5179faefeba6b2ff0a645ae97947db2e6baf7e39985bb78e9b89e50d92",
-    1: "3f228df25eeec3ec0accfc9f0b23f31784505623f8512e1459cf2876043bc8bb",
-    2: "460e0dff706daf1fa16c57e9a057ab56a01a66a1551b8c63d6d5c6c0df61c4db",
+    0: "c4390eff41617587cda31a182f3a0770d019049208e91574835cf3e96d2fc3d9",
+    1: "1d7b22d4899ad4a467594d19e6984b4741ac6ebb1af7c5b7abe5340e452e3459",
+    2: "f35887c1c742fef9c7b5c3c921bec1de6a58ece19758cac493caa8eafd4b50fd",
 }
 
 

@@ -48,7 +48,7 @@ from tdlab.harness import (
 from tdlab.envs import Representation, simulate_chains
 from tdlab.envs import build_representation as build_rep
 from tdlab.rng import SplitMix64Rows, mix64
-from tests.conftest import make_mrp_trajectory
+from tests.conftest import demo_06_watkins_run, make_mrp_trajectory
 
 
 class TestPaperGrids:
@@ -666,18 +666,40 @@ class TestCertify:
 
     @pytest.mark.parametrize("ties_low", [False, True])
     def test_watkins_pair_catches_a_driver_that_breaks_ties_low(self, monkeypatch, ties_low):
-        # demo 06's Watkins run: at theta = 0 every action ties, and the
-        # forward view re-selects its greedy pairs toward the behavior action
+        # demo 06's Watkins run at epsilon 0.6: at theta = 0 every action
+        # ties. The mutant bootstraps on the lowest tied action and so cuts
+        # its trace after tied greedy actions, where the forward view does
+        # not. At demo 06's own epsilon 0.3 the mutant passes: no
+        # exploratory draw lands on a tied action other than the lowest,
+        # and the tied bootstrap values agree.
         if ties_low:
             monkeypatch.setattr(algos, "greedy_toward", lambda q, behavior: int(np.argmax(q)))
-        mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=404)
-        rep = build_representation("tabular", mdp.chains[0], seed=0)
-        learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
-        traj = run_control_episode(learner, mdp, rep, SplitMix64(2), epsilon=0.3, max_steps=150)
-        report = certify_equivalence(
-            traj, 0.4, 0.9, np.zeros(rep.n * 3), "watkins-vs-truncated-oracle"
-        )
+        traj, n = demo_06_watkins_run(epsilon=0.6)
+        report = certify_equivalence(traj, 0.4, 0.9, np.zeros(n), "watkins-vs-truncated-oracle")
         assert report.passed != ties_low, report
+
+    @pytest.mark.parametrize("epsilon", [0.3, 0.6])
+    def test_watkins_pair_catches_a_driver_that_carries_the_bootstrap_pair(
+        self, monkeypatch, epsilon
+    ):
+        # the mutant lifts each state's feature vector once, so a step
+        # updates the greedy pair the previous step bootstrapped on, not the
+        # pair the behavior took, and its learner never cuts a trace
+        lift = algos.stack_action_features
+        lifted = {}  # id(phi) -> (phi, psi); holding phi keeps its id unique
+
+        def lift_each_vector_once(phi, action, num_actions):
+            if id(phi) not in lifted:
+                lifted[id(phi)] = (phi, lift(phi, action, num_actions))
+            return lifted[id(phi)][1]
+
+        monkeypatch.setattr(algos, "stack_action_features", lift_each_vector_once)
+        traj, n = demo_06_watkins_run(epsilon)
+        assert all(
+            tr.phi is prev.phi_next for prev, tr in zip(traj.stepped.steps, traj.stepped.steps[1:])
+        )
+        report = certify_equivalence(traj, 0.4, 0.9, np.zeros(n), "watkins-vs-truncated-oracle")
+        assert not report.passed, report
 
     def test_unknown_pair_fatal(self):
         traj, n = make_mrp_trajectory(steps=10, seed=63)

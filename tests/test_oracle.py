@@ -30,9 +30,9 @@ from tdlab import (
     theorem1_ratio,
     watkins_interim_target,
 )
-from tdlab.algos import greedy_toward
 from tdlab import oracle as oracle_module
 from tdlab.core import action_values, stack_action_features
+from tdlab.harness import replay_prediction
 from tdlab.oracle import (
     constant_lookup,
     interim_lambda_returns_all,
@@ -40,10 +40,10 @@ from tdlab.oracle import (
     watkins_forward_view,
 )
 from tests.conftest import (
+    demo_06_watkins_run,
     make_mrp_trajectory,
     episodic_mdp,
     make_walk_episode,
-    stepped_watkins_history,
     synthetic_trajectory,
 )
 
@@ -278,7 +278,7 @@ class TestWatkins:
     def test_replay_matches_forward_view(self):
         for eps, seed in [(0.3, 31), (0.15, 32), (0.6, 33)]:
             traj, n = self._control_traj(epsilon=eps, seed=seed)
-            a = stepped_watkins_history(traj, 0.4, 0.8, np.zeros(n))
+            a = replay_prediction(TrueOnlineWatkinsQ(n, alpha=0.4, lam=0.8), traj.stepped)
             b = watkins_forward_view(traj, 0.4, 0.8, np.zeros(n))
             denom = 1.0 + np.abs(b).max(axis=1)
             assert (np.abs(a - b).max(axis=1) / denom).max() <= 1e-8
@@ -312,19 +312,15 @@ def watkins_recursion_targets(traj, h, lam, theta_lookup):
 
 def watkins_per_horizon_loop(traj, alpha, lam, theta_init):
     """The Watkins forward view with every horizon's targets evaluated
-    afresh by watkins_recursion_targets and replayed from theta_init,
-    O(T^2) targets. Returns the weight history and each horizon's targets
+    afresh by watkins_recursion_targets and replayed from theta_init over
+    the behavior pairs, O(T^2) targets. Returns the weight history and each horizon's targets
     (entry t-1 for horizon t)."""
-    T, num_actions = len(traj), traj.num_actions
+    T = len(traj)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
-    psis = [stack_action_features(traj.phi(0), traj.actions[0], num_actions)]
+    psis = [stack_action_features(traj.phi(k), traj.actions[k], traj.num_actions) for k in range(T)]
     targets = []
     for t in range(1, T + 1):
-        if t >= 2:
-            q = action_values(history[t - 2], traj.phi(t - 1), num_actions)
-            a_star = greedy_toward(q, traj.actions[t - 1])
-            psis.append(stack_action_features(traj.phi(t - 1), a_star, num_actions))
         targets.append(watkins_recursion_targets(traj, t, lam, lambda j: history[j]))
         history[t] = replay_from_init(history[0], alpha, targets[-1], psis)
     return history, targets
@@ -530,15 +526,6 @@ def recorded_targets(oracle, *args):
 
     with mock.patch.object(oracle_module, "_retarget", spy):
         return oracle(*args), horizons
-
-
-def demo_06_watkins_run():
-    """Demo 06's Watkins episode: 150 steps at epsilon 0.3, so exploration cuts the trace."""
-    mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=404)
-    rep = build_representation("tabular", mdp.chains[0], seed=0)
-    learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
-    traj = run_control_episode(learner, mdp, rep, SplitMix64(2), epsilon=0.3, max_steps=150)
-    return traj, rep.n * 3
 
 
 class TestWatkinsRecursion:
