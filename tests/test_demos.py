@@ -1,6 +1,7 @@
 """Every narrative script under demos/ runs to completion; the pinned
 demos print the same bytes as tdlab 0.2.0."""
 
+import functools
 import hashlib
 import os
 import subprocess
@@ -23,15 +24,27 @@ PINNED_STDOUT = {
 }
 
 
+@functools.lru_cache(maxsize=None)
+def run_demo(name):
+    """Run one demo as a subprocess; both tests below read the same run."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run(
+        [sys.executable, str(ROOT / "demos" / name)], cwd=ROOT, env=env, capture_output=True,
+        timeout=300,
+    )
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=ROOT, env=env, capture_output=True, timeout=300,
-    )
+    proc = run_demo(demo.name)
     assert proc.returncode == 0, proc.stderr.decode(errors="replace")
-    if demo.name in PINNED_STDOUT:
-        assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_STDOUT[demo.name]
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_STDOUT))
+def test_demo_stdout_is_pinned(name):
+    proc = run_demo(name)
+    assert proc.returncode == 0, proc.stderr.decode(errors="replace")
+    assert hashlib.sha256(proc.stdout).hexdigest() == PINNED_STDOUT[name]
 
 
 def test_every_pinned_demo_exists():
