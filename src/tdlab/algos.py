@@ -8,14 +8,15 @@ rule for a time-dependent step-size, its tabular form (the same update on
 one-hot features), and the Watkins-style learner, which is the dutch rule
 plus a trace cut after non-greedy actions.
 
-Each rule is written once, as a function (accumulate_rule, replace_rule,
-dutch_rule, dutch_alpha_t_rule) over an optional leading row axis: a
-learner class calls it on its one weight vector, and the sweep harness
-calls it on a (rows x n) array to advance many independent runs in
-lockstep, each row bit-identical to its learner. Each learner is a
-single-threaded state machine over a weight vector and an eligibility
-trace. Update order follows the published pseudocode exactly; in
-particular the previous value estimate (v_old / q_old) is always
+Each rule is written once, as a function, and each learner class names
+its rule once, in `rule`, which `step` applies to its one weight vector.
+PREDICTION_LEARNERS is the sweep's variant table: the sweep harness
+steps the accumulate, replace and dutch rules on a (rows x n) array to
+advance many independent runs in lockstep, each row bit-identical to its
+learner. The alpha-t and tabular rules step one weight vector. Each
+learner is a single-threaded state machine over a weight vector and an
+eligibility trace. Update order follows the published pseudocode
+exactly; in particular the previous value estimate (v_old / q_old) is always
 captured from pre-update weights, which the exact forward-view
 equivalence of the true online variants depends on.
 
@@ -28,7 +29,7 @@ then steps on its transitions.
 from __future__ import annotations
 
 import math
-from numbers import Real
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -118,11 +119,14 @@ def dutch_alpha_t_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam
 
 
 class _LinearLearner:
-    """Common weight/trace state shared by the linear learners."""
+    """Weight/trace state shared by the linear learners; `step` applies the class's `rule`."""
 
     variant: str
+    rule: staticmethod
 
     def __init__(self, n: int, alpha: float, lam: float, theta_init=None):
+        if not (isinstance(n, Integral) and n >= 0):
+            raise ConfigError(f"feature dimension must be an integer >= 0, got {n!r}")
         check_step_size(alpha)
         check_trace_decay(lam)
         self.n = n
@@ -150,10 +154,13 @@ class _LinearLearner:
     def value(self, phi: np.ndarray) -> float:
         return float(self._theta @ phi)
 
-    def _advance(self, rule, tr: Transition, alpha: float) -> None:
+    def step(self, tr: Transition) -> None:
+        self._advance(tr, self.alpha)
+
+    def _advance(self, tr: Transition, alpha: float) -> None:
         if tr.phi.shape != (self.n,) or tr.phi_next.shape != (self.n,):
             raise ConfigError("transition feature dimension does not match learner")
-        self.v_old = rule(
+        self.v_old = self.rule(
             self._theta, self.e, self.v_old, tr.phi, tr.reward, tr.phi_next, tr.gamma, alpha, self.lam
         )
         self.t += 1
@@ -163,18 +170,14 @@ class AccumulateTD(_LinearLearner):
     """TD(lambda) with the accumulating trace e <- gamma*lambda*e + phi."""
 
     variant = "accumulate"
-
-    def step(self, tr: Transition) -> None:
-        self._advance(accumulate_rule, tr, self.alpha)
+    rule = staticmethod(accumulate_rule)
 
 
 class ReplaceTD(_LinearLearner):
     """TD(lambda) with the replacing trace; defined for binary features only."""
 
     variant = "replace"
-
-    def step(self, tr: Transition) -> None:
-        self._advance(replace_rule, tr, self.alpha)
+    rule = staticmethod(replace_rule)
 
 
 class TrueOnlineTD(_LinearLearner):
@@ -189,9 +192,7 @@ class TrueOnlineTD(_LinearLearner):
     """
 
     variant = "true-online"
-
-    def step(self, tr: Transition) -> None:
-        self._advance(dutch_rule, tr, self.alpha)
+    rule = staticmethod(dutch_rule)
 
 
 class TrueOnlineTDAlphaT(_LinearLearner):
@@ -205,8 +206,11 @@ class TrueOnlineTDAlphaT(_LinearLearner):
     """
 
     variant = "true-online-alpha-t"
+    rule = staticmethod(dutch_alpha_t_rule)
 
     def __init__(self, n: int, alpha_schedule, lam: float, theta_init=None):
+        if not callable(alpha_schedule):
+            raise ConfigError(f"alpha_schedule must be a function of t, got {alpha_schedule!r}")
         super().__init__(n, alpha=0.0, lam=lam, theta_init=theta_init)
         self.alpha_schedule = alpha_schedule
         self.alpha = float("nan")  # no constant step-size
@@ -214,7 +218,7 @@ class TrueOnlineTDAlphaT(_LinearLearner):
     def step(self, tr: Transition) -> None:
         alpha = self.alpha_schedule(self.t)
         check_step_size(alpha)
-        self._advance(dutch_alpha_t_rule, tr, alpha)
+        self._advance(tr, alpha)
 
 
 def _one_hot_state(x: np.ndarray) -> int | None:
@@ -253,9 +257,7 @@ class TabularTrueOnlineTD(_LinearLearner):
     """
 
     variant = "tabular-true-online"
-
-    def step(self, tr: Transition) -> None:
-        self._advance(_tabular_rule, tr, self.alpha)
+    rule = staticmethod(_tabular_rule)
 
 
 def epsilon_greedy(
@@ -310,33 +312,18 @@ class TrueOnlineWatkinsQ(TrueOnlineTD):
         self._bootstrap_pair = tr.phi_next
 
 
-def _constant_alpha_t(n: int, alpha: float, lam: float, theta_init=None) -> TrueOnlineTDAlphaT:
-    check_step_size(alpha)
-    return TrueOnlineTDAlphaT(n, alpha_schedule=lambda t: alpha, lam=lam, theta_init=theta_init)
-
-
-_PREDICTION_LEARNERS = {
-    "accumulate": AccumulateTD,
-    "replace": ReplaceTD,
-    "true-online": TrueOnlineTD,
-    "true-online-alpha-t": _constant_alpha_t,
-}
-PREDICTION_VARIANTS = tuple(_PREDICTION_LEARNERS)
-# The rule each variant's learner steps with, called with its constant alpha.
-PREDICTION_RULES = {
-    "accumulate": accumulate_rule,
-    "replace": replace_rule,
-    "true-online": dutch_rule,
-    "true-online-alpha-t": dutch_alpha_t_rule,
-}
+# The sweep's variants: each one's learner class, whose `rule` the sweep
+# steps its rows with at the row's constant alpha.
+PREDICTION_LEARNERS = {cls.variant: cls for cls in (AccumulateTD, ReplaceTD, TrueOnlineTD)}
+PREDICTION_VARIANTS = tuple(PREDICTION_LEARNERS)
 
 
 def make_prediction_learner(
     variant: str, n: int, alpha: float, lam: float, theta_init=None
 ) -> _LinearLearner:
-    if variant not in _PREDICTION_LEARNERS:
+    if variant not in PREDICTION_LEARNERS:
         raise ConfigError(f"unknown prediction variant {variant!r}; expected {PREDICTION_VARIANTS}")
-    return _PREDICTION_LEARNERS[variant](n, alpha=alpha, lam=lam, theta_init=theta_init)
+    return PREDICTION_LEARNERS[variant](n, alpha=alpha, lam=lam, theta_init=theta_init)
 
 
 def run_episode(

@@ -38,6 +38,7 @@ import os
 import sys
 
 from . import __version__
+from .algos import PREDICTION_VARIANTS
 from .core import ConfigError, read_json_object
 from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
@@ -273,7 +274,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
                    help="a continuing chain: mrp(k,b,sigma) or file:PATH")
     s.add_argument("--repr", default="tabular", choices=REPRESENTATION_KINDS)
     s.add_argument("--variants", default=None,
-                   help="comma-separated (default: every variant --repr supports)")
+                   help=f"comma-separated, of {', '.join(PREDICTION_VARIANTS)} "
+                        "(default: every variant --repr supports)")
     s.add_argument("--paper-grid", action="store_true",
                    help="use the benchmark alpha/lambda grids")
     s.add_argument("--alphas", default=None, help="space- or comma-separated step-sizes")

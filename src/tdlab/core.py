@@ -64,7 +64,7 @@ def action_values(theta: np.ndarray, phi: np.ndarray, num_actions: int) -> np.nd
 
 @dataclass(frozen=True)
 class Transition:
-    """One observed step: features, reward, next features, discount."""
+    """One observed step: features, reward, next features, discount in [0, 1]."""
 
     phi: np.ndarray
     reward: float
@@ -73,6 +73,8 @@ class Transition:
     terminal: bool = False
 
     def __post_init__(self):
+        if not 0.0 <= self.gamma <= 1.0:  # False on NaN
+            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma!r}")
         if self.terminal and np.any(self.phi_next != 0.0):
             raise ConfigError("terminal transition must have all-zero next features")
 

@@ -45,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .algos import (
-    PREDICTION_RULES,
+    PREDICTION_LEARNERS,
     PREDICTION_VARIANTS,
     AccumulateTD,
     TabularTrueOnlineTD,
@@ -258,7 +258,7 @@ def _run_metrics(
     nonzero entries from +0.0, so a row's metric has the same bits in a
     block of any size.
     """
-    rule = PREDICTION_RULES[variant]
+    rule = PREDICTION_LEARNERS[variant].rule
     steps, rows = rewards.shape
     n = table.shape[1]
     theta, e = np.zeros((rows, n)), np.zeros((rows, n))
@@ -577,11 +577,11 @@ def _stepped(traj: Trajectory) -> Trajectory:
 
 
 def _pair_histories(traj, alpha, lam, theta_init, pair):
-    def replay(cls, steps=traj, **step_size):
-        """cls's weight history over steps: at alpha, or at the schedule given."""
-        step_size = step_size or {"alpha": alpha}
-        learner = cls(theta_init.shape[0], lam=lam, theta_init=theta_init, **step_size)
-        return replay_prediction(learner, steps)
+    n = theta_init.shape[0]
+
+    def replay(cls, steps=traj):
+        """cls's weight history over steps at alpha."""
+        return replay_prediction(cls(n, alpha, lam, theta_init), steps)
 
     if pair == "true-online-vs-oracle":
         a = replay(TrueOnlineTD)
@@ -597,7 +597,7 @@ def _pair_histories(traj, alpha, lam, theta_init, pair):
         a = replay(TrueOnlineWatkinsQ, _stepped(traj))
         b = watkins_forward_view(traj, alpha, lam, theta_init)
     elif pair == "alpha-t-constant-vs-true-online":
-        a = replay(TrueOnlineTDAlphaT, alpha_schedule=lambda t: alpha)
+        a = replay_prediction(TrueOnlineTDAlphaT(n, lambda t: alpha, lam, theta_init), traj)
         b = replay(TrueOnlineTD)
     elif pair == "tabular-vs-one-hot-true-online":
         a = replay(TabularTrueOnlineTD)

@@ -30,7 +30,7 @@ from tdlab import (
 )
 from tdlab import algos
 from tdlab.algos import (
-    PREDICTION_RULES,
+    PREDICTION_LEARNERS,
     PREDICTION_VARIANTS,
     greedy_toward,
     make_prediction_learner,
@@ -169,7 +169,6 @@ def test_invalid_step_size_rejected(alpha):
         lambda: TrueOnlineTD(2, alpha=alpha, lam=0.5),
         lambda: TrueOnlineWatkinsQ(2, alpha=alpha, lam=0.5),
         lambda: TabularTrueOnlineTD(2, alpha=alpha, lam=0.5),
-        lambda: make_prediction_learner("true-online-alpha-t", 2, alpha, 0.5),
     ):
         with pytest.raises(ConfigError, match="alpha"):
             build()
@@ -184,7 +183,14 @@ def test_invalid_step_size_rejected(alpha):
     lambda: TrueOnlineTDAlphaT(1, lambda t: None, 0.5).step(
         Transition(np.ones(1), 0.0, np.ones(1), 0.9)
     ),
-], ids=["alpha-none", "alpha-str", "lambda-none", "epsilon-none", "alpha-t-none"])
+    lambda: TrueOnlineTDAlphaT(4, 0.1, 0.9),
+    lambda: TrueOnlineTD(-1, 0.1, 0.5),
+    lambda: TrueOnlineTD(2.5, 0.1, 0.5),
+    lambda: TrueOnlineTD(None, 0.1, 0.5),
+], ids=[
+    "alpha-none", "alpha-str", "lambda-none", "epsilon-none", "alpha-t-none",
+    "alpha-t-float-schedule", "n-negative", "n-float", "n-none",
+])
 def test_non_numbers_are_config_errors(call):
     with pytest.raises(ConfigError):
         call()
@@ -539,7 +545,7 @@ def test_watkins_cuts_its_trace_after_exactly_the_non_greedy_actions(
         return v_old
 
     replayer = TrueOnlineWatkinsQ(rep.n * 3, alpha=alpha, lam=lam)
-    with mock.patch.object(algos, "dutch_rule", spy):
+    with mock.patch.object(TrueOnlineWatkinsQ, "rule", staticmethod(spy)):
         history = replay_prediction(replayer, traj.stepped)
     assert same_bits(history[-1], driver.theta)
     cuts = [j for j in range(1, len(traj)) if not same_bits(traces[j][0], traces[j - 1][1])]
@@ -618,10 +624,6 @@ def test_traces_reset_at_episode_start(seed, lam, alpha):
     assert not learner.e.any() and learner.v_old == 0.0
 
 
-def test_every_prediction_variant_has_its_rule():
-    assert tuple(PREDICTION_RULES) == PREDICTION_VARIANTS
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     variant=st.sampled_from(PREDICTION_VARIANTS),
@@ -640,7 +642,7 @@ def test_rule_rows_step_like_scalar_learners(variant, rows, n, steps, seed):
     for _ in range(steps):
         phi = np.array([[float(rng.below(2)) for _ in range(n)] for _ in range(rows + 1)])
         reward = np.array([[rng.normal()] for _ in range(rows)])
-        v_old = PREDICTION_RULES[variant](
+        v_old = PREDICTION_LEARNERS[variant].rule(
             theta, e, v_old, phi[:-1], reward, phi[1:], 0.9, alpha, lam
         )
         for i, learner in enumerate(learners):

@@ -247,11 +247,12 @@ SMALL_SWEEP = ["sweep", "--task", "mrp(4,2,0.1)", "--variants", "true-online",
 
 
 def test_sweep_unbuildable_variant_is_config_error(capsys):
-    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--variants", "tabular-true-online"]) == 2
-    err = capsys.readouterr().err
-    assert "unknown variant 'tabular-true-online'" in err
-    assert str(PREDICTION_VARIANTS) in err
-    assert "tabular-true-online" not in str(PREDICTION_VARIANTS)
+    for variant in ("tabular-true-online", "true-online-alpha-t"):
+        assert main(SMALL_SWEEP + ["--alphas", "0.1", "--variants", variant]) == 2
+        err = capsys.readouterr().err
+        assert f"unknown variant {variant!r}" in err
+        assert str(PREDICTION_VARIANTS) in err
+        assert variant not in PREDICTION_VARIANTS
 
 
 @pytest.mark.parametrize("alphas", ["nan", "-0.1"])

@@ -86,6 +86,12 @@ def test_transition_terminal_requires_zero_next():
     Transition(np.ones(2), 1.0, np.zeros(2), 0.9, terminal=True)
 
 
+@pytest.mark.parametrize("gamma", [1.5, -0.1, math.nan])
+def test_transition_gamma_outside_unit_interval_is_config_error(gamma):
+    with pytest.raises(ConfigError, match="gamma"):
+        Transition(np.ones(2), 0.0, np.ones(2), gamma)
+
+
 def test_trajectory_validation():
     phi, zero = np.ones(1), np.zeros(1)
     good = Trajectory(steps=[
