@@ -22,8 +22,8 @@ equivalence of the true online variants depends on.
 
 Episode boundaries reset the trace and the stored previous value. For
 continuing tasks there is no boundary and the trace is never reset.
-run_episode records a prediction episode without a learner; any learner
-then steps on its transitions.
+run_episode records a prediction episode without a learner;
+replay_prediction steps any learner over its transitions.
 """
 
 from __future__ import annotations
@@ -132,10 +132,13 @@ class _LinearLearner:
         self.n = n
         self.alpha = alpha
         self.lam = lam
+        try:
+            self.e = np.zeros(n)
+        except (ValueError, MemoryError) as exc:  # more features than numpy can hold
+            raise ConfigError(f"cannot allocate {n} features: {exc}") from exc
         self._theta = np.zeros(n) if theta_init is None else np.array(theta_init, dtype=np.float64)
         if self._theta.shape != (n,):
             raise ConfigError("theta_init length must equal the feature dimension")
-        self.e = np.zeros(n)
         self.v_old = 0.0
         self.t = 0
         self.start_episode()
@@ -155,14 +158,10 @@ class _LinearLearner:
         return float(self._theta @ phi)
 
     def step(self, tr: Transition) -> None:
-        self._advance(tr, self.alpha)
-
-    def _advance(self, tr: Transition, alpha: float) -> None:
         if tr.phi.shape != (self.n,) or tr.phi_next.shape != (self.n,):
             raise ConfigError("transition feature dimension does not match learner")
-        self.v_old = self.rule(
-            self._theta, self.e, self.v_old, tr.phi, tr.reward, tr.phi_next, tr.gamma, alpha, self.lam
-        )
+        self.v_old = self.rule(self._theta, self.e, self.v_old, tr.phi, tr.reward, tr.phi_next,
+                               tr.gamma, self.alpha, self.lam)
         self.t += 1
 
 
@@ -202,7 +201,7 @@ class TrueOnlineTDAlphaT(_LinearLearner):
     the weight update uses the modified TD error
     delta' = R + gamma*theta.phi' - V_old. `alpha_schedule` is a pure
     function of the global step counter, which never resets; each alpha_t
-    is checked like a constant step-size.
+    is checked like a constant step-size and held in `alpha`.
     """
 
     variant = "true-online-alpha-t"
@@ -218,7 +217,8 @@ class TrueOnlineTDAlphaT(_LinearLearner):
     def step(self, tr: Transition) -> None:
         alpha = self.alpha_schedule(self.t)
         check_step_size(alpha)
-        self._advance(tr, alpha)
+        self.alpha = alpha
+        super().step(tr)
 
 
 def _one_hot_state(x: np.ndarray) -> int | None:
@@ -326,6 +326,11 @@ def make_prediction_learner(
     return PREDICTION_LEARNERS[variant](n, alpha=alpha, lam=lam, theta_init=theta_init)
 
 
+def _check_step_cap(max_steps) -> None:
+    if max_steps is not None and not (isinstance(max_steps, Integral) and max_steps >= 1):
+        raise ConfigError(f"max_steps must be None or an integer >= 1, got {max_steps!r}")
+
+
 def run_episode(
     mrp: Mrp,
     representation: Representation,
@@ -336,8 +341,10 @@ def run_episode(
 
     Continuing chains require max_steps and the run is one uninterrupted
     trajectory; an episodic chain that outlives max_steps raises, since
-    silently truncating would corrupt forward-view replay.
+    silently truncating would corrupt forward-view replay. A cap is None
+    or an integer >= 1.
     """
+    _check_step_cap(max_steps)
     if mrp.continuing and max_steps is None:
         raise ConfigError("continuing chain requires a step cap")
     state = mrp.initial_state(rng)
@@ -360,6 +367,16 @@ def run_episode(
     return Trajectory(steps=steps)
 
 
+def replay_prediction(learner, traj: Trajectory) -> np.ndarray:
+    """The (T+1) x n weight history of a learner stepped over traj: row t after step t."""
+    history = np.empty((len(traj) + 1, learner.theta.shape[0]))
+    history[0] = learner.theta
+    for j, step in enumerate(traj.steps):
+        learner.step(step)
+        history[j + 1] = learner.theta
+    return history
+
+
 def run_control_episode(
     learner,
     mdp: Mdp,
@@ -380,6 +397,7 @@ def run_control_episode(
     stepped on, for replaying the learner. Action selection always uses
     the pre-update weights, matching the pseudocode order.
     """
+    _check_step_cap(max_steps)
     chain = mdp.chains[0]  # gamma, terminal states and start, shared by every action
     if not chain.terminal_states and max_steps is None:
         raise ConfigError("continuing MDP requires a step cap")

@@ -44,6 +44,7 @@ from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
     DEFAULT_VARIANTS,
     SweepConfig,
+    check_seed,
     check_workers,
     paper_alpha_grid,
     paper_lambda_grid,
@@ -143,8 +144,7 @@ def _resolve_seed(seed: int) -> int:
             seed = int(env)
         except ValueError as exc:
             raise ConfigError(f"TDLAB_SEED must be an integer, got {env!r}") from exc
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"{source} must be in [0, 2^64), got {seed}")
+    check_seed(seed, source)
     return seed
 
 

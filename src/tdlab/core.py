@@ -83,11 +83,11 @@ class Transition:
 class Trajectory:
     """Recorded step sequence enabling exact forward-view replay.
 
-    `steps` holds state-level transitions. A control run also records the
-    per-step chosen action and greedy flag, and in `stepped` the
-    action-stacked transitions its learner stepped on: `stepped.steps[j]`
-    is Transition(psi(S_j, A_j), R, psi', gamma), psi' the features of
-    the bootstrap pair.
+    `steps` holds state-level transitions, S_{t+1}'s features in step t's
+    phi_next only. A control run also records the per-step chosen action
+    and greedy flag, and in `stepped` the action-stacked transitions its
+    learner stepped on: `stepped.steps[j]` is Transition(psi(S_j, A_j), R,
+    psi', gamma), psi' the features of the bootstrap pair.
     """
 
     steps: list[Transition] = field(default_factory=list)
@@ -115,11 +115,3 @@ class Trajectory:
             self.stepped.validate()
             if len(self.stepped) != len(self.steps):
                 raise ConfigError("one stepped transition per step required")
-
-    def phi(self, t: int) -> np.ndarray:
-        """Features of S_t for 0 <= t <= len: past the last step this is phi_next."""
-        if t < len(self.steps):
-            return self.steps[t].phi
-        if t == len(self.steps) and self.steps:
-            return self.steps[-1].phi_next
-        raise IndexError(f"no state features at step {t}")

@@ -14,6 +14,7 @@ from .algos import (
     check_step_size,
     dutch_rule,
     make_prediction_learner,
+    replay_prediction,
     run_episode,
 )
 from .core import ConfigError, Transition
@@ -55,18 +56,16 @@ def random_walk_learning_curves(
     theta_off = np.zeros(rep.n)
     theta_on = np.zeros(rep.n)
     acc = AccumulateTD(rep.n, alpha=alpha, lam=lam)
-    t = 0
     for traj in trajs:
         acc.start_episode()
         online = online_lambda_return_algorithm(traj, alpha, lam, theta_on)
-        for j, step in enumerate(traj.steps):
-            acc.step(step)
-            t += 1
+        accumulated = replay_prediction(acc, traj)
+        for theta_lam, theta_acc in zip(online[1:], accumulated[1:]):
             rows.append([
-                t,
+                len(rows) + 1,
                 _walk_rms(theta_off, v, rms0),
-                _walk_rms(online[j + 1], v, rms0),
-                _walk_rms(acc.theta, v, rms0),
+                _walk_rms(theta_lam, v, rms0),
+                _walk_rms(theta_acc, v, rms0),
             ])
         theta_on = online[-1]
         theta_off = offline_lambda_return_algorithm(traj, alpha, lam, theta_off)

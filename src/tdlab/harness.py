@@ -40,6 +40,7 @@ import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
+from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -54,6 +55,7 @@ from .algos import (
     TrueOnlineWatkinsQ,
     check_step_size,
     check_trace_decay,
+    replay_prediction,
 )
 from .core import ConfigError, Trajectory, read_json_object
 from .envs import (
@@ -106,6 +108,12 @@ def paper_lambda_grid() -> tuple[float, ...]:
     return tuple(sorted(set(coarse + fine)))
 
 
+def check_seed(seed: int, name: str) -> None:
+    """A master seed is an integer in [0, 2^64): mix64 would fold any other into that range."""
+    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ConfigError(f"{name} must be in [0, 2^64), got {seed!r}")
+
+
 @dataclass(frozen=True)
 class SweepConfig:
     """Everything needed to reproduce a sweep bit-for-bit."""
@@ -124,8 +132,11 @@ class SweepConfig:
     def __post_init__(self):
         if not self.alphas or not self.lambdas:
             raise ConfigError("alpha and lambda grids must be non-empty")
-        if self.runs < 1 or self.steps < 1:
-            raise ConfigError("runs and steps must be >= 1")
+        for name in ("runs", "steps"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        check_seed(self.master_seed, "master_seed")
         for alpha in self.alphas:
             check_step_size(alpha)
         for lam in self.lambdas:
@@ -510,16 +521,6 @@ class EquivalenceReport:
     @property
     def truncated(self) -> bool:
         return self.compared_steps < self.steps
-
-
-def replay_prediction(learner, traj: Trajectory) -> np.ndarray:
-    """The (T+1) x n weight history of a prediction learner stepped over traj."""
-    history = np.empty((len(traj) + 1, learner.theta.shape[0]))
-    history[0] = learner.theta
-    for j, step in enumerate(traj.steps):
-        learner.step(step)
-        history[j + 1] = learner.theta
-    return history
 
 
 def certify_equivalence(

@@ -1,14 +1,15 @@
 """Forward-view reference algorithms and diagnostics.
 
-These are the ground truth the incremental learners are checked against.
-Both online replays return the (T+1) x n weight history as one array,
-row t holding theta_t and row 0 the initial weights. They share one
-horizon loop and one backward target recursion, U_k = R_{k+1} +
-gamma_k * ((1 - lam_k) * V_k + lam_k * U_{k+1}): the lambda-return replay
-bootstraps on V_k = theta_k . phi_{k+1}, the Watkins replay on the max
-action value, cutting the recursion after each non-greedy action. Each
-V_k is computed once, when theta_k is. The weights are bit-identical to
-the recursion evaluated afresh at every horizon, and agree with the
+These are the ground truth the incremental learners are checked against,
+and check alpha and lambda as the learners do. Both online replays return
+the (T+1) x n weight history as one array, row t holding theta_t and row 0
+the initial weights. They share one horizon loop and one backward target
+recursion, U_k = R_{k+1} + gamma_k * ((1 - lam_k) * V_k + lam_k * U_{k+1}):
+the lambda-return replay bootstraps on V_k = theta_k . phi'_k, the Watkins
+replay on the max action value over phi'_k, cutting the recursion after
+each non-greedy action; phi'_k is step k's phi_next, as for the learners.
+Each V_k is computed once, when theta_k is. The weights are bit-identical
+to the recursion evaluated afresh at every horizon, and agree with the
 definitional sums to rounding (the tests pin both).
 
 Each replay keeps a (T+1) x n buffer of iterates, row k holding the k-th
@@ -33,7 +34,7 @@ from typing import Callable
 
 import numpy as np
 
-from .algos import AccumulateTD
+from .algos import AccumulateTD, check_step_size, check_trace_decay, replay_prediction
 from .core import ConfigError, Trajectory, action_values, stack_action_features
 from .envs import Mrp, Representation, stationary_distribution, true_values
 
@@ -71,6 +72,7 @@ def interim_lambda_return(
     traj: Trajectory, k: int, h: int, lam: float, theta_lookup: ThetaLookup
 ) -> float:
     """Lambda-mixture of n-step returns truncated at horizon h (definitional sum)."""
+    check_trace_decay(lam)
     if not k < h <= len(traj):
         raise ConfigError(f"need k < h <= data length, got k={k}, h={h}, T={len(traj)}")
     total = 0.0
@@ -90,6 +92,7 @@ def interim_lambda_returns_all(
     lam*G_{k+1}), an exact consequence of the definitional sum (the
     package's property tests pin the two against each other).
     """
+    check_trace_decay(lam)
     if not 0 < h <= len(traj):
         raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
     v_next = [float(theta_lookup(k) @ traj.steps[k].phi_next) for k in range(h)]
@@ -118,6 +121,7 @@ def online_lambda_return_algorithm(
     the newest down to the first whose bits equal the previous horizon's
     (every earlier target is a function of it) and replays from there.
     """
+    check_trace_decay(lam)
     return _online_replay(
         traj, alpha, theta_init, [step.phi for step in traj.steps], [lam] * len(traj),
         lambda j, theta: float(theta @ traj.steps[j].phi_next),
@@ -133,6 +137,7 @@ def _online_replay(
     Horizon t adds V_{t-1} = bootstrap(t - 1, theta_{t-1}), retargets with
     `decays` and replays from the first changed target over `features`.
     """
+    check_step_size(alpha)
     T = len(traj)
     rewards, gammas = _rewards_and_discounts(traj)
     rows = _iterate_rows(theta_init, T)
@@ -214,6 +219,7 @@ def offline_lambda_return_algorithm(
     All value estimates inside the lambda-returns use theta_init, the
     only weights available before any update happens.
     """
+    check_step_size(alpha)
     if not traj.episodic:
         raise ConfigError("the offline algorithm requires a complete episode")
     T = len(traj)
@@ -242,6 +248,7 @@ def watkins_interim_target(
     where tau is the first step after t whose behavior action was not
     greedy. Bootstraps use max_a theta_{t+n-1} . psi(S_{t+n}, a).
     """
+    check_trace_decay(lam)
     if traj.num_actions is None:
         raise ConfigError("trajectory lacks action annotations")
     if not t < h <= len(traj):
@@ -259,7 +266,7 @@ def watkins_interim_target(
         if step.terminal:
             g_n = reward_sum
         else:
-            q = action_values(theta_lookup(t + n - 1), traj.phi(t + n), num_actions)
+            q = action_values(theta_lookup(t + n - 1), step.phi_next, num_actions)
             g_n = reward_sum + disc * float(np.max(q))
         if n < z - t:
             total += (1.0 - lam) * weight * g_n
@@ -282,13 +289,14 @@ def watkins_forward_view(
     (0 after a terminal step), cut where A_{k+1} is not greedy, since growth
     stops there (tau_k = k + 1): U_k = R_{k+1} + gamma_k * V_k.
     """
+    check_trace_decay(lam)
     if traj.actions is None or traj.greedy is None or traj.num_actions is None:
         raise ConfigError("Watkins replay needs action and greedy-flag annotations")
     num_actions = traj.num_actions
     psis = [stack_action_features(s.phi, a, num_actions) for s, a in zip(traj.steps, traj.actions)]
 
     def max_bootstrap(j: int, theta: np.ndarray) -> float:
-        q = action_values(theta, traj.phi(j + 1), num_actions)
+        q = action_values(theta, traj.steps[j].phi_next, num_actions)
         return 0.0 if traj.steps[j].terminal else float(np.max(q))
 
     decays = [lam if greedy else None for greedy in traj.greedy[1:]]
@@ -297,6 +305,7 @@ def watkins_forward_view(
 
 def accumulating_trace_nonrecursive(traj: Trajectory, t: int, lam: float) -> np.ndarray:
     """Closed form of the accumulating trace after t steps: a decayed feature sum."""
+    check_trace_decay(lam)
     if not 0 < t <= len(traj):
         raise ConfigError(f"need 0 < t <= T, got t={t}")
     n = traj.steps[0].phi.shape[0]
@@ -349,9 +358,7 @@ def theorem1_ratio(
     if np.linalg.norm(deltas.sum(axis=0)) == 0.0:
         raise ConfigError("degenerate input: the step-size-free updates sum to zero")
     learner = AccumulateTD(theta_init.shape[0], alpha=alpha, lam=lam, theta_init=theta_init)
-    for step in traj.steps:
-        learner.step(step)
-    theta_td = learner.theta
+    theta_td = replay_prediction(learner, traj)[-1]
     theta_lam = online_lambda_return_algorithm(traj, alpha, lam, theta_init)[-1]
     denom = float(np.linalg.norm(theta_td - theta_init))
     if denom == 0.0:

@@ -18,12 +18,13 @@ from .algos import (
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,
+    replay_prediction,
     run_control_episode,
     run_episode,
 )
 from .core import ConfigError, Trajectory, Transition
 from .envs import REPRESENTATION_KINDS, build_representation, canonical_task, generate_mdp, generate_mrp
-from .harness import EQUIVALENCE_PAIRS, certify_equivalence, replay_prediction
+from .harness import EQUIVALENCE_PAIRS, certify_equivalence
 from .oracle import prop2_condition_holds, theorem1_ratio
 from .rng import SplitMix64, mix64
 
@@ -57,15 +58,10 @@ def closed_form_checks() -> list[CheckResult]:
         for alpha in alphas:
             for T in horizons:
                 traj = _one_state_episode(T)
-                acc = AccumulateTD(1, alpha=alpha, lam=1.0, theta_init=np.array([v0]))
-                to = TrueOnlineTD(1, alpha=alpha, lam=1.0, theta_init=np.array([v0]))
-                for step in traj.steps:
-                    acc.step(step)
-                    to.step(step)
-                worst_acc = max(worst_acc, abs(acc.theta[0] - (v0 + T * alpha * (1 - v0))))
-                worst_to = max(
-                    worst_to, abs(to.theta[0] - (v0 + (1 - (1 - alpha) ** T) * (1 - v0)))
-                )
+                acc = replay_prediction(AccumulateTD(1, alpha, 1.0, np.array([v0])), traj)[-1, 0]
+                to = replay_prediction(TrueOnlineTD(1, alpha, 1.0, np.array([v0])), traj)[-1, 0]
+                worst_acc = max(worst_acc, abs(acc - (v0 + T * alpha * (1 - v0))))
+                worst_to = max(worst_to, abs(to - (v0 + (1 - (1 - alpha) ** T) * (1 - v0))))
     grid = f"{len(v0s)}x{len(alphas)}x{len(horizons)} (V0, alpha, T) grid"
     return [
         CheckResult(

@@ -34,6 +34,14 @@ def make_walk_episode(seed=0):
     return traj, rep.n
 
 
+def one_state_episode(T):
+    """The one-state episode of T steps: reward 0, then 1 on termination."""
+    phi, zero = np.array([1.0]), np.array([0.0])
+    steps = [Transition(phi, 0.0, phi, 1.0) for _ in range(T - 1)]
+    steps.append(Transition(phi, 1.0, zero, 1.0, terminal=True))
+    return Trajectory(steps=steps)
+
+
 def synthetic_trajectory(rng: SplitMix64, n=4, steps=25, gamma=0.9, episodic=False):
     """Dense random-feature trajectory for oracle identities."""
     out = []

@@ -35,8 +35,9 @@ from tdlab import (
     theorem1_ratio,
 )
 from tdlab.figures import two_state_asymptotic_rms
-from tdlab.harness import replay_prediction
+from tdlab.algos import replay_prediction
 from tdlab.rng import mix64
+from tests.conftest import one_state_episode
 
 MASTER_SEED = 20260811
 
@@ -108,13 +109,6 @@ def test_criterion_1_true_online_matches_forward_view():
           f"{elapsed:.1f}s)")
 
 
-def _one_state_episode(T):
-    phi, zero = np.array([1.0]), np.array([0.0])
-    steps = [Transition(phi, 0.0, phi, 1.0) for _ in range(T - 1)]
-    steps.append(Transition(phi, 1.0, zero, 1.0, terminal=True))
-    return Trajectory(steps=steps)
-
-
 def test_criterion_2_one_state_closed_forms():
     """Simulated final values equal both closed forms within 1e-12."""
     v0s = (-1.0, -0.25, 0.0, 0.5, 1.5)
@@ -124,7 +118,7 @@ def test_criterion_2_one_state_closed_forms():
     for v0 in v0s:
         for alpha in alphas:
             for T in horizons:
-                traj = _one_state_episode(T)
+                traj = one_state_episode(T)
                 acc = AccumulateTD(1, alpha=alpha, lam=1.0, theta_init=np.array([v0]))
                 to = TrueOnlineTD(1, alpha=alpha, lam=1.0, theta_init=np.array([v0]))
                 for step in traj.steps:

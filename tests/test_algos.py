@@ -34,17 +34,15 @@ from tdlab.algos import (
     PREDICTION_VARIANTS,
     greedy_toward,
     make_prediction_learner,
+    replay_prediction,
 )
 from tdlab.core import action_values, stack_action_features
-from tdlab.harness import replay_prediction
-from tests.conftest import episodic_mdp, make_mrp_trajectory, synthetic_trajectory
-
-
-def one_state_episode(T):
-    phi, zero = np.array([1.0]), np.array([0.0])
-    steps = [Transition(phi, 0.0, phi, 1.0) for _ in range(T - 1)]
-    steps.append(Transition(phi, 1.0, zero, 1.0, terminal=True))
-    return Trajectory(steps=steps)
+from tests.conftest import (
+    episodic_mdp,
+    make_mrp_trajectory,
+    one_state_episode,
+    synthetic_trajectory,
+)
 
 
 class TestAccumulate:
@@ -455,7 +453,7 @@ def relift(traj, final_action, watkins, alpha, lam):
     alongside, ties toward the behavior action. final_action is the
     action a capped run selected for its last state."""
     num_actions = traj.num_actions
-    learner = TrueOnlineWatkinsQ(traj.phi(0).shape[0] * num_actions, alpha=alpha, lam=lam)
+    learner = TrueOnlineWatkinsQ(traj.steps[0].phi.shape[0] * num_actions, alpha=alpha, lam=lam)
     steps = []
     for j, step in enumerate(traj.steps):
         psi = stack_action_features(step.phi, traj.actions[j], num_actions)

@@ -106,12 +106,3 @@ def test_trajectory_validation():
     ])
     with pytest.raises(ConfigError):
         bad.validate()
-
-
-def test_trajectory_phi_indexing():
-    phi, zero = np.ones(1), np.zeros(1)
-    traj = Trajectory(steps=[Transition(phi, 1.0, zero, 1.0, terminal=True)])
-    assert traj.phi(0) is phi
-    assert traj.phi(1) is zero
-    with pytest.raises(IndexError):
-        traj.phi(2)

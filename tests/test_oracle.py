@@ -32,7 +32,7 @@ from tdlab import (
 )
 from tdlab import oracle as oracle_module
 from tdlab.core import action_values, stack_action_features
-from tdlab.harness import replay_prediction
+from tdlab.algos import replay_prediction
 from tdlab.oracle import (
     constant_lookup,
     interim_lambda_returns_all,
@@ -44,15 +44,9 @@ from tests.conftest import (
     make_mrp_trajectory,
     episodic_mdp,
     make_walk_episode,
+    one_state_episode,
     synthetic_trajectory,
 )
-
-
-def one_state_episode(T):
-    phi, zero = np.array([1.0]), np.array([0.0])
-    steps = [Transition(phi, 0.0, phi, 1.0) for _ in range(T - 1)]
-    steps.append(Transition(phi, 1.0, zero, 1.0, terminal=True))
-    return Trajectory(steps=steps)
 
 
 class TestNStepReturn:
@@ -257,7 +251,7 @@ class TestWatkins:
                 step = traj.steps[t + m]
                 total += disc * step.reward
                 disc *= step.gamma
-            boot = (theta.reshape(3, -1) @ traj.phi(t + num)).max()
+            boot = (theta.reshape(3, -1) @ traj.steps[t + num - 1].phi_next).max()
             return total + disc * boot
 
         want = sum((1 - lam) * lam ** (num - 1) * g_tilde(num) for num in range(1, h - t))
@@ -283,6 +277,20 @@ class TestWatkins:
             denom = 1.0 + np.abs(b).max(axis=1)
             assert (np.abs(a - b).max(axis=1) / denom).max() <= 1e-8
 
+    def test_bootstraps_on_phi_next(self):
+        # step 0 bootstraps on phi_next = a, the copy its learner reads; step
+        # 1's phi is b, which would bootstrap on max(2, 5) instead of max(1, 3)
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        traj = Trajectory(
+            steps=[Transition(a, 1.0, a, 0.9), Transition(b, 0.0, np.zeros(2), 0.9, terminal=True)],
+            actions=[0, 0], greedy=[True, True], num_actions=2,
+        )
+        theta = np.array([1.0, 2.0, 3.0, 5.0])  # action 0's block, then action 1's
+        target = 1.0 + 0.9 * 3.0
+        assert watkins_interim_target(traj, 0, 1, 0.8, constant_lookup(theta)) == target
+        history = watkins_forward_view(traj, 0.5, 0.8, theta)
+        np.testing.assert_array_equal(history[1], [1.0 + 0.5 * (target - 1.0), 2.0, 3.0, 5.0])
+
     def test_missing_annotations_fatal(self):
         traj = synthetic_trajectory(SplitMix64(14), n=2, steps=5)
         with pytest.raises(ConfigError):
@@ -301,7 +309,7 @@ def watkins_recursion_targets(traj, h, lam, theta_lookup):
     us = [0.0] * h
     for k in range(h - 1, -1, -1):
         step = traj.steps[k]
-        q = action_values(theta_lookup(k), traj.phi(k + 1), traj.num_actions)
+        q = action_values(theta_lookup(k), step.phi_next, traj.num_actions)
         v = 0.0 if step.terminal else float(np.max(q))
         if k == h - 1 or not traj.greedy[k + 1]:
             us[k] = step.reward + step.gamma * v
@@ -318,7 +326,9 @@ def watkins_per_horizon_loop(traj, alpha, lam, theta_init):
     T = len(traj)
     history = np.empty((T + 1, theta_init.shape[0]))
     history[0] = theta_init
-    psis = [stack_action_features(traj.phi(k), traj.actions[k], traj.num_actions) for k in range(T)]
+    psis = [
+        stack_action_features(s.phi, a, traj.num_actions) for s, a in zip(traj.steps, traj.actions)
+    ]
     targets = []
     for t in range(1, T + 1):
         targets.append(watkins_recursion_targets(traj, t, lam, lambda j: history[j]))
