@@ -39,12 +39,11 @@ import sys
 
 from . import __version__
 from .algos import PREDICTION_VARIANTS
-from .core import ConfigError, read_json_object
+from .core import ConfigError, check_seed, read_json_object
 from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
     DEFAULT_VARIANTS,
     SweepConfig,
-    check_seed,
     check_workers,
     paper_alpha_grid,
     paper_lambda_grid,
@@ -213,9 +212,18 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    checks = verify_suites.run_suite(args.suite, trials=args.trials, seed=seed)
+    # the worker count changes no output byte, so it is not a flag
+    workers = max(1, min(_usable_cpus(), args.trials))
+    checks = verify_suites.run_suite(args.suite, trials=args.trials, seed=seed, workers=workers)
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

@@ -1,5 +1,6 @@
 """Shared types: feature vectors, transitions, trajectories, the
-configuration error, and the reader for JSON input files.
+configuration error with the integer and seed checks every module
+shares, and the reader for JSON input files.
 
 Feature vectors are dense float64 numpy arrays: state features phi for
 prediction, or action-stacked features psi (one block of phi per action)
@@ -12,12 +13,25 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
 
 class ConfigError(ValueError):
     """Fatal configuration problem (dimension mismatch, invalid parameter)."""
+
+
+def check_integer(value, name: str) -> None:
+    """A count is an integer: a float, even a whole one, is refused."""
+    if not isinstance(value, Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def check_seed(seed: int, name: str) -> None:
+    """A master seed is an integer in [0, 2^64): mix64 would fold any other into that range."""
+    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+        raise ConfigError(f"{name} must be in [0, 2^64), got {seed!r}")
 
 
 def read_json_object(path: str) -> dict:

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import ConfigError
+from .core import ConfigError, check_integer, check_seed
 from .rng import SplitMix64, SplitMix64Rows, mix64
 
 ROW_SUM_TOL = 1e-12
@@ -159,13 +159,16 @@ def _random_chain(rng: SplitMix64, k: int, b: int) -> tuple[np.ndarray, np.ndarr
 def generate_mdp(
     k: int, b: int, sigma: float, gamma: float, num_actions: int, seed: int
 ) -> Mdp:
-    """Random continuing MDP; deterministic given the seed.
+    """Random continuing MDP; deterministic given the seed, in [0, 2^64).
 
     One random chain per action, drawn in action order from a single
     stream. Every chain starts from the uniform initial-state distribution.
     """
+    for name, count in (("k", k), ("b", b), ("num_actions", num_actions)):
+        check_integer(count, name)
     if not 1 <= b <= k:
         raise ConfigError(f"branching factor {b} must satisfy 1 <= b <= k={k}")
+    check_seed(seed, "seed")
     rng = SplitMix64(seed)
     return Mdp(tuple(
         Mrp(

@@ -17,7 +17,7 @@ from .algos import (
     replay_prediction,
     run_episode,
 )
-from .core import ConfigError, Transition
+from .core import ConfigError, Transition, check_integer
 from .envs import canonical_task, true_values
 from .harness import (
     DEFAULT_VARIANTS,
@@ -46,6 +46,9 @@ def random_walk_learning_curves(
     accumulating-trace learner on the same recorded episodes. The offline
     column only moves at episode boundaries.
     """
+    check_integer(episodes, "episodes")
+    if episodes < 1:
+        raise ConfigError(f"episodes must be >= 1, got {episodes}")
     mrp, rep = canonical_task("random-walk-10")
     v = true_values(mrp)[:10]
     rms0 = float(np.sqrt(np.mean(v**2)))  # error of the zero vector
@@ -86,6 +89,8 @@ def one_state_step_size_curve(
     step-size T*alpha leaves the stable range, while the true online
     column stays bounded for alpha <= 1.
     """
+    check_integer(runs, "runs")
+    check_integer(episodes, "episodes")
     if runs < 1 or episodes < 1:
         raise ConfigError(f"runs and episodes must be >= 1, got runs={runs}, episodes={episodes}")
     if alphas is None:

@@ -23,6 +23,11 @@ chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
 run_sweeps on one config.
 
+run_chunks is the package's one process pool. It runs a module-level
+task on the strided chunks items[i::workers], one per worker, and
+returns their results in chunk order. The sweep engine sends it cell
+indices; verify's equivalence suite sends it trial numbers.
+
 The metric's error d' M d (d = theta - theta_star) is one ordered sum per
 row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
 from +0.0, over M's nonzero entries (a zero entry adds +-0, which changes
@@ -57,7 +62,7 @@ from .algos import (
     check_trace_decay,
     replay_prediction,
 )
-from .core import ConfigError, Trajectory, read_json_object
+from .core import ConfigError, Trajectory, check_seed, read_json_object
 from .envs import (
     Mrp,
     Representation,
@@ -106,12 +111,6 @@ def paper_lambda_grid() -> tuple[float, ...]:
     coarse = [j / 10 for j in range(10)]
     fine = [(90 + m) / 100 for m in range(11)]
     return tuple(sorted(set(coarse + fine)))
-
-
-def check_seed(seed: int, name: str) -> None:
-    """A master seed is an integer in [0, 2^64): mix64 would fold any other into that range."""
-    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
-        raise ConfigError(f"{name} must be in [0, 2^64), got {seed!r}")
 
 
 @dataclass(frozen=True)
@@ -360,10 +359,31 @@ def _sweep_cells(
 
 
 def check_workers(workers: int) -> None:
-    """A worker count must lie in [1, the CPU count]."""
+    """A worker count is an integer in [1, the CPU count]."""
     cpus = os.cpu_count() or 1
-    if not 1 <= workers <= cpus:
+    if not (isinstance(workers, Integral) and 1 <= workers <= cpus):
         raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
+
+
+def run_chunks(task, args: tuple, items, workers: int) -> list:
+    """task(*args, chunk) on each non-empty strided chunk items[i::workers].
+
+    With more than one worker the chunks run in a process pool, one task
+    per worker; with one, the single chunk (all of items) runs in this
+    process. Returns the chunk results in chunk order. The task must be
+    a module-level function and args picklable, so that any start method
+    can send them. An exception in a task reaches the caller as itself,
+    after the pool has shut down.
+    """
+    check_workers(workers)
+    if workers == 1:
+        return [task(*args, items)]
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = [
+            pool.submit(task, *args, chunk)
+            for chunk in (items[i::workers] for i in range(workers)) if chunk
+        ]
+        return [f.result() for f in futures]
 
 
 def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[SweepResult, ...]:
@@ -392,7 +412,6 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
             raise ConfigError(
                 "sweeps run together must differ only in representation and variants"
             )
-    check_workers(workers)
     mrp = resolve_env(first.env, first.gamma, first.master_seed)
     if not mrp.continuing:
         raise ConfigError(
@@ -405,15 +424,7 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
         for config in configs
     )
     indices = list(range(len(first.lambdas) * len(first.alphas)))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(_sweep_cells, mrp, plans, chunk)
-                for chunk in (indices[i::workers] for i in range(workers)) if chunk
-            ]
-            chunks = [f.result() for f in futures]
-    else:
-        chunks = [_sweep_cells(mrp, plans, indices)]
+    chunks = run_chunks(_sweep_cells, (mrp, plans), indices, workers)
     return tuple(
         _collect(config, mrp, [row for chunk in chunks for row in chunk[p]])
         for p, config in enumerate(configs)

@@ -4,6 +4,13 @@ Each check returns a pass/fail line; the exactness suites realize the
 forward/backward equivalence guarantees as executable assertions with
 pinned tolerances (1e-8 for oracle replays, 1e-12 for algebraic
 identities).
+
+Each equivalence trial seeds itself from (seed, trial), so the trials
+are independent. With `workers` > 1 they run in harness.run_chunks's
+process pool, trial t in chunk t % workers, and are merged back in
+trial order: the checks, and so `tdlab verify`'s stdout, are the same at
+any worker count. The closed-form, proposition and theorem-1 suites run
+in the calling process.
 """
 
 from __future__ import annotations
@@ -22,9 +29,9 @@ from .algos import (
     run_control_episode,
     run_episode,
 )
-from .core import ConfigError, Trajectory, Transition
+from .core import ConfigError, Trajectory, Transition, check_integer
 from .envs import REPRESENTATION_KINDS, build_representation, canonical_task, generate_mdp, generate_mrp
-from .harness import EQUIVALENCE_PAIRS, certify_equivalence
+from .harness import EQUIVALENCE_PAIRS, certify_equivalence, check_workers, run_chunks
 from .oracle import prop2_condition_holds, theorem1_ratio
 from .rng import SplitMix64, mix64
 
@@ -194,10 +201,20 @@ def _random_prediction_setting(rng: SplitMix64, tabular_only: bool = False):
     return traj, rep.n
 
 
-def equivalence_checks(trials: int, seed: int) -> list[CheckResult]:
-    """Randomized oracle-replay certifications across all pairings."""
+def equivalence_checks(trials: int, seed: int, workers: int = 1) -> list[CheckResult]:
+    """Randomized oracle-replay certifications across all pairings, in
+    trial order; `workers` processes share the trials."""
+    chunks = run_chunks(_trial_checks, (trials, seed), range(trials), workers)
+    checks: list[CheckResult] = [None] * trials
+    for i, chunk in enumerate(chunks):  # chunk i holds trials i, i + len(chunks), ...
+        checks[i :: len(chunks)] = chunk
+    return checks
+
+
+def _trial_checks(trials: int, seed: int, trial_indices: range) -> list[CheckResult]:
+    """The checks of the given trials of a `trials`-trial suite: the pool task."""
     checks = []
-    for trial in range(trials):
+    for trial in trial_indices:
         rng = SplitMix64(mix64(seed ^ mix64(trial + 1)))
         pair = _PAIR_CYCLE[trial % len(_PAIR_CYCLE)]
         alpha = 0.05 + 1.95 * rng.random()
@@ -229,9 +246,13 @@ def equivalence_checks(trials: int, seed: int) -> list[CheckResult]:
     return checks
 
 
-def run_suite(suite: str, trials: int = 100, seed: int = 0) -> list[CheckResult]:
-    if suite in ("equivalence", "all") and trials < 1:
-        raise ConfigError(f"trials must be >= 1, got {trials}")
+def run_suite(suite: str, trials: int = 100, seed: int = 0, workers: int = 1) -> list[CheckResult]:
+    """One suite's checks; `workers` processes share the equivalence trials."""
+    if suite in ("equivalence", "all"):
+        check_integer(trials, "trials")
+        if trials < 1:
+            raise ConfigError(f"trials must be >= 1, got {trials}")
+    check_workers(workers)
     if suite == "closed-forms":
         return closed_form_checks()
     if suite == "propositions":
@@ -239,12 +260,12 @@ def run_suite(suite: str, trials: int = 100, seed: int = 0) -> list[CheckResult]
     if suite == "theorem1":
         return theorem1_checks(seed)
     if suite == "equivalence":
-        return equivalence_checks(trials, seed)
+        return equivalence_checks(trials, seed, workers)
     if suite == "all":
         return (
             closed_form_checks()
             + proposition_checks(seed)
             + theorem1_checks(seed)
-            + equivalence_checks(trials, seed)
+            + equivalence_checks(trials, seed, workers)
         )
     raise ConfigError(f"unknown suite {suite!r}")

@@ -230,6 +230,17 @@ def test_verify_stdout_is_pinned(capsys, seed):
     assert hashlib.sha256(out.encode()).hexdigest() == PINNED_VERIFY_STDOUT[seed]
 
 
+def test_verify_still_reports_the_oracle_precision_failure(capsys):
+    # the float forward-view oracle, not the learner, is off at this trial
+    # (ROADMAP.md, item 1); the pool must report it as one process does
+    assert main(["verify", "--suite", "equivalence", "--trials", "96", "--seed", "13"]) == 1
+    assert capsys.readouterr().out.splitlines()[-2:] == [
+        "FAIL equivalence trial 96/96 [true-online-vs-oracle]: alpha=1.582 lambda=0.481 "
+        "steps=120 max_rel_diff=1.295e-06 (tol 1e-08)",
+        "verify equivalence: 95/96 checks passed",
+    ]
+
+
 def test_figures_unknown_id():
     with pytest.raises(SystemExit) as exc:
         main(["figures", "--figure", "9"])

@@ -1,5 +1,6 @@
 import itertools
 import json
+import os
 
 import numpy as np
 import pytest
@@ -219,6 +220,27 @@ class TestRunSweeps:
         )
         with pytest.raises(ConfigError, match="zero initial error"):
             run_sweeps(configs, workers=2)
+
+
+class TestRunChunks:
+    def test_strided_chunks_in_chunk_order(self):
+        assert harness.run_chunks(list, (), range(7), 2) == [[0, 2, 4, 6], [1, 3, 5]]
+
+    def test_empty_chunks_are_not_sent(self):
+        assert harness.run_chunks(list, (), range(1), 2) == [[0]]
+
+    def test_one_worker_runs_all_items_in_process(self, monkeypatch):
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        items = list(range(5))
+        assert harness.run_chunks(list, (), items, 1) == [items]
+
+    @pytest.mark.parametrize("workers", [0, 1.5, (os.cpu_count() or 1) + 1])
+    def test_worker_count_checked(self, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            harness.run_chunks(list, (), range(3), workers)
 
 
 def sweep_cells(config, mrp, rep, cell_indices):

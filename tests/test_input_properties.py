@@ -35,6 +35,7 @@ from tdlab import (
     accumulating_trace_nonrecursive,
     build_representation,
     generate_mdp,
+    generate_mrp,
     interim_lambda_return,
     offline_lambda_return,
     offline_lambda_return_algorithm,
@@ -43,12 +44,14 @@ from tdlab import (
     run_episode,
     watkins_interim_target,
 )
+from tdlab.figures import one_state_step_size_curve, random_walk_learning_curves
 from tdlab.oracle import (
     constant_lookup,
     interim_lambda_returns_all,
     theorem1_delta_terms,
     watkins_forward_view,
 )
+from tdlab.verify import run_suite
 from tests.conftest import synthetic_trajectory
 
 JUNK = (math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64, None, "x")
@@ -62,11 +65,15 @@ INPUTS = {
     "alpha": (st.floats(0.0, 2.0), (0, 1.5, 2.5, 2**64)),
     "lam": (st.floats(0.0, 1.0), (0,)),
     "max_steps": (st.none() | st.integers(1, 99), (None, 2**64)),
+    "count": (st.integers(1, 3), ()),
 }
 
 
-def junk_cases(*names):
-    return [pytest.param(name, x, id=f"{name}={x!r}") for name in names for x in JUNK]
+def junk_cases(*names, skip=()):
+    return [
+        pytest.param(name, x, id=f"{name}={x!r}")
+        for name in names for x in JUNK if x not in skip
+    ]
 
 
 def valid(*names):
@@ -193,3 +200,28 @@ def test_continuing_step_cap_is_a_positive_integer(max_steps):
         run_control_episode(
             TrueOnlineTD(8, 0.1, 0.5), MDP, REP, SplitMix64(0), 0.1, max_steps=max_steps
         )
+
+
+@pytest.mark.parametrize("name, value", junk_cases("master_seed"))
+@given(values=valid("master_seed"))
+@settings(max_examples=10, deadline=None)
+def test_generated_chain_seed(name, value, values):
+    expect(lambda master_seed: generate_mrp(4, 2, 0.1, 0.9, seed=master_seed), values, name, value)
+
+
+# counts that size a run; 2**64 is a valid count there too, but would run for ages
+COUNTS = (
+    lambda count: run_suite("equivalence", trials=count),
+    lambda count: one_state_step_size_curve(alphas=(0.5,), episodes=count, runs=1),
+    lambda count: one_state_step_size_curve(alphas=(0.5,), episodes=1, runs=count),
+    lambda count: random_walk_learning_curves(episodes=count),
+    lambda count: generate_mrp(count, 1, 0.1, 0.9, seed=0),
+)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("count", skip=(2**64,)))
+@given(values=valid("count"))
+@settings(max_examples=5, deadline=None)
+def test_counts(name, value, values):
+    for call in COUNTS:
+        expect(call, values, name, value)
