@@ -50,6 +50,7 @@ from .harness import (
     run_sweep,
     sweep_to_csv,
     table_to_csv,
+    usable_cpus,
 )
 from .figures import (
     mrp_best_lambda_curves,
@@ -212,17 +213,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    """The CPUs this process may run on."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     # the worker count changes no output byte, so it is not a flag
-    workers = max(1, min(_usable_cpus(), args.trials))
+    workers = max(1, min(usable_cpus(), args.trials))
     checks = verify_suites.run_suite(args.suite, trials=args.trials, seed=seed, workers=workers)
     failures = 0
     for check in checks:
@@ -294,7 +288,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     s.add_argument("--gamma", type=float, default=0.99,
                    help="discount of an mrp(k,b,sigma) task; a file: env keeps its own")
     s.add_argument("--weighting", default="stationary", choices=["stationary", "uniform"])
-    s.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the CPU count")
+    s.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the usable CPU count")
     s.add_argument("--out", default=None, help="output CSV (default: stdout)")
     s.add_argument("--config", default=None, help="JSON config/manifest file")
     s.set_defaults(func=cmd_sweep)
@@ -311,7 +305,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     f.add_argument("--runs", type=int, default=None)
     f.add_argument("--steps", type=int, default=100)
     f.add_argument("--seed", type=int, default=1)
-    f.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the CPU count")
+    f.add_argument("--workers", type=int, default=1, help="worker processes, 1 to the usable CPU count")
     f.add_argument("--out", default=None, help="output CSV (default: stdout)")
     f.set_defaults(func=cmd_figures)
 

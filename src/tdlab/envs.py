@@ -25,6 +25,9 @@ from .core import ConfigError, check_integer, check_seed
 from .rng import SplitMix64, SplitMix64Rows, mix64
 
 ROW_SUM_TOL = 1e-12
+# The most states a generated chain may have: each chain holds two k x k
+# float64 arrays (P and r_mean), 256 MiB at this cap.
+MAX_GENERATED_STATES = 4096
 
 
 @dataclass(frozen=True)
@@ -166,6 +169,11 @@ def generate_mdp(
     """
     for name, count in (("k", k), ("b", b), ("num_actions", num_actions)):
         check_integer(count, name)
+    if k > MAX_GENERATED_STATES:
+        raise ConfigError(
+            f"k={k} states exceeds the cap of {MAX_GENERATED_STATES}: "
+            "a chain holds two k x k arrays"
+        )
     if not 1 <= b <= k:
         raise ConfigError(f"branching factor {b} must satisfy 1 <= b <= k={k}")
     check_seed(seed, "seed")

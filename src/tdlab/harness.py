@@ -10,13 +10,17 @@ result does not depend on execution order or worker count.
 
 The sweep engine is batched by chunk: a chunk of cells (all cells, or
 one worker's share) draws every (cell, run) chain at once through
-SplitMix64Rows, then advances one (rows x n) learner per variant through
-the algos trace rules, all runs in lockstep. Each row computes exactly
+SplitMix64Rows, then advances every variant of a config in lockstep: one
+(variants x rows, n) weight array, in which each variant's algos trace
+rule steps its own row slice, with one feature gather and one
+divergence test per step for all of them. Each row computes exactly
 what a scalar learner on that run's seed computes, so sweep CSVs are
-byte-identical to running the runs one at a time. Memory per chunk is
-O(rows x (n + steps)): the chains and each row's per-step errors, never
-a weight history; chunks larger than CHAIN_BLOCK_VALUES chain entries
-are run in blocks of whole cells.
+byte-identical to running the runs one at a time. Memory per block is
+O(variants x rows x (n + steps)): the chains and each row's per-step
+errors, never a weight history. A chunk runs in blocks of whole cells,
+so that the chains (rows x (steps + 1)) and the errors of the config
+with the most variants (variants x rows x steps) each hold at most
+CHAIN_BLOCK_VALUES entries.
 
 Sweeps that differ only in representation and variants share every
 chain, so run_sweeps runs them in one pass: one process pool, each chain
@@ -35,7 +39,12 @@ no such sum). A row's bits therefore never depend on how many rows share
 its block, so a sweep's CSV is the same at any worker count. This is the
 order np.einsum("ri,ij,rj->r") takes for blocks of 3 or more rows and
 n <= 90 features, so sweeps there keep the bits of tdlab 0.1.0; 0.1.0
-differed on blocks of 1 or 2 rows and at n >= 91.
+differed on blocks of 1 or 2 rows and at n >= 91. The engine sums in
+time blocks: each step's d goes feature-major into a buffer of K steps
+(at most METRIC_BLOCK_VALUES entries, so it stays in cache), and every K
+steps the sum runs one term at a time over all K x variants x rows
+(step, row) pairs at once. Each pair's sum keeps its order, so K
+changes no bit.
 """
 
 from __future__ import annotations
@@ -81,9 +90,13 @@ from .oracle import (
 from .rng import SplitMix64Rows, mix64
 
 DIVERGENCE_THRESHOLD = 1e100
-# Chain entries (rows x (steps + 1)) the sweep engine holds at once: about
-# 16 MB for each of its per-block arrays (states, rewards, errors).
+# Entries of each per-block array the sweep engine holds at once, about
+# 16 MB: the chains (rows x (steps + 1) states and rewards) and the errors
+# of the config with the most variants (variants x rows x steps).
 CHAIN_BLOCK_VALUES = 1 << 21
+# Error-buffer entries (features x steps x rows) the sweep metric sums at
+# once: 256 KB, so the buffer stays in cache between its writes and its sum.
+METRIC_BLOCK_VALUES = 1 << 15
 EQUIVALENCE_TOL = 1e-8
 # A run whose weights have grown this much past their start is exponentially
 # divergent; beyond it, float64 rounding is amplified faster than any fixed
@@ -221,30 +234,34 @@ def error_quadratic(
     return M, theta_star, e0
 
 
-def _quadratic_terms(M: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(i, j, M_ij column) of M's nonzero entries in row-major order."""
+def _quadratic_terms(M: np.ndarray) -> list[tuple[int, int, float]]:
+    """(i, j, M_ij) of M's nonzero entries in row-major order."""
     pi, pj = np.nonzero(M)
-    return pi, pj, M[pi, pj][:, None]
+    return list(zip(pi.tolist(), pj.tolist(), M[pi, pj].tolist()))
 
 
-def _quadratic(D: np.ndarray, terms: tuple[np.ndarray, np.ndarray, np.ndarray]) -> np.ndarray:
+def _quadratic(D: np.ndarray, terms: list[tuple[int, int, float]]) -> np.ndarray:
     """Each row's d' M d as one ordered sum: the terms (d_i M_ij) d_j over
     M's nonzero entries in row-major (i, j) order, added one by one from
     +0.0. For finite d a zero entry's term is +-0, which leaves such a sum
     unchanged, so this is the sum over every (i, j). Each row's bits
-    depend on that row alone, never on how many rows share the call."""
-    pi, pj, m = terms
+    depend on that row alone, never on how many rows share the call.
+
+    The sum runs one term at a time over all rows, on two buffers reused
+    from term to term. Passing D as the transpose of a feature-major
+    (n, rows) array makes each term's two feature columns contiguous."""
     Dt = D.T
-    P = Dt[pi] * m
-    P *= Dt[pj]
     acc = np.zeros(D.shape[0])
-    for q in P:  # not np.add.reduce: on one row it sums pairwise
-        acc += q
+    tmp = np.empty_like(acc)
+    for i, j, m in terms:  # not np.add.reduce: on one row it sums pairwise
+        np.multiply(Dt[i], m, out=tmp)
+        tmp *= Dt[j]
+        acc += tmp
     return acc
 
 
 def _run_metrics(
-    variant: str,
+    variants: tuple[str, ...],
     states: np.ndarray,
     rewards: np.ndarray,
     table: np.ndarray,
@@ -255,40 +272,59 @@ def _run_metrics(
     theta_star: np.ndarray,
     e0: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """One learner per row over its pre-sampled chain, all rows in lockstep.
+    """One learner per (variant, row) over the row's pre-sampled chain,
+    every variant and row in lockstep.
 
     `states` and `rewards` are time-major, alpha and lam (rows, 1)
-    columns. Returns each row's (metric, diverged). A row whose weights
-    leave the threshold is frozen at them, or at its last weights if they
-    went non-finite, for the rest of its run. While every row is live one
-    test of the whole block stands in for the per-row bookkeeping; from
-    the first step it fails, the per-row freeze runs.
+    columns. The variants' learners are stacked variant-major in one
+    (variants x rows, n) weight array: each variant's rule steps its own
+    contiguous row slice, and each step gathers the features once for
+    all of them. Returns each stacked row's (metric, diverged), variant
+    by variant. A row whose weights leave the threshold is frozen at
+    them, or at its last weights if they went non-finite, for the rest of
+    its run. While every row is live one test of the whole stack stands
+    in for the per-row bookkeeping; from the first step it fails, the
+    per-row freeze runs.
 
-    Each step's error is _quadratic's ordered sum, row-major over M's
-    nonzero entries from +0.0, so a row's metric has the same bits in a
-    block of any size.
+    Each step's d = shown - theta_star goes into a feature-major buffer
+    of K steps, K sized so that it holds at most METRIC_BLOCK_VALUES
+    values, and _quadratic sums every K steps at once. The sum for each
+    (row, step) is still the ordered one, row-major over M's nonzero
+    entries from +0.0, so a row's metric has the same bits in a block of
+    any size, beside any other variants, at any K.
     """
-    rule = PREDICTION_LEARNERS[variant].rule
+    rules = [PREDICTION_LEARNERS[v].rule for v in variants]
     steps, rows = rewards.shape
     n = table.shape[1]
-    theta, e = np.zeros((rows, n)), np.zeros((rows, n))
-    v_old = np.zeros((rows, 1))
-    shown = np.zeros((rows, n))  # the weights the metric sees
-    live = np.ones(rows, dtype=bool)
+    stacked = len(variants) * rows
+    theta, e = np.zeros((stacked, n)), np.zeros((stacked, n))
+    slices = [slice(v * rows, (v + 1) * rows) for v in range(len(variants))]
+    v_olds = [np.zeros((rows, 1)) for _ in variants]
+    shown = np.zeros((n, stacked))  # the weights the metric sees, feature-major
+    star = np.repeat(theta_star[:, None], stacked, axis=1)  # a broadcast column is slower
+    live = np.ones(stacked, dtype=bool)
     terms = _quadratic_terms(M)
-    errors = np.empty((rows, steps))
-    phi_next = table[states[0]]
+    errors = np.empty((stacked, steps))
+    K = max(1, min(steps, METRIC_BLOCK_VALUES // (stacked * n)))
+    D = np.empty((n, K * stacked))  # step k of a block in columns k*stacked onwards
+    phi_next = table.take(states[0], axis=0)
     for t in range(steps):
-        phi, phi_next = phi_next, table[states[t + 1]]
-        v_old = rule(theta, e, v_old, phi, rewards[t][:, None], phi_next, gamma, alpha, lam)
+        phi, phi_next = phi_next, table.take(states[t + 1], axis=0)
+        reward = rewards[t][:, None]
+        for v, (rule, s) in enumerate(zip(rules, slices)):
+            v_olds[v] = rule(theta[s], e[s], v_olds[v], phi, reward, phi_next, gamma, alpha, lam)
         if live.all() and np.abs(theta).max() <= DIVERGENCE_THRESHOLD:  # False on NaN
-            np.copyto(shown, theta)
+            np.copyto(shown, theta.T)
         else:
             size = np.abs(theta).max(axis=1)  # NaN if any weight is
             moved = live & np.isfinite(size)
             live &= size <= DIVERGENCE_THRESHOLD
-            np.copyto(shown, theta, where=moved[:, None])
-        errors[:, t] = _quadratic(shown - theta_star, terms)
+            np.copyto(shown, theta.T, where=moved)
+        k = t % K
+        np.subtract(shown, star, out=D[:, k * stacked : (k + 1) * stacked])
+        if k == K - 1 or t == steps - 1:
+            block = _quadratic(D[:, : (k + 1) * stacked].T, terms)
+            errors[:, t - k : t + 1] = block.reshape(k + 1, stacked).T
     errors /= e0
     return errors.mean(axis=1), ~live
 
@@ -322,14 +358,17 @@ def _sweep_cells(
 
     The plans share their chains (every config field but representation
     and variants agrees), so each block's chains are simulated once and
-    every (plan, variant) steps on them. Cells are batched in blocks of at
-    most CHAIN_BLOCK_VALUES chain entries (rows x steps), so memory stays
-    bounded however many cells a chunk holds; rows are independent, so
-    blocking changes no result.
+    every plan steps all its variants on them in one _run_metrics call.
+    Cells are batched in blocks small enough that each per-block array,
+    the chains (rows x steps) and the widest plan's errors (variants x
+    rows x steps), holds at most CHAIN_BLOCK_VALUES entries, so memory
+    stays bounded however many cells a chunk holds; rows are
+    independent, so blocking changes no result.
     """
     config = plans[0].config
     n_alpha, runs = len(config.alphas), config.runs
-    block = max(1, CHAIN_BLOCK_VALUES // (runs * (config.steps + 1)))
+    width = max(len(plan.config.variants) for plan in plans)
+    block = max(1, CHAIN_BLOCK_VALUES // (width * runs * (config.steps + 1)))
     out: list[list[_Row]] = [[] for _ in plans]
     for start in range(0, len(cell_indices), block):
         cells = cell_indices[start : start + block]
@@ -342,15 +381,15 @@ def _sweep_cells(
         lam = np.repeat([config.lambdas[ci // n_alpha] for ci in cells], runs)[:, None]
         for plan, rows in zip(plans, out):
             columns = []
+            shape = (len(plan.config.variants), len(cells), runs)
             with np.errstate(over="ignore", invalid="ignore"):
-                for variant in plan.config.variants:
-                    metrics, diverged = _run_metrics(
-                        variant, states, rewards, plan.table, mrp.gamma,
-                        alpha, lam, plan.M, plan.theta_star, plan.e0,
-                    )
-                    vals = metrics.reshape(len(cells), runs)
+                metrics, diverged = _run_metrics(
+                    plan.config.variants, states, rewards, plan.table, mrp.gamma,
+                    alpha, lam, plan.M, plan.theta_star, plan.e0,
+                )
+                for vals, div in zip(metrics.reshape(shape), diverged.reshape(shape)):
                     se = vals.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(len(cells))
-                    counts = diverged.reshape(len(cells), runs).sum(axis=1)
+                    counts = div.sum(axis=1)
                     columns.append((vals.mean(axis=1).tolist(), se.tolist(), counts.tolist()))
             for i, ci in enumerate(cells):
                 for variant, (means, ses, counts) in zip(plan.config.variants, columns):
@@ -358,11 +397,20 @@ def _sweep_cells(
     return out
 
 
+def usable_cpus() -> int:
+    """The CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def check_workers(workers: int) -> None:
-    """A worker count is an integer in [1, the CPU count]."""
-    cpus = os.cpu_count() or 1
+    """A worker count is an integer in [1, the CPUs this process may use]."""
+    cpus = usable_cpus()
     if not (isinstance(workers, Integral) and 1 <= workers <= cpus):
-        raise ConfigError(f"workers must lie in [1, {cpus}] (the CPU count), got {workers}")
+        raise ConfigError(
+            f"workers must lie in [1, {cpus}] (the CPUs this process may use), got {workers}"
+        )
 
 
 def run_chunks(task, args: tuple, items, workers: int) -> list:

@@ -192,6 +192,30 @@ def test_figures_fig2_default_csv_body_is_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("steps, seed, diverged, digest", [
+    (100, 5, {}, "d4a0de7835fbeffa396d329081b8c8eea9198a1219ab8328c516e590c7382661"),
+    # two accumulate cells with one diverged run each (an inf standard error)
+    # beside live replace and true-online rows of the same cells
+    (200, 1, {"accumulate": 2}, "d303325cd50da739c5b940fbd989be700484b4c5ae630bb4010ebbb87ea4327e"),
+])
+def test_tabular_paper_grid_sweep_csv_body_is_pinned(tmp_path, steps, seed, diverged, digest):
+    # the sweep engine on one-hot features, whose dot products are exact, so
+    # the digest holds on any BLAS; metrics reach 1e197 where runs diverge
+    out = tmp_path / "sweep.csv"
+    assert main([
+        "sweep", "--task", "mrp(10,3,0.1)", "--repr", "tabular", "--paper-grid",
+        "--runs", "2", "--steps", str(steps), "--seed", str(seed), "--out", str(out),
+    ]) == 0
+    _, body = out.read_text().split("\n", 1)
+    counts = {}
+    for row in body.splitlines()[1:]:
+        variant, *_, runs_diverged = row.split(",")
+        if runs_diverged != "0":
+            counts[variant] = counts.get(variant, 0) + 1
+    assert counts == diverged
+    assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
 @pytest.mark.parametrize("figure, params", [
     (1, {"seed": 4}),
     (2, {"runs": 2, "seed": 4}),

@@ -3,7 +3,7 @@ exits 0 or 2 and never ends in a traceback. `verify` may also exit 1, but
 only for the known oracle-precision failure of ROADMAP item 1.
 
 Sizes stay small (steps <= 5, runs <= 2, trials <= 2) and --workers stays
-within 1..os.cpu_count(), so no example starts a large pool or a long run.
+within 1..the CPUs the process may use, so no example starts a large pool or a long run.
 Figure 3 is left out: it takes no size flag, costs about 0.75 s a run,
 and test_cli.py runs it already.
 """
@@ -21,8 +21,9 @@ from hypothesis import strategies as st
 
 from tdlab import __version__
 from tdlab.cli import main
+from tdlab.harness import usable_cpus
 
-CPUS = os.cpu_count() or 1
+CPUS = usable_cpus()
 
 JUNK = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e999", "0x10", "1.5", "[]", "None"])
 

@@ -1,6 +1,8 @@
 import itertools
 import json
 import os
+from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -242,6 +244,14 @@ class TestRunChunks:
         with pytest.raises(ConfigError, match="workers"):
             harness.run_chunks(list, (), range(3), workers)
 
+    def test_worker_count_bounded_by_the_cpus_the_process_may_use(self, monkeypatch):
+        # as under taskset -c 0 on a machine of any size
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        assert harness.usable_cpus() == 1
+        harness.check_workers(1)
+        with pytest.raises(ConfigError, match=r"workers must lie in \[1, 1\]"):
+            harness.check_workers(2)
+
 
 def sweep_cells(config, mrp, rep, cell_indices):
     """The sweep's pool task run on one config's plan."""
@@ -421,7 +431,7 @@ class TestRunMetrics:
 
         def run(r):
             return harness._run_metrics(
-                variant, states[:, r], rewards[:, r], rep.table, mrp.gamma,
+                (variant,), states[:, r], rewards[:, r], rep.table, mrp.gamma,
                 alpha[r, None], lam[r, None], M, theta_star, e0,
             )
 
@@ -473,7 +483,7 @@ class TestRunMetrics:
 
         def run(rewards):
             return harness._run_metrics(
-                variant, states, rewards, rep.table, mrp.gamma, alpha, lam, M, theta_star, e0
+                (variant,), states, rewards, rep.table, mrp.gamma, alpha, lam, M, theta_star, e0
             )
 
         assert not run(rewards)[1].any()
@@ -497,6 +507,59 @@ class TestRunMetrics:
         assert np.isfinite(metrics).all()
         assert [m.hex() for m in metrics.tolist()] == [float(m).hex() for m, _ in expected]
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        kind=st.sampled_from(["tabular", "binary", "random-normalized", "dense"]),
+        n=st.integers(1, 8),
+        scale=st.sampled_from([1.0, 30.0]),
+        variants=st.lists(st.sampled_from(PREDICTION_VARIANTS), min_size=1, unique=True),
+        rows=st.integers(1, 5),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+        alphas=st.lists(st.floats(0.0, 3.0), min_size=5, max_size=5),
+        lambdas=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+        budget=st.sampled_from(["one step", "every step", "default"]),
+    )
+    # large dense features at alpha 3: every true-online row diverges, and one
+    # accumulate row of three
+    @example(k=4, kind="dense", n=4, scale=30.0, variants=["true-online", "accumulate"],
+             rows=3, steps=30, seed=1, alphas=[3.0] * 5, lambdas=[0.9] * 5, budget="one step")
+    def test_stacked_variants_equal_each_variant_alone(
+        self, k, kind, n, scale, variants, rows, steps, seed, alphas, lambdas, budget
+    ):
+        # a plan's variants step in lockstep in one weight array and the
+        # metric is summed every K steps; each variant's rows keep the bits
+        # of that variant run alone with the metric summed every step
+        mrp = generate_mrp(k, min(k, 2), 1.0, 0.9, seed=seed)
+        if kind == "dense":  # n = 1..8 features, any k
+            table = np.random.default_rng(seed).standard_normal((k, n)) * scale
+            rep = Representation("dense", table)
+        else:
+            rep = build_representation(kind, mrp, seed=seed)
+        if kind not in ("tabular", "binary"):
+            variants = [v for v in variants if v != "replace"] or ["true-online"]
+        M, theta_star, e0 = error_quadratic(mrp, rep)
+        states, rewards = self.chains(mrp, rows, steps, seed)
+        alpha, lam = np.array(alphas[:rows])[:, None], np.array(lambdas[:rows])[:, None]
+        values = {"one step": 1, "every step": len(variants) * rows * rep.n * steps,
+                  "default": harness.METRIC_BLOCK_VALUES}
+
+        def run(variants, budget):
+            with mock.patch.object(harness, "METRIC_BLOCK_VALUES", budget):
+                return harness._run_metrics(
+                    tuple(variants), states, rewards, rep.table, mrp.gamma,
+                    alpha, lam, M, theta_star, e0,
+                )
+
+        with np.errstate(over="ignore", invalid="ignore"):
+            metrics, diverged = run(variants, values[budget])
+            alone = [run([v], 1) for v in variants]
+        assert [m.hex() for m in metrics.tolist()] == [
+            m.hex() for own, _ in alone for m in own.tolist()
+        ]
+        assert diverged.tolist() == [d for _, own in alone for d in own.tolist()]
+
 
 def test_blocked_sweep_cells_match_one_block(monkeypatch):
     config = small_config(runs=3, steps=30)
@@ -504,6 +567,24 @@ def test_blocked_sweep_cells_match_one_block(monkeypatch):
     whole = sweep_cells(config, mrp, rep, [0, 1, 2, 3])
     monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 1)  # one cell per block
     assert exact(sweep_cells(config, mrp, rep, [0, 1, 2, 3])) == exact(whole)
+
+
+def test_blocks_are_sized_by_the_plan_with_the_most_variants(monkeypatch):
+    # room for the chains of three cells, so for the errors of one cell of
+    # three variants: the three-variant plan bounds the block at one cell
+    config = small_config(runs=3, steps=30)
+    mrp, rep = sweep_setting(config)
+    plans = (
+        _plan_sweep(replace(config, variants=("true-online",)), mrp, rep),
+        _plan_sweep(config, mrp, rep),
+    )
+    rows = []
+    monkeypatch.setattr(harness, "simulate_chains", lambda mrp, steps, rng: (
+        rows.append(len(rng)) or simulate_chains(mrp, steps, rng)
+    ))
+    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 3 * config.runs * (config.steps + 1))
+    harness._sweep_cells(mrp, plans, [0, 1, 2])
+    assert rows == [config.runs] * 3
 
 
 def test_error_quadratic_solves_stationary_once(monkeypatch):

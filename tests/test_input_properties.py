@@ -44,6 +44,7 @@ from tdlab import (
     run_episode,
     watkins_interim_target,
 )
+from tdlab.envs import MAX_GENERATED_STATES
 from tdlab.figures import one_state_step_size_curve, random_walk_learning_curves
 from tdlab.oracle import (
     constant_lookup,
@@ -225,3 +226,13 @@ COUNTS = (
 def test_counts(name, value, values):
     for call in COUNTS:
         expect(call, values, name, value)
+
+
+@pytest.mark.parametrize("k", [MAX_GENERATED_STATES + 1, 100_000, 2**64])
+def test_generated_chain_size_is_capped(k):
+    # two k x k arrays: 2**64 states once ended in numpy's ValueError, and
+    # 100 000 would ask for 160 GB
+    with pytest.raises(ConfigError, match=f"k={k} "):
+        generate_mrp(k, 1, 0.1, 0.9, seed=0)
+    with pytest.raises(ConfigError, match=f"k={k} "):
+        generate_mdp(k, 1, 0.1, 0.9, num_actions=2, seed=0)
