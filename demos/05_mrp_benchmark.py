@@ -39,4 +39,4 @@ best = {v: min(p.metric_mean for p in curves[v] if p.metric_mean is not None)
         for v in config.variants}
 print("\nbest overall:", ", ".join(f"{v} {m:.3f}" for v, m in best.items()))
 print("diverged runs recorded:",
-      sum(c.diverged for c in result.cells), "across", len(result.cells), "cells")
+      result.diverged.sum(), "across", result.diverged.size, "cells")

@@ -27,6 +27,11 @@ chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
 run_sweeps on one config.
 
+A sweep result is columnar: (variants, lambdas, alphas) arrays of each
+cell's mean, standard error and diverged count. Each worker returns its
+chunk's columns and the parent scatters them with one strided assignment
+per chunk (see run_sweeps); no per-cell object is built on the way.
+
 run_chunks is the package's one process pool. It runs a module-level
 task on the strided chunks items[i::workers], one per worker, and
 returns their results in chunk order. The sweep engine sends it cell
@@ -49,7 +54,7 @@ changes no bit.
 
 from __future__ import annotations
 
-import math
+import itertools
 import os
 import re
 from concurrent.futures import ProcessPoolExecutor
@@ -175,16 +180,47 @@ class CellResult:
     diverged: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepResult:
+    """A sweep's per-cell aggregates as read-only (variants, lambdas,
+    alphas) arrays, indexed in the config's grid order: the mean and
+    standard error of the runs' metrics, and how many runs diverged."""
+
     config: SweepConfig
-    cells: tuple[CellResult, ...]
+    metric_mean: np.ndarray
+    metric_se: np.ndarray
+    diverged: np.ndarray
+
+    def __post_init__(self):
+        c = self.config
+        grid = (len(c.variants), len(c.lambdas), len(c.alphas))
+        for a in (self.metric_mean, self.metric_se, self.diverged):
+            if a.shape != grid:
+                raise ConfigError(f"sweep result arrays must have shape {grid}, got {a.shape}")
+            a.flags.writeable = False
+
+    def _rows(self) -> list[tuple]:
+        """(variant, alpha, lam, mean, se, runs, diverged) per cell as Python
+        scalars, in CSV row order: variant, then lambda, then alpha."""
+        c = self.config
+        keys = itertools.product(c.variants, c.lambdas, c.alphas)
+        columns = (a.ravel().tolist() for a in (self.metric_mean, self.metric_se, self.diverged))
+        return [
+            (v, alpha, lam, m, se, c.runs, d) for (v, lam, alpha), m, se, d in zip(keys, *columns)
+        ]
+
+    @property
+    def cells(self) -> tuple[CellResult, ...]:
+        """Every cell in CSV row order, built on each call."""
+        return tuple(CellResult(*row) for row in self._rows())
 
     def cell(self, variant: str, alpha: float, lam: float) -> CellResult:
-        for c in self.cells:
-            if c.variant == variant and c.alpha == alpha and c.lam == lam:
-                return c
-        raise KeyError((variant, alpha, lam))
+        c = self.config
+        if variant not in c.variants or alpha not in c.alphas or lam not in c.lambdas:
+            raise KeyError((variant, alpha, lam))
+        i = (c.variants.index(variant), c.lambdas.index(lam), c.alphas.index(alpha))
+        mean, se, div = (a[i].item() for a in (self.metric_mean, self.metric_se, self.diverged))
+        return CellResult(variant, alpha, lam, mean, se, c.runs, div)
 
 
 _MRP_PATTERN = re.compile(r"^mrp\(\s*(\d+)\s*,\s*(\d+)\s*,\s*([0-9.eE+-]+)\s*\)$")
@@ -329,9 +365,6 @@ def _run_metrics(
     return errors.mean(axis=1), ~live
 
 
-_Row = tuple[int, str, float, float, int]  # (cell_index, variant, mean, se, diverged)
-
-
 class _SweepPlan(NamedTuple):
     """One config's share of a sweep: its features and error quadratic."""
 
@@ -353,8 +386,9 @@ def _plan_sweep(config: SweepConfig, mrp: Mrp, representation: Representation) -
 
 def _sweep_cells(
     mrp: Mrp, plans: tuple[_SweepPlan, ...], cell_indices: list[int]
-) -> list[list[_Row]]:
-    """Raw per-cell aggregate rows for each plan.
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Each plan's (mean, se, diverged) arrays, each of shape (variants,
+    len(cell_indices)), column j for cell cell_indices[j].
 
     The plans share their chains (every config field but representation
     and variants agrees), so each block's chains are simulated once and
@@ -369,7 +403,10 @@ def _sweep_cells(
     n_alpha, runs = len(config.alphas), config.runs
     width = max(len(plan.config.variants) for plan in plans)
     block = max(1, CHAIN_BLOCK_VALUES // (width * runs * (config.steps + 1)))
-    out: list[list[_Row]] = [[] for _ in plans]
+    out = [
+        tuple(np.zeros((len(p.config.variants), len(cell_indices)), t) for t in (float, float, int))
+        for p in plans
+    ]
     for start in range(0, len(cell_indices), block):
         cells = cell_indices[start : start + block]
         seeds = []
@@ -379,21 +416,19 @@ def _sweep_cells(
         states, rewards = simulate_chains(mrp, config.steps, SplitMix64Rows(seeds))
         alpha = np.repeat([config.alphas[ci % n_alpha] for ci in cells], runs)[:, None]
         lam = np.repeat([config.lambdas[ci // n_alpha] for ci in cells], runs)[:, None]
-        for plan, rows in zip(plans, out):
-            columns = []
+        columns = slice(start, start + len(cells))
+        for plan, (mean, se, div) in zip(plans, out):
             shape = (len(plan.config.variants), len(cells), runs)
             with np.errstate(over="ignore", invalid="ignore"):
                 metrics, diverged = _run_metrics(
                     plan.config.variants, states, rewards, plan.table, mrp.gamma,
                     alpha, lam, plan.M, plan.theta_star, plan.e0,
                 )
-                for vals, div in zip(metrics.reshape(shape), diverged.reshape(shape)):
-                    se = vals.std(axis=1, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(len(cells))
-                    counts = div.sum(axis=1)
-                    columns.append((vals.mean(axis=1).tolist(), se.tolist(), counts.tolist()))
-            for i, ci in enumerate(cells):
-                for variant, (means, ses, counts) in zip(plan.config.variants, columns):
-                    rows.append((ci, variant, means[i], ses[i], counts[i]))
+                for v, vals in enumerate(metrics.reshape(shape)):
+                    mean[v, columns] = vals.mean(axis=1)
+                    if runs > 1:  # else the standard error stays 0
+                        se[v, columns] = vals.std(axis=1, ddof=1) / np.sqrt(runs)
+            div[:, columns] = diverged.reshape(shape).sum(axis=2)
     return out
 
 
@@ -451,6 +486,12 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
     visible in the data rather than silently dropped. Each result's
     config records the gamma the chain used: an env file's own, whatever
     config.gamma says.
+
+    Chunk i of the pool holds cells i::workers (cell index = lambda_index
+    x len(alphas) + alpha_index) and returns, per config, (variants,
+    cells in the chunk) arrays. One strided assignment per chunk and
+    array, a[:, i::workers] = part, puts them in cell order; the arrays
+    are then reshaped to (variants, lambdas, alphas) for SweepResult.
     """
     if not configs:
         raise ConfigError("run_sweeps needs at least one config")
@@ -471,27 +512,18 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
         _plan_sweep(config, mrp, build_representation(config.representation, mrp, seed=rep_seed))
         for config in configs
     )
-    indices = list(range(len(first.lambdas) * len(first.alphas)))
-    chunks = run_chunks(_sweep_cells, (mrp, plans), indices, workers)
-    return tuple(
-        _collect(config, mrp, [row for chunk in chunks for row in chunk[p]])
-        for p, config in enumerate(configs)
-    )
-
-
-def _collect(config: SweepConfig, mrp: Mrp, rows: list[_Row]) -> SweepResult:
-    by_key = {(ci, variant): (mean, se, div) for ci, variant, mean, se, div in rows}
-    cells = []
-    n_alpha = len(config.alphas)
-    for variant in config.variants:
-        for li, lam in enumerate(config.lambdas):
-            for ai, alpha in enumerate(config.alphas):
-                mean, se, div = by_key[(li * n_alpha + ai, variant)]
-                cells.append(CellResult(
-                    variant=variant, alpha=alpha, lam=lam,
-                    metric_mean=mean, metric_se=se, runs=config.runs, diverged=div,
-                ))
-    return SweepResult(config=replace(config, gamma=mrp.gamma), cells=tuple(cells))
+    cells = len(first.lambdas) * len(first.alphas)
+    chunks = run_chunks(_sweep_cells, (mrp, plans), list(range(cells)), workers)
+    results = []
+    for p, config in enumerate(configs):
+        arrays = [np.empty((len(config.variants), cells), part.dtype) for part in chunks[0][p]]
+        for i, chunk in enumerate(chunks):  # chunk i holds cells i::workers
+            for a, part in zip(arrays, chunk[p]):
+                a[:, i::workers] = part
+        grid = (len(config.variants), len(config.lambdas), len(config.alphas))
+        config = replace(config, gamma=mrp.gamma)
+        results.append(SweepResult(config, *(a.reshape(grid) for a in arrays)))
+    return tuple(results)
 
 
 def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
@@ -503,8 +535,7 @@ def sweep_to_csv(result: SweepResult) -> str:
     """Rows in variant-major order, then lambda, then alpha ascending."""
     return table_to_csv((
         ["variant", "alpha", "lambda", "metric_mean", "metric_se", "runs", "diverged"],
-        [[c.variant, c.alpha, c.lam, c.metric_mean, c.metric_se, c.runs, c.diverged]
-         for c in result.cells],
+        result._rows(),
     ))
 
 
@@ -536,25 +567,28 @@ class BestPoint:
 def best_per_lambda(result: SweepResult) -> dict[str, list[BestPoint]]:
     """Minimum mean metric over alpha for each (variant, lambda).
 
-    Cells where more than half the runs diverged are ineligible; ties
-    prefer the smaller alpha (cells are scanned in ascending-alpha order).
-    The cells are grouped by (variant, lambda) in one pass, each group in
-    the order of result.cells.
+    One masked argmin over the alpha axis of the (variants, lambdas,
+    alphas) arrays. A cell is ineligible when more than half its runs
+    diverged or its mean is not finite; ineligible cells count as +inf,
+    and a lambda with no eligible cell gets BestPoint(lam, None, None,
+    None). argmin takes the first minimum, so ties prefer the smaller
+    alpha (-0.0 ties with +0.0).
     """
-    by_curve: dict[tuple[str, float], list[CellResult]] = {}
-    for c in result.cells:
-        by_curve.setdefault((c.variant, c.lam), []).append(c)
-    curves: dict[str, list[BestPoint]] = {v: [] for v in result.config.variants}
-    for variant in result.config.variants:
-        for lam in result.config.lambdas:
-            best: BestPoint | None = None
-            for c in by_curve.get((variant, lam), ()):
-                if 2 * c.diverged > c.runs or not math.isfinite(c.metric_mean):
-                    continue
-                if best is None or c.metric_mean < best.metric_mean:
-                    best = BestPoint(lam, c.alpha, c.metric_mean, c.metric_se)
-            curves[variant].append(best if best is not None else BestPoint(lam, None, None, None))
-    return curves
+    config = result.config
+    eligible = (2 * result.diverged <= config.runs) & np.isfinite(result.metric_mean)
+    pick = np.where(eligible, result.metric_mean, np.inf).argmin(axis=2)[..., None]
+    found, means, ses = (
+        np.take_along_axis(a, pick, axis=2)[..., 0].tolist()
+        for a in (eligible, result.metric_mean, result.metric_se)
+    )
+    best = pick[..., 0].tolist()
+    return {
+        variant: [
+            BestPoint(lam, config.alphas[a], m, se) if ok else BestPoint(lam, None, None, None)
+            for lam, a, ok, m, se in zip(config.lambdas, best[v], found[v], means[v], ses[v])
+        ]
+        for v, variant in enumerate(config.variants)
+    }
 
 
 EQUIVALENCE_PAIRS = (

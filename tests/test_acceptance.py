@@ -32,6 +32,7 @@ from tdlab import (
     run_control_episode,
     run_episode,
     run_sweep,
+    run_sweeps,
     theorem1_ratio,
 )
 from tdlab.figures import two_state_asymptotic_rms
@@ -265,12 +266,8 @@ def test_criterion_7_desk_scale_dominance():
     """Best-setting normalized MSE: true online at least ties everywhere."""
     started = time.monotonic()
     summaries = []
-    for rep_kind, variants in (
-        ("tabular", ("accumulate", "replace", "true-online")),
-        ("binary", ("accumulate", "replace", "true-online")),
-        ("random-normalized", ("accumulate", "true-online")),
-    ):
-        config = SweepConfig(
+    configs = tuple(
+        SweepConfig(
             env="mrp(10,3,0.1)",
             representation=rep_kind,
             variants=variants,
@@ -280,7 +277,16 @@ def test_criterion_7_desk_scale_dominance():
             runs=50,
             master_seed=MASTER_SEED,
         )
-        curves = best_per_lambda(run_sweep(config, workers=2))
+        for rep_kind, variants in (
+            ("tabular", ("accumulate", "replace", "true-online")),
+            ("binary", ("accumulate", "replace", "true-online")),
+            ("random-normalized", ("accumulate", "true-online")),
+        )
+    )
+    # one pass: the three sweeps share each chain
+    for result in run_sweeps(configs, workers=2):
+        rep_kind, variants = result.config.representation, result.config.variants
+        curves = best_per_lambda(result)
 
         def overall_best(variant):
             pts = [p for p in curves[variant] if p.metric_mean is not None]

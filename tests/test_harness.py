@@ -254,8 +254,15 @@ class TestRunChunks:
 
 
 def sweep_cells(config, mrp, rep, cell_indices):
-    """The sweep's pool task run on one config's plan."""
-    return _sweep_cells(mrp, (_plan_sweep(config, mrp, rep),), cell_indices)[0]
+    """The sweep's pool task run on one config's plan, as (cell_index,
+    variant, mean, se, diverged) rows, cell by cell, variant by variant."""
+    mean, se, div = _sweep_cells(mrp, (_plan_sweep(config, mrp, rep),), cell_indices)[0]
+    columns = zip(mean.T.tolist(), se.T.tolist(), div.T.tolist())
+    return [
+        (ci, variant, *cell)
+        for ci, cell_columns in zip(cell_indices, columns)
+        for variant, *cell in zip(config.variants, *cell_columns)
+    ]
 
 
 def quadratic_by_definition(d, M):
@@ -632,6 +639,21 @@ class TestCsv:
             assert float(fields[4]) == cell.metric_se
 
 
+def result_of_cells(config, cells):
+    """The SweepResult holding the given cells, one for every (variant,
+    lambda, alpha) of the config's grids, at the cells' own run count."""
+    (runs,) = {c.runs for c in cells}
+    config = replace(config, runs=runs)
+    grid = (len(config.variants), len(config.lambdas), len(config.alphas))
+    assert len(cells) == np.prod(grid)
+    mean, se, div = np.empty(grid), np.empty(grid), np.empty(grid, dtype=int)
+    for c in cells:
+        i = (config.variants.index(c.variant), config.lambdas.index(c.lam),
+             config.alphas.index(c.alpha))
+        mean[i], se[i], div[i] = c.metric_mean, c.metric_se, c.diverged
+    return SweepResult(config, mean, se, div)
+
+
 class TestBestPerLambda:
     def test_single_alpha_identity(self):
         result = run_sweep(small_config(alphas=(0.1,), runs=3, steps=20))
@@ -662,23 +684,23 @@ class TestBestPerLambda:
             CellResult("accumulate", 0.1, 1.0, 0.5, 0.01, 4, 3),  # >50% diverged
             CellResult("accumulate", 0.2, 1.0, 0.9, 0.01, 4, 0),
         )
-        result = SweepResult(config=small_config(variants=("accumulate",),
-                                                 alphas=(0.1, 0.2), lambdas=(1.0,)), cells=cells)
+        result = result_of_cells(small_config(variants=("accumulate",),
+                                              alphas=(0.1, 0.2), lambdas=(1.0,)), cells)
         curves = best_per_lambda(result)
         assert curves["accumulate"][0].alpha == 0.2
 
     def test_all_diverged_marks_absent(self):
-        result = SweepResult(
-            config=small_config(variants=("accumulate",), alphas=(0.1,), lambdas=(1.0,)),
-            cells=(CellResult("accumulate", 0.1, 1.0, 5.0, 0.1, 4, 4),),
+        result = result_of_cells(
+            small_config(variants=("accumulate",), alphas=(0.1,), lambdas=(1.0,)),
+            (CellResult("accumulate", 0.1, 1.0, 5.0, 0.1, 4, 4),),
         )
         point = best_per_lambda(result)["accumulate"][0]
         assert point.alpha is None and point.metric_mean is None
 
     def test_tie_prefers_smaller_alpha(self):
-        result = SweepResult(
-            config=small_config(variants=("accumulate",), alphas=(0.1, 0.2), lambdas=(0.5,)),
-            cells=(
+        result = result_of_cells(
+            small_config(variants=("accumulate",), alphas=(0.1, 0.2), lambdas=(0.5,)),
+            (
                 CellResult("accumulate", 0.1, 0.5, 0.7, 0.01, 4, 0),
                 CellResult("accumulate", 0.2, 0.5, 0.7, 0.01, 4, 0),
             ),
@@ -703,25 +725,97 @@ def scanned_best_per_lambda(result):
     return curves
 
 
-@settings(max_examples=60, deadline=None)
-@given(data=st.data(), runs=st.integers(1, 4))
-def test_best_per_lambda_equals_the_scan_of_every_cell(data, runs):
-    # few metric values, so ties are common; NaN and inf means; any divergence count
-    alphas, lambdas = (0.05, 0.3, 0.7), (0.0, 0.5, 1.0)
-    config = small_config(alphas=alphas, lambdas=lambdas, runs=runs)
-    grid = list(itertools.product(config.variants, lambdas, alphas))
-    cells = data.draw(st.permutations(grid))
-    cells = cells[: data.draw(st.integers(0, len(cells)))]
-    result = SweepResult(config=config, cells=tuple(
-        CellResult(
-            variant, alpha, lam,
-            data.draw(st.sampled_from([0.25, 0.5, 0.5, 1.0, float("nan"), float("inf")])),
-            data.draw(st.sampled_from([0.0, 0.01, 0.02])), runs,
-            data.draw(st.integers(0, runs)),
-        )
-        for variant, lam, alpha in cells
+GRID = (3, 3, 3)  # (variants, lambdas, alphas) of small_config with three alphas and lambdas
+CELLS = int(np.prod(GRID))
+
+
+def grid_result(runs, means, ses, diverged):
+    config = small_config(alphas=(0.05, 0.3, 0.7), lambdas=(0.0, 0.5, 1.0), runs=runs)
+    return SweepResult(
+        config, np.reshape(means, GRID), np.reshape(ses, GRID),
+        np.minimum(np.reshape(diverged, GRID), runs),
+    )
+
+
+nan, inf = float("nan"), float("inf")
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    runs=st.integers(1, 4),
+    # few metric values, so ties are common, -0.0 against +0.0 among them
+    means=st.lists(st.sampled_from([0.25, 0.5, 1.0, 0.0, -0.0, nan, inf, -inf]),
+                   min_size=CELLS, max_size=CELLS),
+    ses=st.lists(st.sampled_from([0.0, 0.01, 0.02]), min_size=CELLS, max_size=CELLS),
+    diverged=st.lists(st.integers(0, 4), min_size=CELLS, max_size=CELLS),  # capped at runs
+)
+# runs=2: lambda row 0 of the first variant ties -0.0 and +0.0 at one
+# diverged run of two (eligible); row 1 has no eligible cell (two of two
+# diverged, NaN, -inf); row 2 ties +0.0 against -0.0
+@example(
+    runs=2,
+    means=[-0.0, 0.0, 0.5, 0.25, nan, -inf, 0.0, -0.0, 0.0] + [0.5] * 18,
+    ses=[0.01, 0.02, 0.0] * 9,
+    diverged=[1, 1, 0, 2, 0, 0, 0, 0, 0] + [0] * 18,
+)
+def test_best_per_lambda_equals_the_scan_of_every_cell(runs, means, ses, diverged):
+    result = grid_result(runs, means, ses, diverged)
+    # repr tells -0.0 from +0.0 and a numpy scalar from a Python float
+    assert repr(best_per_lambda(result)) == repr(scanned_best_per_lambda(result))
+
+
+def test_sweep_result_cells_and_lookup():
+    result = grid_result(4, [0.25 * i for i in range(CELLS)], [0.0] * CELLS, [1] * CELLS)
+    cells = result.cells
+    assert [(c.variant, c.lam, c.alpha) for c in cells] == list(itertools.product(
+        result.config.variants, result.config.lambdas, result.config.alphas
     ))
-    assert best_per_lambda(result) == scanned_best_per_lambda(result)
+    assert [c.metric_mean for c in cells] == [0.25 * i for i in range(CELLS)]
+    assert result.cell("replace", 0.7, 0.5) == cells[9 + 3 + 2]
+    for absent in (("replace", 0.6, 0.5), ("replace", 0.7, 0.6), ("dutch", 0.7, 0.5)):
+        with pytest.raises(KeyError):
+            result.cell(*absent)
+    with pytest.raises(ValueError, match="read-only"):
+        result.metric_mean[0, 0, 0] = 1.0
+    with pytest.raises(ConfigError, match=r"shape \(3, 3, 3\)"):
+        SweepResult(result.config, np.zeros((3, 9)), result.metric_se, result.diverged)
+
+
+def hex_arrays(result):
+    """The result's arrays with every float as its hex form."""
+    return (
+        [x.hex() for x in result.metric_mean.ravel().tolist()],
+        [x.hex() for x in result.metric_se.ravel().tolist()],
+        result.diverged.tolist(),
+    )
+
+
+@pytest.mark.parametrize("alphas, lambdas, runs", [
+    ((0.05, 0.3, 0.7), (0.0, 0.5, 1.0), 3),  # 9 cells: chunks of 5 and 4, se computed
+    ((0.3,), (0.9,), 2),  # one cell: the second chunk is empty
+])
+def test_run_sweeps_scatter_is_the_same_at_one_and_two_workers(alphas, lambdas, runs):
+    configs = (
+        small_config(alphas=alphas, lambdas=lambdas, runs=runs, steps=30),
+        small_config(alphas=alphas, lambdas=lambdas, runs=runs, steps=30,
+                     representation="random-normalized", variants=("true-online",)),
+    )
+    one, two = run_sweeps(configs, workers=1), run_sweeps(configs, workers=2)
+    for a, b in zip(one, two):
+        assert hex_arrays(a) == hex_arrays(b)
+        assert sweep_to_csv(a) == sweep_to_csv(b)
+        assert a.metric_mean.shape == (len(a.config.variants), len(lambdas), len(alphas))
+        # each cell holds what the pool task gives on that cell alone
+        mrp = resolve_env(a.config.env, a.config.gamma, a.config.master_seed)
+        rep = build_rep(a.config.representation, mrp, seed=mix64(
+            a.config.master_seed ^ harness.REPRESENTATION_SEED_SALT
+        ))
+        for ci in range(len(lambdas) * len(alphas)):
+            for _, variant, mean, se, div in sweep_cells(a.config, mrp, rep, [ci]):
+                cell = a.cell(variant, alphas[ci % len(alphas)], lambdas[ci // len(alphas)])
+                assert (cell.metric_mean.hex(), cell.metric_se.hex(), cell.diverged) == (
+                    mean.hex(), se.hex(), div
+                )
 
 
 class TestCertify:
