@@ -54,35 +54,96 @@ def check_trace_decay(lam: float) -> None:
 # row axis: theta, e, phi and phi_next are then (rows, n), and reward,
 # alpha, lam and v_old are (rows, 1) columns, so every row is stepped as
 # the one-dimensional call would step it, bit for bit (np.vecdot on a row
-# is the 1-D dot product). gamma is one float for all rows.
+# and ndarray.dot on one vector run numpy's one float64 dot loop, so they
+# give the same bits; the method call costs less). gamma is one float for
+# all rows. With a row axis, phi and phi_next may also be OneHotRows, and
+# the sweep's three rules (accumulate, replace, dutch) read and write each
+# row's active entry by index rather than over the whole row: they touch
+# phi only through _dot, _add_phi, _sub_phi and _active_entries. _dot
+# tests for the one-dimensional case first, and each helper costs a dense
+# phi one type test.
 
 
-def _dot(a: np.ndarray, b: np.ndarray):
+class OneHotRows:
+    """(rows, n) features with a single 1.0 in each row, held as the flat
+    index of each row's 1.0 in a C-contiguous (rows, n) array: a (rows, 1)
+    column `index`. The sweep's weight and trace row slices are such arrays.
+
+    On finite weights and traces the index forms give the dense forms'
+    bits up to the sign of a zero: x . phi is x's active entry, x += phi
+    adds 1 to it and x -= c * phi subtracts c from it, where the dense
+    forms also add +-0 to every other entry. Where c is infinite the dense
+    form makes NaN from inf * 0 in the other entries, and the index form
+    leaves them; both make theta non-finite on that step.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: np.ndarray):
+        self.index = index
+
+
+def _flat(x: np.ndarray) -> np.ndarray:
+    """x as a 1-D view, so that index writes reach x."""
+    if not x.flags.c_contiguous:
+        raise ValueError("one-hot rows index C-contiguous (rows, n) arrays")
+    return x.reshape(-1)
+
+
+def _dot(a: np.ndarray, b):
     """a . b, or for rows the (rows, 1) column of row-wise inner products."""
-    d = np.vecdot(a, b)
-    return d if a.ndim == 1 else d[:, None]
+    if a.ndim == 1:
+        return a.dot(b)
+    if isinstance(b, OneHotRows):
+        return _flat(a)[b.index]
+    return np.vecdot(a, b)[:, None]
 
 
-def accumulate_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
-    """e <- gamma*lambda*e + phi; theta <- theta + alpha*delta*e."""
-    delta = reward + gamma * _dot(theta, phi_next) - _dot(theta, phi)
-    e *= gamma * lam
-    e += phi
-    theta += (alpha * delta) * e
-    return v_old
+def _add_phi(x: np.ndarray, phi) -> None:
+    """x += phi."""
+    if isinstance(phi, OneHotRows):
+        _flat(x)[phi.index] += 1.0
+    else:
+        x += phi
 
 
-def replace_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
-    """Decay e by gamma*lambda, then set it to 1 on active features (binary phi only)."""
+def _sub_phi(x: np.ndarray, c, phi) -> None:
+    """x -= c * phi, for a scalar c or a (rows, 1) column."""
+    if isinstance(phi, OneHotRows):
+        _flat(x)[phi.index] -= c
+    else:
+        x -= c * phi
+
+
+def _active_entries(x: np.ndarray, phi):
+    """(view, index) such that view[index] are the entries of x where phi
+    is 1.0; a phi with entries other than 0 and 1 is a ConfigError."""
+    if isinstance(phi, OneHotRows):
+        return _flat(x), phi.index
     active = phi == 1.0
     if not np.all(active | (phi == 0.0)):
         raise ConfigError(
             "replacing traces are only defined for binary features; "
             f"got non-binary value(s) {phi[~(active | (phi == 0.0))][:3]}"
         )
+    return x, active
+
+
+def accumulate_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """e <- gamma*lambda*e + phi; theta <- theta + alpha*delta*e."""
     delta = reward + gamma * _dot(theta, phi_next) - _dot(theta, phi)
     e *= gamma * lam
-    e[active] = 1.0
+    _add_phi(e, phi)
+    theta += (alpha * delta) * e
+    return v_old
+
+
+def replace_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
+    """Decay e by gamma*lambda, then set it to 1 on active features (binary phi only)."""
+    trace, active = _active_entries(e, phi)
+    delta = reward + gamma * _dot(theta, phi_next) - _dot(theta, phi)
+    e *= gamma * lam
+    trace[active] = 1.0
     theta += (alpha * delta) * e
     return v_old
 
@@ -95,11 +156,11 @@ def dutch_rule(theta, e, v_old, phi, reward, phi_next, gamma, alpha, lam):
     delta = reward + gamma * v_next - v
     e_dot_phi = _dot(e, phi)
     e *= gl
-    e += phi
-    e -= (alpha * gl * e_dot_phi) * phi
+    _add_phi(e, phi)
+    _sub_phi(e, alpha * gl * e_dot_phi, phi)
     dv = v - v_old
     theta += (alpha * (delta + dv)) * e
-    theta -= (alpha * dv) * phi
+    _sub_phi(theta, alpha * dv, phi)
     return v_next
 
 

@@ -216,8 +216,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_verify(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     # the worker count changes no output byte, so it is not a flag
-    workers = max(1, min(usable_cpus(), args.trials))
-    checks = verify_suites.run_suite(args.suite, trials=args.trials, seed=seed, workers=workers)
+    checks = verify_suites.run_suite(
+        args.suite, trials=args.trials, seed=seed, workers=usable_cpus()
+    )
     failures = 0
     for check in checks:
         status = "PASS" if check.passed else "FAIL"

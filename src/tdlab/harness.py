@@ -22,6 +22,22 @@ so that the chains (rows x (steps + 1)) and the errors of the config
 with the most variants (variants x rows x steps) each hold at most
 CHAIN_BLOCK_VALUES entries.
 
+On one-hot features (a single 1.0 in every row of the table: tabular
+features, or states aggregated onto shared columns) the rules read and
+write each row's active entry by index, through algos.OneHotRows, where
+the dense path multiplies by the whole row; the bits are the dense
+path's. A live row steps from finite weights within the threshold and a
+finite trace: an infinite trace entry would already have made theta
+non-finite on the step before, which froze the row. Over a one-hot phi
+its dot products are then exactly theta_s and e_s, up to the sign of a
+zero, and so is every index write, where the dense form also adds +-0 to
+the other entries; adding or multiplying keeps such differences signed
+zeros. M is diagonal on one-hot features, so each metric term
+(d_i M_ii) d_i is +0 for either zero. A step where the dense path makes
+NaN from inf * 0 makes theta non-finite on both paths, and the row
+freezes at its previous weights either way. A frozen row's weights are
+never read again, so the paths may differ there.
+
 Sweeps that differ only in representation and variants share every
 chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
@@ -33,9 +49,9 @@ chunk's columns and the parent scatters them with one strided assignment
 per chunk (see run_sweeps); no per-cell object is built on the way.
 
 run_chunks is the package's one process pool. It runs a module-level
-task on the strided chunks items[i::workers], one per worker, and
-returns their results in chunk order. The sweep engine sends it cell
-indices; verify's equivalence suite sends it trial numbers.
+task on the non-empty strided chunks items[i::workers], one process per
+chunk, and returns their results in chunk order. The sweep engine sends
+it cell indices; verify's equivalence suite sends it trial numbers.
 
 The metric's error d' M d (d = theta - theta_star) is one ordered sum per
 row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
@@ -68,6 +84,7 @@ from .algos import (
     PREDICTION_LEARNERS,
     PREDICTION_VARIANTS,
     AccumulateTD,
+    OneHotRows,
     TabularTrueOnlineTD,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
@@ -296,6 +313,16 @@ def _quadratic(D: np.ndarray, terms: list[tuple[int, int, float]]) -> np.ndarray
     return acc
 
 
+def _one_hot_columns(table: np.ndarray) -> np.ndarray | None:
+    """The column of each row's 1.0 when every row of table is one-hot
+    (tabular features, or states aggregated onto shared columns), else
+    None."""
+    ones = table == 1.0
+    if np.all(ones | (table == 0.0)) and np.all(ones.sum(axis=1) == 1):
+        return ones.argmax(axis=1)
+    return None
+
+
 def _run_metrics(
     variants: tuple[str, ...],
     states: np.ndarray,
@@ -320,7 +347,16 @@ def _run_metrics(
     them, or at its last weights if they went non-finite, for the rest of
     its run. While every row is live one test of the whole stack stands
     in for the per-row bookkeeping; from the first step it fails, the
-    per-row freeze runs.
+    per-row freeze runs on a feature-major copy of the weights, so each
+    row's size is a max along the long row axis rather than over its few
+    features. Both are exact, so the freeze keeps its bits.
+
+    When every row of the table is one-hot, the rules step on
+    algos.OneHotRows: each variant reads theta.phi, theta.phi' and e.phi
+    as the row's active entry and adds or subtracts phi by index. This
+    gives the dense path's bits, for the reasons in the module docstring:
+    the two differ only in the sign of zeros and in the entries of rows
+    that are already frozen, and the metric sees neither.
 
     Each step's d = shown - theta_star goes into a feature-major buffer
     of K steps, K sized so that it holds at most METRIC_BLOCK_VALUES
@@ -333,6 +369,15 @@ def _run_metrics(
     steps, rows = rewards.shape
     n = table.shape[1]
     stacked = len(variants) * rows
+    columns = _one_hot_columns(table)
+    if columns is None:
+        def features(s):
+            return table.take(s, axis=0)
+    else:
+        row_starts = (np.arange(rows) * n)[:, None]
+
+        def features(s):
+            return OneHotRows(row_starts + columns.take(s)[:, None])
     theta, e = np.zeros((stacked, n)), np.zeros((stacked, n))
     slices = [slice(v * rows, (v + 1) * rows) for v in range(len(variants))]
     v_olds = [np.zeros((rows, 1)) for _ in variants]
@@ -343,21 +388,23 @@ def _run_metrics(
     errors = np.empty((stacked, steps))
     K = max(1, min(steps, METRIC_BLOCK_VALUES // (stacked * n)))
     D = np.empty((n, K * stacked))  # step k of a block in columns k*stacked onwards
-    phi_next = table.take(states[0], axis=0)
+    phi_next = features(states[0])
     for t in range(steps):
-        phi, phi_next = phi_next, table.take(states[t + 1], axis=0)
+        phi, phi_next = phi_next, features(states[t + 1])
         reward = rewards[t][:, None]
         for v, (rule, s) in enumerate(zip(rules, slices)):
             v_olds[v] = rule(theta[s], e[s], v_olds[v], phi, reward, phi_next, gamma, alpha, lam)
+        k = t % K
+        d = D[:, k * stacked : (k + 1) * stacked]
         if live.all() and np.abs(theta).max() <= DIVERGENCE_THRESHOLD:  # False on NaN
             np.copyto(shown, theta.T)
-        else:
-            size = np.abs(theta).max(axis=1)  # NaN if any weight is
+        else:  # d holds theta feature-major until this step's d is written
+            np.copyto(d, theta.T)
+            size = np.abs(d).max(axis=0)  # along the long row axis; NaN if any weight is
             moved = live & np.isfinite(size)
             live &= size <= DIVERGENCE_THRESHOLD
-            np.copyto(shown, theta.T, where=moved)
-        k = t % K
-        np.subtract(shown, star, out=D[:, k * stacked : (k + 1) * stacked])
+            np.copyto(shown, d, where=moved)
+        np.subtract(shown, star, out=d)
         if k == K - 1 or t == steps - 1:
             block = _quadratic(D[:, : (k + 1) * stacked].T, terms)
             errors[:, t - k : t + 1] = block.reshape(k + 1, stacked).T
@@ -382,6 +429,14 @@ def _plan_sweep(config: SweepConfig, mrp: Mrp, representation: Representation) -
     if e0 == 0.0:
         raise ConfigError("degenerate configuration: zero initial error")
     return _SweepPlan(config, representation.table, M, theta_star, e0)
+
+
+def _run_seeds(master_seed: int, cells: list[int], runs: int) -> np.ndarray:
+    """The run seeds of the given cells, run by run within each cell, as
+    uint64: mix64(mix64(master_seed ^ cell) ^ mix64(run + 1))."""
+    cell_seeds = mix64(np.uint64(master_seed) ^ np.array(cells, dtype=np.uint64))
+    run_keys = mix64(np.arange(1, runs + 1, dtype=np.uint64))
+    return mix64(cell_seeds[:, None] ^ run_keys).ravel()
 
 
 def _sweep_cells(
@@ -409,10 +464,7 @@ def _sweep_cells(
     ]
     for start in range(0, len(cell_indices), block):
         cells = cell_indices[start : start + block]
-        seeds = []
-        for ci in cells:
-            cell_seed = mix64(config.master_seed ^ ci)
-            seeds.extend(mix64(cell_seed ^ mix64(r + 1)) for r in range(runs))
+        seeds = _run_seeds(config.master_seed, cells, runs)
         states, rewards = simulate_chains(mrp, config.steps, SplitMix64Rows(seeds))
         alpha = np.repeat([config.alphas[ci % n_alpha] for ci in cells], runs)[:, None]
         lam = np.repeat([config.lambdas[ci // n_alpha] for ci in cells], runs)[:, None]
@@ -451,21 +503,19 @@ def check_workers(workers: int) -> None:
 def run_chunks(task, args: tuple, items, workers: int) -> list:
     """task(*args, chunk) on each non-empty strided chunk items[i::workers].
 
-    With more than one worker the chunks run in a process pool, one task
-    per worker; with one, the single chunk (all of items) runs in this
-    process. Returns the chunk results in chunk order. The task must be
-    a module-level function and args picklable, so that any start method
-    can send them. An exception in a task reaches the caller as itself,
-    after the pool has shut down.
+    Two or more non-empty chunks run in a process pool of one process per
+    chunk; a single chunk (one worker, or at most one item) is all of
+    items and runs in this process. Returns the chunk results in chunk
+    order. The task must be a module-level function and args picklable,
+    so that any start method can send them. An exception in a task
+    reaches the caller as itself, after the pool has shut down.
     """
     check_workers(workers)
-    if workers == 1:
+    chunks = [items[i::workers] for i in range(min(workers, len(items)))]
+    if len(chunks) <= 1:
         return [task(*args, items)]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = [
-            pool.submit(task, *args, chunk)
-            for chunk in (items[i::workers] for i in range(workers)) if chunk
-        ]
+    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        futures = [pool.submit(task, *args, chunk) for chunk in chunks]
         return [f.result() for f in futures]
 
 

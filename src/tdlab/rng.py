@@ -101,6 +101,8 @@ def _each(f, x: np.ndarray) -> np.ndarray:
 class SplitMix64Rows:
     """One SplitMix64 stream per seed, all advanced by the same calls.
 
+    Seeds are integers, taken mod 2**64, or a uint64 array.
+
     Wrapping uint64 arithmetic makes `random` exact, and the Box-Muller
     log/cos/sin go through `math` element by element, because numpy's
     versions differ from it by one ulp on some inputs. Every row makes
@@ -110,7 +112,9 @@ class SplitMix64Rows:
     __slots__ = ("_state", "_spare_normal")
 
     def __init__(self, seeds):
-        self._state = np.array([s & _MASK64 for s in seeds], dtype=np.uint64)
+        if not (isinstance(seeds, np.ndarray) and seeds.dtype == np.uint64):
+            seeds = [s & _MASK64 for s in seeds]
+        self._state = np.array(seeds, dtype=np.uint64)
         self._spare_normal: np.ndarray | None = None
 
     def __len__(self) -> int:

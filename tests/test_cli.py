@@ -149,7 +149,9 @@ def test_figures_fig1_offline_piecewise_constant(tmp_path):
 
 def test_figures_fig1_csv_body_is_pinned(tmp_path):
     # the online and offline lambda-return oracles on one-hot features, whose
-    # dot products are exact, so the digest holds on any BLAS
+    # dot products are exact; the digest was taken on OpenBLAS's SkylakeX
+    # kernel and fails on Haswell, Zen and Prescott, since the setup still
+    # goes through BLAS (ROADMAP.md, item 1)
     out = tmp_path / "fig1.csv"
     assert main(["figures", "--figure", "1", "--out", str(out)]) == 0
     manifest, body = out.read_text().split("\n", 1)
@@ -199,8 +201,10 @@ def test_figures_fig2_default_csv_body_is_pinned(tmp_path):
     (200, 1, {"accumulate": 2}, "d303325cd50da739c5b940fbd989be700484b4c5ae630bb4010ebbb87ea4327e"),
 ])
 def test_tabular_paper_grid_sweep_csv_body_is_pinned(tmp_path, steps, seed, diverged, digest):
-    # the sweep engine on one-hot features, whose dot products are exact, so
-    # the digest holds on any BLAS; metrics reach 1e197 where runs diverge
+    # the sweep engine on one-hot features, whose dot products are exact; the
+    # digest was taken on OpenBLAS's SkylakeX kernel and fails on Haswell,
+    # Zen and Prescott, whose M and theta* differ (ROADMAP.md, item 1);
+    # metrics reach 1e197 where runs diverge
     out = tmp_path / "sweep.csv"
     assert main([
         "sweep", "--task", "mrp(10,3,0.1)", "--repr", "tabular", "--paper-grid",
@@ -214,6 +218,20 @@ def test_tabular_paper_grid_sweep_csv_body_is_pinned(tmp_path, steps, seed, dive
             counts[variant] = counts.get(variant, 0) + 1
     assert counts == diverged
     assert hashlib.sha256(body.encode()).hexdigest() == digest
+
+
+def test_figures_fig4_csv_body_is_pinned(tmp_path):
+    # tabular (one-hot), binary and random-normalized sweeps through
+    # best_per_lambda: 85 binary cells with diverged runs, 75 of them
+    # ineligible, and the se column; taken on OpenBLAS's SkylakeX kernel,
+    # like the tabular sweep pins above
+    out = tmp_path / "fig4.csv"
+    assert main(["figures", "--figure", "4", "--runs", "5", "--seed", "20260811",
+                 "--out", str(out)]) == 0
+    _, body = out.read_text().split("\n", 1)
+    assert hashlib.sha256(body.encode()).hexdigest() == (
+        "2bf995b8b5f3760931d2c777ffa270eecb34994bcfac343ea1387f2e043fd47d"
+    )
 
 
 @pytest.mark.parametrize("figure, params", [

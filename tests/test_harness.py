@@ -239,6 +239,27 @@ class TestRunChunks:
         items = list(range(5))
         assert harness.run_chunks(list, (), items, 1) == [items]
 
+    def test_one_cell_sweep_at_two_workers_starts_no_pool(self, monkeypatch):
+        config = small_config(alphas=(0.1,), lambdas=(0.5,))
+        expected = sweep_to_csv(run_sweep(config))
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 2)  # two workers on one CPU too
+        assert sweep_to_csv(run_sweep(config, workers=2)) == expected
+
+    def test_one_process_per_non_empty_chunk(self, monkeypatch):
+        sizes = []
+        pool = harness.ProcessPoolExecutor
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: (
+            sizes.append(max_workers) or pool(max_workers=max_workers)
+        ))
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
+        assert harness.run_chunks(list, (), range(2), 3) == [[0], [1]]
+        assert sizes == [2]
+
     @pytest.mark.parametrize("workers", [0, 1.5, (os.cpu_count() or 1) + 1])
     def test_worker_count_checked(self, workers):
         with pytest.raises(ConfigError, match="workers"):
@@ -474,15 +495,20 @@ class TestRunMetrics:
             if by_hand is not None:
                 assert got.tolist() == pytest.approx(by_hand, abs=1e-12)
 
-    @pytest.mark.parametrize("variant", ["accumulate", "true-online"])
+    # random-normalized cases are named by the variant alone
+    @pytest.mark.parametrize("variant, kind", [
+        pytest.param(v, kind, id=v if kind == "random-normalized" else f"{v}-{kind}")
+        for kind in ("random-normalized", "tabular", "binary")
+        for v in ("accumulate", "true-online")
+    ])
     @pytest.mark.parametrize("spike", [1e101, np.inf, np.nan])
-    def test_hand_off_when_one_row_leaves_the_threshold(self, variant, spike):
+    def test_hand_off_when_one_row_leaves_the_threshold(self, variant, spike, kind):
         # every row is live until step 12, when a reward spike sends row 1's
         # weights past the threshold: to finite weights (it is frozen at
         # them, and stays frozen after its weights come back under the
         # threshold) or to inf/NaN (it is frozen at step 11's weights)
         mrp = generate_mrp(6, 2, 0.1, 0.5, seed=8)
-        rep = build_representation("random-normalized", mrp, seed=1)
+        rep = build_representation(kind, mrp, seed=1)
         M, theta_star, e0 = error_quadratic(mrp, rep)
         rows, steps, t0 = 4, 40, 12
         states, rewards = self.chains(mrp, rows, steps, 0)
@@ -513,6 +539,58 @@ class TestRunMetrics:
         assert [d for _, d in expected] == [False, True, False, False]
         assert np.isfinite(metrics).all()
         assert [m.hex() for m in metrics.tolist()] == [float(m).hex() for m, _ in expected]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        k=st.integers(2, 8),
+        aggregated=st.booleans(),
+        variants=st.lists(st.sampled_from(PREDICTION_VARIANTS), min_size=1, unique=True),
+        rows=st.integers(1, 5),
+        steps=st.integers(1, 30),
+        seed=st.integers(0, 2**32),
+        alphas=st.lists(st.floats(0.0, 2.0) | st.just(1.79e308), min_size=5, max_size=5),
+        lambdas=st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5),
+        sigma=st.sampled_from([0.0, 1.0]),
+        zero_rewards=st.booleans(),
+        data=st.data(),
+    )
+    # zero rewards keep theta at +-0 while alpha 1.79e308 overflows the true
+    # online trace: the dense path then makes NaN from inf * 0 where the
+    # index path makes inf, and both rows freeze
+    @example(k=5, aggregated=False, variants=["true-online", "accumulate", "replace"], rows=5,
+             steps=30, seed=3, alphas=[2.0, 1.79e308, 0.5, 1.5, 0.0],
+             lambdas=[0.0, 1.0, 0.5, 0.0, 1.0], sigma=0.0, zero_rewards=True, data=None)
+    def test_one_hot_path_equals_the_dense_path(
+        self, k, aggregated, variants, rows, steps, seed, alphas, lambdas, sigma, zero_rewards,
+        data,
+    ):
+        # the sweep steps one-hot tables by index; forcing the dense path on
+        # the same tables gives every metric and diverged flag the same bits
+        mrp = generate_mrp(k, min(k, 2), sigma, 0.9, seed=seed)
+        if aggregated:  # several states may share a column, and a column may go unused
+            n = data.draw(st.integers(1, k))
+            table = np.eye(n)[data.draw(st.lists(st.integers(0, n - 1), min_size=k, max_size=k))]
+        else:
+            table = np.eye(k)
+        assert harness._one_hot_columns(table) is not None
+        rep = Representation("one-hot", table)
+        M, theta_star, e0 = error_quadratic(mrp, rep)
+        states, rewards = self.chains(mrp, rows, steps, seed)
+        if zero_rewards:
+            rewards[:] = 0.0
+        alpha, lam = np.array(alphas[:rows])[:, None], np.array(lambdas[:rows])[:, None]
+
+        def run():
+            return harness._run_metrics(
+                tuple(variants), states, rewards, table, mrp.gamma, alpha, lam, M, theta_star, e0
+            )
+
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            metrics, diverged = run()
+            with mock.patch.object(harness, "_one_hot_columns", lambda table: None):
+                dense_metrics, dense_diverged = run()
+        assert [m.hex() for m in metrics.tolist()] == [m.hex() for m in dense_metrics.tolist()]
+        assert diverged.tolist() == dense_diverged.tolist()
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -566,6 +644,17 @@ class TestRunMetrics:
             m.hex() for own, _ in alone for m in own.tolist()
         ]
         assert diverged.tolist() == [d for _, own in alone for d in own.tolist()]
+
+
+@pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("runs", [1, 3])
+def test_run_seeds_equal_the_scalar_formula(master_seed, runs):
+    cells = [0, 1, 7, 599]
+    seeds = harness._run_seeds(master_seed, cells, runs)
+    assert seeds.dtype == np.uint64
+    assert seeds.tolist() == [
+        mix64(mix64(master_seed ^ ci) ^ mix64(r + 1)) for ci in cells for r in range(runs)
+    ]
 
 
 def test_blocked_sweep_cells_match_one_block(monkeypatch):
