@@ -37,7 +37,6 @@ from .algos import (
 from .oracle import (
     accumulating_trace_nonrecursive,
     interim_lambda_return,
-    lms_solution,
     n_step_return,
     offline_lambda_return,
     offline_lambda_return_algorithm,

@@ -33,7 +33,14 @@ from numbers import Integral, Real
 
 import numpy as np
 
-from .core import ConfigError, Trajectory, Transition, action_values, stack_action_features
+from .core import (
+    ConfigError,
+    Trajectory,
+    Transition,
+    action_values,
+    check_integer,
+    stack_action_features,
+)
 from .envs import Mdp, Mrp, Representation, sample_step
 from .rng import SplitMix64
 
@@ -336,6 +343,9 @@ def epsilon_greedy(
     """
     if not (isinstance(epsilon, Real) and 0.0 <= epsilon <= 1.0):
         raise ConfigError(f"epsilon must lie in [0, 1], got {epsilon!r}")
+    check_integer(num_actions, "num_actions")
+    if num_actions < 1:
+        raise ConfigError(f"num_actions must be >= 1, got {num_actions}")
     q = action_values(theta, phi_s, num_actions)
     q_max = float(np.max(q))
     if epsilon > 0.0 and rng.random() < epsilon:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -60,6 +61,9 @@ class Mrp:
         bad = np.abs(P.sum(axis=1) - 1.0) > ROW_SUM_TOL
         if bad.any():
             raise ConfigError(f"transition rows must sum to 1: states {np.nonzero(bad)[0]}")
+        bad = ~np.isfinite(self.r_mean).all(axis=1)
+        if bad.any():
+            raise ConfigError(f"expected rewards must be finite: states {np.nonzero(bad)[0]}")
         if not 0 <= self.sigma < math.inf:  # NaN fails this too
             raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.gamma <= 1.0:
@@ -326,6 +330,7 @@ def build_representation(kind: str, mrp: Mrp, seed: int = 0) -> Representation:
         raise ConfigError("tile coding applies to continuous signals, not discrete MRPs")
     if kind not in REPRESENTATION_KINDS:
         raise ConfigError(f"unknown representation {kind!r}; expected one of {REPRESENTATION_KINDS}")
+    check_seed(seed, "seed")
     k = mrp.k
     if kind == "tabular":
         table = np.eye(k)
@@ -362,14 +367,18 @@ class TileCoderConfig:
     bias_unit: bool = True
 
     def __post_init__(self):
+        for name in ("num_tilings", "bins_per_signal", "hash_size"):
+            value = getattr(self, name)
+            if not (isinstance(value, Integral) and value >= 1):
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not self.signal_ranges:
+            raise ConfigError("a tile coder needs at least one signal range")
+        for lo, hi in self.signal_ranges:
+            if not (isinstance(lo, Real) and isinstance(hi, Real) and -math.inf < lo < hi < math.inf):
+                raise ConfigError(f"each signal range must be finite with hi > lo, got {(lo, hi)!r}")
         object.__setattr__(
             self, "signal_ranges", tuple((float(lo), float(hi)) for lo, hi in self.signal_ranges)
         )
-        if self.num_tilings < 1 or self.bins_per_signal < 1 or self.hash_size < 1:
-            raise ConfigError("tile coder counts must be positive")
-        for lo, hi in self.signal_ranges:
-            if not hi > lo:
-                raise ConfigError("each signal range must have hi > lo")
 
     @property
     def n(self) -> int:
@@ -384,18 +393,25 @@ def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> np.
     """Dense length-n encoding of the signals; out-of-range values are clipped.
 
     Each active feature adds 1 at its hashed index, so tilings whose
-    hashes collide share one entry of value 2 (or more).
+    hashes collide share one entry of value 2 (or more). A NaN signal
+    lies in no bin and is refused.
     """
-    signals = np.asarray(signals, dtype=np.float64)
-    if signals.shape[0] != len(config.signal_ranges):
+    try:
+        signals = np.asarray(signals, dtype=np.float64)
+        out = np.zeros(config.n)
+        indices = np.empty(config.active_features, dtype=np.int64)
+    except (TypeError, ValueError, MemoryError) as exc:  # a non-number, or too many features
+        raise ConfigError(f"cannot tile-code {signals!r} into {config.n} features: {exc}") from exc
+    if signals.shape != (len(config.signal_ranges),):
         raise ConfigError(
-            f"expected {len(config.signal_ranges)} signals, got {signals.shape[0]}"
+            f"expected {len(config.signal_ranges)} signals in a list, got shape {signals.shape}"
         )
+    if np.isnan(signals).any():
+        raise ConfigError(f"signals must not be NaN, got {signals}")
     unit = np.empty_like(signals)
     for d, (lo, hi) in enumerate(config.signal_ranges):
         unit[d] = (min(max(signals[d], lo), hi) - lo) / (hi - lo)
     nt = config.num_tilings
-    indices = np.empty(config.active_features, dtype=np.int64)
     for i in range(nt):
         h = mix64(i + 1)
         for d in range(unit.shape[0]):
@@ -404,7 +420,6 @@ def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> np.
         indices[i] = h % config.hash_size
     if config.bias_unit:
         indices[nt] = config.hash_size
-    out = np.zeros(config.n)
     np.add.at(out, indices, 1.0)
     return out
 

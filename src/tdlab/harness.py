@@ -57,14 +57,11 @@ The metric's error d' M d (d = theta - theta_star) is one ordered sum per
 row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
 from +0.0, over M's nonzero entries (a zero entry adds +-0, which changes
 no such sum). A row's bits therefore never depend on how many rows share
-its block, so a sweep's CSV is the same at any worker count. This is the
-order np.einsum("ri,ij,rj->r") takes for blocks of 3 or more rows and
-n <= 90 features, so sweeps there keep the bits of tdlab 0.1.0; 0.1.0
-differed on blocks of 1 or 2 rows and at n >= 91. The engine sums in
-time blocks: each step's d goes feature-major into a buffer of K steps
-(at most METRIC_BLOCK_VALUES entries, so it stays in cache), and every K
-steps the sum runs one term at a time over all K x variants x rows
-(step, row) pairs at once. Each pair's sum keeps its order, so K
+its block, so a sweep's CSV is the same at any worker count. The engine
+sums in time blocks: each step's d goes feature-major into a buffer of
+K steps (at most METRIC_BLOCK_VALUES entries, so it stays in cache), and
+every K steps the sum runs one term at a time over all K x variants x
+rows (step, row) pairs at once. Each pair's sum keeps its order, so K
 changes no bit.
 """
 
@@ -102,13 +99,10 @@ from .envs import (
     generate_mrp,
     mrp_from_dict,
     simulate_chains,
+    stationary_distribution,
+    true_values,
 )
-from .oracle import (
-    lms_solution,
-    online_lambda_return_algorithm,
-    state_weights,
-    watkins_forward_view,
-)
+from .oracle import online_lambda_return_algorithm, watkins_forward_view
 from .rng import SplitMix64Rows, mix64
 
 DIVERGENCE_THRESHOLD = 1e100
@@ -271,17 +265,24 @@ def resolve_env(env: str, gamma: float, env_seed: int) -> Mrp:
 
 
 def error_quadratic(
-    mrp: Mrp, representation: Representation, weighting: str | np.ndarray = "stationary"
+    mrp: Mrp, representation: Representation, weighting: str = "stationary"
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """(M, theta_star, initial_error) so that the weighted squared value
     error of theta against the best linear solution is (d' M d) with
-    d = theta - theta_star."""
+    d = theta - theta_star. The state weights w are the stationary
+    distribution (continuing chains only) or uniform over the non-terminal
+    states; theta_star is the w-weighted least-squares fit of the true
+    values, through the pseudo-inverse, so rank-deficient tables are fine."""
+    if not isinstance(weighting, str) or weighting not in ("stationary", "uniform"):
+        raise ConfigError(f"unknown weighting {weighting!r}")
     nt = mrp.nonterminal_states()
-    w = state_weights(mrp, weighting)
-    resolved = np.zeros(mrp.k)
-    resolved[nt] = w  # so lms_solution does not resolve (and solve for) it again
-    theta_star, _ = lms_solution(mrp, representation, resolved)
+    if weighting == "stationary":
+        w = stationary_distribution(mrp)[nt]
+    else:
+        w = np.full(nt.size, 1.0 / nt.size)
     phi = representation.table[nt]
+    sqrt_w = np.sqrt(w)
+    theta_star, *_ = np.linalg.lstsq(sqrt_w[:, None] * phi, sqrt_w * true_values(mrp)[nt], rcond=None)
     M = phi.T @ (w[:, None] * phi)
     e0 = float(theta_star @ M @ theta_star)  # error of the zero vector
     return M, theta_star, e0

@@ -36,7 +36,6 @@ import numpy as np
 
 from .algos import AccumulateTD, check_step_size, check_trace_decay, replay_prediction
 from .core import ConfigError, Trajectory, action_values, stack_action_features
-from .envs import Mrp, Representation, stationary_distribution, true_values
 
 ThetaLookup = Callable[[int], np.ndarray]
 
@@ -365,42 +364,3 @@ def theorem1_ratio(
         raise ConfigError("degenerate input: accumulating TD never moved the weights")
     return float(np.linalg.norm(theta_td - theta_lam)) / denom
 
-
-def lms_solution(
-    mrp: Mrp,
-    representation: Representation,
-    weighting: str | np.ndarray = "stationary",
-) -> tuple[np.ndarray, float]:
-    """Best linear weights under a state-weighted squared value error.
-
-    Minimizes sum_s w(s) (v(s) - theta . phi(s))^2 over the non-terminal
-    states. `weighting` is the stationary distribution by default (valid
-    for continuing chains), "uniform", or an explicit weight vector over
-    all k states. Solved as a weighted least-squares problem through the
-    pseudo-inverse, so rank-deficient feature tables are fine.
-    """
-    v = true_values(mrp)
-    nt = mrp.nonterminal_states()
-    w = state_weights(mrp, weighting)
-    phi = representation.table[nt]
-    sqrt_w = np.sqrt(w)
-    theta_star, *_ = np.linalg.lstsq(sqrt_w[:, None] * phi, sqrt_w * v[nt], rcond=None)
-    residual = v[nt] - phi @ theta_star
-    mse_star = float(w @ residual**2)
-    return theta_star, mse_star
-
-
-def state_weights(mrp: Mrp, weighting: str | np.ndarray = "stationary") -> np.ndarray:
-    """Weights of the non-terminal states, in `nonterminal_states()` order.
-
-    "stationary" (valid for continuing chains), "uniform", or an explicit
-    weight vector over all k states.
-    """
-    nt = mrp.nonterminal_states()
-    if not isinstance(weighting, str):
-        return np.asarray(weighting, dtype=np.float64)[nt]
-    if weighting == "stationary":
-        return stationary_distribution(mrp)[nt]
-    if weighting == "uniform":
-        return np.full(nt.size, 1.0 / nt.size)
-    raise ConfigError(f"unknown weighting {weighting!r}")

@@ -649,6 +649,23 @@ def test_figure_2_rejects_runs_below_one(runs, tmp_path, capsys):
     assert "Traceback" not in err and not out.exists()
 
 
+def test_sweep_refuses_an_env_file_with_a_nan_reward(tmp_path, capsys):
+    # once accepted: the sweep exited 0 with metric_mean nan and every run diverged
+    env = tmp_path / "env.json"
+    assert main(["gen-mrp", "--k", "5", "--b", "2", "--sigma", "0.1", "--gamma", "0.9",
+                 "--seed", "3", "--out", str(env)]) == 0
+    data = json.loads(env.read_text())
+    data["r_mean"][2] = [float("nan")] * 5
+    env.write_text(json.dumps(data))  # json writes the literal NaN
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--task", f"file:{env}", "--alphas", "0.1", "--lambdas", "0.5",
+                 "--runs", "2", "--steps", "20", "--variants", "true-online",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "expected rewards must be finite: states [2]" in err
+    assert "Traceback" not in err and not out.exists()
+
+
 @pytest.mark.parametrize("gamma_flag", [[], ["--gamma", "0.5"]])
 def test_sweep_manifest_records_the_gamma_of_an_env_file(gamma_flag, tmp_path):
     env = tmp_path / "env.json"

@@ -243,9 +243,10 @@ def test_tile_code_same_micro_cell_same_features():
 
 def test_tile_code_clips_out_of_range():
     cfg = _coder()
-    assert np.array_equal(
-        np.flatnonzero(tile_code([-5.0, 2.0], cfg)), np.flatnonzero(tile_code([0.0, 1.0], cfg))
-    )
+    for signals in ([-5.0, 2.0], [-np.inf, np.inf]):
+        assert np.array_equal(
+            np.flatnonzero(tile_code(signals, cfg)), np.flatnonzero(tile_code([0.0, 1.0], cfg))
+        )
 
 
 def test_tile_code_bias_always_last():
@@ -253,6 +254,18 @@ def test_tile_code_bias_always_last():
     vec = tile_code([0.9, 0.1], cfg)
     assert np.flatnonzero(vec)[-1] == 128
     assert vec.shape == (129,)
+
+
+def test_tile_coder_needs_a_signal_range():
+    with pytest.raises(ConfigError, match="at least one signal range"):
+        TileCoderConfig(num_tilings=1, bins_per_signal=1, signal_ranges=(), hash_size=4)
+
+
+@pytest.mark.parametrize("signals", [0.5, [[0.5, 0.5]], [0.5], [0.5, 0.5, 0.5]])
+def test_tile_code_needs_one_signal_per_range(signals):
+    # a bare number once raised IndexError and a nested list TypeError
+    with pytest.raises(ConfigError, match="expected 2 signals in a list"):
+        tile_code(signals, _coder())
 
 
 def test_true_values_two_state_and_zero_rewards():
@@ -363,6 +376,14 @@ def test_mrp_rejects_negative_or_nan_probabilities(row):
     P = np.array([row, [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
     with pytest.raises(ConfigError, match=r"must be >= 0: states \[0\]"):
         Mrp(k=3, P=P, r_mean=np.zeros((3, 3)), sigma=0.0, gamma=0.9)
+
+
+@pytest.mark.parametrize("reward", [float("nan"), float("inf"), -float("inf")])
+def test_mrp_rejects_non_finite_expected_rewards(reward):
+    r_mean = np.zeros((3, 3))
+    r_mean[1, 0] = reward  # a transition P never takes still makes r_bar[1] non-finite
+    with pytest.raises(ConfigError, match=r"expected rewards must be finite: states \[1\]"):
+        Mrp(k=3, P=np.eye(3), r_mean=r_mean, sigma=0.0, gamma=0.9)
 
 
 @pytest.mark.parametrize("field", [

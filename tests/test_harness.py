@@ -21,14 +21,15 @@ from tdlab import (
     generate_mdp,
     generate_mrp,
     harness,
-    oracle,
     paper_alpha_grid,
     paper_lambda_grid,
     run_control_episode,
     run_sweep,
     run_sweeps,
     sample_step,
+    stationary_distribution,
     sweep_to_csv,
+    true_values,
 )
 from tdlab import algos
 from tdlab.algos import (
@@ -685,16 +686,47 @@ def test_blocks_are_sized_by_the_plan_with_the_most_variants(monkeypatch):
 
 def test_error_quadratic_solves_stationary_once(monkeypatch):
     calls = []
-    original = oracle.stationary_distribution
+    original = harness.stationary_distribution
 
     def counted(mrp):
         calls.append(mrp)
         return original(mrp)
 
-    monkeypatch.setattr(oracle, "stationary_distribution", counted)
+    monkeypatch.setattr(harness, "stationary_distribution", counted)
     mrp = generate_mrp(10, 3, 0.1, 0.99, seed=4)
     error_quadratic(mrp, build_representation("binary", mrp), "stationary")
     assert len(calls) == 1
+
+
+class TestErrorQuadraticTarget:
+    """error_quadratic's theta_star, the weighted least-squares fit."""
+
+    def test_tabular_is_exact(self):
+        mrp = generate_mrp(8, 3, 0.1, 0.95, seed=40)
+        _, theta, _ = error_quadratic(mrp, build_representation("tabular", mrp, seed=0))
+        assert np.abs(theta - true_values(mrp)).max() <= 1e-9
+
+    def test_two_state_uniform_weighting(self):
+        mrp, rep = canonical_task("two-state")
+        _, theta, _ = error_quadratic(mrp, rep, "uniform")
+        assert theta[0] == pytest.approx(1.0, abs=1e-12)
+
+    def test_gradient_at_solution_vanishes(self):
+        mrp = generate_mrp(10, 3, 0.1, 0.99, seed=41)
+        rep = build_representation("random-normalized", mrp, seed=2)
+        _, theta, _ = error_quadratic(mrp, rep)
+        d = stationary_distribution(mrp)
+        phi = rep.table
+        grad = -2.0 * phi.T @ (d * (true_values(mrp) - phi @ theta))
+        assert np.linalg.norm(grad) <= 1e-10
+
+    def test_rank_deficient_features_fall_back_to_pinv(self):
+        mrp = generate_mrp(6, 2, 0.0, 0.9, seed=42)
+        table = np.zeros((6, 3))
+        table[:, 0] = 1.0
+        table[:, 1] = 2.0  # linearly dependent column
+        _, theta, _ = error_quadratic(mrp, Representation(kind="binary", table=table))
+        assert np.all(np.isfinite(theta))
 
 
 def test_sweep_config_rejects_lambda_outside_unit_interval():

@@ -13,6 +13,7 @@ one step, so no drawn value allocates more than a few MB or runs long.
 """
 
 import math
+from numbers import Real
 
 import numpy as np
 import pytest
@@ -28,12 +29,14 @@ from tdlab import (
     SplitMix64,
     SweepConfig,
     TabularTrueOnlineTD,
+    TileCoderConfig,
     Transition,
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,
     accumulating_trace_nonrecursive,
     build_representation,
+    epsilon_greedy,
     generate_mdp,
     generate_mrp,
     interim_lambda_return,
@@ -42,9 +45,11 @@ from tdlab import (
     online_lambda_return_algorithm,
     run_control_episode,
     run_episode,
+    stack_action_features,
+    tile_code,
     watkins_interim_target,
 )
-from tdlab.envs import MAX_GENERATED_STATES
+from tdlab.envs import MAX_GENERATED_STATES, REPRESENTATION_KINDS
 from tdlab.figures import one_state_step_size_curve, random_walk_learning_curves
 from tdlab.oracle import (
     constant_lookup,
@@ -67,6 +72,15 @@ INPUTS = {
     "lam": (st.floats(0.0, 1.0), (0,)),
     "max_steps": (st.none() | st.integers(1, 99), (None, 2**64)),
     "count": (st.integers(1, 3), ()),
+    "action": (st.integers(0, 2), (0,)),
+    # 2**64 actions, tilings or buckets are refused: numpy cannot allocate them
+    "num_actions": (st.integers(3, 5), ()),
+    "num_tilings": (st.integers(1, 8), ()),
+    "bins_per_signal": (st.integers(1, 20), (2**64,)),
+    "hash_size": (st.integers(1, 99), ()),
+    "lo": (st.floats(-10.0, -3.0), (-1, 0, 1.5, 2.5)),
+    "hi": (st.floats(3.0, 10.0), (-1, 0, 1.5, 2.5, 2**64)),
+    "signal": (st.floats(-1e6, 1e6), (math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64)),
 }
 
 
@@ -208,6 +222,51 @@ def test_continuing_step_cap_is_a_positive_integer(max_steps):
 @settings(max_examples=10, deadline=None)
 def test_generated_chain_seed(name, value, values):
     expect(lambda master_seed: generate_mrp(4, 2, 0.1, 0.9, seed=master_seed), values, name, value)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("master_seed"))
+@given(values=valid("master_seed"))
+@settings(max_examples=5, deadline=None)
+def test_representation_seed(name, value, values):
+    for kind in REPRESENTATION_KINDS:
+        expect(
+            lambda master_seed: build_representation(kind, MDP.chains[0], seed=master_seed),
+            values, name, value,
+        )
+
+
+def greedy_action(num_actions):
+    """epsilon_greedy on two features per action. The weights have
+    2 * num_actions entries wherever that is a size up to 10, so 0 and 1.5
+    actions meet the count check, not the dimension check."""
+    whole = isinstance(num_actions, Real) and 2 * num_actions in range(11)
+    theta = np.zeros(int(2 * num_actions) if whole else 6)
+    epsilon_greedy(theta, np.ones(2), num_actions, 0.5, SplitMix64(0))
+
+
+@pytest.mark.parametrize("name, value", junk_cases("action", "num_actions"))
+@given(values=valid("action", "num_actions"))
+@settings(max_examples=10, deadline=None)
+def test_action_counts(name, value, values):
+    expect(lambda action, num_actions: stack_action_features(np.ones(2), action, num_actions),
+           values, name, value)
+    if name == "num_actions":
+        expect(greedy_action, {"num_actions": values["num_actions"]}, name, value)
+
+
+def tile_coder(num_tilings, bins_per_signal, hash_size, lo, hi, signal):
+    config = TileCoderConfig(num_tilings, bins_per_signal, ((lo, hi), (0.0, 1.0)), hash_size)
+    tile_code([signal, 0.5], config)
+
+
+TILE_CODER_INPUTS = ("num_tilings", "bins_per_signal", "hash_size", "lo", "hi", "signal")
+
+
+@pytest.mark.parametrize("name, value", junk_cases(*TILE_CODER_INPUTS))
+@given(values=valid(*TILE_CODER_INPUTS))
+@settings(max_examples=10, deadline=None)
+def test_tile_coder(name, value, values):
+    expect(tile_coder, values, name, value)
 
 
 # counts that size a run; 2**64 is a valid count there too, but would run for ages

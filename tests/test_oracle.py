@@ -15,12 +15,10 @@ from tdlab import (
     TrueOnlineWatkinsQ,
     accumulating_trace_nonrecursive,
     build_representation,
-    canonical_task,
     certify_equivalence,
     generate_mdp,
     generate_mrp,
     interim_lambda_return,
-    lms_solution,
     n_step_return,
     offline_lambda_return,
     offline_lambda_return_algorithm,
@@ -694,42 +692,3 @@ class TestTheoremOne:
         steps = [Transition(phi, 0.0, phi, 1.0), Transition(phi, 0.0, np.zeros(1), 1.0, terminal=True)]
         with pytest.raises(ConfigError):
             theorem1_ratio(Trajectory(steps=steps), 0.1, 0.9, np.zeros(1))
-
-
-class TestLmsSolution:
-    def test_tabular_is_exact(self):
-        mrp = generate_mrp(8, 3, 0.1, 0.95, seed=40)
-        rep = build_representation("tabular", mrp, seed=0)
-        theta, mse = lms_solution(mrp, rep)
-        from tdlab import true_values
-
-        assert np.abs(theta - true_values(mrp)).max() <= 1e-9
-        assert mse <= 1e-18
-
-    def test_two_state_uniform_weighting(self):
-        mrp, rep = canonical_task("two-state")
-        theta, mse = lms_solution(mrp, rep, weighting="uniform")
-        assert theta[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.sqrt(mse) == pytest.approx(1.0, abs=1e-12)
-
-    def test_gradient_at_solution_vanishes(self):
-        mrp = generate_mrp(10, 3, 0.1, 0.99, seed=41)
-        rep = build_representation("random-normalized", mrp, seed=2)
-        theta, _ = lms_solution(mrp, rep)
-        from tdlab import stationary_distribution, true_values
-
-        d = stationary_distribution(mrp)
-        phi = rep.table
-        grad = -2.0 * phi.T @ (d * (true_values(mrp) - phi @ theta))
-        assert np.linalg.norm(grad) <= 1e-10
-
-    def test_rank_deficient_features_fall_back_to_pinv(self):
-        mrp = generate_mrp(6, 2, 0.0, 0.9, seed=42)
-        table = np.zeros((6, 3))
-        table[:, 0] = 1.0
-        table[:, 1] = 2.0  # linearly dependent column
-        from tdlab.envs import Representation
-
-        rep = Representation(kind="binary", table=table)
-        theta, mse = lms_solution(mrp, rep)
-        assert np.all(np.isfinite(theta)) and mse >= 0.0
