@@ -371,14 +371,16 @@ class TileCoderConfig:
             value = getattr(self, name)
             if not (isinstance(value, Integral) and value >= 1):
                 raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-        if not self.signal_ranges:
+        try:
+            ranges = tuple((lo, hi) for lo, hi in self.signal_ranges)
+        except (TypeError, ValueError):  # not a sequence of pairs
+            raise ConfigError(f"signal_ranges must be (lo, hi) pairs, got {self.signal_ranges!r}") from None
+        if not ranges:
             raise ConfigError("a tile coder needs at least one signal range")
-        for lo, hi in self.signal_ranges:
+        for lo, hi in ranges:
             if not (isinstance(lo, Real) and isinstance(hi, Real) and -math.inf < lo < hi < math.inf):
                 raise ConfigError(f"each signal range must be finite with hi > lo, got {(lo, hi)!r}")
-        object.__setattr__(
-            self, "signal_ranges", tuple((float(lo), float(hi)) for lo, hi in self.signal_ranges)
-        )
+        object.__setattr__(self, "signal_ranges", tuple((float(lo), float(hi)) for lo, hi in ranges))
 
     @property
     def n(self) -> int:

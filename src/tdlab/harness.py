@@ -49,9 +49,11 @@ chunk's columns and the parent scatters them with one strided assignment
 per chunk (see run_sweeps); no per-cell object is built on the way.
 
 run_chunks is the package's one process pool. It runs a module-level
-task on the non-empty strided chunks items[i::workers], one process per
-chunk, and returns their results in chunk order. The sweep engine sends
-it cell indices; verify's equivalence suite sends it trial numbers.
+task on each chunk of a list its caller cuts: min(workers, chunks)
+processes, each taking the next chunk in order when it goes idle, and
+the results come back in chunk order. The sweep engine sends it one
+strided chunk of cell indices per worker; verify sends it chunks of a
+few consecutive jobs, each a suite or an equivalence trial.
 
 The metric's error d' M d (d = theta - theta_star) is one ordered sum per
 row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
@@ -70,7 +72,7 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
 from numbers import Integral
 from typing import NamedTuple
@@ -501,22 +503,27 @@ def check_workers(workers: int) -> None:
         )
 
 
-def run_chunks(task, args: tuple, items, workers: int) -> list:
-    """task(*args, chunk) on each non-empty strided chunk items[i::workers].
+def run_chunks(task, args: tuple, chunks: list, workers: int) -> list:
+    """[task(*args, chunk) for chunk in chunks], the chunks shared by a pool.
 
-    Two or more non-empty chunks run in a process pool of one process per
-    chunk; a single chunk (one worker, or at most one item) is all of
-    items and runs in this process. Returns the chunk results in chunk
-    order. The task must be a module-level function and args picklable,
-    so that any start method can send them. An exception in a task
-    reaches the caller as itself, after the pool has shut down.
+    Two or more chunks at two or more workers run in a process pool of
+    min(workers, len(chunks)) processes: every chunk is submitted in
+    order, and each process takes the next one when it goes idle. One
+    worker, or a single chunk, runs in this process. Returns the chunk
+    results in chunk order. The task must be a module-level function and
+    args picklable, so that any start method can send them. When a chunk
+    raises, the chunks still queued are cancelled, and the exception
+    reaches the caller as itself after the pool has shut down.
     """
     check_workers(workers)
-    chunks = [items[i::workers] for i in range(min(workers, len(items)))]
-    if len(chunks) <= 1:
-        return [task(*args, items)]
-    with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+    if workers == 1 or len(chunks) <= 1:
+        return [task(*args, chunk) for chunk in chunks]
+    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
         futures = [pool.submit(task, *args, chunk) for chunk in chunks]
+        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+        if any(f.exception() for f in done):
+            pool.shutdown(cancel_futures=True)
+            raise next(f.exception() for f in futures if not f.cancelled() and f.exception())
         return [f.result() for f in futures]
 
 
@@ -564,7 +571,8 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
         for config in configs
     )
     cells = len(first.lambdas) * len(first.alphas)
-    chunks = run_chunks(_sweep_cells, (mrp, plans), list(range(cells)), workers)
+    cell_chunks = [list(range(i, cells, workers)) for i in range(min(workers, cells))]
+    chunks = run_chunks(_sweep_cells, (mrp, plans), cell_chunks, workers)
     results = []
     for p, config in enumerate(configs):
         arrays = [np.empty((len(config.variants), cells), part.dtype) for part in chunks[0][p]]

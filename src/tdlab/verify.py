@@ -5,12 +5,13 @@ forward/backward equivalence guarantees as executable assertions with
 pinned tolerances (1e-8 for oracle replays, 1e-12 for algebraic
 identities).
 
-Each equivalence trial seeds itself from (seed, trial), so the trials
-are independent. With `workers` > 1 they run in harness.run_chunks's
-process pool, trial t in chunk t % workers, and are merged back in
-trial order: the checks, and so `tdlab verify`'s stdout, are the same at
-any worker count. The closed-form, proposition and theorem-1 suites run
-in the calling process.
+Every check runs as a job: the closed-form, proposition and theorem-1
+suites are one job each, and so is each equivalence trial, which seeds
+itself from (seed, trial). run_suite cuts a suite's jobs into chunks of
+at most JOBS_PER_CHUNK consecutive jobs for harness.run_chunks, whose
+`workers` processes each take the next chunk when they go idle, and
+joins the checks in job order: the checks, and so `tdlab verify`'s
+stdout, are the same at any worker count.
 """
 
 from __future__ import annotations
@@ -39,6 +40,9 @@ IDENTITY_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-12
 THEOREM1_ALPHAS = (1e-1, 1e-2, 1e-3, 1e-4)
 THEOREM1_PAIR_RATIO_RANGE = (0.03, 0.3)
+# a pool chunk costs about 0.3 ms of CPU time to send and collect and a job
+# takes 5-40 ms: four jobs a chunk keep that cost near 1% and the tail short
+JOBS_PER_CHUNK = 4
 
 
 @dataclass(frozen=True)
@@ -204,68 +208,79 @@ def _random_prediction_setting(rng: SplitMix64, tabular_only: bool = False):
 def equivalence_checks(trials: int, seed: int, workers: int = 1) -> list[CheckResult]:
     """Randomized oracle-replay certifications across all pairings, in
     trial order; `workers` processes share the trials."""
-    chunks = run_chunks(_trial_checks, (trials, seed), range(trials), workers)
-    checks: list[CheckResult] = [None] * trials
-    for i, chunk in enumerate(chunks):  # chunk i holds trials i, i + len(chunks), ...
-        checks[i :: len(chunks)] = chunk
-    return checks
+    return run_suite("equivalence", trials, seed, workers)
 
 
-def _trial_checks(trials: int, seed: int, trial_indices: range) -> list[CheckResult]:
-    """The checks of the given trials of a `trials`-trial suite: the pool task."""
+# the suites that run as one job each
+_SUITE_JOBS = ("closed-forms", "propositions", "theorem1")
+
+
+def _job_checks(trials: int, seed: int, jobs: list) -> list[CheckResult]:
+    """The checks of the given jobs, a suite name or a trial number each,
+    of a `trials`-trial run: the pool task."""
     checks = []
-    for trial in trial_indices:
-        rng = SplitMix64(mix64(seed ^ mix64(trial + 1)))
-        pair = _PAIR_CYCLE[trial % len(_PAIR_CYCLE)]
-        alpha = 0.05 + 1.95 * rng.random()
-        lam = rng.random()
-        if pair in ("sarsa-vs-oracle-on-psi", "watkins-vs-truncated-oracle"):
-            mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64())
-            rep = build_representation(
-                ("tabular", "random-normalized")[rng.below(2)], mdp.chains[0], seed=rng.next_u64()
-            )
-            cls = TrueOnlineTD if pair.startswith("sarsa") else TrueOnlineWatkinsQ
-            learner = cls(rep.n * 3, alpha=alpha, lam=lam)
-            traj = run_control_episode(
-                learner, mdp, rep, rng.split(), epsilon=0.1 + 0.4 * rng.random(), max_steps=100
-            )
-            theta_init = np.zeros(rep.n * 3)
-        elif pair == "tabular-vs-one-hot-true-online":
-            traj, n = _random_prediction_setting(rng, tabular_only=True)
-            theta_init = np.zeros(n)
+    for job in jobs:
+        if job == "closed-forms":
+            checks += closed_form_checks()
+        elif job == "propositions":
+            checks += proposition_checks(seed)
+        elif job == "theorem1":
+            checks += theorem1_checks(seed)
         else:
-            traj, n = _random_prediction_setting(rng)
-            theta_init = np.zeros(n)
-        report = certify_equivalence(traj, alpha, lam, theta_init, pair)
-        checks.append(CheckResult(
-            f"equivalence trial {trial + 1}/{trials} [{pair}]",
-            report.passed,
-            f"alpha={alpha:.3f} lambda={lam:.3f} steps={report.steps} "
-            f"max_rel_diff={report.max_rel_diff:.3e} (tol {report.tolerance:g})",
-        ))
+            checks.append(_trial_check(trials, seed, job))
     return checks
+
+
+def _trial_check(trials: int, seed: int, trial: int) -> CheckResult:
+    """Equivalence trial `trial` of a `trials`-trial suite."""
+    rng = SplitMix64(mix64(seed ^ mix64(trial + 1)))
+    pair = _PAIR_CYCLE[trial % len(_PAIR_CYCLE)]
+    alpha = 0.05 + 1.95 * rng.random()
+    lam = rng.random()
+    if pair in ("sarsa-vs-oracle-on-psi", "watkins-vs-truncated-oracle"):
+        mdp = generate_mdp(8, 3, 0.1, 0.9, num_actions=3, seed=rng.next_u64())
+        rep = build_representation(
+            ("tabular", "random-normalized")[rng.below(2)], mdp.chains[0], seed=rng.next_u64()
+        )
+        cls = TrueOnlineTD if pair.startswith("sarsa") else TrueOnlineWatkinsQ
+        learner = cls(rep.n * 3, alpha=alpha, lam=lam)
+        traj = run_control_episode(
+            learner, mdp, rep, rng.split(), epsilon=0.1 + 0.4 * rng.random(), max_steps=100
+        )
+        theta_init = np.zeros(rep.n * 3)
+    elif pair == "tabular-vs-one-hot-true-online":
+        traj, n = _random_prediction_setting(rng, tabular_only=True)
+        theta_init = np.zeros(n)
+    else:
+        traj, n = _random_prediction_setting(rng)
+        theta_init = np.zeros(n)
+    report = certify_equivalence(traj, alpha, lam, theta_init, pair)
+    return CheckResult(
+        f"equivalence trial {trial + 1}/{trials} [{pair}]",
+        report.passed,
+        f"alpha={alpha:.3f} lambda={lam:.3f} steps={report.steps} "
+        f"max_rel_diff={report.max_rel_diff:.3e} (tol {report.tolerance:g})",
+    )
 
 
 def run_suite(suite: str, trials: int = 100, seed: int = 0, workers: int = 1) -> list[CheckResult]:
-    """One suite's checks; `workers` processes share the equivalence trials."""
+    """One suite's checks, in job order; `workers` processes share its jobs
+    in chunks of at most JOBS_PER_CHUNK consecutive jobs, fewer where
+    that would leave a worker idle."""
     if suite in ("equivalence", "all"):
         check_integer(trials, "trials")
         if trials < 1:
             raise ConfigError(f"trials must be >= 1, got {trials}")
     check_workers(workers)
-    if suite == "closed-forms":
-        return closed_form_checks()
-    if suite == "propositions":
-        return proposition_checks(seed)
-    if suite == "theorem1":
-        return theorem1_checks(seed)
-    if suite == "equivalence":
-        return equivalence_checks(trials, seed, workers)
-    if suite == "all":
-        return (
-            closed_form_checks()
-            + proposition_checks(seed)
-            + theorem1_checks(seed)
-            + equivalence_checks(trials, seed, workers)
-        )
-    raise ConfigError(f"unknown suite {suite!r}")
+    if suite in _SUITE_JOBS:
+        jobs = [suite]
+    elif suite == "equivalence":
+        jobs = list(range(trials))
+    elif suite == "all":
+        jobs = [*_SUITE_JOBS, *range(trials)]
+    else:
+        raise ConfigError(f"unknown suite {suite!r}")
+    size = max(1, min(JOBS_PER_CHUNK, len(jobs) // workers))
+    chunks = [jobs[i : i + size] for i in range(0, len(jobs), size)]
+    return [check for chunk in run_chunks(_job_checks, (trials, seed), chunks, workers)
+            for check in chunk]

@@ -261,6 +261,14 @@ def test_tile_coder_needs_a_signal_range():
         TileCoderConfig(num_tilings=1, bins_per_signal=1, signal_ranges=(), hash_size=4)
 
 
+@pytest.mark.parametrize("ranges", [((0.0,),), "ab", (0.5,), 5, ((0.0, 0.5, 1.0),)])
+def test_tile_coder_range_must_be_a_pair(ranges):
+    # these once raised Python's unpacking ValueError or a TypeError
+    with pytest.raises(ConfigError, match="pairs") as exc:
+        TileCoderConfig(num_tilings=1, bins_per_signal=1, signal_ranges=ranges, hash_size=4)
+    assert str(exc.value).endswith(f"got {ranges!r}")
+
+
 @pytest.mark.parametrize("signals", [0.5, [[0.5, 0.5]], [0.5], [0.5, 0.5, 0.5]])
 def test_tile_code_needs_one_signal_per_range(signals):
     # a bare number once raised IndexError and a nested list TypeError

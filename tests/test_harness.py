@@ -1,6 +1,8 @@
 import itertools
 import json
+import multiprocessing
 import os
+import time
 from dataclasses import replace
 from unittest import mock
 
@@ -227,18 +229,19 @@ class TestRunSweeps:
 
 class TestRunChunks:
     def test_strided_chunks_in_chunk_order(self):
-        assert harness.run_chunks(list, (), range(7), 2) == [[0, 2, 4, 6], [1, 3, 5]]
+        chunks = [range(7)[0::2], range(7)[1::2]]
+        assert harness.run_chunks(list, (), chunks, 2) == [[0, 2, 4, 6], [1, 3, 5]]
 
     def test_empty_chunks_are_not_sent(self):
-        assert harness.run_chunks(list, (), range(1), 2) == [[0]]
+        assert harness.run_chunks(list, (), [range(1)], 2) == [[0]]
 
     def test_one_worker_runs_all_items_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
-        items = list(range(5))
-        assert harness.run_chunks(list, (), items, 1) == [items]
+        chunks = [[0, 1], [2], [3, 4]]
+        assert harness.run_chunks(list, (), chunks, 1) == chunks
 
     def test_one_cell_sweep_at_two_workers_starts_no_pool(self, monkeypatch):
         config = small_config(alphas=(0.1,), lambdas=(0.5,))
@@ -258,13 +261,35 @@ class TestRunChunks:
             sizes.append(max_workers) or pool(max_workers=max_workers)
         ))
         monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
-        assert harness.run_chunks(list, (), range(2), 3) == [[0], [1]]
+        assert harness.run_chunks(list, (), [[0], [1]], 3) == [[0], [1]]
         assert sizes == [2]
+
+    def test_more_chunks_than_workers_start_one_process_per_worker(self, monkeypatch):
+        sizes = []
+        pool = harness.ProcessPoolExecutor
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: (
+            sizes.append(max_workers) or pool(max_workers=max_workers)
+        ))
+        chunks = [[i] for i in range(7)]
+        assert harness.run_chunks(list, (), chunks, 2) == chunks
+        assert sizes == [2]
+
+    def test_results_in_chunk_order_when_later_chunks_finish_first(self):
+        chunks = [[0.3], [0.0], [0.0], [0.0]]
+        assert harness.run_chunks(sleep_and_return, (), chunks, 2) == [0.3, 0.0, 0.0, 0.0]
+
+    def test_a_failing_chunk_cancels_the_queued_chunks(self, tmp_path):
+        chunks = [[str(tmp_path), i] for i in range(20)]
+        with pytest.raises(ConfigError, match="chunk 0 failed"):
+            harness.run_chunks(fail_on_chunk_zero, (), chunks, 2)
+        ran = len(list(tmp_path.iterdir()))
+        assert ran < len(chunks) // 2, f"{ran} of {len(chunks) - 1} other chunks ran"
+        assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("workers", [0, 1.5, (os.cpu_count() or 1) + 1])
     def test_worker_count_checked(self, workers):
         with pytest.raises(ConfigError, match="workers"):
-            harness.run_chunks(list, (), range(3), workers)
+            harness.run_chunks(list, (), [[0], [1], [2]], workers)
 
     def test_worker_count_bounded_by_the_cpus_the_process_may_use(self, monkeypatch):
         # as under taskset -c 0 on a machine of any size
@@ -273,6 +298,22 @@ class TestRunChunks:
         harness.check_workers(1)
         with pytest.raises(ConfigError, match=r"workers must lie in \[1, 1\]"):
             harness.check_workers(2)
+
+
+def sleep_and_return(chunk):
+    """A run_chunks task that takes chunk[0] seconds to return it."""
+    time.sleep(chunk[0])
+    return chunk[0]
+
+
+def fail_on_chunk_zero(chunk):
+    """A run_chunks task that raises on chunk 0 and leaves a marker file
+    in the directory chunk[0] for each other chunk it runs."""
+    directory, index = chunk
+    if index == 0:
+        raise ConfigError("chunk 0 failed")
+    time.sleep(0.05)
+    open(os.path.join(directory, f"chunk-{index}"), "w").close()
 
 
 def sweep_cells(config, mrp, rep, cell_indices):
