@@ -28,9 +28,6 @@ replay_prediction steps any learner over its transitions.
 
 from __future__ import annotations
 
-import math
-from numbers import Integral, Real
-
 import numpy as np
 
 from .core import (
@@ -39,21 +36,11 @@ from .core import (
     Transition,
     action_values,
     check_integer,
+    check_real,
     stack_action_features,
 )
 from .envs import Mdp, Mrp, Representation, sample_step
 from .rng import SplitMix64
-
-
-def check_step_size(alpha: float) -> None:
-    """Step-sizes must be real, finite and >= 0; 0 freezes the weights."""
-    if not (isinstance(alpha, Real) and math.isfinite(alpha) and alpha >= 0.0):
-        raise ConfigError(f"alpha must be finite and >= 0, got {alpha!r}")
-
-
-def check_trace_decay(lam: float) -> None:
-    if not (isinstance(lam, Real) and 0.0 <= lam <= 1.0):
-        raise ConfigError(f"lambda must lie in [0, 1], got {lam!r}")
 
 
 # The trace rules. Each advances theta and e in place over one transition
@@ -193,10 +180,9 @@ class _LinearLearner:
     rule: staticmethod
 
     def __init__(self, n: int, alpha: float, lam: float, theta_init=None):
-        if not (isinstance(n, Integral) and n >= 0):
-            raise ConfigError(f"feature dimension must be an integer >= 0, got {n!r}")
-        check_step_size(alpha)
-        check_trace_decay(lam)
+        check_integer(n, "feature dimension", low=0)
+        check_real(alpha, "alpha")
+        check_real(lam, "lambda", 1.0)
         self.n = n
         self.alpha = alpha
         self.lam = lam
@@ -284,7 +270,7 @@ class TrueOnlineTDAlphaT(_LinearLearner):
 
     def step(self, tr: Transition) -> None:
         alpha = self.alpha_schedule(self.t)
-        check_step_size(alpha)
+        check_real(alpha, "alpha")
         self.alpha = alpha
         super().step(tr)
 
@@ -341,11 +327,8 @@ def epsilon_greedy(
     iff the chosen action's value equals the maximum, so an exploratory
     draw that happens to hit the greedy action still counts as greedy.
     """
-    if not (isinstance(epsilon, Real) and 0.0 <= epsilon <= 1.0):
-        raise ConfigError(f"epsilon must lie in [0, 1], got {epsilon!r}")
-    check_integer(num_actions, "num_actions")
-    if num_actions < 1:
-        raise ConfigError(f"num_actions must be >= 1, got {num_actions}")
+    check_real(epsilon, "epsilon", 1.0)
+    check_integer(num_actions, "num_actions", low=1)
     q = action_values(theta, phi_s, num_actions)
     q_max = float(np.max(q))
     if epsilon > 0.0 and rng.random() < epsilon:
@@ -397,11 +380,6 @@ def make_prediction_learner(
     return PREDICTION_LEARNERS[variant](n, alpha=alpha, lam=lam, theta_init=theta_init)
 
 
-def _check_step_cap(max_steps) -> None:
-    if max_steps is not None and not (isinstance(max_steps, Integral) and max_steps >= 1):
-        raise ConfigError(f"max_steps must be None or an integer >= 1, got {max_steps!r}")
-
-
 def run_episode(
     mrp: Mrp,
     representation: Representation,
@@ -415,7 +393,8 @@ def run_episode(
     silently truncating would corrupt forward-view replay. A cap is None
     or an integer >= 1.
     """
-    _check_step_cap(max_steps)
+    if max_steps is not None:
+        check_integer(max_steps, "max_steps", low=1)
     if mrp.continuing and max_steps is None:
         raise ConfigError("continuing chain requires a step cap")
     state = mrp.initial_state(rng)
@@ -468,7 +447,8 @@ def run_control_episode(
     stepped on, for replaying the learner. Action selection always uses
     the pre-update weights, matching the pseudocode order.
     """
-    _check_step_cap(max_steps)
+    if max_steps is not None:
+        check_integer(max_steps, "max_steps", low=1)
     chain = mdp.chains[0]  # gamma, terminal states and start, shared by every action
     if not chain.terminal_states and max_steps is None:
         raise ConfigError("continuing MDP requires a step cap")

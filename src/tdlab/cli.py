@@ -39,7 +39,7 @@ import sys
 
 from . import __version__
 from .algos import PREDICTION_VARIANTS
-from .core import ConfigError, check_seed, read_json_object
+from .core import ConfigError, check_integer, check_seed, read_json_object
 from .envs import REPRESENTATION_KINDS, generate_mrp, mrp_to_dict
 from .harness import (
     DEFAULT_VARIANTS,
@@ -160,8 +160,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
 
 
 def cmd_gen_mrp(args: argparse.Namespace) -> int:
-    if args.b > args.k:
-        raise ConfigError("branching factor exceeds states")
     seed = _resolve_seed(args.seed)
     mrp = generate_mrp(k=args.k, b=args.b, sigma=args.sigma, gamma=args.gamma, seed=seed)
     payload = mrp_to_dict(mrp)
@@ -182,6 +180,8 @@ def cmd_gen_mrp(args: argparse.Namespace) -> int:
 def cmd_sweep(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
     if args.paper_grid:
+        if args.alphas is not None or args.lambdas is not None:
+            raise ConfigError("--paper-grid excludes --alphas and --lambdas")
         alphas, lambdas = paper_alpha_grid(), paper_lambda_grid()
     else:
         if not args.alphas or not args.lambdas:
@@ -230,8 +230,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_figures(args: argparse.Namespace) -> int:
     seed = _resolve_seed(args.seed)
-    if args.steps < 1 or (args.runs < 1 and args.figure != 2):  # figure 2 checks its own runs
-        raise ConfigError(f"runs and steps must be >= 1, got runs={args.runs}, steps={args.steps}")
+    check_integer(args.runs, "runs", low=1)
+    check_integer(args.steps, "steps", low=1)
     check_workers(args.workers)
     if args.figure == 1:
         table, reads = random_walk_learning_curves(seed=seed), ("seed",)
@@ -317,7 +317,8 @@ def main(argv: list[str] | None = None) -> int:
     parser, sweep = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):  # argv is parsed again, so a typed flag beats the file
+        # an empty path is a path too; argv is parsed again, so a typed flag beats the file
+        if getattr(args, "config", None) is not None:
             sweep.set_defaults(**_config_defaults(args, sweep))
             args = parser.parse_args(argv)
         if args.command == "figures" and args.runs is None:

@@ -1,6 +1,7 @@
 """Shared types: feature vectors, transitions, trajectories, the
-configuration error with the integer and seed checks every module
-shares, and the reader for JSON input files.
+configuration error with the checks every module shares (an integer
+count, a finite real in [0, high], a master seed), and the reader for
+JSON input files.
 
 Feature vectors are dense float64 numpy arrays: state features phi for
 prediction, or action-stacked features psi (one block of phi per action)
@@ -12,22 +13,36 @@ estimate exactly 0 without special-casing.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
+
+_LARGEST_FLOAT = sys.float_info.max
 
 
 class ConfigError(ValueError):
     """Fatal configuration problem (dimension mismatch, invalid parameter)."""
 
 
-def check_integer(value, name: str) -> None:
-    """A count is an integer: a float, even a whole one, is refused."""
+def check_integer(value, name: str, low: int | None = None) -> None:
+    """A count is an integer, at least `low` if given; a float, even a whole one, is refused."""
     # int first: the Integral ABC check is about ten times slower, and
     # control episodes check each step's action
-    if not isinstance(value, (int, Integral)):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    if not (isinstance(value, (int, Integral)) and (low is None or value >= low)):
+        at_least = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+
+
+def check_real(value, name: str, high: float = math.inf) -> None:
+    """A finite real in [0, high]; NaN, +-inf and an int beyond the floats are refused."""
+    # float first: the Real ABC check is about ten times slower, and each recorded
+    # transition checks its gamma; math.isfinite(10**400) would raise OverflowError
+    if not (isinstance(value, (float, Real)) and 0.0 <= value <= high and value <= _LARGEST_FLOAT):
+        bounds = "be finite and >= 0" if high == math.inf else f"lie in [0, {high:g}]"
+        raise ConfigError(f"{name} must {bounds}, got {value!r}")
 
 
 def check_seed(seed: int, name: str) -> None:
@@ -94,8 +109,7 @@ class Transition:
     terminal: bool = False
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:  # False on NaN
-            raise ConfigError(f"gamma must lie in [0, 1], got {self.gamma!r}")
+        check_real(self.gamma, "gamma", 1.0)
         if self.terminal and np.any(self.phi_next != 0.0):
             raise ConfigError("terminal transition must have all-zero next features")
 

@@ -17,12 +17,13 @@ coder for continuous signals.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
-from numbers import Integral, Real
+from numbers import Real
 
 import numpy as np
 
-from .core import ConfigError, check_integer, check_seed
+from .core import ConfigError, check_integer, check_real, check_seed
 from .rng import SplitMix64, SplitMix64Rows, mix64
 
 ROW_SUM_TOL = 1e-12
@@ -64,10 +65,8 @@ class Mrp:
         bad = ~np.isfinite(self.r_mean).all(axis=1)
         if bad.any():
             raise ConfigError(f"expected rewards must be finite: states {np.nonzero(bad)[0]}")
-        if not 0 <= self.sigma < math.inf:  # NaN fails this too
-            raise ConfigError(f"sigma must be finite and >= 0, got {self.sigma}")
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ConfigError("gamma must lie in [0, 1]")
+        check_real(self.sigma, "sigma")
+        check_real(self.gamma, "gamma", 1.0)
         if any(not 0 <= s < self.k for s in self.terminal_states):
             raise ConfigError(f"terminal states must lie in 0..{self.k - 1}")
         cum_initial = None
@@ -181,6 +180,7 @@ def generate_mdp(
     if not 1 <= b <= k:
         raise ConfigError(f"branching factor {b} must satisfy 1 <= b <= k={k}")
     check_seed(seed, "seed")
+    check_real(sigma, "sigma")  # before the chains' names format it
     rng = SplitMix64(seed)
     return Mdp(tuple(
         Mrp(
@@ -368,17 +368,16 @@ class TileCoderConfig:
 
     def __post_init__(self):
         for name in ("num_tilings", "bins_per_signal", "hash_size"):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+            check_integer(getattr(self, name), name, low=1)
         try:
             ranges = tuple((lo, hi) for lo, hi in self.signal_ranges)
         except (TypeError, ValueError):  # not a sequence of pairs
             raise ConfigError(f"signal_ranges must be (lo, hi) pairs, got {self.signal_ranges!r}") from None
         if not ranges:
             raise ConfigError("a tile coder needs at least one signal range")
+        top = sys.float_info.max  # not math.inf: float(10**400) overflows
         for lo, hi in ranges:
-            if not (isinstance(lo, Real) and isinstance(hi, Real) and -math.inf < lo < hi < math.inf):
+            if not (isinstance(lo, Real) and isinstance(hi, Real) and -top <= lo < hi <= top):
                 raise ConfigError(f"each signal range must be finite with hi > lo, got {(lo, hi)!r}")
         object.__setattr__(self, "signal_ranges", tuple((float(lo), float(hi)) for lo, hi in ranges))
 
@@ -402,7 +401,8 @@ def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> np.
         signals = np.asarray(signals, dtype=np.float64)
         out = np.zeros(config.n)
         indices = np.empty(config.active_features, dtype=np.int64)
-    except (TypeError, ValueError, MemoryError) as exc:  # a non-number, or too many features
+    except (TypeError, ValueError, OverflowError, MemoryError) as exc:
+        # a non-number, an int beyond the floats, or too many features
         raise ConfigError(f"cannot tile-code {signals!r} into {config.n} features: {exc}") from exc
     if signals.shape != (len(config.signal_ranges),):
         raise ConfigError(
@@ -513,5 +513,6 @@ def mrp_from_dict(data: dict) -> Mrp:
         )
     except KeyError as exc:
         raise ConfigError(f"MRP file lacks the key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a ConfigError from Mrp's checks too
+    except (TypeError, ValueError, OverflowError) as exc:
+        # a ConfigError from Mrp's checks too; OverflowError: an int beyond the floats
         raise ConfigError(f"malformed MRP file: {exc}") from exc

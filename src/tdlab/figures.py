@@ -11,13 +11,12 @@ import numpy as np
 from .algos import (
     AccumulateTD,
     accumulate_rule,
-    check_step_size,
     dutch_rule,
     make_prediction_learner,
     replay_prediction,
     run_episode,
 )
-from .core import ConfigError, Transition, check_integer
+from .core import Transition, check_integer, check_real
 from .envs import canonical_task, true_values
 from .harness import (
     DEFAULT_VARIANTS,
@@ -46,9 +45,7 @@ def random_walk_learning_curves(
     accumulating-trace learner on the same recorded episodes. The offline
     column only moves at episode boundaries.
     """
-    check_integer(episodes, "episodes")
-    if episodes < 1:
-        raise ConfigError(f"episodes must be >= 1, got {episodes}")
+    check_integer(episodes, "episodes", low=1)
     mrp, rep = canonical_task("random-walk-10")
     v = true_values(mrp)[:10]
     rms0 = float(np.sqrt(np.mean(v**2)))  # error of the zero vector
@@ -89,14 +86,12 @@ def one_state_step_size_curve(
     step-size T*alpha leaves the stable range, while the true online
     column stays bounded for alpha <= 1.
     """
-    check_integer(runs, "runs")
-    check_integer(episodes, "episodes")
-    if runs < 1 or episodes < 1:
-        raise ConfigError(f"runs and episodes must be >= 1, got runs={runs}, episodes={episodes}")
+    check_integer(runs, "runs", low=1)
+    check_integer(episodes, "episodes", low=1)
     if alphas is None:
         alphas = tuple((i + 1) / 20 for i in range(40))  # 0.05 .. 2.0
     for alpha in alphas:
-        check_step_size(alpha)
+        check_real(alpha, "alpha")
     alpha_col = np.array(alphas, dtype=np.float64)[:, None]
     mrp, rep = canonical_task("one-state")
     sq = {accumulate_rule: np.zeros(len(alphas)), dutch_rule: np.zeros(len(alphas))}

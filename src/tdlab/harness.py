@@ -88,11 +88,9 @@ from .algos import (
     TrueOnlineTD,
     TrueOnlineTDAlphaT,
     TrueOnlineWatkinsQ,
-    check_step_size,
-    check_trace_decay,
     replay_prediction,
 )
-from .core import ConfigError, Trajectory, check_seed, read_json_object
+from .core import ConfigError, Trajectory, check_integer, check_real, check_seed, read_json_object
 from .envs import (
     Mrp,
     Representation,
@@ -162,15 +160,16 @@ class SweepConfig:
     def __post_init__(self):
         if not self.alphas or not self.lambdas:
             raise ConfigError("alpha and lambda grids must be non-empty")
-        for name in ("runs", "steps"):
-            value = getattr(self, name)
-            if not (isinstance(value, Integral) and value >= 1):
-                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        if not isinstance(self.env, str):
+            raise ConfigError(f"env must be a string, got {self.env!r}")
+        check_integer(self.runs, "runs", low=1)
+        check_integer(self.steps, "steps", low=1)
         check_seed(self.master_seed, "master_seed")
+        check_real(self.gamma, "gamma", 1.0)
         for alpha in self.alphas:
-            check_step_size(alpha)
+            check_real(alpha, "alpha")
         for lam in self.lambdas:
-            check_trace_decay(lam)
+            check_real(lam, "lambda", 1.0)
         # best_per_lambda's tie rule and the CSV's row order read the grids in order
         for name, grid in (("alpha", self.alphas), ("lambda", self.lambdas)):
             if any(b <= a for a, b in zip(grid, grid[1:])):

@@ -34,8 +34,8 @@ from typing import Callable
 
 import numpy as np
 
-from .algos import AccumulateTD, check_step_size, check_trace_decay, replay_prediction
-from .core import ConfigError, Trajectory, action_values, stack_action_features
+from .algos import AccumulateTD, replay_prediction
+from .core import ConfigError, Trajectory, action_values, check_integer, check_real, stack_action_features
 
 ThetaLookup = Callable[[int], np.ndarray]
 
@@ -50,8 +50,10 @@ def n_step_return(traj: Trajectory, t: int, n: int, theta_lookup: ThetaLookup) -
     Truncates at a terminal state (whose value is exactly 0); a horizon
     past the end of a non-terminated trajectory is an error.
     """
+    check_integer(n, "n", low=1)
+    check_integer(t, "t", low=0)
     T = len(traj)
-    if n < 1 or t < 0 or t >= T:
+    if t >= T:
         raise ConfigError(f"invalid n-step query t={t}, n={n}")
     if t + n > T and not traj.episodic:
         raise ConfigError(f"horizon {t + n} beyond recorded data of length {T}")
@@ -71,7 +73,7 @@ def interim_lambda_return(
     traj: Trajectory, k: int, h: int, lam: float, theta_lookup: ThetaLookup
 ) -> float:
     """Lambda-mixture of n-step returns truncated at horizon h (definitional sum)."""
-    check_trace_decay(lam)
+    check_real(lam, "lambda", 1.0)
     if not k < h <= len(traj):
         raise ConfigError(f"need k < h <= data length, got k={k}, h={h}, T={len(traj)}")
     total = 0.0
@@ -91,7 +93,7 @@ def interim_lambda_returns_all(
     lam*G_{k+1}), an exact consequence of the definitional sum (the
     package's property tests pin the two against each other).
     """
-    check_trace_decay(lam)
+    check_real(lam, "lambda", 1.0)
     if not 0 < h <= len(traj):
         raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
     v_next = [float(theta_lookup(k) @ traj.steps[k].phi_next) for k in range(h)]
@@ -120,7 +122,7 @@ def online_lambda_return_algorithm(
     the newest down to the first whose bits equal the previous horizon's
     (every earlier target is a function of it) and replays from there.
     """
-    check_trace_decay(lam)
+    check_real(lam, "lambda", 1.0)
     return _online_replay(
         traj, alpha, theta_init, [step.phi for step in traj.steps], [lam] * len(traj),
         lambda j, theta: float(theta @ traj.steps[j].phi_next),
@@ -136,7 +138,7 @@ def _online_replay(
     Horizon t adds V_{t-1} = bootstrap(t - 1, theta_{t-1}), retargets with
     `decays` and replays from the first changed target over `features`.
     """
-    check_step_size(alpha)
+    check_real(alpha, "alpha")
     T = len(traj)
     rewards, gammas = _rewards_and_discounts(traj)
     rows = _iterate_rows(theta_init, T)
@@ -218,7 +220,7 @@ def offline_lambda_return_algorithm(
     All value estimates inside the lambda-returns use theta_init, the
     only weights available before any update happens.
     """
-    check_step_size(alpha)
+    check_real(alpha, "alpha")
     if not traj.episodic:
         raise ConfigError("the offline algorithm requires a complete episode")
     T = len(traj)
@@ -247,7 +249,7 @@ def watkins_interim_target(
     where tau is the first step after t whose behavior action was not
     greedy. Bootstraps use max_a theta_{t+n-1} . psi(S_{t+n}, a).
     """
-    check_trace_decay(lam)
+    check_real(lam, "lambda", 1.0)
     if traj.num_actions is None:
         raise ConfigError("trajectory lacks action annotations")
     if not t < h <= len(traj):
@@ -288,7 +290,7 @@ def watkins_forward_view(
     (0 after a terminal step), cut where A_{k+1} is not greedy, since growth
     stops there (tau_k = k + 1): U_k = R_{k+1} + gamma_k * V_k.
     """
-    check_trace_decay(lam)
+    check_real(lam, "lambda", 1.0)
     if traj.actions is None or traj.greedy is None or traj.num_actions is None:
         raise ConfigError("Watkins replay needs action and greedy-flag annotations")
     num_actions = traj.num_actions
@@ -304,7 +306,7 @@ def watkins_forward_view(
 
 def accumulating_trace_nonrecursive(traj: Trajectory, t: int, lam: float) -> np.ndarray:
     """Closed form of the accumulating trace after t steps: a decayed feature sum."""
-    check_trace_decay(lam)
+    check_real(lam, "lambda", 1.0)
     if not 0 < t <= len(traj):
         raise ConfigError(f"need 0 < t <= T, got t={t}")
     n = traj.steps[0].phi.shape[0]

@@ -205,12 +205,6 @@ def _random_prediction_setting(rng: SplitMix64, tabular_only: bool = False):
     return traj, rep.n
 
 
-def equivalence_checks(trials: int, seed: int, workers: int = 1) -> list[CheckResult]:
-    """Randomized oracle-replay certifications across all pairings, in
-    trial order; `workers` processes share the trials."""
-    return run_suite("equivalence", trials, seed, workers)
-
-
 # the suites that run as one job each
 _SUITE_JOBS = ("closed-forms", "propositions", "theorem1")
 
@@ -268,9 +262,7 @@ def run_suite(suite: str, trials: int = 100, seed: int = 0, workers: int = 1) ->
     in chunks of at most JOBS_PER_CHUNK consecutive jobs, fewer where
     that would leave a worker idle."""
     if suite in ("equivalence", "all"):
-        check_integer(trials, "trials")
-        if trials < 1:
-            raise ConfigError(f"trials must be >= 1, got {trials}")
+        check_integer(trials, "trials", low=1)
     check_workers(workers)
     if suite in _SUITE_JOBS:
         jobs = [suite]

@@ -42,7 +42,7 @@ def test_gen_mrp_deterministic(tmp_path):
 def test_gen_mrp_branching_validation(capsys):
     assert main(["gen-mrp", "--k", "10", "--b", "11", "--sigma", "0",
                  "--gamma", "0.9", "--seed", "1"]) == 2
-    assert "branching factor exceeds states" in capsys.readouterr().err
+    assert "branching factor 11 must satisfy 1 <= b <= k=10" in capsys.readouterr().err
 
 
 def test_sweep_csv_and_manifest_replay(tmp_path):
@@ -67,6 +67,24 @@ def test_sweep_requires_grid(capsys):
     assert main(["sweep", "--task", "mrp(4,2,0)", "--variants", "true-online",
                  "--runs", "1", "--steps", "5"]) == 2
     assert "paper-grid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("grids", [["--alphas", "0.1"], ["--alphas", "0.1", "--lambdas", "0.5"]])
+def test_sweep_paper_grid_excludes_the_grid_flags(grids, tmp_path, capsys):
+    # the grids were once ignored, yet recorded in the manifest
+    out = tmp_path / "grid.csv"
+    assert main(["sweep", "--paper-grid", *grids, "--runs", "1", "--steps", "3",
+                 "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --paper-grid excludes --alphas and --lambdas\n"
+    assert not out.exists()
+
+
+def test_sweep_refuses_an_empty_config_path(tmp_path, capsys):
+    # an empty --config once ran the default sweep
+    out = tmp_path / "sweep.csv"
+    assert main(SMALL_SWEEP + ["--alphas", "0.1", "--config", "", "--out", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("error: cannot read : ")
+    assert not out.exists()
 
 
 def test_sweep_paper_grid_row_count(tmp_path):
@@ -456,6 +474,10 @@ def as_flags(values):
 @settings(max_examples=20, deadline=None)
 def test_config_values_are_the_defaults_of_the_flags_not_typed(typed, config, form):
     merged = {**{k: v for k, v in config.items() if v is not None}, **typed}
+    if merged.get("paper_grid"):  # --paper-grid excludes the grid flags
+        typed = {k: v for k, v in typed.items() if k not in ("alphas", "lambdas")}
+        config = {**config, "alphas": None, "lambdas": None}
+        merged = {k: v for k, v in merged.items() if k not in ("alphas", "lambdas")}
     with tempfile.TemporaryDirectory() as directory:
         cfg, out1, out2 = (os.path.join(directory, name) for name in ("c.json", "a.csv", "b.csv"))
         with open(cfg, "w") as fh:
@@ -632,7 +654,7 @@ def test_unwritable_out_path_is_config_error(tmp_path, capsys):
 def test_verify_rejects_non_positive_trials(suite, trials, capsys):
     assert main(["verify", "--suite", suite, "--trials", trials]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: trials must be >= 1, got {trials}\n"
+    assert captured.err == f"error: trials must be an integer >= 1, got {trials}\n"
     assert captured.out == ""
 
 
@@ -645,7 +667,7 @@ def test_figure_2_rejects_runs_below_one(runs, tmp_path, capsys):
     out = tmp_path / "fig2.csv"
     assert main(["figures", "--figure", "2", "--runs", runs, "--out", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: runs and episodes must be >= 1, got runs={runs}")
+    assert err.startswith(f"error: runs must be an integer >= 1, got {runs}")
     assert "Traceback" not in err and not out.exists()
 
 

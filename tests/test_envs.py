@@ -419,6 +419,18 @@ def test_mrp_from_dict_malformed_values():
         mrp_from_dict(data)
 
 
+@pytest.mark.parametrize("key", ["P", "r_mean", "sigma", "gamma"])
+def test_mrp_from_dict_refuses_an_int_beyond_the_floats(key):
+    # float(10**400) raises OverflowError, once a traceback from `sweep --task file:...`
+    data = mrp_to_dict(generate_mrp(4, 2, 0.1, 0.9, seed=1))
+    if key in ("P", "r_mean"):
+        data[key][0][0] = 10**400
+    else:
+        data[key] = 10**400
+    with pytest.raises(ConfigError, match="malformed MRP file"):
+        mrp_from_dict(data)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     k=st.integers(min_value=2, max_value=9),

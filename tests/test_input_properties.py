@@ -1,10 +1,11 @@
 """Every scalar input of the library takes its valid values and refuses
 junk with a ConfigError: no other exception, and no silent result.
 
-The junk is NaN, +-inf, -1, 0, 1.5, 2.5, 2**64, None and a string. A junk
-value that is valid for an input (0 for a feature dimension, 2.5 for a
-step-size, 2**64 for a step cap) must be taken like any valid value. Each
-input is tried with every junk value while Hypothesis draws the other
+The junk is NaN, +-inf, -1, 0, 1.5, 2.5, 2**64, None and a string; the
+real-valued inputs also get 10**400, an int beyond the largest float. A
+junk value that is valid for an input (0 for a feature dimension, 2.5 for
+a step-size, 2**64 for a step cap) must be taken like any valid value.
+Each input is tried with every junk value while Hypothesis draws the other
 inputs from their valid ranges.
 
 Sizes stay small: feature dimensions and counts below 100, recorded runs
@@ -40,11 +41,13 @@ from tdlab import (
     generate_mdp,
     generate_mrp,
     interim_lambda_return,
+    n_step_return,
     offline_lambda_return,
     offline_lambda_return_algorithm,
     online_lambda_return_algorithm,
     run_control_episode,
     run_episode,
+    run_sweep,
     stack_action_features,
     tile_code,
     watkins_interim_target,
@@ -61,6 +64,8 @@ from tdlab.verify import run_suite
 from tests.conftest import synthetic_trajectory
 
 JUNK = (math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64, None, "x")
+BIG = 10**400  # math.isfinite(BIG) and float(BIG) raise OverflowError
+REALS = ("alpha", "lam", "gamma", "sigma", "epsilon", "lo", "hi", "signal")
 
 # each input's valid values, and the junk values that are valid for it too
 INPUTS = {
@@ -70,6 +75,11 @@ INPUTS = {
     "n": (st.integers(1, 99), (0,)),
     "alpha": (st.floats(0.0, 2.0), (0, 1.5, 2.5, 2**64)),
     "lam": (st.floats(0.0, 1.0), (0,)),
+    # below 1: a sweep's continuing chain needs gamma < 1
+    "gamma": (st.floats(0.0, 0.99), (0,)),
+    "sigma": (st.floats(0.0, 10.0), (0, 1.5, 2.5, 2**64)),
+    "epsilon": (st.floats(0.0, 1.0), (0,)),
+    "env": (st.sampled_from(["mrp(5,2,0.1)", "mrp(6,3,1.5)"]), ()),
     "max_steps": (st.none() | st.integers(1, 99), (None, 2**64)),
     "count": (st.integers(1, 3), ()),
     "action": (st.integers(0, 2), (0,)),
@@ -86,8 +96,8 @@ INPUTS = {
 
 def junk_cases(*names, skip=()):
     return [
-        pytest.param(name, x, id=f"{name}={x!r}")
-        for name in names for x in JUNK if x not in skip
+        pytest.param(name, x, id=f"{name}={'10**400' if x is BIG else repr(x)}")
+        for name in names for x in (JUNK + (BIG,) if name in REALS else JUNK) if x not in skip
     ]
 
 
@@ -119,6 +129,43 @@ def sweep_config(runs, steps, master_seed):
 @settings(max_examples=10, deadline=None)
 def test_sweep_config(name, value, values):
     expect(sweep_config, values, name, value)
+
+
+def sweep(env, gamma):
+    run_sweep(SweepConfig(
+        env=env, representation="tabular", variants=("true-online",),
+        alphas=(0.1,), lambdas=(0.5,), steps=3, runs=1, master_seed=0, gamma=gamma,
+    ))
+
+
+@pytest.mark.parametrize("name, value", junk_cases("env", "gamma"))
+@given(values=valid("env", "gamma"))
+@settings(max_examples=5, deadline=None)
+def test_sweep_env_and_gamma(name, value, values):
+    expect(sweep, values, name, value)
+
+
+CHAINS = (
+    lambda sigma, gamma: Mrp(2, [[0.0, 1.0], [0.0, 1.0]], np.zeros((2, 2)), sigma=sigma,
+                             gamma=gamma, terminal_states=frozenset({1})),
+    lambda sigma, gamma: generate_mrp(4, 2, sigma, gamma, seed=0),
+    lambda sigma, gamma: generate_mdp(4, 2, sigma, gamma, num_actions=2, seed=0),
+)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("sigma", "gamma"))
+@given(values=valid("sigma", "gamma"))
+@settings(max_examples=10, deadline=None)
+def test_chains(name, value, values):
+    for chain in CHAINS:
+        expect(chain, values, name, value)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("gamma"))
+@given(values=valid("gamma"))
+@settings(max_examples=10, deadline=None)
+def test_transition(name, value, values):
+    expect(lambda gamma: Transition(np.ones(2), 0.0, np.ones(2), gamma), values, name, value)
 
 
 def learner_stepper(make):
@@ -254,6 +301,14 @@ def test_action_counts(name, value, values):
         expect(greedy_action, {"num_actions": values["num_actions"]}, name, value)
 
 
+@pytest.mark.parametrize("name, value", junk_cases("epsilon"))
+@given(values=valid("epsilon"))
+@settings(max_examples=10, deadline=None)
+def test_exploration(name, value, values):
+    expect(lambda epsilon: epsilon_greedy(np.zeros(6), np.ones(2), 3, epsilon, SplitMix64(0)),
+           values, name, value)
+
+
 def tile_coder(num_tilings, bins_per_signal, hash_size, lo, hi, signal):
     config = TileCoderConfig(num_tilings, bins_per_signal, ((lo, hi), (0.0, 1.0)), hash_size)
     tile_code([signal, 0.5], config)
@@ -276,6 +331,7 @@ COUNTS = (
     lambda count: one_state_step_size_curve(alphas=(0.5,), episodes=1, runs=count),
     lambda count: random_walk_learning_curves(episodes=count),
     lambda count: generate_mrp(count, 1, 0.1, 0.9, seed=0),
+    lambda count: n_step_return(TRAJ, 0, count, constant_lookup(np.ones(3))),
 )
 
 

@@ -54,7 +54,7 @@ def test_a_worker_error_reaches_the_caller(monkeypatch):
 
     monkeypatch.setattr(verify, "certify_equivalence", refuse_watkins)
     with pytest.raises(ConfigError, match="refused in process") as exc:
-        verify.equivalence_checks(4, 0, workers=2)
+        run_suite("equivalence", 4, 0, workers=2)
     assert str(exc.value) != f"refused in process {os.getpid()}"  # raised in a worker
     assert multiprocessing.active_children() == []
 
