@@ -227,13 +227,22 @@ def sample_steps(
     return nxt, reward
 
 
-def simulate_chains(mrp: Mrp, steps: int, rng: SplitMix64Rows) -> tuple[np.ndarray, np.ndarray]:
+def simulate_chains(
+    mrp: Mrp, steps: int, rng: SplitMix64Rows, start: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """(states, rewards) of one chain per rng row, time-major: (steps + 1, rows)
     and (steps, rows). Row i is the chain that initial_state and sample_step
-    draw from SplitMix64 row i."""
+    draw from SplitMix64 row i.
+
+    Given start, the chains go on from those states instead of drawing
+    initial ones. The rng carries its streams from call to call, so a
+    chain drawn a time block at a time, each block starting from the last
+    block's final states, is the chain drawn at once."""
     states = np.empty((steps + 1, len(rng)), dtype=np.int64)
     rewards = np.empty((steps, len(rng)))
-    if mrp.cum_initial is None:
+    if start is not None:
+        states[0] = start
+    elif mrp.cum_initial is None:
         states[0] = mrp.initial
     else:
         states[0] = np.minimum((mrp.cum_initial <= rng.random()[:, None]).sum(axis=1), mrp.k - 1)
@@ -377,8 +386,12 @@ class TileCoderConfig:
             raise ConfigError("a tile coder needs at least one signal range")
         top = sys.float_info.max  # not math.inf: float(10**400) overflows
         for lo, hi in ranges:
-            if not (isinstance(lo, Real) and isinstance(hi, Real) and -top <= lo < hi <= top):
+            # a numpy float compared with top would be cast to its own width, where top is inf
+            a, b = (float(x) if isinstance(x, np.floating) else x for x in (lo, hi))
+            if not (isinstance(a, Real) and isinstance(b, Real) and -top <= a < b <= top):
                 raise ConfigError(f"each signal range must be finite with hi > lo, got {(lo, hi)!r}")
+            if not math.isfinite(float(b) - float(a)):  # the width scales every signal
+                raise ConfigError(f"each signal range must have a finite width hi - lo, got {(lo, hi)!r}")
         object.__setattr__(self, "signal_ranges", tuple((float(lo), float(hi)) for lo, hi in ranges))
 
     @property

@@ -8,19 +8,21 @@ Cell seeds are shared across variants, so variant comparisons are paired
 through common random numbers. Aggregation folds by cell index, so the
 result does not depend on execution order or worker count.
 
-The sweep engine is batched by chunk: a chunk of cells (all cells, or
-one worker's share) draws every (cell, run) chain at once through
-SplitMix64Rows, then advances every variant of a config in lockstep: one
-(variants x rows, n) weight array, in which each variant's algos trace
-rule steps its own row slice, with one feature gather and one
-divergence test per step for all of them. Each row computes exactly
-what a scalar learner on that run's seed computes, so sweep CSVs are
-byte-identical to running the runs one at a time. Memory per block is
-O(variants x rows x (n + steps)): the chains and each row's per-step
-errors, never a weight history. A chunk runs in blocks of whole cells,
-so that the chains (rows x (steps + 1)) and the errors of the config
-with the most variants (variants x rows x steps) each hold at most
-CHAIN_BLOCK_VALUES entries.
+The sweep engine is batched by block: a chunk of cells (all cells, or
+one worker's share) runs its (cell, run) rows in blocks. A block draws
+its chains through SplitMix64Rows a time block at a time and advances
+every variant of a config in lockstep over each: one (variants x rows,
+n) weight array, in which each variant's algos trace rule steps its own
+row slice, with one feature gather and one divergence test per step for
+all of them. Each row computes exactly what a scalar learner on that
+run's seed computes, so sweep CSVs are byte-identical to running the
+runs one at a time. A block's memory does not grow with runs or steps:
+it holds the weights, one time block of chains and each row's running
+time mean, never a weight history or a run's per-step errors, and each
+of these arrays holds at most CHAIN_BLOCK_VALUES entries. The time mean
+adds each step's error in the order of numpy's pairwise sum
+(_TimeMean), so it has the bits of errors.mean(axis=1) over the whole
+run.
 
 On one-hot features (a single 1.0 in every row of the table: tabular
 features, or states aggregated onto shared columns) the rules read and
@@ -107,11 +109,12 @@ from .rng import SplitMix64Rows, mix64
 
 DIVERGENCE_THRESHOLD = 1e100
 # Entries of each per-block array the sweep engine holds at once, about
-# 16 MB: the chains (rows x (steps + 1) states and rewards) and the errors
-# of the config with the most variants (variants x rows x steps).
+# 16 MB: the weights of the config with the most variants (variants x
+# rows x n), its time-mean accumulators and a time block of chains.
 CHAIN_BLOCK_VALUES = 1 << 21
 # Error-buffer entries (features x steps x rows) the sweep metric sums at
 # once: 256 KB, so the buffer stays in cache between its writes and its sum.
+# A block's chains are drawn in time blocks of as many states.
 METRIC_BLOCK_VALUES = 1 << 15
 EQUIVALENCE_TOL = 1e-8
 # A run whose weights have grown this much past their start is exponentially
@@ -325,33 +328,99 @@ def _one_hot_columns(table: np.ndarray) -> np.ndarray | None:
     return None
 
 
-def _run_metrics(
-    variants: tuple[str, ...],
-    states: np.ndarray,
-    rewards: np.ndarray,
-    table: np.ndarray,
-    gamma: float,
-    alpha: np.ndarray,
-    lam: np.ndarray,
-    M: np.ndarray,
-    theta_star: np.ndarray,
-    e0: float,
-) -> tuple[np.ndarray, np.ndarray]:
-    """One learner per (variant, row) over the row's pre-sampled chain,
-    every variant and row in lockstep.
+def _pairwise_tree(n: int):
+    """numpy's pairwise summation tree over n values, left to right: the
+    length of each leaf (at most 128 values) and a 0 for each merge of
+    the two partial sums before it, in the order numpy adds them."""
+    if n <= 128:
+        yield n
+    else:  # numpy splits in halves, the first a multiple of 8
+        half = n // 2 - n // 2 % 8
+        yield from _pairwise_tree(half)
+        yield from _pairwise_tree(n - half)
+        yield 0
 
-    `states` and `rewards` are time-major, alpha and lam (rows, 1)
-    columns. The variants' learners are stacked variant-major in one
-    (variants x rows, n) weight array: each variant's rule steps its own
-    contiguous row slice, and each step gathers the features once for
-    all of them. Returns each stacked row's (metric, diverged), variant
-    by variant. A row whose weights leave the threshold is frozen at
-    them, or at its last weights if they went non-finite, for the rest of
-    its run. While every row is live one test of the whole stack stands
-    in for the per-row bookkeeping; from the first step it fails, the
-    per-row freeze runs on a feature-major copy of the weights, so each
-    row's size is a max along the long row axis rather than over its few
-    features. Both are exact, so the freeze keeps its bits.
+
+class _TimeMean:
+    """Each row's mean over `steps` values that arrive a few steps at a
+    time, with the bits of x.mean(axis=1) on the whole (rows, steps) x,
+    in memory that does not grow with steps.
+
+    numpy sums each row over _pairwise_tree. A leaf of fewer than 8 values
+    adds them in order. A longer leaf loads its first 8 values into 8
+    accumulators, adds value i to accumulator i % 8 up to the last
+    multiple of 8, takes ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 +
+    r7)) and adds the rest in order. A merge adds the right partial sum
+    to the left. The mean is (0.0 + sum) / steps, as numpy's sum starts
+    from +0.0. This keeps the open leaf's accumulators and a stack of
+    finished partial sums, at most one per level of the tree, and adds up
+    to 8 consecutive steps with one numpy operation.
+    """
+
+    def __init__(self, steps: int, rows: int):
+        self._steps = steps
+        self._tree = _pairwise_tree(steps)
+        self._leaf, self._pos = next(self._tree), 0  # the open leaf's length and fill
+        self._acc = np.empty((8, rows))
+        self._sum = None  # the open leaf's sum, once its accumulators are combined
+        self._sums = []  # finished partial sums awaiting their merges, left to right
+
+    def add(self, values: np.ndarray) -> None:
+        """Fold in the next len(values) steps; values is (steps, rows)."""
+        acc, leaf, p = self._acc, self._leaf, self._pos
+        i, n = 0, len(values)
+        while i < n:
+            main = leaf - leaf % 8  # the accumulators' share of the leaf
+            if p < main:
+                j = p % 8
+                m = min(8 - j, n - i)
+                if p < 8:
+                    acc[j : j + m] = values[i : i + m]
+                else:
+                    acc[j : j + m] += values[i : i + m]
+                if p + m == main:
+                    self._sum = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + (
+                        (acc[4] + acc[5]) + (acc[6] + acc[7])
+                    )
+            else:
+                m = 1
+                if p == 0:  # a leaf of fewer than 8 values; -0.0 + x is x
+                    self._sum = values[i].copy()
+                else:
+                    self._sum += values[i]
+            i, p = i + m, p + m
+            if p == leaf:
+                self._sums.append(self._sum)
+                node = next(self._tree, None)
+                while node == 0:
+                    right = self._sums.pop()
+                    self._sums[-1] += right
+                    node = next(self._tree, None)
+                leaf, p = node, 0
+        self._leaf, self._pos = leaf, p
+
+    def mean(self) -> np.ndarray:
+        """Each row's mean, once all `steps` values are in."""
+        return (0.0 + self._sums[0]) / self._steps
+
+
+class _Learners:
+    """One learner per (variant, row), every variant and row in lockstep
+    over the rows' chains, which arrive a time block at a time.
+
+    alpha and lam are (rows, 1) columns. The variants' learners are
+    stacked variant-major in one (variants x rows, n) weight array: each
+    variant's rule steps its own contiguous row slice, and each step
+    gathers the features once for all of them. advance steps them over
+    the next time block; once all `steps` are taken, finish returns each
+    stacked row's (metric, diverged), variant by variant. A row whose
+    weights leave the threshold is frozen at them, or at its last weights
+    if they went non-finite, for the rest of its run. While every row is
+    live one test of the whole stack stands in for the per-row
+    bookkeeping; from the first step it fails, the per-row freeze runs on
+    a feature-major copy of the weights, so each row's size is a max along
+    the long row axis rather than over its few features. Both are exact,
+    so the freeze keeps its bits.
 
     When every row of the table is one-hot, the rules step on
     algos.OneHotRows: each variant reads theta.phi, theta.phi' and e.phi
@@ -365,53 +434,75 @@ def _run_metrics(
     values, and _quadratic sums every K steps at once. The sum for each
     (row, step) is still the ordered one, row-major over M's nonzero
     entries from +0.0, so a row's metric has the same bits in a block of
-    any size, beside any other variants, at any K.
+    any size, beside any other variants, at any K. Each summed block,
+    divided by e0, is folded into the rows' time means (_TimeMean), so no
+    per-step error outlives its block, whatever the time blocks.
     """
-    rules = [PREDICTION_LEARNERS[v].rule for v in variants]
-    steps, rows = rewards.shape
-    n = table.shape[1]
-    stacked = len(variants) * rows
-    columns = _one_hot_columns(table)
-    if columns is None:
-        def features(s):
-            return table.take(s, axis=0)
-    else:
-        row_starts = (np.arange(rows) * n)[:, None]
 
-        def features(s):
-            return OneHotRows(row_starts + columns.take(s)[:, None])
-    theta, e = np.zeros((stacked, n)), np.zeros((stacked, n))
-    slices = [slice(v * rows, (v + 1) * rows) for v in range(len(variants))]
-    v_olds = [np.zeros((rows, 1)) for _ in variants]
-    shown = np.zeros((n, stacked))  # the weights the metric sees, feature-major
-    star = np.repeat(theta_star[:, None], stacked, axis=1)  # a broadcast column is slower
-    live = np.ones(stacked, dtype=bool)
-    terms = _quadratic_terms(M)
-    errors = np.empty((stacked, steps))
-    K = max(1, min(steps, METRIC_BLOCK_VALUES // (stacked * n)))
-    D = np.empty((n, K * stacked))  # step k of a block in columns k*stacked onwards
-    phi_next = features(states[0])
-    for t in range(steps):
-        phi, phi_next = phi_next, features(states[t + 1])
-        reward = rewards[t][:, None]
-        for v, (rule, s) in enumerate(zip(rules, slices)):
-            v_olds[v] = rule(theta[s], e[s], v_olds[v], phi, reward, phi_next, gamma, alpha, lam)
-        k = t % K
-        d = D[:, k * stacked : (k + 1) * stacked]
-        if live.all() and np.abs(theta).max() <= DIVERGENCE_THRESHOLD:  # False on NaN
-            np.copyto(shown, theta.T)
-        else:  # d holds theta feature-major until this step's d is written
-            np.copyto(d, theta.T)
-            size = np.abs(d).max(axis=0)  # along the long row axis; NaN if any weight is
-            moved = live & np.isfinite(size)
-            live &= size <= DIVERGENCE_THRESHOLD
-            np.copyto(shown, d, where=moved)
-        np.subtract(shown, star, out=d)
-        if k == K - 1 or t == steps - 1:
-            block = _quadratic(D[:, : (k + 1) * stacked].T, terms)
-            errors[:, t - k : t + 1] = block.reshape(k + 1, stacked).T
-    errors /= e0
-    return errors.mean(axis=1), ~live
+    def __init__(self, variants, table, gamma, alpha, lam, M, theta_star, e0, steps):
+        rows, n = alpha.shape[0], table.shape[1]
+        stacked = len(variants) * rows
+        columns = _one_hot_columns(table)
+        if columns is None:
+            def features(s):
+                return table.take(s, axis=0)
+        else:
+            row_starts = (np.arange(rows) * n)[:, None]
+
+            def features(s):
+                return OneHotRows(row_starts + columns.take(s)[:, None])
+        self.features = features
+        self.rules = [PREDICTION_LEARNERS[v].rule for v in variants]
+        self.slices = [slice(v * rows, (v + 1) * rows) for v in range(len(variants))]
+        self.gamma, self.alpha, self.lam, self.e0, self.steps = gamma, alpha, lam, e0, steps
+        self.theta, self.e = np.zeros((stacked, n)), np.zeros((stacked, n))
+        self.v_olds = [np.zeros((rows, 1)) for _ in variants]
+        self.shown = np.zeros((n, stacked))  # the weights the metric sees, feature-major
+        self.star = np.repeat(theta_star[:, None], stacked, axis=1)  # a broadcast column is slower
+        self.live = np.ones(stacked, dtype=bool)
+        self.terms = _quadratic_terms(M)
+        self.K = max(1, min(steps, METRIC_BLOCK_VALUES // (stacked * n)))
+        self.D = np.empty((n, self.K * stacked))  # step k of a block in columns k*stacked onwards
+        self.time_mean = _TimeMean(steps, stacked)
+        self.t = 0  # steps taken
+
+    def advance(self, states: np.ndarray, rewards: np.ndarray) -> None:
+        """Step every learner over the next len(rewards) steps of its row's
+        chain: time-major (len(rewards) + 1, rows) states, the first row
+        the states the last time block ended in, and (len(rewards), rows)
+        rewards."""
+        features, rules, slices, v_olds = self.features, self.rules, self.slices, self.v_olds
+        theta, e, shown, star, live, D, K = (
+            self.theta, self.e, self.shown, self.star, self.live, self.D, self.K
+        )
+        gamma, alpha, lam, steps = self.gamma, self.alpha, self.lam, self.steps
+        stacked = live.size
+        phi_next = features(states[0])
+        for i, t in enumerate(range(self.t, self.t + len(rewards))):
+            phi, phi_next = phi_next, features(states[i + 1])
+            reward = rewards[i][:, None]
+            for v, (rule, s) in enumerate(zip(rules, slices)):
+                v_olds[v] = rule(theta[s], e[s], v_olds[v], phi, reward, phi_next, gamma, alpha, lam)
+            k = t % K
+            d = D[:, k * stacked : (k + 1) * stacked]
+            if live.all() and np.abs(theta).max() <= DIVERGENCE_THRESHOLD:  # False on NaN
+                np.copyto(shown, theta.T)
+            else:  # d holds theta feature-major until this step's d is written
+                np.copyto(d, theta.T)
+                size = np.abs(d).max(axis=0)  # along the long row axis; NaN if any weight is
+                moved = live & np.isfinite(size)
+                live &= size <= DIVERGENCE_THRESHOLD
+                np.copyto(shown, d, where=moved)
+            np.subtract(shown, star, out=d)
+            if k == K - 1 or t == steps - 1:
+                errors = _quadratic(D[:, : (k + 1) * stacked].T, self.terms)
+                errors /= self.e0
+                self.time_mean.add(errors.reshape(k + 1, stacked))
+        self.t += len(rewards)
+
+    def finish(self) -> tuple[np.ndarray, np.ndarray]:
+        """Each stacked row's (metric, diverged), variant by variant."""
+        return self.time_mean.mean(), ~self.live
 
 
 class _SweepPlan(NamedTuple):
@@ -448,41 +539,57 @@ def _sweep_cells(
     len(cell_indices)), column j for cell cell_indices[j].
 
     The plans share their chains (every config field but representation
-    and variants agrees), so each block's chains are simulated once and
-    every plan steps all its variants on them in one _run_metrics call.
-    Cells are batched in blocks small enough that each per-block array,
-    the chains (rows x steps) and the widest plan's errors (variants x
-    rows x steps), holds at most CHAIN_BLOCK_VALUES entries, so memory
-    stays bounded however many cells a chunk holds; rows are
-    independent, so blocking changes no result.
+    and variants agrees). The chunk's (cell, run) rows, run by run within
+    each cell, go in blocks of rows; a cell's runs may span two blocks,
+    since its mean and se need only one metric per run. Each block draws
+    its chains a time block at a time from one SplitMix64Rows, and every
+    plan steps all its variants over a time block (_Learners) before the
+    next is drawn, so each chain is simulated once. Blocks are sized so
+    that each per-block array, whatever runs and steps are, holds at most
+    CHAIN_BLOCK_VALUES entries: a plan's weights (variants x rows x n),
+    its time-mean accumulators (variants x rows x 8), a step's cumulative
+    transition rows (rows x k) and a time block's chains, (span + 1) x
+    rows, which hold at most METRIC_BLOCK_VALUES entries, or one step's
+    two rows of states when a block has more than half that many rows.
+    Rows are independent and the time means keep their order, so
+    blocking changes no result; the chunk keeps one metric per run.
     """
     config = plans[0].config
-    n_alpha, runs = len(config.alphas), config.runs
-    width = max(len(plan.config.variants) for plan in plans)
-    block = max(1, CHAIN_BLOCK_VALUES // (width * runs * (config.steps + 1)))
-    out = [
-        tuple(np.zeros((len(p.config.variants), len(cell_indices)), t) for t in (float, float, int))
-        for p in plans
-    ]
-    for start in range(0, len(cell_indices), block):
-        cells = cell_indices[start : start + block]
-        seeds = _run_seeds(config.master_seed, cells, runs)
-        states, rewards = simulate_chains(mrp, config.steps, SplitMix64Rows(seeds))
-        alpha = np.repeat([config.alphas[ci % n_alpha] for ci in cells], runs)[:, None]
-        lam = np.repeat([config.lambdas[ci // n_alpha] for ci in cells], runs)[:, None]
-        columns = slice(start, start + len(cells))
-        for plan, (mean, se, div) in zip(plans, out):
-            shape = (len(plan.config.variants), len(cells), runs)
-            with np.errstate(over="ignore", invalid="ignore"):
-                metrics, diverged = _run_metrics(
-                    plan.config.variants, states, rewards, plan.table, mrp.gamma,
-                    alpha, lam, plan.M, plan.theta_star, plan.e0,
+    n_alpha, runs, steps = len(config.alphas), config.runs, config.steps
+    seeds = _run_seeds(config.master_seed, cell_indices, runs)
+    row_cells = np.repeat(cell_indices, runs)
+    alpha = np.array(config.alphas)[row_cells % n_alpha][:, None]
+    lam = np.array(config.lambdas)[row_cells // n_alpha][:, None]
+    width = max(mrp.k, *(len(p.config.variants) * max(p.table.shape[1], 8) for p in plans))
+    block = max(1, CHAIN_BLOCK_VALUES // width)
+    metrics = [np.empty((len(p.config.variants), seeds.size)) for p in plans]
+    diverged = [np.empty((len(p.config.variants), seeds.size), dtype=bool) for p in plans]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, seeds.size, block):
+            rows = slice(start, start + block)
+            rng = SplitMix64Rows(seeds[rows])
+            learners = [
+                _Learners(
+                    p.config.variants, p.table, mrp.gamma, alpha[rows], lam[rows],
+                    p.M, p.theta_star, p.e0, steps,
                 )
-                for v, vals in enumerate(metrics.reshape(shape)):
-                    mean[v, columns] = vals.mean(axis=1)
-                    if runs > 1:  # else the standard error stays 0
-                        se[v, columns] = vals.std(axis=1, ddof=1) / np.sqrt(runs)
-            div[:, columns] = diverged.reshape(shape).sum(axis=2)
+                for p in plans
+            ]
+            span = max(1, METRIC_BLOCK_VALUES // len(rng) - 1)
+            states = None
+            for t in range(0, steps, span):
+                last = None if states is None else states[-1]
+                states, rewards = simulate_chains(mrp, min(span, steps - t), rng, last)
+                for learner in learners:
+                    learner.advance(states, rewards)
+            for learner, m, d in zip(learners, metrics, diverged):
+                m[:, rows], d[:, rows] = (a.reshape(len(m), -1) for a in learner.finish())
+        out = []
+        for m, d in zip(metrics, diverged):
+            shape = (len(m), len(cell_indices), runs)
+            vals = m.reshape(shape)
+            se = vals.std(axis=2, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(shape[:2])
+            out.append((vals.mean(axis=2), se, d.reshape(shape).sum(axis=2)))
     return out
 
 

@@ -261,6 +261,14 @@ def test_tile_coder_needs_a_signal_range():
         TileCoderConfig(num_tilings=1, bins_per_signal=1, signal_ranges=(), hash_size=4)
 
 
+@pytest.mark.parametrize("lo, hi", [(-1e308, 1e308), (-2**1023, 2**1023), (0.0, np.float32("inf"))])
+def test_tile_coder_range_width_must_be_finite(lo, hi):
+    # (-1e308, 1e308) was once taken, and tile_code([1e308]) then raised
+    # ValueError on a NaN bin; a float32 inf once passed as within the floats
+    with pytest.raises(ConfigError, match="finite"):
+        TileCoderConfig(num_tilings=1, bins_per_signal=1, signal_ranges=((lo, hi),), hash_size=4)
+
+
 @pytest.mark.parametrize("ranges", [((0.0,),), "ab", (0.5,), 5, ((0.0, 0.5, 1.0),)])
 def test_tile_coder_range_must_be_a_pair(ranges):
     # these once raised Python's unpacking ValueError or a TypeError
@@ -450,6 +458,25 @@ def test_simulate_chains_match_sample_step(k, sigma, env_seed, seeds, steps):
         for t in range(steps):
             state, reward = sample_step(mrp, state, rng)
             assert (states[t + 1, i], rewards[t, i]) == (state, reward)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    sigma=st.sampled_from([0.0, 0.3]),
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
+    cuts=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+)
+def test_chains_drawn_a_time_block_at_a_time_are_the_chains_drawn_at_once(sigma, seeds, cuts):
+    # an odd number of steps per block leaves a Box-Muller spare pending across blocks
+    mrp = generate_mrp(6, 3, sigma, 0.9, seed=4)
+    whole = simulate_chains(mrp, sum(cuts), SplitMix64Rows(seeds))
+    rng, states = SplitMix64Rows(seeds), None
+    blocks = []
+    for steps in cuts:
+        states, rewards = simulate_chains(mrp, steps, rng, None if states is None else states[-1])
+        blocks.append((states, rewards))
+    assert np.array_equal(np.vstack([blocks[0][0][:1]] + [b[0][1:] for b in blocks]), whole[0])
+    assert np.vstack([b[1] for b in blocks]).tobytes() == whole[1].tobytes()
 
 
 class FixedUniform:

@@ -97,17 +97,20 @@ def test_fig4_same_csv_at_one_and_two_workers():
 
 
 def test_fig4_simulates_each_chain_once(monkeypatch):
-    # the three representation sweeps share their chains: 600 cells x 2 runs, one block
+    # the three representation sweeps share their chains: 600 cells x 2 runs in
+    # one block of rows, each chain drawn once, a time block at a time
     calls = []
     original = harness.simulate_chains
 
-    def counted(mrp, steps, rng):
-        calls.append((steps, len(rng)))
-        return original(mrp, steps, rng)
+    def counted(mrp, steps, rng, start=None):
+        calls.append((rng, steps, start is None))
+        return original(mrp, steps, rng, start)
 
     monkeypatch.setattr(harness, "simulate_chains", counted)
     mrp_best_lambda_curves(runs=2, steps=30, master_seed=5)
-    assert calls == [(30, 600 * 2)]
+    assert len({id(rng) for rng, _, _ in calls}) == 1 and len(calls[0][0]) == 600 * 2
+    assert sum(steps for _, steps, _ in calls) == 30
+    assert [first for _, _, first in calls] == [True] + [False] * (len(calls) - 1)
 
 
 def test_table_to_csv_formatting():

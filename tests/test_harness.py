@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdlab import (
@@ -328,6 +328,27 @@ def sweep_cells(config, mrp, rep, cell_indices):
     ]
 
 
+def periodic_chains_rejected(mrp, rep):
+    """error_quadratic(mrp, rep), with the draw rejected when the chain is
+    periodic: power iteration then finds no stationary distribution
+    (generate_mrp(8, 2, ...) at seeds 123, 239 and 282, for one)."""
+    try:
+        return error_quadratic(mrp, rep)
+    except ConfigError as exc:
+        assume("power iteration" not in str(exc))
+        raise
+
+
+def run_metrics(variants, states, rewards, table, gamma, alpha, lam, M, theta_star, e0):
+    """Each stacked row's (metric, diverged) from the sweep's learners
+    stepped over whole pre-drawn chains, as one time block."""
+    learners = harness._Learners(
+        variants, table, gamma, alpha, lam, M, theta_star, e0, len(rewards)
+    )
+    learners.advance(states, rewards)
+    return learners.finish()
+
+
 def quadratic_by_definition(d, M):
     """d' M d written out: (d_i M_ij) d_j over every (i, j) in row-major
     order, added one by one from +0.0."""
@@ -485,6 +506,9 @@ class TestRunMetrics:
     # two binary features: one- and two-row blocks once took another einsum order
     @example(k=3, kind="binary", n=1, variant="accumulate", rows=3, steps=30, seed=2,
              alphas=[0.1, 0.2, 0.3, 0.4, 0.5], lambdas=[0.5] * 5)
+    # a periodic chain, which error_quadratic refuses: the draw is rejected
+    @example(k=8, kind="tabular", n=1, variant="accumulate", rows=1, steps=1, seed=239,
+             alphas=[0.1] * 5, lambdas=[0.5] * 5)
     def test_block_equals_each_row_alone(
         self, k, kind, n, variant, rows, steps, seed, alphas, lambdas
     ):
@@ -495,12 +519,12 @@ class TestRunMetrics:
             rep = build_representation(kind, mrp, seed=seed)
         if variant == "replace" and kind not in ("tabular", "binary"):
             variant = "accumulate"
-        M, theta_star, e0 = error_quadratic(mrp, rep)
+        M, theta_star, e0 = periodic_chains_rejected(mrp, rep)
         states, rewards = self.chains(mrp, rows, steps, seed)
         alpha, lam = np.array(alphas[:rows]), np.array(lambdas[:rows])
 
         def run(r):
-            return harness._run_metrics(
+            return run_metrics(
                 (variant,), states[:, r], rewards[:, r], rep.table, mrp.gamma,
                 alpha[r, None], lam[r, None], M, theta_star, e0,
             )
@@ -557,7 +581,7 @@ class TestRunMetrics:
         alpha, lam = np.full((rows, 1), 0.5), np.full((rows, 1), 0.9)
 
         def run(rewards):
-            return harness._run_metrics(
+            return run_metrics(
                 (variant,), states, rewards, rep.table, mrp.gamma, alpha, lam, M, theta_star, e0
             )
 
@@ -616,14 +640,14 @@ class TestRunMetrics:
             table = np.eye(k)
         assert harness._one_hot_columns(table) is not None
         rep = Representation("one-hot", table)
-        M, theta_star, e0 = error_quadratic(mrp, rep)
+        M, theta_star, e0 = periodic_chains_rejected(mrp, rep)
         states, rewards = self.chains(mrp, rows, steps, seed)
         if zero_rewards:
             rewards[:] = 0.0
         alpha, lam = np.array(alphas[:rows])[:, None], np.array(lambdas[:rows])[:, None]
 
         def run():
-            return harness._run_metrics(
+            return run_metrics(
                 tuple(variants), states, rewards, table, mrp.gamma, alpha, lam, M, theta_star, e0
             )
 
@@ -666,7 +690,7 @@ class TestRunMetrics:
             rep = build_representation(kind, mrp, seed=seed)
         if kind not in ("tabular", "binary"):
             variants = [v for v in variants if v != "replace"] or ["true-online"]
-        M, theta_star, e0 = error_quadratic(mrp, rep)
+        M, theta_star, e0 = periodic_chains_rejected(mrp, rep)
         states, rewards = self.chains(mrp, rows, steps, seed)
         alpha, lam = np.array(alphas[:rows])[:, None], np.array(lambdas[:rows])[:, None]
         values = {"one step": 1, "every step": len(variants) * rows * rep.n * steps,
@@ -674,7 +698,7 @@ class TestRunMetrics:
 
         def run(variants, budget):
             with mock.patch.object(harness, "METRIC_BLOCK_VALUES", budget):
-                return harness._run_metrics(
+                return run_metrics(
                     tuple(variants), states, rewards, rep.table, mrp.gamma,
                     alpha, lam, M, theta_star, e0,
                 )
@@ -686,6 +710,48 @@ class TestRunMetrics:
             m.hex() for own, _ in alone for m in own.tolist()
         ]
         assert diverged.tolist() == [d for _, own in alone for d in own.tolist()]
+
+
+class TestTimeMean:
+    """The sweep's running time mean has the bits of numpy's mean over the
+    whole (rows, steps) array, whatever the blocks the steps arrive in."""
+
+    @staticmethod
+    def rows(steps, rng):
+        x = rng.standard_normal((6, steps)) * 10.0 ** rng.integers(-8, 9, (6, steps))
+        x[1] = -0.0
+        x[2] = np.where(rng.random(steps) < 0.5, -0.0, 0.0)
+        x[3, rng.integers(steps)] = np.inf
+        x[4, rng.integers(steps)] = np.nan
+        x[5] = rng.random(steps) * 1e300  # its sums overflow from about 2 steps on
+        return x
+
+    @staticmethod
+    def folded(x, block):
+        mean = harness._TimeMean(x.shape[1], x.shape[0])
+        for t in range(0, x.shape[1], block):
+            mean.add(x[:, t : t + block].T)
+        return mean.mean()
+
+    def test_every_length_to_3000_and_some_long_ones(self):
+        rng = np.random.default_rng(26)
+        for steps in [*range(1, 3001), 4096, 10_000, 100_000]:
+            x = self.rows(steps, rng)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = self.folded(x, 1 + steps % 37)  # blocks of 1 to 37 steps
+                assert got.tobytes() == x.mean(axis=1).tobytes(), steps
+
+    @pytest.mark.parametrize("block", [1, 7, 8, 9, 128, 300])
+    def test_any_blocks(self, block):
+        x = self.rows(300, np.random.default_rng(block))
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert self.folded(x, block).tobytes() == x.mean(axis=1).tobytes()
+
+    def test_tree_of_numpy_pairwise_sum(self):
+        # leaves of at most 128 values, halves split at a multiple of 8
+        assert list(harness._pairwise_tree(128)) == [128]
+        assert list(harness._pairwise_tree(129)) == [64, 65, 0]
+        assert list(harness._pairwise_tree(300)) == [72, 72, 0, 72, 84, 0, 0]
 
 
 @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
@@ -703,26 +769,77 @@ def test_blocked_sweep_cells_match_one_block(monkeypatch):
     config = small_config(runs=3, steps=30)
     mrp, rep = sweep_setting(config)
     whole = sweep_cells(config, mrp, rep, [0, 1, 2, 3])
-    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 1)  # one cell per block
+    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 1)  # one row per block
     assert exact(sweep_cells(config, mrp, rep, [0, 1, 2, 3])) == exact(whole)
 
 
 def test_blocks_are_sized_by_the_plan_with_the_most_variants(monkeypatch):
-    # room for the chains of three cells, so for the errors of one cell of
-    # three variants: the three-variant plan bounds the block at one cell
+    # room for the weights of one cell's runs at three variants of ten
+    # features: the three-variant plan bounds the block at one cell's runs
     config = small_config(runs=3, steps=30)
     mrp, rep = sweep_setting(config)
     plans = (
         _plan_sweep(replace(config, variants=("true-online",)), mrp, rep),
         _plan_sweep(config, mrp, rep),
     )
-    rows = []
-    monkeypatch.setattr(harness, "simulate_chains", lambda mrp, steps, rng: (
-        rows.append(len(rng)) or simulate_chains(mrp, steps, rng)
-    ))
-    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 3 * config.runs * (config.steps + 1))
+    blocks = []
+
+    def recorded(mrp, steps, rng, start=None):
+        if start is None:  # a block's first time block
+            blocks.append(len(rng))
+        return simulate_chains(mrp, steps, rng, start)
+
+    monkeypatch.setattr(harness, "simulate_chains", recorded)
+    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 3 * rep.n * config.runs)
     harness._sweep_cells(mrp, plans, [0, 1, 2])
-    assert rows == [config.runs] * 3
+    assert blocks == [config.runs] * 3
+
+
+def test_small_blocks_bound_every_array_and_keep_every_bit(monkeypatch):
+    # blocks of 6 rows, so cell 1's five runs span the first two blocks, and
+    # time blocks of 29 steps; 300 steps make a pairwise tree of four leaves
+    config = small_config(runs=5, steps=300)
+    mrp, rep = sweep_setting(config)
+    binary = build_rep("binary", mrp, seed=config.master_seed + 1)
+    plans = (
+        _plan_sweep(config, mrp, rep),
+        _plan_sweep(replace(config, representation="binary", variants=("true-online",)),
+                    mrp, binary),
+    )
+    cells = [0, 1, 2, 3]
+    whole = harness._sweep_cells(mrp, plans, cells)
+    chain_bound = metric_bound = 3 * rep.n * 6
+    sizes = {"chains": [], "weights": [], "metric": [], "time mean": []}
+    blocks = []
+
+    def recorded_chains(mrp, steps, rng, start=None):
+        if start is None:  # a block's first time block
+            blocks.append(len(rng))
+        states, rewards = simulate_chains(mrp, steps, rng, start)
+        sizes["chains"] += [states.size, rewards.size]
+        return states, rewards
+
+    advance = harness._Learners.advance
+
+    def recorded_advance(self, states, rewards):
+        sizes["weights"] += [a.size for a in (self.theta, self.e, self.shown, self.star)]
+        sizes["metric"].append(self.D.size)
+        sizes["time mean"] += [self.time_mean._acc.size, *(a.size for a in self.time_mean._sums)]
+        advance(self, states, rewards)
+
+    monkeypatch.setattr(harness, "simulate_chains", recorded_chains)
+    monkeypatch.setattr(harness._Learners, "advance", recorded_advance)
+    monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", chain_bound)
+    monkeypatch.setattr(harness, "METRIC_BLOCK_VALUES", metric_bound)
+    blocked = harness._sweep_cells(mrp, plans, cells)
+    assert blocks == [6, 6, 6, 2]
+    assert max(sizes["chains"]) == 30 * 6 <= chain_bound
+    assert max(sizes["weights"]) == chain_bound
+    assert max(sizes["time mean"]) <= chain_bound
+    assert max(sizes["metric"]) <= metric_bound
+    for got, want in zip(blocked, whole):
+        for a, b in zip(got, want):
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 def test_error_quadratic_solves_stationary_once(monkeypatch):

@@ -2,7 +2,8 @@
 junk with a ConfigError: no other exception, and no silent result.
 
 The junk is NaN, +-inf, -1, 0, 1.5, 2.5, 2**64, None and a string; the
-real-valued inputs also get 10**400, an int beyond the largest float. A
+real-valued inputs also get 10**400, an int beyond the largest float, and
+NaN and +-inf as numpy float32 and float16. A
 junk value that is valid for an input (0 for a feature dimension, 2.5 for
 a step-size, 2**64 for a step cap) must be taken like any valid value.
 Each input is tried with every junk value while Hypothesis draws the other
@@ -65,6 +66,8 @@ from tests.conftest import synthetic_trajectory
 
 JUNK = (math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64, None, "x")
 BIG = 10**400  # math.isfinite(BIG) and float(BIG) raise OverflowError
+# compared with a Python float, these cast it to their own width (NEP 50)
+NARROW = tuple(t(x) for t in (np.float32, np.float16) for x in ("nan", "inf", "-inf"))
 REALS = ("alpha", "lam", "gamma", "sigma", "epsilon", "lo", "hi", "signal")
 
 # each input's valid values, and the junk values that are valid for it too
@@ -97,7 +100,8 @@ INPUTS = {
 def junk_cases(*names, skip=()):
     return [
         pytest.param(name, x, id=f"{name}={'10**400' if x is BIG else repr(x)}")
-        for name in names for x in (JUNK + (BIG,) if name in REALS else JUNK) if x not in skip
+        for name in names for x in (JUNK + (BIG, *NARROW) if name in REALS else JUNK)
+        if x not in skip
     ]
 
 
@@ -110,7 +114,8 @@ def expect(call, values, name, value):
     returns too if the value is valid for that input, else raises ConfigError."""
     call(**values)
     junked = {**values, name: value}
-    if value in INPUTS[name][1]:
+    # a numpy float as a Python float: a float16 compared with 2**64 would overflow
+    if (float(value) if isinstance(value, np.floating) else value) in INPUTS[name][1]:
         call(**junked)
     else:
         with pytest.raises(ConfigError):
