@@ -23,20 +23,19 @@ config = SweepConfig(
     master_seed=20260811,
 )
 result = run_sweep(config)
-curves = best_per_lambda(result)
+# (variants, lambdas) arrays; found is False where no alpha was eligible
+alpha_index, mean, _, found = best_per_lambda(result)
 
 print("normalized MSE at the best alpha (tabular features, 10 runs/cell)\n")
 print(f"{'lambda':>7}" + "".join(f" {v:>13}" for v in config.variants))
-for i, lam in enumerate(config.lambdas):
-    cells = [curves[v][i] for v in config.variants]
+for j, lam in enumerate(config.lambdas):
     row = "".join(
-        f" {c.metric_mean:>8.3f}@{c.alpha:<4.2g}" if c.alpha is not None else f" {'-':>13}"
-        for c in cells
+        f" {m:>8.3f}@{config.alphas[a]:<4.2g}" if ok else f" {'-':>13}"
+        for m, a, ok in zip(mean[:, j], alpha_index[:, j], found[:, j])
     )
     print(f"{lam:>7.2f}{row}")
 
-best = {v: min(p.metric_mean for p in curves[v] if p.metric_mean is not None)
-        for v in config.variants}
-print("\nbest overall:", ", ".join(f"{v} {m:.3f}" for v, m in best.items()))
+best = [m[ok].min() for m, ok in zip(mean, found)]
+print("\nbest overall:", ", ".join(f"{v} {m:.3f}" for v, m in zip(config.variants, best)))
 print("diverged runs recorded:",
       result.diverged.sum(), "across", result.diverged.size, "cells")

@@ -46,8 +46,6 @@ from .oracle import (
     watkins_interim_target,
 )
 from .harness import (
-    BestPoint,
-    CellResult,
     EquivalenceReport,
     SweepConfig,
     SweepResult,

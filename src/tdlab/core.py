@@ -27,17 +27,27 @@ class ConfigError(ValueError):
     """Fatal configuration problem (dimension mismatch, invalid parameter)."""
 
 
+def is_integer(value) -> bool:
+    """An int or a numpy integer; a bool, and a float even when whole, is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A real number that is not a bool (a bool is an int in Python)."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def check_integer(value, name: str, low: int | None = None) -> None:
-    """A count is an integer, at least `low` if given; a float, even a whole one, is refused."""
+    """A count is an integer, at least `low` if given; a bool or a float is refused."""
     # int first: the Integral ABC check is about ten times slower, and
     # control episodes check each step's action
-    if not (isinstance(value, (int, Integral)) and (low is None or value >= low)):
+    if not ((type(value) is int or is_integer(value)) and (low is None or value >= low)):
         at_least = "" if low is None else f" >= {low}"
         raise ConfigError(f"{name} must be an integer{at_least}, got {value!r}")
 
 
 def check_real(value, name: str, high: float = math.inf) -> None:
-    """A finite real in [0, high]; NaN, +-inf and an int beyond the floats are refused."""
+    """A finite real in [0, high]; NaN, +-inf, a bool and an int beyond the floats are refused."""
     # float first: the Real ABC check is about ten times slower, and each recorded
     # transition checks its gamma; math.isfinite(10**400) would raise OverflowError.
     # A numpy float is compared as a Python float: a float32 or float16 would cast
@@ -46,14 +56,14 @@ def check_real(value, name: str, high: float = math.inf) -> None:
     x = value
     if type(x) is not float and isinstance(x, np.floating):
         x = float(x)
-    if not (isinstance(x, (float, Real)) and 0.0 <= x <= high and x <= _LARGEST_FLOAT):
+    if not ((type(x) is float or is_real(x)) and 0.0 <= x <= high and x <= _LARGEST_FLOAT):
         bounds = "be finite and >= 0" if high == math.inf else f"lie in [0, {high:g}]"
         raise ConfigError(f"{name} must {bounds}, got {value!r}")
 
 
 def check_seed(seed: int, name: str) -> None:
     """A master seed is an integer in [0, 2^64): mix64 would fold any other into that range."""
-    if not (isinstance(seed, Integral) and 0 <= seed < 2**64):
+    if not (is_integer(seed) and 0 <= seed < 2**64):
         raise ConfigError(f"{name} must be in [0, 2^64), got {seed!r}")
 
 

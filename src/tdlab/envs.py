@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from numbers import Real
 
 import numpy as np
 
-from .core import ConfigError, check_integer, check_real, check_seed
+from .core import ConfigError, check_integer, check_real, check_seed, is_real
 from .rng import SplitMix64, SplitMix64Rows, mix64
 
 ROW_SUM_TOL = 1e-12
@@ -388,7 +387,7 @@ class TileCoderConfig:
         for lo, hi in ranges:
             # a numpy float compared with top would be cast to its own width, where top is inf
             a, b = (float(x) if isinstance(x, np.floating) else x for x in (lo, hi))
-            if not (isinstance(a, Real) and isinstance(b, Real) and -top <= a < b <= top):
+            if not (is_real(a) and is_real(b) and -top <= a < b <= top):
                 raise ConfigError(f"each signal range must be finite with hi > lo, got {(lo, hi)!r}")
             if not math.isfinite(float(b) - float(a)):  # the width scales every signal
                 raise ConfigError(f"each signal range must have a finite width hi - lo, got {(lo, hi)!r}")
@@ -408,10 +407,11 @@ def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> np.
 
     Each active feature adds 1 at its hashed index, so tilings whose
     hashes collide share one entry of value 2 (or more). A NaN signal
-    lies in no bin and is refused.
+    lies in no bin and is refused, and so is a bool.
     """
+    raw = signals
     try:
-        signals = np.asarray(signals, dtype=np.float64)
+        signals = np.asarray(raw, dtype=np.float64)
         out = np.zeros(config.n)
         indices = np.empty(config.active_features, dtype=np.int64)
     except (TypeError, ValueError, OverflowError, MemoryError) as exc:
@@ -421,8 +421,8 @@ def tile_code(signals: list[float] | np.ndarray, config: TileCoderConfig) -> np.
         raise ConfigError(
             f"expected {len(config.signal_ranges)} signals in a list, got shape {signals.shape}"
         )
-    if np.isnan(signals).any():
-        raise ConfigError(f"signals must not be NaN, got {signals}")
+    if np.isnan(signals).any() or any(isinstance(x, (bool, np.bool_)) for x in raw):
+        raise ConfigError(f"signals must be numbers, not NaN or a bool, got {raw!r}")
     unit = np.empty_like(signals)
     for d, (lo, hi) in enumerate(config.signal_ranges):
         unit[d] = (min(max(signals[d], lo), hi) - lo) / (hi - lo)

@@ -6,6 +6,8 @@ serialization, so plotting stays a downstream concern.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from .algos import (
@@ -212,12 +214,10 @@ def mrp_best_lambda_curves(
     )
     rows: list[list] = []
     for result in run_sweeps(configs, workers=workers):
-        for variant, points in best_per_lambda(result).items():
-            for p in points:
-                rows.append([
-                    result.config.representation, variant, p.lam,
-                    "" if p.alpha is None else p.alpha,
-                    "" if p.metric_mean is None else p.metric_mean,
-                    "" if p.metric_se is None else p.metric_se,
-                ])
+        c = result.config
+        keys = itertools.product(c.variants, c.lambdas)
+        columns = (a.ravel().tolist() for a in best_per_lambda(result))
+        for (variant, lam), i, mean, se, found in zip(keys, *columns):
+            best = (c.alphas[i], mean, se) if found else ("", "", "")
+            rows.append([c.representation, variant, lam, *best])
     return ["representation", "variant", "lambda", "alpha", "metric_mean", "metric_se"], rows

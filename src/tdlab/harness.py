@@ -45,10 +45,12 @@ chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
 run_sweeps on one config.
 
-A sweep result is columnar: (variants, lambdas, alphas) arrays of each
-cell's mean, standard error and diverged count. Each worker returns its
-chunk's columns and the parent scatters them with one strided assignment
-per chunk (see run_sweeps); no per-cell object is built on the way.
+A sweep result is columnar from end to end: (variants, lambdas, alphas)
+arrays of each cell's mean, standard error and diverged count. Each
+worker returns its chunk's columns and the parent scatters them with one
+strided assignment per chunk (see run_sweeps). sweep_to_csv formats the
+arrays row by row, and best_per_lambda reduces them to (variants,
+lambdas) arrays; no per-cell object is built anywhere.
 
 run_chunks is the package's one process pool. It runs a module-level
 task on each chunk of a list its caller cuts: min(workers, chunks)
@@ -76,7 +78,6 @@ import os
 import re
 from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
-from numbers import Integral
 from typing import NamedTuple
 
 import numpy as np
@@ -92,7 +93,7 @@ from .algos import (
     TrueOnlineWatkinsQ,
     replay_prediction,
 )
-from .core import ConfigError, Trajectory, check_integer, check_real, check_seed, read_json_object
+from .core import ConfigError, Trajectory, check_integer, check_real, check_seed, is_integer, read_json_object
 from .envs import (
     Mrp,
     Representation,
@@ -184,22 +185,14 @@ class SweepConfig:
                 raise ConfigError(f"unknown variant {v!r}; expected one of {PREDICTION_VARIANTS}")
 
 
-@dataclass(frozen=True)
-class CellResult:
-    variant: str
-    alpha: float
-    lam: float
-    metric_mean: float
-    metric_se: float
-    runs: int
-    diverged: int
-
-
 @dataclass(frozen=True, eq=False)
 class SweepResult:
     """A sweep's per-cell aggregates as read-only (variants, lambdas,
     alphas) arrays, indexed in the config's grid order: the mean and
-    standard error of the runs' metrics, and how many runs diverged."""
+    standard error of the runs' metrics, and how many runs diverged. The
+    cell of (variant, alpha, lam) is at (variants.index(variant),
+    lambdas.index(lam), alphas.index(alpha)); every cell has config.runs
+    runs."""
 
     config: SweepConfig
     metric_mean: np.ndarray
@@ -213,29 +206,6 @@ class SweepResult:
             if a.shape != grid:
                 raise ConfigError(f"sweep result arrays must have shape {grid}, got {a.shape}")
             a.flags.writeable = False
-
-    def _rows(self) -> list[tuple]:
-        """(variant, alpha, lam, mean, se, runs, diverged) per cell as Python
-        scalars, in CSV row order: variant, then lambda, then alpha."""
-        c = self.config
-        keys = itertools.product(c.variants, c.lambdas, c.alphas)
-        columns = (a.ravel().tolist() for a in (self.metric_mean, self.metric_se, self.diverged))
-        return [
-            (v, alpha, lam, m, se, c.runs, d) for (v, lam, alpha), m, se, d in zip(keys, *columns)
-        ]
-
-    @property
-    def cells(self) -> tuple[CellResult, ...]:
-        """Every cell in CSV row order, built on each call."""
-        return tuple(CellResult(*row) for row in self._rows())
-
-    def cell(self, variant: str, alpha: float, lam: float) -> CellResult:
-        c = self.config
-        if variant not in c.variants or alpha not in c.alphas or lam not in c.lambdas:
-            raise KeyError((variant, alpha, lam))
-        i = (c.variants.index(variant), c.lambdas.index(lam), c.alphas.index(alpha))
-        mean, se, div = (a[i].item() for a in (self.metric_mean, self.metric_se, self.diverged))
-        return CellResult(variant, alpha, lam, mean, se, c.runs, div)
 
 
 _MRP_PATTERN = re.compile(r"^mrp\(\s*(\d+)\s*,\s*(\d+)\s*,\s*([0-9.eE+-]+)\s*\)$")
@@ -603,7 +573,7 @@ def usable_cpus() -> int:
 def check_workers(workers: int) -> None:
     """A worker count is an integer in [1, the CPUs this process may use]."""
     cpus = usable_cpus()
-    if not (isinstance(workers, Integral) and 1 <= workers <= cpus):
+    if not (is_integer(workers) and 1 <= workers <= cpus):
         raise ConfigError(
             f"workers must lie in [1, {cpus}] (the CPUs this process may use), got {workers}"
         )
@@ -698,9 +668,12 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
 def sweep_to_csv(result: SweepResult) -> str:
     """Rows in variant-major order, then lambda, then alpha ascending."""
+    c = result.config
+    keys = itertools.product(c.variants, c.lambdas, c.alphas)
+    columns = (a.ravel().tolist() for a in (result.metric_mean, result.metric_se, result.diverged))
     return table_to_csv((
         ["variant", "alpha", "lambda", "metric_mean", "metric_se", "runs", "diverged"],
-        result._rows(),
+        [(v, alpha, lam, m, se, c.runs, d) for (v, lam, alpha), m, se, d in zip(keys, *columns)],
     ))
 
 
@@ -719,41 +692,24 @@ def table_to_csv(table: tuple[list[str], list[list]]) -> str:
     return "\n".join(lines) + "\n"
 
 
-@dataclass(frozen=True)
-class BestPoint:
-    """Best-over-alpha cell for one lambda; alpha is None if no cell is eligible."""
-
-    lam: float
-    alpha: float | None
-    metric_mean: float | None
-    metric_se: float | None
-
-
-def best_per_lambda(result: SweepResult) -> dict[str, list[BestPoint]]:
-    """Minimum mean metric over alpha for each (variant, lambda).
+def best_per_lambda(result: SweepResult) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The minimum mean metric over alpha for each (variant, lambda):
+    (alpha_index, mean, se, found), each a (variants, lambdas) array.
 
     One masked argmin over the alpha axis of the (variants, lambdas,
     alphas) arrays. A cell is ineligible when more than half its runs
-    diverged or its mean is not finite; ineligible cells count as +inf,
-    and a lambda with no eligible cell gets BestPoint(lam, None, None,
-    None). argmin takes the first minimum, so ties prefer the smaller
-    alpha (-0.0 ties with +0.0).
+    diverged or its mean is not finite; ineligible cells count as +inf.
+    found is False where a lambda has no eligible cell, and there the
+    other three arrays hold no result. argmin takes the first minimum, so
+    ties prefer the smaller alpha (-0.0 ties with +0.0).
     """
-    config = result.config
-    eligible = (2 * result.diverged <= config.runs) & np.isfinite(result.metric_mean)
+    eligible = (2 * result.diverged <= result.config.runs) & np.isfinite(result.metric_mean)
     pick = np.where(eligible, result.metric_mean, np.inf).argmin(axis=2)[..., None]
-    found, means, ses = (
-        np.take_along_axis(a, pick, axis=2)[..., 0].tolist()
-        for a in (eligible, result.metric_mean, result.metric_se)
+    mean, se, found = (
+        np.take_along_axis(a, pick, axis=2)[..., 0]
+        for a in (result.metric_mean, result.metric_se, eligible)
     )
-    best = pick[..., 0].tolist()
-    return {
-        variant: [
-            BestPoint(lam, config.alphas[a], m, se) if ok else BestPoint(lam, None, None, None)
-            for lam, a, ok, m, se in zip(config.lambdas, best[v], found[v], means[v], ses[v])
-        ]
-        for v, variant in enumerate(config.variants)
-    }
+    return pick[..., 0], mean, se, found
 
 
 EQUIVALENCE_PAIRS = (

@@ -14,12 +14,15 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 # SHA-256 of the stdout of tdlab 0.2.0's demos: the recorded episodes, every
-# certified difference and demo 03's step-size table must not move unless a
-# change declares it (demo 06's last did when every control step came to
-# update the pair the behavior took)
+# certified difference, demo 03's step-size table and demo 05's best-alpha
+# table must not move unless a change declares it (demo 06's last did when
+# every control step came to update the pair the behavior took). Demo 05's
+# sweep, like demo 01, was pinned on OpenBLAS's SkylakeX kernel (ROADMAP.md,
+# item 1)
 PINNED_STDOUT = {
     "01_exact_equivalence.py": "d3ba7f4c07a4f79cfe5a1672b93c8fdd16eaab01aae0a97286363232e2fc002c",
     "03_one_state_step_sizes.py": "e9460bad8e24a567143e0a81f9f58137524046da1ea242fce7ac7812d2f38ac3",
+    "05_mrp_benchmark.py": "259c28ceb555f2463ea9f7726804f39fe1f70563d1a53c63c97732181fe3128b",
     "06_control_variants.py": "f31d51d6e82cc32a1011f71a0bedad57ae53506e8e36503430908013da4383b1",
 }
 

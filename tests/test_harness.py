@@ -12,7 +12,6 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from tdlab import (
-    BestPoint,
     ConfigError,
     SplitMix64,
     SweepConfig,
@@ -44,7 +43,6 @@ from tdlab.core import Trajectory, Transition
 from tdlab.harness import (
     DIVERGENCE_THRESHOLD,
     EQUIVALENCE_PAIRS,
-    CellResult,
     SweepResult,
     _plan_sweep,
     _sweep_cells,
@@ -102,21 +100,19 @@ class TestRunSweep:
 
     def test_lambda_zero_rows_paired_across_variants(self):
         result = run_sweep(small_config())
-        for alpha in (0.05, 0.3):
-            means = {
-                c.metric_mean for c in result.cells if c.lam == 0.0 and c.alpha == alpha
-            }
-            assert len(means) == 1
+        lam0 = result.config.lambdas.index(0.0)
+        for a in range(len(result.config.alphas)):
+            assert len(set(result.metric_mean[:, lam0, a].tolist())) == 1
 
     def test_divergence_bookkeeping(self):
         config = small_config(
             variants=("accumulate",), alphas=(2.0,), lambdas=(1.0,), steps=300, runs=5
         )
         result = run_sweep(config)
-        cell = result.cells[0]
-        assert cell.diverged >= 1
-        assert 0 <= cell.diverged <= cell.runs
-        assert np.isfinite(cell.metric_mean) and cell.metric_mean > 1.0
+        diverged, mean = result.diverged[0, 0, 0], result.metric_mean[0, 0, 0]
+        assert diverged >= 1
+        assert 0 <= diverged <= config.runs
+        assert np.isfinite(mean) and mean > 1.0
 
     def test_cells_independently_reproducible(self):
         """A cell recomputed standalone from its documented seed matches the sweep."""
@@ -131,8 +127,8 @@ class TestRunSweep:
         )
         rows = sweep_cells(config, mrp, rep, [3])  # lambda=0.9, alpha=0.3
         for ci, variant, mean, se, div in rows:
-            cell = result.cell(variant, 0.3, 0.9)
-            assert (cell.metric_mean, cell.metric_se, cell.diverged) == (mean, se, div)
+            i = (config.variants.index(variant), config.lambdas.index(0.9), config.alphas.index(0.3))
+            assert (result.metric_mean[i], result.metric_se[i], result.diverged[i]) == (mean, se, div)
 
     def test_replace_rejected_on_nonbinary_features(self):
         with pytest.raises(ConfigError, match="binary"):
@@ -286,7 +282,7 @@ class TestRunChunks:
         assert ran < len(chunks) // 2, f"{ran} of {len(chunks) - 1} other chunks ran"
         assert multiprocessing.active_children() == []
 
-    @pytest.mark.parametrize("workers", [0, 1.5, (os.cpu_count() or 1) + 1])
+    @pytest.mark.parametrize("workers", [0, 1.5, True, (os.cpu_count() or 1) + 1])
     def test_worker_count_checked(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             harness.run_chunks(list, (), [[0], [1], [2]], workers)
@@ -912,96 +908,82 @@ class TestCsv:
     def test_seventeen_significant_digits_roundtrip(self):
         result = run_sweep(small_config(runs=2, steps=10))
         lines = sweep_to_csv(result).strip().split("\n")[1:]
-        for line, cell in zip(lines, result.cells):
+        assert len(lines) == result.metric_mean.size
+        for line, mean, se in zip(lines, result.metric_mean.ravel(), result.metric_se.ravel()):
             fields = line.split(",")
-            assert float(fields[3]) == cell.metric_mean
-            assert float(fields[4]) == cell.metric_se
+            assert float(fields[3]) == mean
+            assert float(fields[4]) == se
 
 
-def result_of_cells(config, cells):
-    """The SweepResult holding the given cells, one for every (variant,
-    lambda, alpha) of the config's grids, at the cells' own run count."""
-    (runs,) = {c.runs for c in cells}
+def result_of_cells(config, runs, means, ses, diverged):
+    """The SweepResult of the config's grids at the given run count, from
+    each cell's mean, se and diverged count in (variant, lambda, alpha)
+    order."""
     config = replace(config, runs=runs)
     grid = (len(config.variants), len(config.lambdas), len(config.alphas))
-    assert len(cells) == np.prod(grid)
-    mean, se, div = np.empty(grid), np.empty(grid), np.empty(grid, dtype=int)
-    for c in cells:
-        i = (config.variants.index(c.variant), config.lambdas.index(c.lam),
-             config.alphas.index(c.alpha))
-        mean[i], se[i], div[i] = c.metric_mean, c.metric_se, c.diverged
-    return SweepResult(config, mean, se, div)
+    return SweepResult(
+        config, np.reshape(np.array(means, float), grid), np.reshape(np.array(ses, float), grid),
+        np.reshape(np.array(diverged, int), grid),
+    )
+
+
+def one_lambda(alphas, means, diverged):
+    """best_per_lambda of one accumulate variant at lambda 1.0 over the
+    given alphas, with 4 runs a cell and an se of 0.01."""
+    config = small_config(variants=("accumulate",), alphas=alphas, lambdas=(1.0,))
+    result = result_of_cells(config, 4, means, [0.01] * len(alphas), diverged)
+    return [a[0, 0] for a in best_per_lambda(result)]
 
 
 class TestBestPerLambda:
     def test_single_alpha_identity(self):
         result = run_sweep(small_config(alphas=(0.1,), runs=3, steps=20))
-        curves = best_per_lambda(result)
-        for variant, points in curves.items():
-            for p in points:
-                assert p.alpha == 0.1
-                assert p.metric_mean == result.cell(variant, 0.1, p.lam).metric_mean
+        alpha_index, mean, se, found = best_per_lambda(result)
+        assert found.all() and (alpha_index == 0).all()
+        assert mean.tobytes() == result.metric_mean[..., 0].tobytes()
+        assert se.tobytes() == result.metric_se[..., 0].tobytes()
 
     def test_lambda_zero_identical_across_variants(self):
         result = run_sweep(small_config())
-        curves = best_per_lambda(result)
-        vals = {curve[0].metric_mean for curve in curves.values()}
-        assert len(vals) == 1
+        _, mean, _, found = best_per_lambda(result)
+        assert found[:, 0].all()
+        assert len(set(mean[:, 0].tolist())) == 1
 
     def test_best_bounded_by_every_cell(self):
         result = run_sweep(small_config())
-        curves = best_per_lambda(result)
-        for variant, points in curves.items():
-            for p in points:
-                for c in result.cells:
-                    if c.variant == variant and c.lam == p.lam and 2 * c.diverged <= c.runs:
-                        assert p.metric_mean <= c.metric_mean
+        _, mean, _, found = best_per_lambda(result)
+        assert found.all()
+        eligible = 2 * result.diverged <= result.config.runs
+        assert ((mean[..., None] <= result.metric_mean) | ~eligible).all()
 
     def test_majority_diverged_cells_excluded(self):
-        config = small_config(runs=4)
-        cells = (
-            CellResult("accumulate", 0.1, 1.0, 0.5, 0.01, 4, 3),  # >50% diverged
-            CellResult("accumulate", 0.2, 1.0, 0.9, 0.01, 4, 0),
-        )
-        result = result_of_cells(small_config(variants=("accumulate",),
-                                              alphas=(0.1, 0.2), lambdas=(1.0,)), cells)
-        curves = best_per_lambda(result)
-        assert curves["accumulate"][0].alpha == 0.2
+        # alpha 0.1 has the smaller mean, but 3 of its 4 runs diverged
+        alpha_index, _, _, found = one_lambda((0.1, 0.2), [0.5, 0.9], [3, 0])
+        assert found and alpha_index == 1
 
     def test_all_diverged_marks_absent(self):
-        result = result_of_cells(
-            small_config(variants=("accumulate",), alphas=(0.1,), lambdas=(1.0,)),
-            (CellResult("accumulate", 0.1, 1.0, 5.0, 0.1, 4, 4),),
-        )
-        point = best_per_lambda(result)["accumulate"][0]
-        assert point.alpha is None and point.metric_mean is None
+        assert not one_lambda((0.1,), [5.0], [4])[3]
 
     def test_tie_prefers_smaller_alpha(self):
-        result = result_of_cells(
-            small_config(variants=("accumulate",), alphas=(0.1, 0.2), lambdas=(0.5,)),
-            (
-                CellResult("accumulate", 0.1, 0.5, 0.7, 0.01, 4, 0),
-                CellResult("accumulate", 0.2, 0.5, 0.7, 0.01, 4, 0),
-            ),
-        )
-        assert best_per_lambda(result)["accumulate"][0].alpha == 0.1
+        alpha_index, _, _, found = one_lambda((0.1, 0.2), [0.7, 0.7], [0, 0])
+        assert found and alpha_index == 0
 
 
 def scanned_best_per_lambda(result):
-    """best_per_lambda as one scan of every cell per (variant, lambda)."""
-    curves = {v: [] for v in result.config.variants}
-    for variant in result.config.variants:
-        for lam in result.config.lambdas:
-            best = None
-            for c in result.cells:
-                if c.variant != variant or c.lam != lam:
-                    continue
-                if 2 * c.diverged > c.runs or not np.isfinite(c.metric_mean):
-                    continue
-                if best is None or c.metric_mean < best.metric_mean:
-                    best = BestPoint(lam, c.alpha, c.metric_mean, c.metric_se)
-            curves[variant].append(best if best is not None else BestPoint(lam, None, None, None))
-    return curves
+    """best_per_lambda as a scan of every alpha per (variant, lambda),
+    index by index: (alpha_index, mean, se, found) arrays, with zeros
+    where no alpha is eligible."""
+    grid = result.metric_mean.shape[:2]
+    alpha_index, found = np.zeros(grid, dtype=np.intp), np.zeros(grid, dtype=bool)
+    mean, se = np.zeros(grid), np.zeros(grid)
+    for v, j, a in np.ndindex(result.metric_mean.shape):
+        m = result.metric_mean[v, j, a]
+        if 2 * result.diverged[v, j, a] > result.config.runs or not np.isfinite(m):
+            continue
+        if not found[v, j] or m < mean[v, j]:
+            alpha_index[v, j], mean[v, j], se[v, j] = a, m, result.metric_se[v, j, a]
+            found[v, j] = True
+    return alpha_index, mean, se, found
 
 
 GRID = (3, 3, 3)  # (variants, lambdas, alphas) of small_config with three alphas and lambdas
@@ -1009,11 +991,8 @@ CELLS = int(np.prod(GRID))
 
 
 def grid_result(runs, means, ses, diverged):
-    config = small_config(alphas=(0.05, 0.3, 0.7), lambdas=(0.0, 0.5, 1.0), runs=runs)
-    return SweepResult(
-        config, np.reshape(means, GRID), np.reshape(ses, GRID),
-        np.minimum(np.reshape(diverged, GRID), runs),
-    )
+    config = small_config(alphas=(0.05, 0.3, 0.7), lambdas=(0.0, 0.5, 1.0))
+    return result_of_cells(config, runs, means, ses, np.minimum(diverged, runs))
 
 
 nan, inf = float("nan"), float("inf")
@@ -1039,21 +1018,27 @@ nan, inf = float("nan"), float("inf")
 )
 def test_best_per_lambda_equals_the_scan_of_every_cell(runs, means, ses, diverged):
     result = grid_result(runs, means, ses, diverged)
-    # repr tells -0.0 from +0.0 and a numpy scalar from a Python float
-    assert repr(best_per_lambda(result)) == repr(scanned_best_per_lambda(result))
+    got, want = best_per_lambda(result), scanned_best_per_lambda(result)
+    assert got[3].dtype == want[3].dtype and got[3].tobytes() == want[3].tobytes()
+    found = want[3]
+    # where found is False the other three hold no result; tobytes tells -0.0 from +0.0
+    for g, w in zip(got[:3], want[:3]):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g[found].tobytes() == w[found].tobytes()
 
 
 def test_sweep_result_cells_and_lookup():
     result = grid_result(4, [0.25 * i for i in range(CELLS)], [0.0] * CELLS, [1] * CELLS)
-    cells = result.cells
-    assert [(c.variant, c.lam, c.alpha) for c in cells] == list(itertools.product(
-        result.config.variants, result.config.lambdas, result.config.alphas
-    ))
-    assert [c.metric_mean for c in cells] == [0.25 * i for i in range(CELLS)]
-    assert result.cell("replace", 0.7, 0.5) == cells[9 + 3 + 2]
-    for absent in (("replace", 0.6, 0.5), ("replace", 0.7, 0.6), ("dutch", 0.7, 0.5)):
-        with pytest.raises(KeyError):
-            result.cell(*absent)
+    c = result.config
+    # the CSV reads the arrays in (variant, lambda, alpha) order
+    rows = [line.split(",") for line in sweep_to_csv(result).splitlines()[1:]]
+    assert [(v, float(lam), float(alpha)) for v, alpha, lam, *_ in rows] == list(
+        itertools.product(c.variants, c.lambdas, c.alphas)
+    )
+    assert [float(r[3]) for r in rows] == [0.25 * i for i in range(CELLS)]
+    assert {(r[5], r[6]) for r in rows} == {("4", "1")}
+    i = (c.variants.index("replace"), c.lambdas.index(0.5), c.alphas.index(0.7))
+    assert result.metric_mean[i] == 0.25 * (9 + 3 + 2)
     with pytest.raises(ValueError, match="read-only"):
         result.metric_mean[0, 0, 0] = 1.0
     with pytest.raises(ConfigError, match=r"shape \(3, 3, 3\)"):
@@ -1091,8 +1076,8 @@ def test_run_sweeps_scatter_is_the_same_at_one_and_two_workers(alphas, lambdas, 
         ))
         for ci in range(len(lambdas) * len(alphas)):
             for _, variant, mean, se, div in sweep_cells(a.config, mrp, rep, [ci]):
-                cell = a.cell(variant, alphas[ci % len(alphas)], lambdas[ci // len(alphas)])
-                assert (cell.metric_mean.hex(), cell.metric_se.hex(), cell.diverged) == (
+                i = (a.config.variants.index(variant), ci // len(alphas), ci % len(alphas))
+                assert (a.metric_mean[i].hex(), a.metric_se[i].hex(), a.diverged[i]) == (
                     mean.hex(), se.hex(), div
                 )
 

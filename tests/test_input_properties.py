@@ -1,7 +1,8 @@
 """Every scalar input of the library takes its valid values and refuses
 junk with a ConfigError: no other exception, and no silent result.
 
-The junk is NaN, +-inf, -1, 0, 1.5, 2.5, 2**64, None and a string; the
+The junk is NaN, +-inf, -1, 0, 1.5, 2.5, 2**64, None, a string, True and
+False (a bool is an int in Python, so True once ran as 1); the
 real-valued inputs also get 10**400, an int beyond the largest float, and
 NaN and +-inf as numpy float32 and float16. A
 junk value that is valid for an input (0 for a feature dimension, 2.5 for
@@ -64,7 +65,7 @@ from tdlab.oracle import (
 from tdlab.verify import run_suite
 from tests.conftest import synthetic_trajectory
 
-JUNK = (math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64, None, "x")
+JUNK = (math.nan, math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64, None, "x", True, False)
 BIG = 10**400  # math.isfinite(BIG) and float(BIG) raise OverflowError
 # compared with a Python float, these cast it to their own width (NEP 50)
 NARROW = tuple(t(x) for t in (np.float32, np.float16) for x in ("nan", "inf", "-inf"))
@@ -114,8 +115,10 @@ def expect(call, values, name, value):
     returns too if the value is valid for that input, else raises ConfigError."""
     call(**values)
     junked = {**values, name: value}
-    # a numpy float as a Python float: a float16 compared with 2**64 would overflow
-    if (float(value) if isinstance(value, np.floating) else value) in INPUTS[name][1]:
+    # a numpy float as a Python float: a float16 compared with 2**64 would overflow;
+    # a bool is junk everywhere, though False == 0
+    x = float(value) if isinstance(value, np.floating) else value
+    if not isinstance(x, bool) and x in INPUTS[name][1]:
         call(**junked)
     else:
         with pytest.raises(ConfigError):
