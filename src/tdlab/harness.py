@@ -8,8 +8,8 @@ Cell seeds are shared across variants, so variant comparisons are paired
 through common random numbers. Aggregation folds by cell index, so the
 result does not depend on execution order or worker count.
 
-The sweep engine is batched by block: a chunk of cells (all cells, or
-one worker's share) runs its (cell, run) rows in blocks. A block draws
+The sweep engine is batched by block: a range of (cell, run) rows (all
+of them, or one worker's share) runs in blocks. A block draws
 its chains through SplitMix64Rows a time block at a time and advances
 every variant of a config in lockstep over each: one (variants x rows,
 n) weight array, in which each variant's algos trace rule steps its own
@@ -45,19 +45,20 @@ chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
 run_sweeps on one config.
 
-A sweep result is columnar from end to end: (variants, lambdas, alphas)
-arrays of each cell's mean, standard error and diverged count. Each
-worker returns its chunk's columns and the parent scatters them with one
-strided assignment per chunk (see run_sweeps). sweep_to_csv formats the
-arrays row by row, and best_per_lambda reduces them to (variants,
-lambdas) arrays; no per-cell object is built anywhere.
+A sweep is (cell, run) rows from the pool to the result. Each worker
+returns (variants, rows) arrays of its consecutive rows' metrics and
+diverged flags, and run_sweeps, the one place where runs become cells,
+reduces them to (variants, lambdas, alphas) arrays of each cell's mean,
+standard error and diverged count. sweep_to_csv formats those arrays
+row by row, and best_per_lambda reduces them to (variants, lambdas)
+arrays; no per-cell object is built anywhere.
 
 run_chunks is the package's one process pool. It runs a module-level
 task on each chunk of a list its caller cuts: min(workers, chunks)
 processes, each taking the next chunk in order when it goes idle, and
 the results come back in chunk order. The sweep engine sends it one
-strided chunk of cell indices per worker; verify sends it chunks of a
-few consecutive jobs, each a suite or an equivalence trial.
+consecutive range of rows per worker; verify sends it chunks of a few
+consecutive jobs, each a suite or an equivalence trial.
 
 The metric's error d' M d (d = theta - theta_star) is one ordered sum per
 row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
@@ -494,40 +495,38 @@ def _plan_sweep(config: SweepConfig, mrp: Mrp, representation: Representation) -
     return _SweepPlan(config, representation.table, M, theta_star, e0)
 
 
-def _run_seeds(master_seed: int, cells: list[int], runs: int) -> np.ndarray:
-    """The run seeds of the given cells, run by run within each cell, as
-    uint64: mix64(mix64(master_seed ^ cell) ^ mix64(run + 1))."""
-    cell_seeds = mix64(np.uint64(master_seed) ^ np.array(cells, dtype=np.uint64))
-    run_keys = mix64(np.arange(1, runs + 1, dtype=np.uint64))
-    return mix64(cell_seeds[:, None] ^ run_keys).ravel()
+def _run_seeds(master_seed: int, rows: range, runs: int) -> np.ndarray:
+    """The run seeds of (cell, run) rows as uint64, row r being run r % runs
+    of cell r // runs: mix64(mix64(master_seed ^ cell) ^ mix64(run + 1))."""
+    cell, run = np.divmod(np.arange(rows.start, rows.stop, rows.step, dtype=np.uint64), runs)
+    return mix64(mix64(np.uint64(master_seed) ^ cell) ^ mix64(run + 1))
 
 
 def _sweep_cells(
-    mrp: Mrp, plans: tuple[_SweepPlan, ...], cell_indices: list[int]
-) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """Each plan's (mean, se, diverged) arrays, each of shape (variants,
-    len(cell_indices)), column j for cell cell_indices[j].
+    mrp: Mrp, plans: tuple[_SweepPlan, ...], rows: range
+) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each plan's per-run (metric, diverged) arrays, each of shape
+    (variants, len(rows)): column j is row rows[j] (see run_sweeps).
 
     The plans share their chains (every config field but representation
-    and variants agrees). The chunk's (cell, run) rows, run by run within
-    each cell, go in blocks of rows; a cell's runs may span two blocks,
-    since its mean and se need only one metric per run. Each block draws
-    its chains a time block at a time from one SplitMix64Rows, and every
-    plan steps all its variants over a time block (_Learners) before the
-    next is drawn, so each chain is simulated once. Blocks are sized so
-    that each per-block array, whatever runs and steps are, holds at most
+    and variants agrees). The rows go in blocks; a cell's runs may span
+    two blocks, or two workers' ranges. Each block draws its chains a
+    time block at a time from one SplitMix64Rows, and every plan steps
+    all its variants over a time block (_Learners) before the next is
+    drawn, so each chain is simulated once. Blocks are sized so that each
+    per-block array, whatever runs and steps are, holds at most
     CHAIN_BLOCK_VALUES entries: a plan's weights (variants x rows x n),
     its time-mean accumulators (variants x rows x 8), a step's cumulative
     transition rows (rows x k) and a time block's chains, (span + 1) x
     rows, which hold at most METRIC_BLOCK_VALUES entries, or one step's
     two rows of states when a block has more than half that many rows.
     Rows are independent and the time means keep their order, so
-    blocking changes no result; the chunk keeps one metric per run.
+    blocking changes no result.
     """
     config = plans[0].config
     n_alpha, runs, steps = len(config.alphas), config.runs, config.steps
-    seeds = _run_seeds(config.master_seed, cell_indices, runs)
-    row_cells = np.repeat(cell_indices, runs)
+    seeds = _run_seeds(config.master_seed, rows, runs)
+    row_cells = np.arange(rows.start, rows.stop, rows.step) // runs
     alpha = np.array(config.alphas)[row_cells % n_alpha][:, None]
     lam = np.array(config.lambdas)[row_cells // n_alpha][:, None]
     width = max(mrp.k, *(len(p.config.variants) * max(p.table.shape[1], 8) for p in plans))
@@ -536,11 +535,11 @@ def _sweep_cells(
     diverged = [np.empty((len(p.config.variants), seeds.size), dtype=bool) for p in plans]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, seeds.size, block):
-            rows = slice(start, start + block)
-            rng = SplitMix64Rows(seeds[rows])
+            part = slice(start, start + block)
+            rng = SplitMix64Rows(seeds[part])
             learners = [
                 _Learners(
-                    p.config.variants, p.table, mrp.gamma, alpha[rows], lam[rows],
+                    p.config.variants, p.table, mrp.gamma, alpha[part], lam[part],
                     p.M, p.theta_star, p.e0, steps,
                 )
                 for p in plans
@@ -553,14 +552,8 @@ def _sweep_cells(
                 for learner in learners:
                     learner.advance(states, rewards)
             for learner, m, d in zip(learners, metrics, diverged):
-                m[:, rows], d[:, rows] = (a.reshape(len(m), -1) for a in learner.finish())
-        out = []
-        for m, d in zip(metrics, diverged):
-            shape = (len(m), len(cell_indices), runs)
-            vals = m.reshape(shape)
-            se = vals.std(axis=2, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(shape[:2])
-            out.append((vals.mean(axis=2), se, d.reshape(shape).sum(axis=2)))
-    return out
+                m[:, part], d[:, part] = (a.reshape(len(m), -1) for a in learner.finish())
+    return list(zip(metrics, diverged))
 
 
 def usable_cpus() -> int:
@@ -621,11 +614,12 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
     config records the gamma the chain used: an env file's own, whatever
     config.gamma says.
 
-    Chunk i of the pool holds cells i::workers (cell index = lambda_index
-    x len(alphas) + alpha_index) and returns, per config, (variants,
-    cells in the chunk) arrays. One strided assignment per chunk and
-    array, a[:, i::workers] = part, puts them in cell order; the arrays
-    are then reshaped to (variants, lambdas, alphas) for SweepResult.
+    The pool's unit is the (cell, run) row, run r % runs of cell r // runs
+    (cell index = lambda_index x len(alphas) + alpha_index), cut into
+    min(workers, cells) consecutive ranges equal to within one row, so a
+    one-cell sweep stays in this process. Each worker returns its rows'
+    metrics and diverged flags; here, the one place where runs become
+    cells, they are reduced to each cell's mean, se and diverged count.
     """
     if not configs:
         raise ConfigError("run_sweeps needs at least one config")
@@ -646,18 +640,19 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
         _plan_sweep(config, mrp, build_representation(config.representation, mrp, seed=rep_seed))
         for config in configs
     )
-    cells = len(first.lambdas) * len(first.alphas)
-    cell_chunks = [list(range(i, cells, workers)) for i in range(min(workers, cells))]
-    chunks = run_chunks(_sweep_cells, (mrp, plans), cell_chunks, workers)
+    check_workers(workers)
+    cells, runs = len(first.lambdas) * len(first.alphas), first.runs
+    chunks = np.array_split(np.arange(cells * runs), min(workers, cells))
+    row_ranges = [range(c[0], c[-1] + 1) for c in chunks]
+    parts = run_chunks(_sweep_cells, (mrp, plans), row_ranges, workers)
     results = []
-    for p, config in enumerate(configs):
-        arrays = [np.empty((len(config.variants), cells), part.dtype) for part in chunks[0][p]]
-        for i, chunk in enumerate(chunks):  # chunk i holds cells i::workers
-            for a, part in zip(arrays, chunk[p]):
-                a[:, i::workers] = part
-        grid = (len(config.variants), len(config.lambdas), len(config.alphas))
-        config = replace(config, gamma=mrp.gamma)
-        results.append(SweepResult(config, *(a.reshape(grid) for a in arrays)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for config, arrays in zip(configs, zip(*parts)):  # each config's chunks, in row order
+            grid = (len(config.variants), len(config.lambdas), len(config.alphas), runs)
+            metric, diverged = (np.concatenate(a, axis=1).reshape(grid) for a in zip(*arrays))
+            se = metric.std(axis=3, ddof=1) / np.sqrt(runs) if runs > 1 else np.zeros(grid[:3])
+            config = replace(config, gamma=mrp.gamma)
+            results.append(SweepResult(config, metric.mean(axis=3), se, diverged.sum(axis=3)))
     return tuple(results)
 
 
@@ -731,10 +726,6 @@ class EquivalenceReport:
     worst_step: int
     tolerance: float
     passed: bool
-
-    @property
-    def truncated(self) -> bool:
-        return self.compared_steps < self.steps
 
 
 def certify_equivalence(

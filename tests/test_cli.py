@@ -292,7 +292,7 @@ def test_verify_stdout_is_pinned(capsys, seed):
 
 def test_verify_still_reports_the_oracle_precision_failure(capsys):
     # the float forward-view oracle, not the learner, is off at this trial
-    # (ROADMAP.md, item 1); the pool must report it as one process does
+    # (ROADMAP.md, item 3); the pool must report it as one process does
     assert main(["verify", "--suite", "equivalence", "--trials", "96", "--seed", "13"]) == 1
     assert capsys.readouterr().out.splitlines()[-2:] == [
         "FAIL equivalence trial 96/96 [true-online-vs-oracle]: alpha=1.582 lambda=0.481 "

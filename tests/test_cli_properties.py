@@ -1,6 +1,6 @@
 """Generated command lines and --config payloads: every tdlab subcommand
 exits 0 or 2 and never ends in a traceback. `verify` may also exit 1, but
-only for the known oracle-precision failure of ROADMAP item 1.
+only for the known oracle-precision failure of ROADMAP item 3.
 
 Sizes stay small (steps <= 5, runs <= 2, trials <= 2) and --workers stays
 within 1..the CPUs the process may use, so no example starts a large pool or a long run.
@@ -186,7 +186,7 @@ def test_verify_exits_0_or_2(argv, env_seed):
     if code == 1:
         # a few seeds fail an equivalence trial against a float forward-view
         # oracle whose replay amplifies rounding error (e.g. seed 275, trial
-        # 1, at alpha 1.865); ROADMAP item 1 mends that. Nothing else may fail.
+        # 1, at alpha 1.865); ROADMAP item 3 mends that. Nothing else may fail.
         failed = [line for line in out.splitlines() if line.startswith("FAIL ")]
         assert failed and all(ORACLE_TRIAL.match(line) for line in failed), out
 

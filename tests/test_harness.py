@@ -3,6 +3,7 @@ import json
 import multiprocessing
 import os
 import time
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -125,8 +126,7 @@ class TestRunSweep:
             config.representation, mrp,
             seed=mix64(config.master_seed ^ REPRESENTATION_SEED_SALT),
         )
-        rows = sweep_cells(config, mrp, rep, [3])  # lambda=0.9, alpha=0.3
-        for ci, variant, mean, se, div in rows:
+        for variant, mean, se, div in cell_stats(config, mrp, rep, 3):  # lambda=0.9, alpha=0.3
             i = (config.variants.index(variant), config.lambdas.index(0.9), config.alphas.index(0.3))
             assert (result.metric_mean[i], result.metric_se[i], result.diverged[i]) == (mean, se, div)
 
@@ -312,16 +312,32 @@ def fail_on_chunk_zero(chunk):
     open(os.path.join(directory, f"chunk-{index}"), "w").close()
 
 
-def sweep_cells(config, mrp, rep, cell_indices):
-    """The sweep's pool task run on one config's plan, as (cell_index,
-    variant, mean, se, diverged) rows, cell by cell, variant by variant."""
-    mean, se, div = _sweep_cells(mrp, (_plan_sweep(config, mrp, rep),), cell_indices)[0]
-    columns = zip(mean.T.tolist(), se.T.tolist(), div.T.tolist())
+def sweep_cells(config, mrp, rep, rows):
+    """The sweep's pool task run on one config's plan over a range of
+    (cell, run) rows, as (row, variant, metric, diverged) tuples, row by
+    row, variant by variant."""
+    metric, diverged = _sweep_cells(mrp, (_plan_sweep(config, mrp, rep),), rows)[0]
     return [
-        (ci, variant, *cell)
-        for ci, cell_columns in zip(cell_indices, columns)
-        for variant, *cell in zip(config.variants, *cell_columns)
+        (r, variant, m, d)
+        for r, row_metrics, row_diverged in zip(rows, metric.T.tolist(), diverged.T.tolist())
+        for variant, m, d in zip(config.variants, row_metrics, row_diverged)
     ]
+
+
+def cell_stats(config, mrp, rep, ci):
+    """Cell ci's (variant, mean, se, diverged) tuples from the pool task
+    run on that cell's runs alone, each variant's runs reduced one array
+    at a time."""
+    runs = config.runs
+    metric, diverged = _sweep_cells(
+        mrp, (_plan_sweep(config, mrp, rep),), range(ci * runs, (ci + 1) * runs)
+    )[0]
+    out = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for variant, metrics, flags in zip(config.variants, metric, diverged):
+            se = metrics.std(ddof=1) / np.sqrt(runs) if runs > 1 else 0.0
+            out.append((variant, float(metrics.mean()), float(se), int(flags.sum())))
+    return out
 
 
 def periodic_chains_rejected(mrp, rep):
@@ -391,31 +407,27 @@ def scalar_run(variant, n, alpha, lam, transitions, M, theta_star, e0):
     return (errors[1:] / e0).mean(), diverged
 
 
-def scalar_sweep_cells(config, mrp, rep, cell_indices):
-    """_sweep_cells written one run at a time: a learner per run stepping on
-    sample_step's chain, frozen on divergence at its last finite weights."""
+def scalar_sweep_cells(config, mrp, rep, rows):
+    """_sweep_cells written one run at a time: for each (cell, run) row
+    and variant, a learner stepping on sample_step's chain from that row's
+    seed, frozen on divergence at its last finite weights, as (row,
+    variant, metric, diverged) tuples."""
     M, theta_star, e0 = error_quadratic(mrp, rep, config.weighting)
-    n_alpha = len(config.alphas)
+    n_alpha, runs = len(config.alphas), config.runs
     out = []
     with np.errstate(over="ignore", invalid="ignore"):
-        for ci, variant in itertools.product(cell_indices, config.variants):
+        for r, variant in itertools.product(rows, config.variants):
+            ci = r // runs
             lam, alpha = config.lambdas[ci // n_alpha], config.alphas[ci % n_alpha]
-            cell_seed = mix64(config.master_seed ^ ci)
-            metrics, diverged = np.empty(config.runs), 0
-            for r in range(config.runs):
-                rng = SplitMix64(mix64(cell_seed ^ mix64(r + 1)))
-                state = mrp.initial_state(rng)
-                transitions = []
-                for t in range(config.steps):
-                    nxt, reward = sample_step(mrp, state, rng)
-                    transitions.append(Transition(rep.phi(state), reward, rep.phi(nxt), mrp.gamma))
-                    state = nxt
-                metrics[r], run_diverged = scalar_run(
-                    variant, rep.n, alpha, lam, transitions, M, theta_star, e0
-                )
-                diverged += run_diverged
-            se = metrics.std(ddof=1) / np.sqrt(config.runs) if config.runs > 1 else 0.0
-            out.append((ci, variant, float(metrics.mean()), float(se), diverged))
+            rng = SplitMix64(mix64(mix64(config.master_seed ^ ci) ^ mix64(r % runs + 1)))
+            state = mrp.initial_state(rng)
+            transitions = []
+            for t in range(config.steps):
+                nxt, reward = sample_step(mrp, state, rng)
+                transitions.append(Transition(rep.phi(state), reward, rep.phi(nxt), mrp.gamma))
+                state = nxt
+            metric, diverged = scalar_run(variant, rep.n, alpha, lam, transitions, M, theta_star, e0)
+            out.append((r, variant, float(metric), diverged))
     return out
 
 
@@ -455,12 +467,13 @@ class TestBatchedEngine:
             weighting="uniform",
             variants=tuple(v for v in PREDICTION_VARIANTS if v in variants) or ("accumulate",),
         )
-        cells = data.draw(st.lists(
-            st.integers(0, len(alphas) * len(lambdas) - 1), min_size=1, unique=True
-        ))
+        # a range of rows whose ends may fall inside a cell
+        total = len(alphas) * len(lambdas) * runs
+        start = data.draw(st.integers(0, total - 1))
+        rows = range(start, data.draw(st.integers(start + 1, total)))
         mrp, rep = sweep_setting(config)
-        assert exact(sweep_cells(config, mrp, rep, cells)) == exact(
-            scalar_sweep_cells(config, mrp, rep, cells)
+        assert exact(sweep_cells(config, mrp, rep, rows)) == exact(
+            scalar_sweep_cells(config, mrp, rep, rows)
         )
 
     @pytest.mark.parametrize("kind", ["tabular", "binary", "random-normalized"])
@@ -473,9 +486,28 @@ class TestBatchedEngine:
             alphas=(2.0, 1.79e308), lambdas=(1.0,), steps=300, runs=3,
         )
         mrp, rep = sweep_setting(config)
-        rows = sweep_cells(config, mrp, rep, [0, 1])
-        assert sum(row[4] for row in rows) >= 6
-        assert exact(rows) == exact(scalar_sweep_cells(config, mrp, rep, [0, 1]))
+        rows = sweep_cells(config, mrp, rep, range(6))
+        assert sum(row[3] for row in rows) >= 6
+        scalar = scalar_sweep_cells(config, mrp, rep, range(6))
+        assert exact(rows) == exact(scalar)
+        # rows 1-4: both ends inside a cell, two variants a row
+        assert exact(sweep_cells(config, mrp, rep, range(1, 5))) == exact(scalar[2:10])
+
+    def test_divergent_corner_sweep_warns_nothing(self):
+        # the divergent corner's huge metrics overflow in the runs' variance:
+        # reducing runs to cells must not warn, at one worker or two
+        configs = [
+            small_config(
+                env="mrp(10,3,10.0)", representation=kind, variants=("accumulate", "true-online"),
+                alphas=(2.0, 1.79e308), lambdas=(1.0,), steps=300, runs=3,
+            )
+            for kind in ("tabular", "binary", "random-normalized")
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for config in configs:
+                one, two = run_sweep(config), run_sweep(config, workers=2)
+                assert sweep_to_csv(one) == sweep_to_csv(two)
 
 
 class TestRunMetrics:
@@ -753,20 +785,22 @@ class TestTimeMean:
 @pytest.mark.parametrize("master_seed", [0, 2**64 - 1])
 @pytest.mark.parametrize("runs", [1, 3])
 def test_run_seeds_equal_the_scalar_formula(master_seed, runs):
-    cells = [0, 1, 7, 599]
-    seeds = harness._run_seeds(master_seed, cells, runs)
-    assert seeds.dtype == np.uint64
-    assert seeds.tolist() == [
-        mix64(mix64(master_seed ^ ci) ^ mix64(r + 1)) for ci in cells for r in range(runs)
-    ]
+    # at three runs each range starts and stops inside a cell
+    for rows in (range(0, 4), range(2, 8), range(599 * runs - 1, 599 * runs + 4)):
+        seeds = harness._run_seeds(master_seed, rows, runs)
+        assert seeds.dtype == np.uint64
+        assert seeds.tolist() == [
+            mix64(mix64(master_seed ^ (r // runs)) ^ mix64(r % runs + 1)) for r in rows
+        ]
 
 
 def test_blocked_sweep_cells_match_one_block(monkeypatch):
     config = small_config(runs=3, steps=30)
     mrp, rep = sweep_setting(config)
-    whole = sweep_cells(config, mrp, rep, [0, 1, 2, 3])
+    rows = range(1, 11)  # from inside cell 0 to inside cell 3
+    whole = sweep_cells(config, mrp, rep, rows)
     monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 1)  # one row per block
-    assert exact(sweep_cells(config, mrp, rep, [0, 1, 2, 3])) == exact(whole)
+    assert exact(sweep_cells(config, mrp, rep, rows)) == exact(whole)
 
 
 def test_blocks_are_sized_by_the_plan_with_the_most_variants(monkeypatch):
@@ -787,7 +821,7 @@ def test_blocks_are_sized_by_the_plan_with_the_most_variants(monkeypatch):
 
     monkeypatch.setattr(harness, "simulate_chains", recorded)
     monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", 3 * rep.n * config.runs)
-    harness._sweep_cells(mrp, plans, [0, 1, 2])
+    harness._sweep_cells(mrp, plans, range(3 * config.runs))
     assert blocks == [config.runs] * 3
 
 
@@ -802,8 +836,8 @@ def test_small_blocks_bound_every_array_and_keep_every_bit(monkeypatch):
         _plan_sweep(replace(config, representation="binary", variants=("true-online",)),
                     mrp, binary),
     )
-    cells = [0, 1, 2, 3]
-    whole = harness._sweep_cells(mrp, plans, cells)
+    rows = range(20)  # cells 0-3
+    whole = harness._sweep_cells(mrp, plans, rows)
     chain_bound = metric_bound = 3 * rep.n * 6
     sizes = {"chains": [], "weights": [], "metric": [], "time mean": []}
     blocks = []
@@ -827,7 +861,7 @@ def test_small_blocks_bound_every_array_and_keep_every_bit(monkeypatch):
     monkeypatch.setattr(harness._Learners, "advance", recorded_advance)
     monkeypatch.setattr(harness, "CHAIN_BLOCK_VALUES", chain_bound)
     monkeypatch.setattr(harness, "METRIC_BLOCK_VALUES", metric_bound)
-    blocked = harness._sweep_cells(mrp, plans, cells)
+    blocked = harness._sweep_cells(mrp, plans, rows)
     assert blocks == [6, 6, 6, 2]
     assert max(sizes["chains"]) == 30 * 6 <= chain_bound
     assert max(sizes["weights"]) == chain_bound
@@ -1055,10 +1089,11 @@ def hex_arrays(result):
 
 
 @pytest.mark.parametrize("alphas, lambdas, runs", [
-    ((0.05, 0.3, 0.7), (0.0, 0.5, 1.0), 3),  # 9 cells: chunks of 5 and 4, se computed
-    ((0.3,), (0.9,), 2),  # one cell: the second chunk is empty
+    # 27 rows: chunks of 14 and 13, so cell 4's runs fall to both workers; se computed
+    ((0.05, 0.3, 0.7), (0.0, 0.5, 1.0), 3),
+    ((0.3,), (0.9,), 2),  # one cell: one chunk, run in this process
 ])
-def test_run_sweeps_scatter_is_the_same_at_one_and_two_workers(alphas, lambdas, runs):
+def test_run_sweeps_row_cut_is_the_same_at_one_and_two_workers(alphas, lambdas, runs):
     configs = (
         small_config(alphas=alphas, lambdas=lambdas, runs=runs, steps=30),
         small_config(alphas=alphas, lambdas=lambdas, runs=runs, steps=30,
@@ -1069,13 +1104,13 @@ def test_run_sweeps_scatter_is_the_same_at_one_and_two_workers(alphas, lambdas, 
         assert hex_arrays(a) == hex_arrays(b)
         assert sweep_to_csv(a) == sweep_to_csv(b)
         assert a.metric_mean.shape == (len(a.config.variants), len(lambdas), len(alphas))
-        # each cell holds what the pool task gives on that cell alone
+        # each cell holds what the pool task gives on that cell's runs alone
         mrp = resolve_env(a.config.env, a.config.gamma, a.config.master_seed)
         rep = build_rep(a.config.representation, mrp, seed=mix64(
             a.config.master_seed ^ harness.REPRESENTATION_SEED_SALT
         ))
         for ci in range(len(lambdas) * len(alphas)):
-            for _, variant, mean, se, div in sweep_cells(a.config, mrp, rep, [ci]):
+            for variant, mean, se, div in cell_stats(a.config, mrp, rep, ci):
                 i = (a.config.variants.index(variant), ci // len(alphas), ci % len(alphas))
                 assert (a.metric_mean[i].hex(), a.metric_se[i].hex(), a.diverged[i]) == (
                     mean.hex(), se.hex(), div
