@@ -1,7 +1,7 @@
 """Shared types: feature vectors, transitions, trajectories, the
 configuration error with the checks every module shares (an integer
-count, a finite real in [0, high], a master seed), and the reader for
-JSON input files.
+count or index in [low, high], a finite real in [0, high], a master
+seed), and the reader for JSON input files.
 
 Feature vectors are dense float64 numpy arrays: state features phi for
 prediction, or action-stacked features psi (one block of phi per action)
@@ -37,13 +37,15 @@ def is_real(value) -> bool:
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def check_integer(value, name: str, low: int | None = None) -> None:
-    """A count is an integer, at least `low` if given; a bool or a float is refused."""
+def check_integer(value, name: str, low: int | None = None, high: int | None = None) -> None:
+    """A count or index: an integer, >= low if given, and in [low, high] if both
+    are given (high only with low); a bool or a float is refused."""
     # int first: the Integral ABC check is about ten times slower, and
     # control episodes check each step's action
-    if not ((type(value) is int or is_integer(value)) and (low is None or value >= low)):
-        at_least = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{name} must be an integer{at_least}, got {value!r}")
+    if not ((type(value) is int or is_integer(value))
+            and (low is None or value >= low) and (high is None or value <= high)):
+        bounds = "" if low is None else f" >= {low}" if high is None else f" in [{low}, {high}]"
+        raise ConfigError(f"{name} must be an integer{bounds}, got {value!r}")
 
 
 def check_real(value, name: str, high: float = math.inf) -> None:
@@ -92,10 +94,8 @@ def stack_action_features(phi: np.ndarray, action: int, num_actions: int) -> np.
     The result has length n * num_actions; block `action` holds phi and
     every other block is zero, so distinct actions use disjoint weights.
     """
-    check_integer(action, "action")
-    check_integer(num_actions, "num_actions")
-    if not 0 <= action < num_actions:
-        raise ConfigError(f"action {action} out of range for {num_actions} actions")
+    check_integer(num_actions, "num_actions", low=1)
+    check_integer(action, "action", 0, num_actions - 1)
     n = phi.shape[0]
     try:
         out = np.zeros(n * num_actions)

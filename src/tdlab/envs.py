@@ -50,6 +50,9 @@ class Mrp:
     cum_initial: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        check_integer(self.k, "k", low=1)
+        if self.b is not None:
+            check_integer(self.b, "b", 1, self.k)
         P = np.asarray(self.P, dtype=np.float64)
         object.__setattr__(self, "P", P)
         object.__setattr__(self, "r_mean", np.asarray(self.r_mean, dtype=np.float64))
@@ -66,17 +69,20 @@ class Mrp:
             raise ConfigError(f"expected rewards must be finite: states {np.nonzero(bad)[0]}")
         check_real(self.sigma, "sigma")
         check_real(self.gamma, "gamma", 1.0)
-        if any(not 0 <= s < self.k for s in self.terminal_states):
-            raise ConfigError(f"terminal states must lie in 0..{self.k - 1}")
+        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "gamma", float(self.gamma))
+        for s in self.terminal_states:  # before the set folds True into 1
+            check_integer(s, "terminal state", 0, self.k - 1)
+        object.__setattr__(self, "terminal_states", frozenset(self.terminal_states))
         cum_initial = None
-        if isinstance(self.initial, (int, np.integer)):
-            if not 0 <= self.initial < self.k:
-                raise ConfigError(f"initial state {self.initial} must lie in 0..{self.k - 1}")
-        else:
+        if isinstance(self.initial, (list, tuple, np.ndarray)):
             d = np.asarray(self.initial, dtype=np.float64)
             if d.shape != (self.k,) or not (d >= 0.0).all() or abs(d.sum() - 1.0) > ROW_SUM_TOL:
                 raise ConfigError("initial must be a state or a distribution over the k states")
+            object.__setattr__(self, "initial", d)
             cum_initial = np.cumsum(d)
+        else:
+            check_integer(self.initial, "initial state", 0, self.k - 1)
         object.__setattr__(self, "cum_P", np.cumsum(P, axis=1))
         object.__setattr__(self, "cum_initial", cum_initial)
 
@@ -169,15 +175,14 @@ def generate_mdp(
     One random chain per action, drawn in action order from a single
     stream. Every chain starts from the uniform initial-state distribution.
     """
-    for name, count in (("k", k), ("b", b), ("num_actions", num_actions)):
-        check_integer(count, name)
+    check_integer(k, "k", low=1)
+    check_integer(num_actions, "num_actions", low=1)
     if k > MAX_GENERATED_STATES:
         raise ConfigError(
             f"k={k} states exceeds the cap of {MAX_GENERATED_STATES}: "
             "a chain holds two k x k arrays"
         )
-    if not 1 <= b <= k:
-        raise ConfigError(f"branching factor {b} must satisfy 1 <= b <= k={k}")
+    check_integer(b, "b", 1, k)
     check_seed(seed, "seed")
     check_real(sigma, "sigma")  # before the chains' names format it
     rng = SplitMix64(seed)
@@ -489,7 +494,6 @@ FORMAT_VERSION = 1
 
 def mrp_to_dict(mrp: Mrp) -> dict:
     """Versioned, self-describing form used by the env file format."""
-    initial = mrp.initial
     return {
         "format": MRP_FORMAT,
         "version": FORMAT_VERSION,
@@ -500,29 +504,23 @@ def mrp_to_dict(mrp: Mrp) -> dict:
         "P": mrp.P.tolist(),
         "r_mean": mrp.r_mean.tolist(),
         "terminal_states": sorted(mrp.terminal_states),
-        "initial": initial.tolist() if isinstance(initial, np.ndarray) else int(initial),
+        "initial": np.asarray(mrp.initial).tolist(),  # a state or a distribution
         "name": mrp.name,
     }
 
 
 def mrp_from_dict(data: dict) -> Mrp:
-    """The Mrp of an env-file payload; a malformed payload is a ConfigError."""
+    """The Mrp of an env-file payload, its values passed to Mrp unchanged: a value
+    Mrp refuses (such as "k": 6.0 or "gamma": false) is a ConfigError."""
     if data.get("format") != MRP_FORMAT:
         raise ConfigError(f"not an MRP file (format={data.get('format')!r})")
     if data.get("version") != FORMAT_VERSION:
         raise ConfigError(f"unsupported MRP file version {data.get('version')!r}")
     try:
-        initial = data["initial"]
         return Mrp(
-            k=int(data["k"]),
-            P=np.asarray(data["P"], dtype=np.float64),
-            r_mean=np.asarray(data["r_mean"], dtype=np.float64),
-            sigma=float(data["sigma"]),
-            gamma=float(data["gamma"]),
-            terminal_states=frozenset(int(s) for s in data["terminal_states"]),
-            initial=np.asarray(initial, dtype=np.float64) if isinstance(initial, list) else initial,
-            b=None if data.get("b") is None else int(data["b"]),
-            name=data.get("name"),
+            k=data["k"], P=data["P"], r_mean=data["r_mean"], sigma=data["sigma"],
+            gamma=data["gamma"], terminal_states=data["terminal_states"],
+            initial=data["initial"], b=data.get("b"), name=data.get("name"),
         )
     except KeyError as exc:
         raise ConfigError(f"MRP file lacks the key {exc}") from exc

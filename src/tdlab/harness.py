@@ -149,7 +149,8 @@ def paper_lambda_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Everything needed to reproduce a sweep bit-for-bit."""
+    """Everything needed to reproduce a sweep bit-for-bit; gamma is checked
+    even where a file: env keeps its own."""
 
     env: str
     representation: str
@@ -641,6 +642,10 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
         for config in configs
     )
     check_workers(workers)
+    # One row range per worker, _sweep_cells cutting its own memory blocks, not a
+    # chunk per block: each chunk pickles the chain and plans again. A 2 800-row
+    # mrp(2000,3,0.1) binary sweep (20 steps, 2 workers, 2-CPU VM) took 1.66-2.08 s
+    # in 3 block-sized chunks, 1.42-1.70 s this way, same CSV (4 runs each).
     cells, runs = len(first.lambdas) * len(first.alphas), first.runs
     chunks = np.array_split(np.arange(cells * runs), min(workers, cells))
     row_ranges = [range(c[0], c[-1] + 1) for c in chunks]

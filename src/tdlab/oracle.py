@@ -51,10 +51,8 @@ def n_step_return(traj: Trajectory, t: int, n: int, theta_lookup: ThetaLookup) -
     past the end of a non-terminated trajectory is an error.
     """
     check_integer(n, "n", low=1)
-    check_integer(t, "t", low=0)
     T = len(traj)
-    if t >= T:
-        raise ConfigError(f"invalid n-step query t={t}, n={n}")
+    check_integer(t, "t", 0, T - 1)
     if t + n > T and not traj.episodic:
         raise ConfigError(f"horizon {t + n} beyond recorded data of length {T}")
     g = 0.0
@@ -74,8 +72,8 @@ def interim_lambda_return(
 ) -> float:
     """Lambda-mixture of n-step returns truncated at horizon h (definitional sum)."""
     check_real(lam, "lambda", 1.0)
-    if not k < h <= len(traj):
-        raise ConfigError(f"need k < h <= data length, got k={k}, h={h}, T={len(traj)}")
+    check_integer(k, "k", 0, len(traj) - 1)
+    check_integer(h, "h", k + 1, len(traj))
     total = 0.0
     weight = 1.0  # lambda^(n-1)
     for n in range(1, h - k):
@@ -94,8 +92,7 @@ def interim_lambda_returns_all(
     package's property tests pin the two against each other).
     """
     check_real(lam, "lambda", 1.0)
-    if not 0 < h <= len(traj):
-        raise ConfigError(f"horizon {h} outside trajectory of length {len(traj)}")
+    check_integer(h, "h", 1, len(traj))
     v_next = [float(theta_lookup(k) @ traj.steps[k].phi_next) for k in range(h)]
     targets: list[float] = []
     _retarget(targets, *_rewards_and_discounts(traj), [lam] * h, v_next)
@@ -252,8 +249,8 @@ def watkins_interim_target(
     check_real(lam, "lambda", 1.0)
     if traj.num_actions is None:
         raise ConfigError("trajectory lacks action annotations")
-    if not t < h <= len(traj):
-        raise ConfigError(f"need t < h <= data length, got t={t}, h={h}")
+    check_integer(t, "t", 0, len(traj) - 1)
+    check_integer(h, "h", t + 1, len(traj))
     z = min(h, _first_nongreedy_after(traj, t))
     num_actions = traj.num_actions
     total = 0.0
@@ -307,8 +304,7 @@ def watkins_forward_view(
 def accumulating_trace_nonrecursive(traj: Trajectory, t: int, lam: float) -> np.ndarray:
     """Closed form of the accumulating trace after t steps: a decayed feature sum."""
     check_real(lam, "lambda", 1.0)
-    if not 0 < t <= len(traj):
-        raise ConfigError(f"need 0 < t <= T, got t={t}")
+    check_integer(t, "t", 1, len(traj))
     n = traj.steps[0].phi.shape[0]
     e = np.zeros(n)
     for k in range(t):

@@ -19,6 +19,8 @@ import math
 
 import numpy as np
 
+from .core import check_integer
+
 _MASK64 = (1 << 64) - 1
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_MUL_1 = 0xBF58476D1CE4E5B9
@@ -74,14 +76,13 @@ class SplitMix64:
 
     def below(self, n: int) -> int:
         """Uniform integer in [0, n) via the multiply-shift reduction."""
-        if n <= 0:
-            raise ValueError("n must be positive")
+        check_integer(n, "n", low=1)
         return (self.next_u64() * n) >> 64
 
     def sample_without_replacement(self, n: int, m: int) -> list[int]:
         """m distinct indices from range(n), in draw order (partial Fisher-Yates)."""
-        if m > n:
-            raise ValueError(f"cannot draw {m} distinct values from range({n})")
+        check_integer(n, "n", low=0)
+        check_integer(m, "m", 0, n)
         pool = list(range(n))
         for i in range(m):
             j = i + self.below(n - i)

@@ -261,8 +261,7 @@ def run_suite(suite: str, trials: int = 100, seed: int = 0, workers: int = 1) ->
     """One suite's checks, in job order; `workers` processes share its jobs
     in chunks of at most JOBS_PER_CHUNK consecutive jobs, fewer where
     that would leave a worker idle."""
-    if suite in ("equivalence", "all"):
-        check_integer(trials, "trials", low=1)
+    check_integer(trials, "trials", low=1)
     check_workers(workers)
     if suite in _SUITE_JOBS:
         jobs = [suite]

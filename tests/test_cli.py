@@ -42,7 +42,7 @@ def test_gen_mrp_deterministic(tmp_path):
 def test_gen_mrp_branching_validation(capsys):
     assert main(["gen-mrp", "--k", "10", "--b", "11", "--sigma", "0",
                  "--gamma", "0.9", "--seed", "1"]) == 2
-    assert "branching factor 11 must satisfy 1 <= b <= k=10" in capsys.readouterr().err
+    assert "b must be an integer in [1, 10], got 11" in capsys.readouterr().err
 
 
 def test_sweep_csv_and_manifest_replay(tmp_path):
@@ -649,17 +649,15 @@ def test_unwritable_out_path_is_config_error(tmp_path, capsys):
     assert str(tmp_path) in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("suite", ["equivalence", "all"])
+# every suite checks --trials, as figures check --runs and --steps even
+# where they do not read them; closed-forms --trials 0 once exited 0
+@pytest.mark.parametrize("suite", ["equivalence", "all", "closed-forms", "propositions", "theorem1"])
 @pytest.mark.parametrize("trials", ["-1", "0"])
 def test_verify_rejects_non_positive_trials(suite, trials, capsys):
     assert main(["verify", "--suite", suite, "--trials", trials]) == 2
     captured = capsys.readouterr()
     assert captured.err == f"error: trials must be an integer >= 1, got {trials}\n"
     assert captured.out == ""
-
-
-def test_verify_trials_ignored_by_suites_without_trials():
-    assert main(["verify", "--suite", "closed-forms", "--trials", "0"]) == 0
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])

@@ -408,7 +408,7 @@ def test_mrp_rejects_non_finite_expected_rewards(reward):
     {"terminal_states": frozenset({3})},
 ])
 def test_mrp_rejects_bad_initial_or_terminal_states(field):
-    with pytest.raises(ConfigError, match="initial|terminal states"):
+    with pytest.raises(ConfigError, match="initial|terminal state"):
         Mrp(k=3, P=np.eye(3), r_mean=np.zeros((3, 3)), sigma=0.0, gamma=0.9, **field)
 
 

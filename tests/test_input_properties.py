@@ -2,25 +2,28 @@
 junk with a ConfigError: no other exception, and no silent result.
 
 The junk is NaN, +-inf, -1, 0, 1.5, 2.5, 2**64, None, a string, True and
-False (a bool is an int in Python, so True once ran as 1); the
+False (a bool is an int in Python, so True once ran as 1, and as index 1); the
 real-valued inputs also get 10**400, an int beyond the largest float, and
 NaN and +-inf as numpy float32 and float16. A
 junk value that is valid for an input (0 for a feature dimension, 2.5 for
 a step-size, 2**64 for a step cap) must be taken like any valid value.
 Each input is tried with every junk value while Hypothesis draws the other
-inputs from their valid ranges.
+inputs from their valid ranges. Counts and indices (a state, a time step,
+a horizon) have an upper bound too, and an env file's scalars get the same
+junk through JSON.
 
 Sizes stay small: feature dimensions and counts below 100, recorded runs
 of a few steps, and step caps only on a chain whose episodes end after
 one step, so no drawn value allocates more than a few MB or runs long.
 """
 
+import json
 import math
 from numbers import Real
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdlab import (
@@ -54,7 +57,7 @@ from tdlab import (
     tile_code,
     watkins_interim_target,
 )
-from tdlab.envs import MAX_GENERATED_STATES, REPRESENTATION_KINDS
+from tdlab.envs import MAX_GENERATED_STATES, REPRESENTATION_KINDS, mrp_from_dict, mrp_to_dict
 from tdlab.figures import one_state_step_size_curve, random_walk_learning_curves
 from tdlab.oracle import (
     constant_lookup,
@@ -95,6 +98,17 @@ INPUTS = {
     "lo": (st.floats(-10.0, -3.0), (-1, 0, 1.5, 2.5)),
     "hi": (st.floats(3.0, 10.0), (-1, 0, 1.5, 2.5, 2**64)),
     "signal": (st.floats(-1e6, 1e6), (math.inf, -math.inf, -1, 0, 1.5, 2.5, 2**64)),
+    # a three-state chain's initial state, one terminal state and branching factor
+    "initial": (st.integers(0, 2), (0,)),
+    "terminal_state": (st.integers(0, 2), (0,)),
+    "b": (st.none() | st.integers(1, 3), (None,)),
+    # the oracle references' origins t and k, and horizons h, on 6 and 8 steps
+    "t": (st.integers(0, 1), (0,)),
+    "k": (st.integers(0, 1), (0,)),
+    "h": (st.integers(2, 6), ()),
+    # SplitMix64.below's n, and the m of sample_without_replacement(5, m)
+    "below_n": (st.integers(1, 99), (2**64,)),
+    "m": (st.integers(0, 5), (0,)),
 }
 
 
@@ -169,6 +183,52 @@ def test_chains(name, value, values):
         expect(chain, values, name, value)
 
 
+def three_states(initial, terminal_state, b):
+    Mrp(3, np.eye(3), np.zeros((3, 3)), sigma=0.0, gamma=0.9,
+        terminal_states=frozenset({terminal_state}), initial=initial, b=b)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("initial", "terminal_state", "b"))
+@given(values=valid("initial", "terminal_state", "b"))
+@settings(max_examples=10, deadline=None)
+def test_chain_states(name, value, values):
+    # an initial state of True once ran as state 1, and any b was stored
+    expect(three_states, values, name, value)
+
+
+ENV_FILE = mrp_to_dict(generate_mrp(6, 2, 0.1, 0.9, seed=0))
+# each scalar key of a gen-mrp file, and the junk values that are valid for it
+ENV_FILE_SCALARS = {
+    "k": (), "b": (None,), "sigma": (0, 1.5, 2.5, 2**64), "gamma": (0,), "initial": (0,),
+    "terminal_states": (0,),  # its one entry
+}
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, x, id=f"{key}={'10**400' if x is BIG else repr(x)}")
+    for key in ENV_FILE_SCALARS for x in JUNK + (BIG,)
+])
+def test_env_file_scalars(key, value):
+    # the loader once coerced with int() and float(): "k": 6.0, "b": -3,
+    # "sigma": "0.1", "gamma": false and "initial": true all loaded
+    payload = {**ENV_FILE, key: [value] if key == "terminal_states" else value}
+    data = json.loads(json.dumps(payload))  # NaN and +-inf as JSON's NaN and Infinity
+    if not isinstance(value, bool) and value in ENV_FILE_SCALARS[key]:
+        mrp_from_dict(data)
+    else:
+        with pytest.raises(ConfigError):
+            mrp_from_dict(data)
+
+
+def test_env_file_round_trip_of_a_list_initial():
+    # a list initial was kept as a list, and mrp_to_dict raised TypeError on it
+    mrp = Mrp(2, [[0.5, 0.5], [0.5, 0.5]], np.zeros((2, 2)), sigma=0.0, gamma=0.9,
+              initial=[0.25, 0.75])
+    back = mrp_from_dict(json.loads(json.dumps(mrp_to_dict(mrp))))
+    assert back.initial.tolist() == [0.25, 0.75]
+    assert np.array_equal(back.cum_initial, mrp.cum_initial)
+
+
 @pytest.mark.parametrize("name, value", junk_cases("gamma"))
 @given(values=valid("gamma"))
 @settings(max_examples=10, deadline=None)
@@ -239,6 +299,38 @@ def test_oracle_replays(name, value, values):
 def test_oracle_references(name, value, values):
     for reference in REFERENCES:
         expect(reference, values, name, value)
+
+
+# each reference with the indices it takes; h is the trace's step count too
+INDEX_REFERENCES = (
+    (("t",), lambda t: n_step_return(TRAJ, t, 1, constant_lookup(np.ones(3)))),
+    (("k", "h"), lambda k, h: interim_lambda_return(TRAJ, k, h, 0.5, constant_lookup(np.ones(3)))),
+    (("h",), lambda h: interim_lambda_returns_all(TRAJ, h, 0.5, constant_lookup(np.ones(3)))),
+    (("k",), lambda k: offline_lambda_return(TRAJ, k, 0.5, constant_lookup(np.ones(3)))),
+    (("h",), lambda h: accumulating_trace_nonrecursive(TRAJ, h, 0.5)),
+    (("t", "h"), lambda t, h: watkins_interim_target(CONTROL, t, h, 0.5, constant_lookup(np.ones(8)))),
+)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("t", "k", "h"))
+@given(values=valid("t", "k", "h"))
+@example(values={"t": 0, "k": 0, "h": 2})  # t = -1 once read steps[-1] in the Watkins target
+@settings(max_examples=10, deadline=None)
+def test_oracle_reference_indices(name, value, values):
+    for names, reference in INDEX_REFERENCES:
+        if name in names:
+            expect(reference, {n: values[n] for n in names}, name, value)
+
+
+@pytest.mark.parametrize("name, value", junk_cases("below_n", "m"))
+@given(values=valid("below_n", "m"))
+@settings(max_examples=10, deadline=None)
+def test_draws(name, value, values):
+    def draw(below_n, m):
+        SplitMix64(0).below(below_n)
+        SplitMix64(0).sample_without_replacement(5, m)
+
+    expect(draw, values, name, value)
 
 
 ONE_STEP = Mrp(2, [[0.0, 1.0], [0.0, 1.0]], np.zeros((2, 2)), sigma=0.0, gamma=1.0,
@@ -335,6 +427,7 @@ def test_tile_coder(name, value, values):
 # counts that size a run; 2**64 is a valid count there too, but would run for ages
 COUNTS = (
     lambda count: run_suite("equivalence", trials=count),
+    lambda count: run_suite("closed-forms", trials=count),
     lambda count: one_state_step_size_curve(alphas=(0.5,), episodes=count, runs=1),
     lambda count: one_state_step_size_curve(alphas=(0.5,), episodes=1, runs=count),
     lambda count: random_walk_learning_curves(episodes=count),

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tdlab.core import ConfigError
 from tdlab.rng import GOLDEN_GAMMA, SplitMix64, SplitMix64Rows, mix64
 
 
@@ -47,7 +48,7 @@ def test_below_bounds_and_uniformity():
     assert draws.min() == 0 and draws.max() == 6
     counts = np.bincount(draws, minlength=7)
     assert np.all(np.abs(counts - 10_000) < 500)
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         rng.below(0)
 
 
@@ -58,7 +59,7 @@ def test_sample_without_replacement():
         assert len(set(picks)) == 4
         assert all(0 <= p < 10 for p in picks)
     assert sorted(rng.sample_without_replacement(5, 5)) == [0, 1, 2, 3, 4]
-    with pytest.raises(ValueError):
+    with pytest.raises(ConfigError):
         rng.sample_without_replacement(3, 4)
 
 
