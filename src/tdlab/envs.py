@@ -19,6 +19,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
+from numbers import Real
 
 import numpy as np
 
@@ -29,6 +30,20 @@ ROW_SUM_TOL = 1e-12
 # The most states a generated chain may have: each chain holds two k x k
 # float64 arrays (P and r_mean), 256 MiB at this cap.
 MAX_GENERATED_STATES = 4096
+
+
+def _real_array(value, name: str) -> np.ndarray:
+    """value as a float64 array, once every entry is a real number: np.asarray
+    would turn a bool into 1.0 and a string such as "0.5" into 0.5."""
+    array = value if isinstance(value, np.ndarray) else np.array(value, dtype=object)
+    if array.dtype == object:  # a sequence: check each entry's type, once per type
+        bad = sorted(t.__name__ for t in set(map(type, array.flat))
+                     if not issubclass(t, Real) or issubclass(t, bool))
+    else:
+        bad = [] if array.dtype.kind in "iuf" else [str(array.dtype)]
+    if bad:
+        raise ConfigError(f"{name} must hold real numbers, not {', '.join(bad)}")
+    return array.astype(np.float64, copy=False)
 
 
 @dataclass(frozen=True)
@@ -53,9 +68,9 @@ class Mrp:
         check_integer(self.k, "k", low=1)
         if self.b is not None:
             check_integer(self.b, "b", 1, self.k)
-        P = np.asarray(self.P, dtype=np.float64)
+        P = _real_array(self.P, "P")
         object.__setattr__(self, "P", P)
-        object.__setattr__(self, "r_mean", np.asarray(self.r_mean, dtype=np.float64))
+        object.__setattr__(self, "r_mean", _real_array(self.r_mean, "r_mean"))
         if P.shape != (self.k, self.k) or self.r_mean.shape != (self.k, self.k):
             raise ConfigError("P and r_mean must be k x k")
         bad = ~(P >= 0.0).all(axis=1)  # NaN fails this too
@@ -76,13 +91,15 @@ class Mrp:
         object.__setattr__(self, "terminal_states", frozenset(self.terminal_states))
         cum_initial = None
         if isinstance(self.initial, (list, tuple, np.ndarray)):
-            d = np.asarray(self.initial, dtype=np.float64)
+            d = _real_array(self.initial, "initial")
             if d.shape != (self.k,) or not (d >= 0.0).all() or abs(d.sum() - 1.0) > ROW_SUM_TOL:
                 raise ConfigError("initial must be a state or a distribution over the k states")
             object.__setattr__(self, "initial", d)
             cum_initial = np.cumsum(d)
         else:
             check_integer(self.initial, "initial state", 0, self.k - 1)
+        if self.name is not None and not isinstance(self.name, str):
+            raise ConfigError(f"name must be a string or None, got {self.name!r}")
         object.__setattr__(self, "cum_P", np.cumsum(P, axis=1))
         object.__setattr__(self, "cum_initial", cum_initial)
 
@@ -511,7 +528,8 @@ def mrp_to_dict(mrp: Mrp) -> dict:
 
 def mrp_from_dict(data: dict) -> Mrp:
     """The Mrp of an env-file payload, its values passed to Mrp unchanged: a value
-    Mrp refuses (such as "k": 6.0 or "gamma": false) is a ConfigError."""
+    Mrp refuses (such as "k": 6.0, "gamma": false, a "0.5" in "P" or "name":
+    [1, 2]) is a ConfigError."""
     if data.get("format") != MRP_FORMAT:
         raise ConfigError(f"not an MRP file (format={data.get('format')!r})")
     if data.get("version") != FORMAT_VERSION:

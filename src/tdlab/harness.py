@@ -55,10 +55,12 @@ arrays; no per-cell object is built anywhere.
 
 run_chunks is the package's one process pool. It runs a module-level
 task on each chunk of a list its caller cuts: min(workers, chunks)
-processes, each taking the next chunk in order when it goes idle, and
-the results come back in chunk order. The sweep engine sends it one
-consecutive range of rows per worker; verify sends it chunks of a few
-consecutive jobs, each a suite or an equivalence trial.
+processes, the calling one and children started on plain multiprocessing
+(no executor, management thread or futures), each taking the next chunk
+when it goes idle, and the results come back in chunk order. The sweep
+engine sends it one consecutive range of rows per worker; verify sends
+it chunks of a few consecutive jobs, each a suite or an equivalence
+trial.
 
 The metric's error d' M d (d = theta - theta_star) is one ordered sum per
 row: the terms (d_i M_ij) d_j in row-major (i, j) order, added one by one
@@ -77,8 +79,10 @@ from __future__ import annotations
 import itertools
 import os
 import re
-from concurrent.futures import FIRST_EXCEPTION, ProcessPoolExecutor, wait
 from dataclasses import dataclass, replace
+from multiprocessing import Process
+from multiprocessing.connection import Pipe, wait
+from multiprocessing.sharedctypes import Value
 from typing import NamedTuple
 
 import numpy as np
@@ -576,25 +580,92 @@ def check_workers(workers: int) -> None:
 def run_chunks(task, args: tuple, chunks: list, workers: int) -> list:
     """[task(*args, chunk) for chunk in chunks], the chunks shared by a pool.
 
-    Two or more chunks at two or more workers run in a process pool of
-    min(workers, len(chunks)) processes: every chunk is submitted in
-    order, and each process takes the next one when it goes idle. One
-    worker, or a single chunk, runs in this process. Returns the chunk
-    results in chunk order. The task must be a module-level function and
-    args picklable, so that any start method can send them. When a chunk
-    raises, the chunks still queued are cancelled, and the exception
-    reaches the caller as itself after the pool has shut down.
+    Two or more chunks at two or more workers run in min(workers,
+    len(chunks)) processes: this one and the children it starts. Each takes
+    the next chunk index from one shared counter when it goes idle, and a
+    child sends (index, ok, value) back over its own one-way pipe. Returns
+    the results in chunk order. The task must be a module-level function,
+    and args, the chunks and a child's results picklable, so that any start
+    method can send them. When a chunk raises, no further chunk is handed
+    out, and once every child is joined the lowest chunk's failure reaches
+    the caller: its exception as itself, or a RuntimeError naming a chunk
+    whose child exited without sending its result. No child outlives the
+    call, even when the caller is interrupted.
     """
     check_workers(workers)
     if workers == 1 or len(chunks) <= 1:
         return [task(*args, chunk) for chunk in chunks]
-    with ProcessPoolExecutor(max_workers=min(workers, len(chunks))) as pool:
-        futures = [pool.submit(task, *args, chunk) for chunk in chunks]
-        done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-        if any(f.exception() for f in done):
-            pool.shutdown(cancel_futures=True)
-            raise next(f.exception() for f in futures if not f.cancelled() and f.exception())
-        return [f.result() for f in futures]
+    handed = Value("i", 0)
+    results = [None] * len(chunks)
+    children, pipes = [], []
+    try:
+        for _ in range(min(workers, len(chunks)) - 1):
+            receiver, sender = Pipe(duplex=False)
+            child = Process(target=_pool_child, args=(task, args, chunks, handed, sender))
+            child.start()
+            sender.close()  # the child's is now the only write end: EOF once it exits
+            children.append(child)
+            pipes.append(receiver)
+        for i, ok, value in _take_chunks(task, args, chunks, handed):
+            results[i] = ok, value
+        while pipes:
+            for pipe in wait(pipes):
+                try:
+                    i, ok, value = pipe.recv()
+                except (EOFError, OSError):  # the child has exited
+                    pipes.remove(pipe)
+                    pipe.close()
+                else:
+                    results[i] = ok, value
+    except BaseException:
+        for child in children:
+            child.terminate()
+        raise
+    finally:
+        for child in children:
+            child.join()
+        for pipe in pipes:
+            pipe.close()
+    # The lowest failure: every chunk below a failed one was handed out, so
+    # a result missing there is a child that exited without sending it.
+    for i, result in enumerate(results):
+        if result is None:
+            codes = sorted({child.exitcode for child in children} - {0})
+            raise RuntimeError(f"chunk {i} returned no result: a pool child exited with code {codes}")
+        if not result[0]:
+            raise result[1]
+    return [value for _, value in results]
+
+
+def _take_chunks(task, args: tuple, chunks: list, handed):
+    """One pool process's share: (index, ok, value) for each chunk it takes
+    in turn, value the exception where ok is False, until no chunk is left.
+    A failed chunk sets the shared count of chunks handed out to
+    len(chunks), so that no further chunk goes out."""
+    while True:
+        with handed.get_lock():
+            i = handed.value
+            if i >= len(chunks):
+                return
+            handed.value = i + 1
+        try:
+            result = i, True, task(*args, chunks[i])
+        except Exception as error:  # the caller re-raises it
+            handed.value = len(chunks)
+            result = i, False, error
+        yield result
+
+
+def _pool_child(task, args: tuple, chunks: list, handed, sender) -> None:
+    """A pool child: _take_chunks, each result sent over its pipe, a result
+    that pickle cannot send replaced by the error that says so."""
+    for i, ok, value in _take_chunks(task, args, chunks, handed):
+        try:
+            sender.send((i, ok, value))
+        except Exception as error:
+            handed.value = len(chunks)
+            sender.send((i, False, error))
+    sender.close()
 
 
 def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[SweepResult, ...]:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import os
+import time
+
 import numpy as np
 import pytest
 
@@ -77,6 +80,19 @@ def demo_06_watkins_run(epsilon=0.3):
     learner = TrueOnlineWatkinsQ(rep.n * 3, alpha=0.4, lam=0.9)
     traj = run_control_episode(learner, mdp, rep, SplitMix64(2), epsilon=epsilon, max_steps=150)
     return traj, rep.n * 3
+
+
+def meet(directory, parties=2, timeout=30.0):
+    """Mark this process in `directory`, then wait until `parties` processes
+    have. A pool task that calls it first runs in two processes whatever the
+    scheduling: of two chunks at two workers, the first process to take one
+    waits for the other to take the second."""
+    open(os.path.join(directory, f"pid-{os.getpid()}"), "a").close()
+    deadline = time.monotonic() + timeout
+    while sum(name.startswith("pid-") for name in os.listdir(directory)) < parties:
+        if time.monotonic() > deadline:
+            raise AssertionError(f"{parties} processes never met in {directory}")
+        time.sleep(0.001)
 
 
 @pytest.fixture

@@ -399,9 +399,9 @@ def test_config_null_leaves_the_flag_at_its_default(key, tmp_path):
 @pytest.mark.parametrize("workers", [0, -3, (os.cpu_count() or 1) + 1])
 def test_sweep_workers_bounded_before_any_pool(workers, monkeypatch):
     def no_pool(*args, **kwargs):
-        raise AssertionError("a process pool was started")
+        raise AssertionError("a pool process was started")
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+    monkeypatch.setattr(harness, "Process", no_pool)
     config = SweepConfig(env="mrp(4,2,0.1)", representation="tabular", variants=("true-online",),
                          alphas=(0.1,), lambdas=(0.5,), steps=5, runs=1, master_seed=0)
     with pytest.raises(ConfigError, match="workers"):

@@ -1,3 +1,4 @@
+import json
 import time
 
 import numpy as np
@@ -425,6 +426,54 @@ def test_mrp_from_dict_malformed_values():
     data["P"] = [[1.0], [0.5, 0.5]]
     with pytest.raises(ConfigError, match="malformed MRP file"):
         mrp_from_dict(data)
+
+
+def env_file_with(key, change):
+    """A gen-mrp payload through JSON, with change(value) in place of key's value."""
+    data = mrp_to_dict(generate_mrp(4, 2, 0.1, 0.9, seed=1))
+    return json.loads(json.dumps({**data, key: change(data[key])}))
+
+
+def one_hot_rows(junk, other):
+    """Each row of a 4 x 4 array one-hot at its own state, as junk on the
+    diagonal and other elsewhere."""
+    return lambda _: [[junk if i == j else other for j in range(4)] for i in range(4)]
+
+
+@pytest.mark.parametrize("key, change, match", [
+    pytest.param("P", lambda P: [[str(p) for p in row] for row in P],
+                 "P must hold real numbers, not str", id="P-strings"),
+    pytest.param("P", lambda P: [[str(P[0][0]), *P[0][1:]], *P[1:]], "not str", id="P-one-string"),
+    pytest.param("P", one_hot_rows(True, False), "P must hold real numbers, not bool", id="P-bools"),
+    pytest.param("P", one_hot_rows(True, 0.0), "not bool", id="P-bools-among-floats"),
+    pytest.param("r_mean", lambda r: [[True for _ in row] for row in r],
+                 "r_mean must hold real numbers, not bool", id="r_mean-true"),
+    pytest.param("r_mean", lambda r: [[True, *r[0][1:]], *r[1:]], "not bool", id="r_mean-one-true"),
+    pytest.param("initial", lambda _: [True, False, False, False],
+                 "initial must hold real numbers, not bool", id="initial-bools"),
+    pytest.param("initial", lambda _: ["1.0", 0.0, 0.0, 0.0], "not str", id="initial-string"),
+    pytest.param("name", lambda _: [1, 2], "name must be a string or None", id="name-list"),
+    pytest.param("name", lambda _: 5, "name must be a string or None", id="name-int"),
+    pytest.param("name", lambda _: True, "name must be a string or None", id="name-bool"),
+])
+def test_env_file_arrays_and_name_refuse_junk(key, change, match):
+    # np.asarray(..., float64) loaded "0.5" as 0.5 and true as 1.0, and any name was kept
+    with pytest.raises(ConfigError, match=f"malformed MRP file: .*{match}"):
+        mrp_from_dict(env_file_with(key, change))
+
+
+@pytest.mark.parametrize("key, change", [
+    pytest.param("P", one_hot_rows(1, 0), id="P-ints"),
+    pytest.param("r_mean", lambda r: [[1 for _ in row] for row in r], id="r_mean-ints"),
+    pytest.param("initial", lambda _: [1, 0, 0, 0], id="initial-ints"),
+    pytest.param("name", lambda _: "chain", id="name-string"),
+    pytest.param("name", lambda _: None, id="name-null"),
+])
+def test_env_file_integers_and_a_string_name_load(key, change):
+    data = env_file_with(key, change)
+    mrp = mrp_from_dict(data)
+    assert mrp_to_dict(mrp) == data
+    assert mrp.P.dtype == mrp.r_mean.dtype == np.float64
 
 
 @pytest.mark.parametrize("key", ["P", "r_mean", "sigma", "gamma"])

@@ -2,6 +2,7 @@ import itertools
 import json
 import multiprocessing
 import os
+import threading
 import time
 import warnings
 from dataclasses import replace
@@ -53,7 +54,7 @@ from tdlab.harness import (
 from tdlab.envs import Representation, simulate_chains
 from tdlab.envs import build_representation as build_rep
 from tdlab.rng import SplitMix64Rows, mix64
-from tests.conftest import demo_06_watkins_run, make_mrp_trajectory
+from tests.conftest import demo_06_watkins_run, make_mrp_trajectory, meet
 
 
 class TestPaperGrids:
@@ -213,9 +214,9 @@ class TestRunSweeps:
         path.write_text(json.dumps({**mrp_to_dict(mrp), "r_mean": np.zeros((6, 6)).tolist()}))
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+            raise AssertionError("a pool process was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "Process", no_pool)
         configs = tuple(
             small_config(env=f"file:{path}", representation=r) for r in ("tabular", "binary")
         )
@@ -233,9 +234,9 @@ class TestRunChunks:
 
     def test_one_worker_runs_all_items_in_process(self, monkeypatch):
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+            raise AssertionError("a pool process was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "Process", no_pool)
         chunks = [[0, 1], [2], [3, 4]]
         assert harness.run_chunks(list, (), chunks, 1) == chunks
 
@@ -244,31 +245,26 @@ class TestRunChunks:
         expected = sweep_to_csv(run_sweep(config))
 
         def no_pool(*args, **kwargs):
-            raise AssertionError("a pool was started")
+            raise AssertionError("a pool process was started")
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", no_pool)
+        monkeypatch.setattr(harness, "Process", no_pool)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)  # two workers on one CPU too
         assert sweep_to_csv(run_sweep(config, workers=2)) == expected
 
     def test_one_process_per_non_empty_chunk(self, monkeypatch):
-        sizes = []
-        pool = harness.ProcessPoolExecutor
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: (
-            sizes.append(max_workers) or pool(max_workers=max_workers)
-        ))
+        # this process and one child for two chunks at three workers
+        children = count_children(monkeypatch)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 3)
         assert harness.run_chunks(list, (), [[0], [1]], 3) == [[0], [1]]
-        assert sizes == [2]
+        assert children == [1]
 
     def test_more_chunks_than_workers_start_one_process_per_worker(self, monkeypatch):
-        sizes = []
-        pool = harness.ProcessPoolExecutor
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", lambda max_workers: (
-            sizes.append(max_workers) or pool(max_workers=max_workers)
-        ))
+        # this process and workers - 1 children
+        children = count_children(monkeypatch)
         chunks = [[i] for i in range(7)]
         assert harness.run_chunks(list, (), chunks, 2) == chunks
-        assert sizes == [2]
+        assert children == [1]
+        assert multiprocessing.active_children() == []
 
     def test_results_in_chunk_order_when_later_chunks_finish_first(self):
         chunks = [[0.3], [0.0], [0.0], [0.0]]
@@ -282,6 +278,54 @@ class TestRunChunks:
         assert ran < len(chunks) // 2, f"{ran} of {len(chunks) - 1} other chunks ran"
         assert multiprocessing.active_children() == []
 
+    def test_a_dead_child_names_its_chunk(self, tmp_path):
+        chunks = [(str(tmp_path), os.getpid(), i) for i in range(2)]
+        with pytest.raises(RuntimeError, match=r"returned no result: .* code \[7\]") as exc:
+            harness.run_chunks(exit_in_the_child, (), chunks, 2)
+        [mark] = [name for name in os.listdir(tmp_path) if name.startswith("exited-")]
+        assert str(exc.value).startswith(f"chunk {mark[len('exited-'):]} returned no result")
+        assert multiprocessing.active_children() == []
+
+    def test_a_result_pickle_cannot_send_raises(self, tmp_path):
+        chunks = [(str(tmp_path), os.getpid(), i) for i in range(2)]
+        with pytest.raises(TypeError, match="pickle"):
+            harness.run_chunks(lock_in_the_child, (), chunks, 2)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
+    def test_no_child_outlives_the_caller_raising(self, tmp_path, interrupt):
+        # the child is still in its chunk when this process raises
+        chunks = [(str(tmp_path), os.getpid(), interrupt) for _ in range(2)]
+        start = time.monotonic()
+        with pytest.raises(interrupt, match="in the calling process"):
+            harness.run_chunks(raise_here_sleep_in_the_child, (), chunks, 2)
+        assert time.monotonic() - start < 20
+        assert multiprocessing.active_children() == []
+
+    def test_every_chunk_runs_once_at_more_workers_than_cpus(self, tmp_path, monkeypatch):
+        # a chunk handed out twice would find its mark taken
+        monkeypatch.setattr(harness, "usable_cpus", lambda: 6)
+        chunks = [(str(tmp_path), i) for i in range(300)]
+        assert harness.run_chunks(mark_once, (), chunks, 6) == list(range(300))
+        assert len(os.listdir(tmp_path)) == 300
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.skipif(
+        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
+    )
+    def test_spawn_gives_the_fork_result(self, tmp_path):
+        # index_once_met runs in the child by construction, list only if it is quick
+        strided = [range(7)[0::2], range(7)[1::2], range(3)]
+        results = {}
+        for method in ("fork", "spawn"):
+            (tmp_path / method).mkdir()
+            met = [(str(tmp_path / method), os.getpid(), i) for i in range(2)]
+            with start_method(method):
+                results[method] = (harness.run_chunks(list, (), strided, 2),
+                                   harness.run_chunks(index_once_met, (), met, 2))
+            assert multiprocessing.active_children() == []
+        assert results["spawn"] == results["fork"] == ([[0, 2, 4, 6], [1, 3, 5], [0, 1, 2]], [0, 1])
+
     @pytest.mark.parametrize("workers", [0, 1.5, True, (os.cpu_count() or 1) + 1])
     def test_worker_count_checked(self, workers):
         with pytest.raises(ConfigError, match="workers"):
@@ -294,6 +338,82 @@ class TestRunChunks:
         harness.check_workers(1)
         with pytest.raises(ConfigError, match=r"workers must lie in \[1, 1\]"):
             harness.check_workers(2)
+
+
+def count_children(monkeypatch) -> list:
+    """Patch run_chunks' process start to count the children it starts:
+    the returned list holds that count once run_chunks has started them."""
+    started = [0]
+    real = harness.Process
+
+    def counted(**kwargs):
+        started[0] += 1
+        return real(**kwargs)
+
+    monkeypatch.setattr(harness, "Process", counted)
+    return started
+
+
+class start_method:
+    """Run a block under the given multiprocessing start method."""
+
+    def __init__(self, method):
+        self.method = method
+
+    def __enter__(self):
+        self.saved = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method(self.method, force=True)
+
+    def __exit__(self, *exc):
+        multiprocessing.set_start_method(self.saved, force=True)
+
+
+def exit_in_the_child(chunk):
+    """A run_chunks task on (directory, caller pid, index): each of two
+    processes takes a chunk; the pool child marks its index and exits with
+    code 7."""
+    directory, caller, index = chunk
+    meet(directory)
+    if os.getpid() != caller:
+        open(os.path.join(directory, f"exited-{index}"), "w").close()
+        os._exit(7)
+    return index
+
+
+def lock_in_the_child(chunk):
+    """A run_chunks task on (directory, caller pid, index): each of two
+    processes takes a chunk; the pool child returns a lock, which pickle
+    cannot send."""
+    directory, caller, index = chunk
+    meet(directory)
+    return index if os.getpid() == caller else threading.Lock()
+
+
+def raise_here_sleep_in_the_child(chunk):
+    """A run_chunks task on (directory, caller pid, exception class): each of
+    two processes takes a chunk; the calling process raises the exception,
+    the pool child sleeps a minute."""
+    directory, caller, interrupt = chunk
+    meet(directory)
+    if os.getpid() == caller:
+        raise interrupt("raised in the calling process")
+    time.sleep(60)
+
+
+def mark_once(chunk):
+    """A run_chunks task on (directory, index): creates the file of that
+    index, which fails if it exists, and returns the index."""
+    directory, index = chunk
+    open(os.path.join(directory, str(index)), "x").close()
+    return index
+
+
+def index_once_met(chunk):
+    """A run_chunks task on (directory, caller pid, index): each of two
+    processes takes a chunk, and both return its index."""
+    directory, _, index = chunk
+    meet(directory)
+    return index
 
 
 def sleep_and_return(chunk):

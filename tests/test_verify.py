@@ -9,6 +9,7 @@ import pytest
 
 from tdlab import ConfigError, verify
 from tdlab.verify import run_suite
+from tests.conftest import meet
 
 
 @pytest.mark.parametrize("trials", [60, 7, 1])  # 7 splits unevenly, 1 leaves a worker idle
@@ -25,37 +26,44 @@ def test_two_workers_give_the_equivalence_checks_of_one(seed):
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="the patch reaches the workers by fork"
 )
-def test_two_workers_leave_every_suite_to_the_pool(monkeypatch):
+def test_two_workers_run_every_job_once_in_both_processes(monkeypatch, tmp_path):
+    # 3 suites and 3 trials in two chunks of three jobs, one chunk to each process
     expected = run_suite("all", 3, 0, workers=1)
-    parent = os.getpid()
+    job_checks = verify._job_checks
 
-    def in_a_worker(suite):
-        def checks(*args):
-            if os.getpid() == parent:
-                raise AssertionError(f"{suite.__name__} ran in the calling process")
-            return suite(*args)
-        return checks
+    def recorded(trials, seed, jobs):
+        meet(tmp_path)
+        for job in jobs:
+            with open(tmp_path / f"job-{job}", "x") as mark:  # a job run twice raises here
+                mark.write(str(os.getpid()))
+        return job_checks(trials, seed, jobs)
 
-    for name in ("closed_form_checks", "proposition_checks", "theorem1_checks"):
-        monkeypatch.setattr(verify, name, in_a_worker(getattr(verify, name)))
+    monkeypatch.setattr(verify, "_job_checks", recorded)
     assert run_suite("all", 3, 0, workers=2) == expected
+    jobs = {path.name: path.read_text() for path in tmp_path.glob("job-*")}
+    assert sorted(jobs) == ["job-0", "job-1", "job-2", "job-closed-forms", "job-propositions",
+                            "job-theorem1"]
+    assert len(set(jobs.values())) == 2
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.skipif(
     multiprocessing.get_start_method() != "fork", reason="the patch reaches the workers by fork"
 )
-def test_a_worker_error_reaches_the_caller(monkeypatch):
-    certify = verify.certify_equivalence
+def test_a_worker_error_reaches_the_caller(monkeypatch, tmp_path):
+    # four trials in two chunks, one to each process; only the child refuses
+    certify, parent = verify.certify_equivalence, os.getpid()
 
-    def refuse_watkins(traj, alpha, lam, theta_init, pair):
-        if pair == "watkins-vs-truncated-oracle":  # trial 3 of 4, in the second of two chunks
+    def refuse_in_the_child(traj, alpha, lam, theta_init, pair):
+        meet(tmp_path)
+        if os.getpid() != parent:
             raise ConfigError(f"refused in process {os.getpid()}")
         return certify(traj, alpha, lam, theta_init, pair)
 
-    monkeypatch.setattr(verify, "certify_equivalence", refuse_watkins)
+    monkeypatch.setattr(verify, "certify_equivalence", refuse_in_the_child)
     with pytest.raises(ConfigError, match="refused in process") as exc:
         run_suite("equivalence", 4, 0, workers=2)
-    assert str(exc.value) != f"refused in process {os.getpid()}"  # raised in a worker
+    assert str(exc.value) != f"refused in process {parent}"
     assert multiprocessing.active_children() == []
 
 
