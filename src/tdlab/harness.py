@@ -45,10 +45,11 @@ chain, so run_sweeps runs them in one pass: one process pool, each chain
 simulated once, every config's learners stepped on it. run_sweep is
 run_sweeps on one config.
 
-A sweep is (cell, run) rows from the pool to the result. Each worker
-returns (variants, rows) arrays of its consecutive rows' metrics and
-diverged flags, and run_sweeps, the one place where runs become cells,
-reduces them to (variants, lambdas, alphas) arrays of each cell's mean,
+A sweep is (cell, run) rows from the pool to the result, each worker's
+rows a range until a block steps them: its per-run outputs, (variants,
+rows) arrays of metrics and diverged flags, are the only arrays sized by
+its rows. run_sweeps, the one place where runs become cells, reduces
+them to (variants, lambdas, alphas) arrays of each cell's mean,
 standard error and diverged count. sweep_to_csv formats those arrays
 row by row, and best_per_lambda reduces them to (variants, lambdas)
 arrays; no per-cell object is built anywhere.
@@ -81,7 +82,7 @@ import os
 import re
 from dataclasses import dataclass, replace
 from multiprocessing import Process
-from multiprocessing.connection import Pipe, wait
+from multiprocessing.connection import Pipe
 from multiprocessing.sharedctypes import Value
 from typing import NamedTuple
 
@@ -122,6 +123,12 @@ CHAIN_BLOCK_VALUES = 1 << 21
 # once: 256 KB, so the buffer stays in cache between its writes and its sum.
 # A block's chains are drawn in time blocks of as many states.
 METRIC_BLOCK_VALUES = 1 << 15
+# The most (cell, run) rows, cells x runs, a sweep may hold. A sweep keeps
+# every row's per-run metrics and diverged flags until runs become cells,
+# where the reduction copies them. At --steps 1 and one worker, past 7 M rows,
+# peak RSS grows by about 78 bytes a row on the tabular paper grid (three
+# variants) and 120 on figure 4 (eight variants): about 1.3 and 2.3 GB here.
+MAX_SWEEP_ROWS = 1 << 24
 EQUIVALENCE_TOL = 1e-8
 # A run whose weights have grown this much past their start is exponentially
 # divergent; beyond it, float64 rounding is amplified faster than any fixed
@@ -173,6 +180,12 @@ class SweepConfig:
         if not isinstance(self.env, str):
             raise ConfigError(f"env must be a string, got {self.env!r}")
         check_integer(self.runs, "runs", low=1)
+        cells = len(self.alphas) * len(self.lambdas)
+        if cells * self.runs > MAX_SWEEP_ROWS:
+            raise ConfigError(
+                f"cells x runs must be at most MAX_SWEEP_ROWS = {MAX_SWEEP_ROWS}, "
+                f"got {cells} x {self.runs}"
+            )
         check_integer(self.steps, "steps", low=1)
         check_seed(self.master_seed, "master_seed")
         check_real(self.gamma, "gamma", 1.0)
@@ -380,6 +393,16 @@ class _TimeMean:
         return (0.0 + self._sums[0]) / self._steps
 
 
+class _SweepPlan(NamedTuple):
+    """One config's share of a sweep: its features and error quadratic."""
+
+    config: SweepConfig
+    table: np.ndarray
+    M: np.ndarray
+    theta_star: np.ndarray
+    e0: float
+
+
 class _Learners:
     """One learner per (variant, row), every variant and row in lockstep
     over the rows' chains, which arrive a time block at a time.
@@ -415,7 +438,8 @@ class _Learners:
     per-step error outlives its block, whatever the time blocks.
     """
 
-    def __init__(self, variants, table, gamma, alpha, lam, M, theta_star, e0, steps):
+    def __init__(self, plan: _SweepPlan, gamma: float, alpha: np.ndarray, lam: np.ndarray):
+        variants, table, steps = plan.config.variants, plan.table, plan.config.steps
         rows, n = alpha.shape[0], table.shape[1]
         stacked = len(variants) * rows
         columns = _one_hot_columns(table)
@@ -430,13 +454,13 @@ class _Learners:
         self.features = features
         self.rules = [PREDICTION_LEARNERS[v].rule for v in variants]
         self.slices = [slice(v * rows, (v + 1) * rows) for v in range(len(variants))]
-        self.gamma, self.alpha, self.lam, self.e0, self.steps = gamma, alpha, lam, e0, steps
+        self.gamma, self.alpha, self.lam, self.e0, self.steps = gamma, alpha, lam, plan.e0, steps
         self.theta, self.e = np.zeros((stacked, n)), np.zeros((stacked, n))
         self.v_olds = [np.zeros((rows, 1)) for _ in variants]
         self.shown = np.zeros((n, stacked))  # the weights the metric sees, feature-major
-        self.star = np.repeat(theta_star[:, None], stacked, axis=1)  # a broadcast column is slower
+        self.star = np.repeat(plan.theta_star[:, None], stacked, axis=1)  # a broadcast column is slower
         self.live = np.ones(stacked, dtype=bool)
-        self.terms = _quadratic_terms(M)
+        self.terms = _quadratic_terms(plan.M)
         self.K = max(1, min(steps, METRIC_BLOCK_VALUES // (stacked * n)))
         self.D = np.empty((n, self.K * stacked))  # step k of a block in columns k*stacked onwards
         self.time_mean = _TimeMean(steps, stacked)
@@ -481,16 +505,6 @@ class _Learners:
         return self.time_mean.mean(), ~self.live
 
 
-class _SweepPlan(NamedTuple):
-    """One config's share of a sweep: its features and error quadratic."""
-
-    config: SweepConfig
-    table: np.ndarray
-    M: np.ndarray
-    theta_star: np.ndarray
-    e0: float
-
-
 def _plan_sweep(config: SweepConfig, mrp: Mrp, representation: Representation) -> _SweepPlan:
     if "replace" in config.variants and np.any((representation.table != 0) & (representation.table != 1)):
         raise ConfigError("replacing traces require binary features; pick tabular or binary")
@@ -514,7 +528,8 @@ def _sweep_cells(
     (variants, len(rows)): column j is row rows[j] (see run_sweeps).
 
     The plans share their chains (every config field but representation
-    and variants agrees). The rows go in blocks; a cell's runs may span
+    and variants agrees). The rows go in blocks, each a sub-range that
+    derives its own run seeds, alphas and lambdas; a cell's runs may span
     two blocks, or two workers' ranges. Each block draws its chains a
     time block at a time from one SplitMix64Rows, and every plan steps
     all its variants over a time block (_Learners) before the next is
@@ -529,31 +544,24 @@ def _sweep_cells(
     blocking changes no result.
     """
     config = plans[0].config
-    n_alpha, runs, steps = len(config.alphas), config.runs, config.steps
-    seeds = _run_seeds(config.master_seed, rows, runs)
-    row_cells = np.arange(rows.start, rows.stop, rows.step) // runs
-    alpha = np.array(config.alphas)[row_cells % n_alpha][:, None]
-    lam = np.array(config.lambdas)[row_cells // n_alpha][:, None]
+    runs, n_alpha = config.runs, len(config.alphas)
+    alphas, lambdas = np.array(config.alphas), np.array(config.lambdas)
     width = max(mrp.k, *(len(p.config.variants) * max(p.table.shape[1], 8) for p in plans))
     block = max(1, CHAIN_BLOCK_VALUES // width)
-    metrics = [np.empty((len(p.config.variants), seeds.size)) for p in plans]
-    diverged = [np.empty((len(p.config.variants), seeds.size), dtype=bool) for p in plans]
+    metrics = [np.empty((len(p.config.variants), len(rows))) for p in plans]
+    diverged = [np.empty((len(p.config.variants), len(rows)), dtype=bool) for p in plans]
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, seeds.size, block):
-            part = slice(start, start + block)
-            rng = SplitMix64Rows(seeds[part])
-            learners = [
-                _Learners(
-                    p.config.variants, p.table, mrp.gamma, alpha[part], lam[part],
-                    p.M, p.theta_star, p.e0, steps,
-                )
-                for p in plans
-            ]
+        for start in range(0, len(rows), block):
+            part, sub = slice(start, start + block), rows[start : start + block]
+            cell = np.arange(sub.start, sub.stop, sub.step)[:, None] // runs
+            rng = SplitMix64Rows(_run_seeds(config.master_seed, sub, runs))
+            learners = [_Learners(p, mrp.gamma, alphas[cell % n_alpha], lambdas[cell // n_alpha])
+                        for p in plans]
             span = max(1, METRIC_BLOCK_VALUES // len(rng) - 1)
             states = None
-            for t in range(0, steps, span):
+            for t in range(0, config.steps, span):
                 last = None if states is None else states[-1]
-                states, rewards = simulate_chains(mrp, min(span, steps - t), rng, last)
+                states, rewards = simulate_chains(mrp, min(span, config.steps - t), rng, last)
                 for learner in learners:
                     learner.advance(states, rewards)
             for learner, m, d in zip(learners, metrics, diverged):
@@ -608,15 +616,13 @@ def run_chunks(task, args: tuple, chunks: list, workers: int) -> list:
             pipes.append(receiver)
         for i, ok, value in _take_chunks(task, args, chunks, handed):
             results[i] = ok, value
-        while pipes:
-            for pipe in wait(pipes):
+        for pipe in pipes:  # a child blocked on its send holds no lock, so the rest go on
+            while True:
                 try:
                     i, ok, value = pipe.recv()
                 except (EOFError, OSError):  # the child has exited
-                    pipes.remove(pipe)
-                    pipe.close()
-                else:
-                    results[i] = ok, value
+                    break
+                results[i] = ok, value
     except BaseException:
         for child in children:
             child.terminate()
@@ -687,11 +693,11 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
     config.gamma says.
 
     The pool's unit is the (cell, run) row, run r % runs of cell r // runs
-    (cell index = lambda_index x len(alphas) + alpha_index), cut into
-    min(workers, cells) consecutive ranges equal to within one row, so a
-    one-cell sweep stays in this process. Each worker returns its rows'
-    metrics and diverged flags; here, the one place where runs become
-    cells, they are reduced to each cell's mean, se and diverged count.
+    (cell index = lambda_index x len(alphas) + alpha_index), cut by integer
+    arithmetic into min(workers, cells) consecutive ranges equal to within
+    one row, so a one-cell sweep stays in this process. Each worker returns
+    its rows' metrics and diverged flags; here, the one place where runs
+    become cells, they are reduced to each cell's mean, se and diverged count.
     """
     if not configs:
         raise ConfigError("run_sweeps needs at least one config")
@@ -718,9 +724,9 @@ def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[Swee
     # mrp(2000,3,0.1) binary sweep (20 steps, 2 workers, 2-CPU VM) took 1.66-2.08 s
     # in 3 block-sized chunks, 1.42-1.70 s this way, same CSV (4 runs each).
     cells, runs = len(first.lambdas) * len(first.alphas), first.runs
-    chunks = np.array_split(np.arange(cells * runs), min(workers, cells))
-    row_ranges = [range(c[0], c[-1] + 1) for c in chunks]
-    parts = run_chunks(_sweep_cells, (mrp, plans), row_ranges, workers)
+    share = min(workers, cells)
+    cut = [i * cells * runs // share for i in range(share + 1)]
+    parts = run_chunks(_sweep_cells, (mrp, plans), list(map(range, cut, cut[1:])), workers)
     results = []
     with np.errstate(over="ignore", invalid="ignore"):
         for config, arrays in zip(configs, zip(*parts)):  # each config's chunks, in row order

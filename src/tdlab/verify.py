@@ -43,6 +43,10 @@ THEOREM1_PAIR_RATIO_RANGE = (0.03, 0.3)
 # a pool chunk costs about 0.3 ms of CPU time to send and collect and a job
 # takes 5-40 ms: four jobs a chunk keep that cost near 1% and the tail short
 JOBS_PER_CHUNK = 4
+# The most equivalence trials a suite runs. A suite holds a job and a check
+# result per trial until it returns, about 0.3 KB (tracemalloc, 100 to 300
+# trials), so about 0.3 GB at this cap, where 5-40 ms a trial is hours of CPU.
+MAX_TRIALS = 10**6
 
 
 @dataclass(frozen=True)
@@ -262,6 +266,8 @@ def run_suite(suite: str, trials: int = 100, seed: int = 0, workers: int = 1) ->
     in chunks of at most JOBS_PER_CHUNK consecutive jobs, fewer where
     that would leave a worker idle."""
     check_integer(trials, "trials", low=1)
+    if trials > MAX_TRIALS:
+        raise ConfigError(f"trials must be at most MAX_TRIALS = {MAX_TRIALS}, got {trials}")
     check_workers(workers)
     if suite in _SUITE_JOBS:
         jobs = [suite]

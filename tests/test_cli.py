@@ -1,6 +1,9 @@
 import hashlib
 import json
 import os
+import resource
+import subprocess
+import sys
 import tempfile
 
 import numpy as np
@@ -427,10 +430,13 @@ def test_explicit_flag_equal_to_its_default_beats_config(tmp_path):
     assert row.split(",")[5] == "50"
 
 
-# valid sweep flag values, small enough that a paper-grid sweep stays fast
+# valid sweep flag values, small enough that a paper-grid sweep stays fast.
+# Three successors per state make every drawn chain aperiodic (a period needs
+# k = 6 cut 3/3 with each state's successors all on the other side), so its
+# stationary weights exist; two successors drew periodic chains, which power
+# iteration refuses with exit 2 (mrp(6,2,0.0) at seed 1910911).
 MERGE_VALUES = {
-    "task": st.builds("mrp({},{},{})".format, st.integers(3, 6), st.integers(2, 3),
-                      st.sampled_from([0.0, 0.1, 1.0])),
+    "task": st.builds("mrp({},3,{})".format, st.integers(3, 6), st.sampled_from([0.0, 0.1, 1.0])),
     "repr": st.sampled_from(REPRESENTATION_KINDS),
     "variants": st.sampled_from(["true-online", "accumulate", "accumulate,true-online"]),
     "paper_grid": st.booleans(),
@@ -658,6 +664,28 @@ def test_verify_rejects_non_positive_trials(suite, trials, capsys):
     captured = capsys.readouterr()
     assert captured.err == f"error: trials must be an integer >= 1, got {trials}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("args, cap", [
+    (["sweep", "--task", "mrp(10,3,0.1)", "--repr", "tabular", "--paper-grid", "--steps", "10",
+      "--runs", "1000000000000", "--workers", "1"], "MAX_SWEEP_ROWS = 16777216"),
+    (["figures", "--figure", "4", "--runs", "1000000000000"], "MAX_SWEEP_ROWS = 16777216"),
+    (["verify", "--suite", "equivalence", "--trials", "1000000000000"], "MAX_TRIALS = 1000000"),
+], ids=["sweep", "figure-4", "verify"])
+def test_counts_too_large_to_hold_are_refused(args, cap):
+    # each once ended in a MemoryError traceback (4.26 PiB of sweep row
+    # indices, a list of 10**12 trials); the child runs in 4 GB of address
+    # space, so a count that slips past its check fails fast
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (4 << 30, 4 << 30))
+
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"),
+               OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    child = subprocess.run([sys.executable, "-m", "tdlab.cli", *args], capture_output=True,
+                           text=True, env=env, preexec_fn=limit_memory)
+    assert child.returncode == 2, child.stderr
+    assert child.stderr.startswith("error: ") and cap in child.stderr
+    assert "Traceback" not in child.stderr and child.stdout == ""
 
 
 @pytest.mark.parametrize("runs", ["0", "-3"])

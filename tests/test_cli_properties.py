@@ -4,6 +4,8 @@ only for the known oracle-precision failure of ROADMAP item 3.
 
 Sizes stay small (steps <= 5, runs <= 2, trials <= 2) and --workers stays
 within 1..the CPUs the process may use, so no example starts a large pool or a long run.
+The sweep's --runs and verify's --trials are sometimes drawn above their caps
+(harness.MAX_SWEEP_ROWS, verify.MAX_TRIALS), which must refuse them.
 Figure 3 is left out: it takes no size flag, costs about 0.75 s a run,
 and test_cli.py runs it already.
 """
@@ -21,7 +23,8 @@ from hypothesis import strategies as st
 
 from tdlab import __version__
 from tdlab.cli import main
-from tdlab.harness import usable_cpus
+from tdlab.harness import MAX_SWEEP_ROWS, usable_cpus
+from tdlab.verify import MAX_TRIALS
 
 CPUS = usable_cpus()
 
@@ -44,8 +47,13 @@ def floats(lo, hi):
     return mostly(st.floats(lo, hi).map(str), JUNK | st.floats().map(repr))
 
 
-def ints(lo, hi):
-    return mostly(st.integers(lo, hi).map(str), JUNK | st.integers(-2, 0).map(str))
+def ints(lo, hi, cap=None):
+    """An integer in [lo, hi], or a bad value: junk, one below 1 or, given a
+    cap, one above it."""
+    bad = JUNK | st.integers(-2, 0).map(str)
+    if cap is not None:
+        bad |= st.integers(cap + 1, 10**15).map(str)
+    return mostly(st.integers(lo, hi).map(str), bad)
 
 
 def grid(lo):
@@ -72,7 +80,7 @@ SWEEP_VALUES = {
     ).map(",".join),
     "alphas": grid(0.01),
     "lambdas": grid(0.0),
-    "runs": ints(1, 2),
+    "runs": ints(1, 2, MAX_SWEEP_ROWS),
     "steps": ints(1, 5),
     "seed": SEEDS,
     "gamma": floats(0.0, 0.99),
@@ -177,7 +185,7 @@ ORACLE_TRIAL = re.compile(r"FAIL equivalence trial \d+/\d+ \[[a-z-]*oracle[a-z-]
 @given(
     flags({"suite": mostly(st.sampled_from(["equivalence", "theorem1", "closed-forms",
                                             "propositions", "all"]), st.just("none")),
-           "trials": ints(1, 2), "seed": SEEDS}, required=("suite", "trials")),
+           "trials": ints(1, 2, MAX_TRIALS), "seed": SEEDS}, required=("suite", "trials")),
     ENV_SEEDS,
 )
 @settings(max_examples=15, deadline=None)

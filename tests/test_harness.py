@@ -4,6 +4,7 @@ import multiprocessing
 import os
 import threading
 import time
+import tracemalloc
 import warnings
 from dataclasses import replace
 from unittest import mock
@@ -46,6 +47,7 @@ from tdlab.harness import (
     DIVERGENCE_THRESHOLD,
     EQUIVALENCE_PAIRS,
     SweepResult,
+    _SweepPlan,
     _plan_sweep,
     _sweep_cells,
     error_quadratic,
@@ -474,9 +476,10 @@ def periodic_chains_rejected(mrp, rep):
 def run_metrics(variants, states, rewards, table, gamma, alpha, lam, M, theta_star, e0):
     """Each stacked row's (metric, diverged) from the sweep's learners
     stepped over whole pre-drawn chains, as one time block."""
-    learners = harness._Learners(
-        variants, table, gamma, alpha, lam, M, theta_star, e0, len(rewards)
+    plan = _SweepPlan(
+        small_config(variants=tuple(variants), steps=len(rewards)), table, M, theta_star, e0
     )
+    learners = harness._Learners(plan, gamma, alpha, lam)
     learners.advance(states, rewards)
     return learners.finish()
 
@@ -1043,6 +1046,48 @@ def test_sweep_config_rejects_lambda_outside_unit_interval():
             small_config(lambdas=(0.5, lam))
 
 
+def test_a_sweep_at_the_row_cap_runs_and_one_run_more_is_refused(monkeypatch):
+    # two cells: three runs fill a cap of six rows, four pass it
+    monkeypatch.setattr(harness, "MAX_SWEEP_ROWS", 6)
+    result = run_sweep(small_config(alphas=(0.1, 0.3), lambdas=(0.5,), runs=3, steps=5))
+    assert result.metric_mean.shape == (3, 1, 2)
+    with pytest.raises(ConfigError) as exc:
+        small_config(alphas=(0.1, 0.3), lambdas=(0.5,), runs=4)
+    assert str(exc.value) == "cells x runs must be at most MAX_SWEEP_ROWS = 6, got 2 x 4"
+
+
+@pytest.mark.parametrize("workers", [1, 3, 7])
+def test_run_sweeps_hands_the_pool_row_ranges_without_row_arrays(workers, monkeypatch):
+    # four cells of MAX_SWEEP_ROWS / 4 runs: the pool gets min(workers, cells)
+    # consecutive, non-empty ranges equal to within one row, covering every
+    # row, and nothing sized by the rows is allocated before it
+    class Handed(Exception):
+        pass
+
+    handed = []
+
+    def no_pool(task, args, chunks, workers):
+        handed.append((chunks, tracemalloc.get_traced_memory()[1]))
+        raise Handed
+
+    monkeypatch.setattr(harness, "usable_cpus", lambda: 8)
+    monkeypatch.setattr(harness, "run_chunks", no_pool)
+    config = small_config(alphas=(0.1, 0.3), lambdas=(0.5, 0.9), runs=harness.MAX_SWEEP_ROWS // 4)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Handed):
+            run_sweeps((config,), workers)
+    finally:
+        tracemalloc.stop()
+    [(chunks, peak)] = handed
+    assert len(chunks) == min(workers, 4)
+    assert all(type(c) is range and c.step == 1 and len(c) > 0 for c in chunks)
+    assert max(map(len, chunks)) - min(map(len, chunks)) <= 1
+    assert [c.start for c in chunks[1:]] == [c.stop for c in chunks[:-1]]
+    assert (chunks[0].start, chunks[-1].stop) == (0, harness.MAX_SWEEP_ROWS)
+    assert peak < 1 << 20
+
+
 class TestCsv:
     def test_header_and_order(self):
         result = run_sweep(small_config(runs=2, steps=10))
@@ -1209,7 +1254,7 @@ def hex_arrays(result):
 
 
 @pytest.mark.parametrize("alphas, lambdas, runs", [
-    # 27 rows: chunks of 14 and 13, so cell 4's runs fall to both workers; se computed
+    # 27 rows: ranges of 13 and 14, so cell 4's runs fall to both workers; se computed
     ((0.05, 0.3, 0.7), (0.0, 0.5, 1.0), 3),
     ((0.3,), (0.9,), 2),  # one cell: one chunk, run in this process
 ])

@@ -76,7 +76,7 @@ REALS = ("alpha", "lam", "gamma", "sigma", "epsilon", "lo", "hi", "signal")
 
 # each input's valid values, and the junk values that are valid for it too
 INPUTS = {
-    "runs": (st.integers(1, 99), (2**64,)),
+    "runs": (st.integers(1, 99), ()),  # 2**64 runs exceed harness.MAX_SWEEP_ROWS
     "steps": (st.integers(1, 99), (2**64,)),
     "master_seed": (st.integers(0, 2**64 - 1), (0,)),
     "n": (st.integers(1, 99), (0,)),

@@ -75,3 +75,11 @@ def test_worker_count_checked_before_any_suite(workers, monkeypatch):
     monkeypatch.setattr(verify, "closed_form_checks", no_suite)
     with pytest.raises(ConfigError, match="workers"):
         run_suite("all", 5, 0, workers=workers)
+
+
+def test_a_suite_at_the_trial_cap_runs_and_one_trial_more_is_refused(monkeypatch):
+    monkeypatch.setattr(verify, "MAX_TRIALS", 2)
+    assert len(run_suite("equivalence", 2, 0)) == 2
+    with pytest.raises(ConfigError) as exc:
+        run_suite("equivalence", 3, 0)
+    assert str(exc.value) == "trials must be at most MAX_TRIALS = 2, got 3"
