@@ -32,7 +32,6 @@ Exit codes: 0 success, 1 check failure, 2 usage or configuration error.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import os
 import sys
@@ -167,6 +166,8 @@ def cmd_gen_mrp(args: argparse.Namespace) -> int:
         "k": args.k, "b": args.b, "sigma": args.sigma, "gamma": args.gamma, "seed": seed,
     })
     text = json.dumps(payload, sort_keys=True, indent=1) + "\n"
+    import hashlib  # here, not at the top: it loads OpenSSL, which no other command needs
+
     checksum = hashlib.sha256(text.encode()).hexdigest()
     _write_text(args.out, text)
     print(

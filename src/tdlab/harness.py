@@ -54,11 +54,13 @@ standard error and diverged count. sweep_to_csv formats those arrays
 row by row, and best_per_lambda reduces them to (variants, lambdas)
 arrays; no per-cell object is built anywhere.
 
-run_chunks is the package's one process pool. It runs a module-level
-task on each chunk of a list its caller cuts: min(workers, chunks)
-processes, the calling one and children started on plain multiprocessing
-(no executor, management thread or futures), each taking the next chunk
-when it goes idle, and the results come back in chunk order. The sweep
+run_chunks is the package's one process pool. It runs a task on each
+chunk of a list its caller cuts: min(workers, chunks) processes, the
+calling one and children it forks with os.fork (no multiprocessing),
+each taking the next chunk index from a counter pipe when it goes idle,
+and the results come back in chunk order. The children get the task,
+its args and the chunks by fork, so these need not pickle; only the
+results must. A platform without os.fork runs one worker. The sweep
 engine sends it one consecutive range of rows per worker; verify sends
 it chunks of a few consecutive jobs, each a suite or an equivalence
 trial.
@@ -79,11 +81,11 @@ from __future__ import annotations
 
 import itertools
 import os
+import pickle
 import re
+import signal
+import sys
 from dataclasses import dataclass, replace
-from multiprocessing import Process
-from multiprocessing.connection import Pipe
-from multiprocessing.sharedctypes import Value
 from typing import NamedTuple
 
 import numpy as np
@@ -570,7 +572,10 @@ def _sweep_cells(
 
 
 def usable_cpus() -> int:
-    """The CPUs this process may run on."""
+    """The CPUs this process may run on; 1 where there is no os.fork,
+    which the pool needs."""
+    if not hasattr(os, "fork"):
+        return 1
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -589,89 +594,117 @@ def run_chunks(task, args: tuple, chunks: list, workers: int) -> list:
     """[task(*args, chunk) for chunk in chunks], the chunks shared by a pool.
 
     Two or more chunks at two or more workers run in min(workers,
-    len(chunks)) processes: this one and the children it starts. Each takes
-    the next chunk index from one shared counter when it goes idle, and a
-    child sends (index, ok, value) back over its own one-way pipe. Returns
-    the results in chunk order. The task must be a module-level function,
-    and args, the chunks and a child's results picklable, so that any start
-    method can send them. When a chunk raises, no further chunk is handed
-    out, and once every child is joined the lowest chunk's failure reaches
-    the caller: its exception as itself, or a RuntimeError naming a chunk
-    whose child exited without sending its result. No child outlives the
-    call, even when the caller is interrupted.
+    len(chunks)) processes: this one and the children it forks. Each takes
+    the next chunk index from the counter pipe when it goes idle, and a
+    child writes each pickled (index, ok, value) to its own pipe. Returns
+    the results in chunk order. Forked children share the caller's memory,
+    so task, args and the chunks need not pickle; a child's results must.
+    A child leaves through os._exit: it never returns into the caller's
+    stack, runs no atexit handler and flushes no stdio buffer it inherited.
+    When a chunk raises, no further chunk is handed out, and once every
+    child is reaped the lowest chunk's failure reaches the caller: its
+    exception as itself, or a RuntimeError naming a chunk whose child
+    exited without sending its result. No child outlives the call, even
+    when the caller is interrupted.
     """
     check_workers(workers)
     if workers == 1 or len(chunks) <= 1:
         return [task(*args, chunk) for chunk in chunks]
-    handed = Value("i", 0)
+    counter = os.pipe()
+    os.write(counter[1], bytes(8))  # the record of chunk index 0
     results = [None] * len(chunks)
-    children, pipes = [], []
+    pids, receivers = [], []
     try:
         for _ in range(min(workers, len(chunks)) - 1):
-            receiver, sender = Pipe(duplex=False)
-            child = Process(target=_pool_child, args=(task, args, chunks, handed, sender))
-            child.start()
-            sender.close()  # the child's is now the only write end: EOF once it exits
-            children.append(child)
-            pipes.append(receiver)
-        for i, ok, value in _take_chunks(task, args, chunks, handed):
+            receiver, sender = os.pipe()
+            receivers.append(receiver)
+            try:
+                pids.append(_fork_child(task, args, chunks, counter, sender))
+            finally:
+                os.close(sender)  # the child's is now the only write end: EOF once it exits
+        for i, ok, value in _take_chunks(task, args, chunks, counter):
             results[i] = ok, value
-        for pipe in pipes:  # a child blocked on its send holds no lock, so the rest go on
-            while True:
-                try:
-                    i, ok, value = pipe.recv()
-                except (EOFError, OSError):  # the child has exited
-                    break
-                results[i] = ok, value
+        for receiver in receivers:  # a child blocked on its write holds no index, so the rest go on
+            with open(receiver, "rb", closefd=False) as pipe:
+                while True:
+                    try:
+                        i, ok, value = pickle.load(pipe)
+                    except (EOFError, pickle.UnpicklingError):  # the child has exited
+                        break
+                    results[i] = ok, value
     except BaseException:
-        for child in children:
-            child.terminate()
+        for pid in pids:
+            os.kill(pid, signal.SIGTERM)
         raise
     finally:
-        for child in children:
-            child.join()
-        for pipe in pipes:
-            pipe.close()
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in pids]
+        for fd in (*counter, *receivers):
+            os.close(fd)
     # The lowest failure: every chunk below a failed one was handed out, so
     # a result missing there is a child that exited without sending it.
     for i, result in enumerate(results):
         if result is None:
-            codes = sorted({child.exitcode for child in children} - {0})
+            codes = sorted(set(codes) - {0})
             raise RuntimeError(f"chunk {i} returned no result: a pool child exited with code {codes}")
         if not result[0]:
             raise result[1]
     return [value for _, value in results]
 
 
-def _take_chunks(task, args: tuple, chunks: list, handed):
+def _take_index(counter: tuple[int, int], stop: int, failed: bool = False) -> int:
+    """Take the next chunk index from the counter pipe, whose one 8-byte
+    record it holds, and put back the index after it, or stop after a
+    failed chunk so that no further chunk goes out. The read blocks while
+    another process holds the record."""
+    i = int.from_bytes(os.read(counter[0], 8), "little")
+    os.write(counter[1], (stop if failed else min(i + 1, stop)).to_bytes(8, "little"))
+    return i
+
+
+def _take_chunks(task, args: tuple, chunks: list, counter: tuple[int, int]):
     """One pool process's share: (index, ok, value) for each chunk it takes
-    in turn, value the exception where ok is False, until no chunk is left.
-    A failed chunk sets the shared count of chunks handed out to
-    len(chunks), so that no further chunk goes out."""
-    while True:
-        with handed.get_lock():
-            i = handed.value
-            if i >= len(chunks):
-                return
-            handed.value = i + 1
+    in turn, value the exception where ok is False, until no chunk is left."""
+    while (i := _take_index(counter, len(chunks))) < len(chunks):
         try:
             result = i, True, task(*args, chunks[i])
         except Exception as error:  # the caller re-raises it
-            handed.value = len(chunks)
+            _take_index(counter, len(chunks), failed=True)
             result = i, False, error
         yield result
 
 
-def _pool_child(task, args: tuple, chunks: list, handed, sender) -> None:
-    """A pool child: _take_chunks, each result sent over its pipe, a result
-    that pickle cannot send replaced by the error that says so."""
-    for i, ok, value in _take_chunks(task, args, chunks, handed):
-        try:
-            sender.send((i, ok, value))
-        except Exception as error:
-            handed.value = len(chunks)
-            sender.send((i, False, error))
-    sender.close()
+def _fork_child(task, args: tuple, chunks: list, counter: tuple[int, int], sender: int) -> int:
+    """Fork a pool child and return its pid. The child runs _take_chunks,
+    writes each result pickled to `sender`, a result that pickle cannot
+    send replaced by the error that says so, and leaves through os._exit.
+
+    Code that hooks multiprocessing's fork and exit (after-fork callbacks
+    and exit finalizers in multiprocessing.util, as perfbench's span
+    recorder does) sees the child as a multiprocessing child: where that
+    module is loaded, the child runs its after-fork callbacks first and
+    the finalizers it registers last."""
+    pid = os.fork()
+    if pid:
+        return pid
+    code = 1
+    try:
+        mp_util = sys.modules.get("multiprocessing.util")
+        if mp_util is not None:
+            mp_util._finalizer_registry.clear()
+            mp_util._run_after_forkers()
+        with open(sender, "wb") as pipe:
+            for i, ok, value in _take_chunks(task, args, chunks, counter):
+                try:
+                    record = pickle.dumps((i, ok, value))
+                except Exception as error:
+                    _take_index(counter, len(chunks), failed=True)
+                    record = pickle.dumps((i, False, error))
+                pipe.write(record)
+        if mp_util is not None:
+            mp_util._run_finalizers()
+        code = 0
+    finally:
+        os._exit(code)
 
 
 def run_sweeps(configs: tuple[SweepConfig, ...], workers: int = 1) -> tuple[SweepResult, ...]:

@@ -95,6 +95,20 @@ def meet(directory, parties=2, timeout=30.0):
         time.sleep(0.001)
 
 
+def forbid_fork(monkeypatch) -> None:
+    """Make any fork, such as a pool starting a child, fail the test."""
+    def no_pool():
+        raise AssertionError("a pool process was started")
+
+    monkeypatch.setattr(os, "fork", no_pool)
+
+
+def no_child_left():
+    """Assert that every child process this one started has been reaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.fixture
 def walk_episode():
     return make_walk_episode(seed=11)

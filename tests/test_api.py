@@ -1,8 +1,12 @@
 """Every name the tdlab package exports has a caller in the package or
 its demos; tests alone do not keep a name alive. No module imports a
-name it never uses."""
+name it never uses, and importing the CLI loads no module that only the
+pool's old executor or gen-mrp's checksum needs."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -75,3 +79,19 @@ def test_no_module_imports_a_name_it_never_uses():
         loaded = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}: {name}" for name in imported_names(tree) if name not in loaded]
     assert unused == []
+
+
+# concurrent.futures, with logging, and multiprocessing once cost every
+# command about 10 and 17 ms of set-up; hashlib loads OpenSSL, about 7 ms
+# and 3.6 MB of peak RSS, and only gen-mrp uses it
+NOT_LOADED_BY_THE_CLI = ("concurrent.futures", "logging", "multiprocessing", "hashlib", "_hashlib")
+
+
+def test_importing_the_cli_loads_no_executor_pool_or_openssl():
+    code = "import sys, tdlab.cli; print(' '.join(sys.modules))"
+    env = dict(os.environ, PYTHONPATH=str(PACKAGE.parent))
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert child.returncode == 0, child.stderr
+    loaded = set(child.stdout.split())
+    assert "tdlab.cli" in loaded
+    assert [name for name in NOT_LOADED_BY_THE_CLI if name in loaded] == []

@@ -15,6 +15,7 @@ from tdlab import ConfigError, SweepConfig, __version__, harness, run_sweep
 from tdlab.algos import PREDICTION_VARIANTS
 from tdlab.cli import main
 from tdlab.envs import REPRESENTATION_KINDS
+from tests.conftest import forbid_fork
 
 
 def run_cli(args, capsys=None):
@@ -40,6 +41,15 @@ def test_gen_mrp_deterministic(tmp_path):
     assert main(args + [str(a)]) == 0
     assert main(args + [str(b)]) == 0
     assert a.read_text() == b.read_text()
+
+
+def test_gen_mrp_prints_the_checksum_of_the_file_it_wrote(tmp_path, capsys):
+    out = tmp_path / "env.json"
+    assert main(["gen-mrp", "--k", "6", "--b", "2", "--sigma", "0.1", "--seed", "3",
+                 "--out", str(out)]) == 0
+    err = capsys.readouterr().err
+    assert err.startswith("gen-mrp: k=6 b=2 sigma=0.1 gamma=0.99 seed=3 sha256=")
+    assert err == f"{err.rsplit('=', 1)[0]}={hashlib.sha256(out.read_bytes()).hexdigest()[:16]}\n"
 
 
 def test_gen_mrp_branching_validation(capsys):
@@ -401,10 +411,7 @@ def test_config_null_leaves_the_flag_at_its_default(key, tmp_path):
 
 @pytest.mark.parametrize("workers", [0, -3, (os.cpu_count() or 1) + 1])
 def test_sweep_workers_bounded_before_any_pool(workers, monkeypatch):
-    def no_pool(*args, **kwargs):
-        raise AssertionError("a pool process was started")
-
-    monkeypatch.setattr(harness, "Process", no_pool)
+    forbid_fork(monkeypatch)
     config = SweepConfig(env="mrp(4,2,0.1)", representation="tabular", variants=("true-online",),
                          alphas=(0.1,), lambdas=(0.5,), steps=5, runs=1, master_seed=0)
     with pytest.raises(ConfigError, match="workers"):

@@ -1,7 +1,10 @@
+import io
 import itertools
 import json
-import multiprocessing
 import os
+import signal
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -56,7 +59,13 @@ from tdlab.harness import (
 from tdlab.envs import Representation, simulate_chains
 from tdlab.envs import build_representation as build_rep
 from tdlab.rng import SplitMix64Rows, mix64
-from tests.conftest import demo_06_watkins_run, make_mrp_trajectory, meet
+from tests.conftest import (
+    demo_06_watkins_run,
+    forbid_fork,
+    make_mrp_trajectory,
+    meet,
+    no_child_left,
+)
 
 
 class TestPaperGrids:
@@ -214,11 +223,7 @@ class TestRunSweeps:
         mrp = resolve_env("mrp(6,2,0.3)", 0.9, 4)
         path = tmp_path / "env.json"
         path.write_text(json.dumps({**mrp_to_dict(mrp), "r_mean": np.zeros((6, 6)).tolist()}))
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool process was started")
-
-        monkeypatch.setattr(harness, "Process", no_pool)
+        forbid_fork(monkeypatch)
         configs = tuple(
             small_config(env=f"file:{path}", representation=r) for r in ("tabular", "binary")
         )
@@ -235,21 +240,14 @@ class TestRunChunks:
         assert harness.run_chunks(list, (), [range(1)], 2) == [[0]]
 
     def test_one_worker_runs_all_items_in_process(self, monkeypatch):
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool process was started")
-
-        monkeypatch.setattr(harness, "Process", no_pool)
+        forbid_fork(monkeypatch)
         chunks = [[0, 1], [2], [3, 4]]
         assert harness.run_chunks(list, (), chunks, 1) == chunks
 
     def test_one_cell_sweep_at_two_workers_starts_no_pool(self, monkeypatch):
         config = small_config(alphas=(0.1,), lambdas=(0.5,))
         expected = sweep_to_csv(run_sweep(config))
-
-        def no_pool(*args, **kwargs):
-            raise AssertionError("a pool process was started")
-
-        monkeypatch.setattr(harness, "Process", no_pool)
+        forbid_fork(monkeypatch)
         monkeypatch.setattr(harness, "usable_cpus", lambda: 2)  # two workers on one CPU too
         assert sweep_to_csv(run_sweep(config, workers=2)) == expected
 
@@ -266,7 +264,7 @@ class TestRunChunks:
         chunks = [[i] for i in range(7)]
         assert harness.run_chunks(list, (), chunks, 2) == chunks
         assert children == [1]
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_results_in_chunk_order_when_later_chunks_finish_first(self):
         chunks = [[0.3], [0.0], [0.0], [0.0]]
@@ -278,7 +276,7 @@ class TestRunChunks:
             harness.run_chunks(fail_on_chunk_zero, (), chunks, 2)
         ran = len(list(tmp_path.iterdir()))
         assert ran < len(chunks) // 2, f"{ran} of {len(chunks) - 1} other chunks ran"
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_a_dead_child_names_its_chunk(self, tmp_path):
         chunks = [(str(tmp_path), os.getpid(), i) for i in range(2)]
@@ -286,13 +284,45 @@ class TestRunChunks:
             harness.run_chunks(exit_in_the_child, (), chunks, 2)
         [mark] = [name for name in os.listdir(tmp_path) if name.startswith("exited-")]
         assert str(exc.value).startswith(f"chunk {mark[len('exited-'):]} returned no result")
-        assert multiprocessing.active_children() == []
+        no_child_left()
+
+    def test_a_killed_child_names_its_chunk(self, tmp_path):
+        chunks = [(str(tmp_path), os.getpid(), i) for i in range(2)]
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"returned no result: .* code \[-9\]") as exc:
+            harness.run_chunks(kill_in_the_child, (), chunks, 2)
+        assert time.monotonic() - start < 20
+        [mark] = [name for name in os.listdir(tmp_path) if name.startswith("killed-")]
+        assert str(exc.value).startswith(f"chunk {mark[len('killed-'):]} returned no result")
+        no_child_left()
+
+    def test_the_callers_unflushed_output_is_written_once(self, capfd, monkeypatch):
+        # a child that flushed the buffer it inherited would write the text again
+        stdout = io.TextIOWrapper(io.BufferedWriter(io.FileIO(1, "w", closefd=False)))
+        monkeypatch.setattr(sys, "stdout", stdout)
+        print("unflushed", end="")
+        assert harness.run_chunks(list, (), [[0], [1], [2]], 2) == [[0], [1], [2]]
+        stdout.flush()
+        assert capfd.readouterr().out == "unflushed"
+
+    def test_a_script_that_runs_a_pool_runs_its_atexit_handler_once(self):
+        code = (
+            "import atexit\n"
+            "from tdlab import harness\n"
+            "atexit.register(print, 'atexit ran')\n"
+            "assert harness.run_chunks(list, (), [[0], [1], [2]], 2) == [[0], [1], [2]]\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(__file__), "..", "src"))
+        child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                               env=env, timeout=60)
+        assert child.returncode == 0, child.stderr
+        assert child.stdout == "atexit ran\n"
 
     def test_a_result_pickle_cannot_send_raises(self, tmp_path):
         chunks = [(str(tmp_path), os.getpid(), i) for i in range(2)]
         with pytest.raises(TypeError, match="pickle"):
             harness.run_chunks(lock_in_the_child, (), chunks, 2)
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     @pytest.mark.parametrize("interrupt", [KeyboardInterrupt, SystemExit])
     def test_no_child_outlives_the_caller_raising(self, tmp_path, interrupt):
@@ -302,7 +332,7 @@ class TestRunChunks:
         with pytest.raises(interrupt, match="in the calling process"):
             harness.run_chunks(raise_here_sleep_in_the_child, (), chunks, 2)
         assert time.monotonic() - start < 20
-        assert multiprocessing.active_children() == []
+        no_child_left()
 
     def test_every_chunk_runs_once_at_more_workers_than_cpus(self, tmp_path, monkeypatch):
         # a chunk handed out twice would find its mark taken
@@ -310,28 +340,19 @@ class TestRunChunks:
         chunks = [(str(tmp_path), i) for i in range(300)]
         assert harness.run_chunks(mark_once, (), chunks, 6) == list(range(300))
         assert len(os.listdir(tmp_path)) == 300
-        assert multiprocessing.active_children() == []
-
-    @pytest.mark.skipif(
-        "fork" not in multiprocessing.get_all_start_methods(), reason="no fork start method"
-    )
-    def test_spawn_gives_the_fork_result(self, tmp_path):
-        # index_once_met runs in the child by construction, list only if it is quick
-        strided = [range(7)[0::2], range(7)[1::2], range(3)]
-        results = {}
-        for method in ("fork", "spawn"):
-            (tmp_path / method).mkdir()
-            met = [(str(tmp_path / method), os.getpid(), i) for i in range(2)]
-            with start_method(method):
-                results[method] = (harness.run_chunks(list, (), strided, 2),
-                                   harness.run_chunks(index_once_met, (), met, 2))
-            assert multiprocessing.active_children() == []
-        assert results["spawn"] == results["fork"] == ([[0, 2, 4, 6], [1, 3, 5], [0, 1, 2]], [0, 1])
+        no_child_left()
 
     @pytest.mark.parametrize("workers", [0, 1.5, True, (os.cpu_count() or 1) + 1])
     def test_worker_count_checked(self, workers):
         with pytest.raises(ConfigError, match="workers"):
             harness.run_chunks(list, (), [[0], [1], [2]], workers)
+
+    def test_a_platform_without_fork_has_one_worker(self, monkeypatch):
+        monkeypatch.delattr(os, "fork")
+        assert harness.usable_cpus() == 1
+        harness.check_workers(1)
+        with pytest.raises(ConfigError, match=r"workers must lie in \[1, 1\]"):
+            harness.check_workers(2)
 
     def test_worker_count_bounded_by_the_cpus_the_process_may_use(self, monkeypatch):
         # as under taskset -c 0 on a machine of any size
@@ -343,31 +364,19 @@ class TestRunChunks:
 
 
 def count_children(monkeypatch) -> list:
-    """Patch run_chunks' process start to count the children it starts:
-    the returned list holds that count once run_chunks has started them."""
+    """Patch os.fork to count the children run_chunks forks: the returned
+    list holds that count once run_chunks has forked them."""
     started = [0]
-    real = harness.Process
+    real = os.fork
 
-    def counted(**kwargs):
-        started[0] += 1
-        return real(**kwargs)
+    def counted():
+        pid = real()
+        if pid:
+            started[0] += 1
+        return pid
 
-    monkeypatch.setattr(harness, "Process", counted)
+    monkeypatch.setattr(os, "fork", counted)
     return started
-
-
-class start_method:
-    """Run a block under the given multiprocessing start method."""
-
-    def __init__(self, method):
-        self.method = method
-
-    def __enter__(self):
-        self.saved = multiprocessing.get_start_method(allow_none=True)
-        multiprocessing.set_start_method(self.method, force=True)
-
-    def __exit__(self, *exc):
-        multiprocessing.set_start_method(self.saved, force=True)
 
 
 def exit_in_the_child(chunk):
@@ -379,6 +388,18 @@ def exit_in_the_child(chunk):
     if os.getpid() != caller:
         open(os.path.join(directory, f"exited-{index}"), "w").close()
         os._exit(7)
+    return index
+
+
+def kill_in_the_child(chunk):
+    """A run_chunks task on (directory, caller pid, index): each of two
+    processes takes a chunk; the pool child marks its index and kills
+    itself with SIGKILL."""
+    directory, caller, index = chunk
+    meet(directory)
+    if os.getpid() != caller:
+        open(os.path.join(directory, f"killed-{index}"), "w").close()
+        os.kill(os.getpid(), signal.SIGKILL)
     return index
 
 
@@ -407,14 +428,6 @@ def mark_once(chunk):
     index, which fails if it exists, and returns the index."""
     directory, index = chunk
     open(os.path.join(directory, str(index)), "x").close()
-    return index
-
-
-def index_once_met(chunk):
-    """A run_chunks task on (directory, caller pid, index): each of two
-    processes takes a chunk, and both return its index."""
-    directory, _, index = chunk
-    meet(directory)
     return index
 
 

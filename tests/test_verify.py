@@ -2,14 +2,13 @@
 process pool: any worker count gives the checks of one process, in job
 order, and a trial's error reaches the caller."""
 
-import multiprocessing
 import os
 
 import pytest
 
 from tdlab import ConfigError, verify
 from tdlab.verify import run_suite
-from tests.conftest import meet
+from tests.conftest import meet, no_child_left
 
 
 @pytest.mark.parametrize("trials", [60, 7, 1])  # 7 splits unevenly, 1 leaves a worker idle
@@ -23,9 +22,7 @@ def test_two_workers_give_the_equivalence_checks_of_one(seed):
     assert run_suite("equivalence", 7, seed, workers=2) == run_suite("equivalence", 7, seed, workers=1)
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="the patch reaches the workers by fork"
-)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the patch reaches the workers by fork")
 def test_two_workers_run_every_job_once_in_both_processes(monkeypatch, tmp_path):
     # 3 suites and 3 trials in two chunks of three jobs, one chunk to each process
     expected = run_suite("all", 3, 0, workers=1)
@@ -44,12 +41,10 @@ def test_two_workers_run_every_job_once_in_both_processes(monkeypatch, tmp_path)
     assert sorted(jobs) == ["job-0", "job-1", "job-2", "job-closed-forms", "job-propositions",
                             "job-theorem1"]
     assert len(set(jobs.values())) == 2
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
-@pytest.mark.skipif(
-    multiprocessing.get_start_method() != "fork", reason="the patch reaches the workers by fork"
-)
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the patch reaches the workers by fork")
 def test_a_worker_error_reaches_the_caller(monkeypatch, tmp_path):
     # four trials in two chunks, one to each process; only the child refuses
     certify, parent = verify.certify_equivalence, os.getpid()
@@ -64,7 +59,7 @@ def test_a_worker_error_reaches_the_caller(monkeypatch, tmp_path):
     with pytest.raises(ConfigError, match="refused in process") as exc:
         run_suite("equivalence", 4, 0, workers=2)
     assert str(exc.value) != f"refused in process {parent}"
-    assert multiprocessing.active_children() == []
+    no_child_left()
 
 
 @pytest.mark.parametrize("workers", [0, 1.5, (os.cpu_count() or 1) + 1])
