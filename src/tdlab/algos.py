@@ -193,16 +193,16 @@ class _LinearLearner:
         self._theta = np.zeros(n) if theta_init is None else np.array(theta_init, dtype=np.float64)
         if self._theta.shape != (n,):
             raise ConfigError("theta_init length must equal the feature dimension")
+        self._theta_view = self._theta.view()
+        self._theta_view.flags.writeable = False
         self.v_old = 0.0
         self.t = 0
         self.start_episode()
 
     @property
     def theta(self) -> np.ndarray:
-        """Read-only view of the current weights."""
-        view = self._theta.view()
-        view.flags.writeable = False
-        return view
+        """Read-only view of the current weights, made once: it follows every step."""
+        return self._theta_view
 
     def start_episode(self) -> None:
         self.e[:] = 0.0
@@ -330,17 +330,17 @@ def epsilon_greedy(
     check_real(epsilon, "epsilon", 1.0)
     check_integer(num_actions, "num_actions", low=1)
     q = action_values(theta, phi_s, num_actions)
-    q_max = float(np.max(q))
+    q_max = float(q.max())
     if epsilon > 0.0 and rng.random() < epsilon:
         action = rng.below(num_actions)
     else:
-        action = int(np.argmax(q))
+        action = int(q.argmax())
     return action, bool(q[action] == q_max)
 
 
 def greedy_toward(q: np.ndarray, behavior: int) -> int:
     """A greedy action of q, the behavior action when it attains the max."""
-    return behavior if q[behavior] == q.max() else int(np.argmax(q))
+    return behavior if q[behavior] == q.max() else int(q.argmax())
 
 
 class TrueOnlineWatkinsQ(TrueOnlineTD):

@@ -118,7 +118,7 @@ class Mrp:
         if self.cum_initial is None:
             return int(self.initial)
         u = rng.random()
-        return min(int(np.searchsorted(self.cum_initial, u, side="right")), self.k - 1)
+        return min(int(self.cum_initial.searchsorted(u, side="right")), self.k - 1)
 
 
 @dataclass(frozen=True)
@@ -222,7 +222,7 @@ def sample_step(mrp: Mrp, state: int, rng: SplitMix64) -> tuple[int, float]:
     if state in mrp.terminal_states:
         raise ConfigError(f"cannot step from terminal state {state}")
     u = rng.random()
-    nxt = min(int(np.searchsorted(mrp.cum_P[state], u, side="right")), mrp.k - 1)
+    nxt = min(int(mrp.cum_P[state].searchsorted(u, side="right")), mrp.k - 1)
     mean = mrp.r_mean[state, nxt]
     reward = mean if mrp.sigma == 0.0 else rng.normal(mean, mrp.sigma)
     return nxt, reward

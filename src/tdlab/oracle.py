@@ -29,6 +29,7 @@ callables supply them.
 
 from __future__ import annotations
 
+from itertools import islice
 from math import copysign
 from typing import Callable
 
@@ -178,15 +179,11 @@ def _retarget(
         lam = decays[k]
         mix = v_next[k] if lam is None else (1.0 - lam) * v_next[k] + lam * u
         u = rewards[k] + gammas[k] * mix
-        if k < old and _same_bits(u, targets[k]):
+        # the same bits: equal (so not NaN), and a zero of the same sign
+        if k < old and u == targets[k] and (u or copysign(1.0, u) == copysign(1.0, targets[k])):
             return k + 1
         targets[k] = u
     return 0
-
-
-def _same_bits(a: float, b: float) -> bool:
-    """a and b have the same bits, sign of zero included; a NaN never does."""
-    return a == b and copysign(1.0, a) == copysign(1.0, b)
 
 
 def _iterate_rows(theta_init: np.ndarray, steps: int) -> list[np.ndarray]:
@@ -203,10 +200,13 @@ def _replay(
     start, in place: row k+1 = row k + alpha * (u_k - row k . x_k) * x_k
     with targets[k - start] as u_k and features[k] as x_k."""
     step = np.empty_like(rows[0])
-    for k, u in enumerate(targets, start):
-        row, x = rows[k], features[k]
-        np.multiply(x, alpha * (u - float(row.dot(x))), out=step)
-        np.add(row, step, out=rows[k + 1])
+    scale = np.empty(())  # a 0-d operand spares the ufunc converting a float each call
+    walk = zip(targets, islice(features, start, None), islice(rows, start, None),
+               islice(rows, start + 1, None))
+    for u, x, row, nxt in walk:
+        scale[()] = alpha * (u - float(row.dot(x)))
+        np.multiply(x, scale, step)
+        np.add(row, step, nxt)
 
 
 def offline_lambda_return_algorithm(
@@ -265,7 +265,7 @@ def watkins_interim_target(
             g_n = reward_sum
         else:
             q = action_values(theta_lookup(t + n - 1), step.phi_next, num_actions)
-            g_n = reward_sum + disc * float(np.max(q))
+            g_n = reward_sum + disc * float(q.max())
         if n < z - t:
             total += (1.0 - lam) * weight * g_n
             weight *= lam
@@ -295,7 +295,7 @@ def watkins_forward_view(
 
     def max_bootstrap(j: int, theta: np.ndarray) -> float:
         q = action_values(theta, traj.steps[j].phi_next, num_actions)
-        return 0.0 if traj.steps[j].terminal else float(np.max(q))
+        return 0.0 if traj.steps[j].terminal else float(q.max())
 
     decays = [lam if greedy else None for greedy in traj.greedy[1:]]
     return _online_replay(traj, alpha, theta_init, psis, decays, max_bootstrap)

@@ -40,8 +40,9 @@ IDENTITY_TOL = 1e-12
 CLOSED_FORM_TOL = 1e-12
 THEOREM1_ALPHAS = (1e-1, 1e-2, 1e-3, 1e-4)
 THEOREM1_PAIR_RATIO_RANGE = (0.03, 0.3)
-# a pool chunk costs about 0.3 ms of CPU time to send and collect and a job
-# takes 5-40 ms: four jobs a chunk keep that cost near 1% and the tail short
+# a pool chunk costs about 15 us of CPU time to hand out and collect (four
+# results over the pool's pipes) and a job takes 5-40 ms: under 0.1% at four
+# jobs a chunk
 JOBS_PER_CHUNK = 4
 # The most equivalence trials a suite runs. A suite holds a job and a check
 # result per trial until it returns, about 0.3 KB (tracemalloc, 100 to 300

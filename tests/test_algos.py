@@ -136,6 +136,20 @@ class TestTrueOnline:
         with pytest.raises(ValueError):
             learner.theta[0] = 1.0
 
+    def test_a_held_theta_view_follows_steps_and_stays_read_only(self):
+        traj, n = make_mrp_trajectory(steps=30, seed=4)
+        learner = TrueOnlineTD(n, alpha=0.3, lam=0.8)
+        held = learner.theta
+        initial = held.copy()
+        for steps in (traj.steps[:12], traj.steps[12:]):
+            for step in steps:
+                learner.step(step)
+            learner.start_episode()
+        assert not np.array_equal(held, initial)
+        assert np.array_equal(held, [learner.value(x) for x in np.eye(n)])
+        with pytest.raises(ValueError):
+            held[0] = 1.0
+
     def test_tile_coded_features_match_forward_view(self):
         # 32 buckets for 4 tilings, so some observations collide into a 2
         config = TileCoderConfig(

@@ -365,7 +365,7 @@ class TestIncrementalOracles:
         st.integers(0, 2**32),
         st.one_of(st.sampled_from([0.0, 0.5, 1.0]), st.floats(0.0, 1.0)),
         unit_or_ends,
-        st.floats(0.01, 1.0),
+        st.floats(0.01, 2.0),
         st.sampled_from(["tabular", "random-normalized"]),
         st.booleans(),
     )
@@ -393,7 +393,7 @@ class TestIncrementalOracles:
     @given(
         st.integers(0, 2**16),
         unit_or_ends,
-        st.floats(0.01, 1.0),
+        st.floats(0.01, 2.0),
         st.sampled_from(["tabular", "random-normalized", "random-walk"]),
     )
     @settings(max_examples=60, deadline=None)
