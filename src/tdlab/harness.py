@@ -10,16 +10,22 @@ result does not depend on execution order or worker count.
 
 The sweep engine is batched by block: a range of (cell, run) rows (all
 of them, or one worker's share) runs in blocks. A block draws
-its chains through SplitMix64Rows a time block at a time and advances
+its chains a time block at a time (envs.simulate_chains) and advances
 every variant of a config in lockstep over each: one (variants x rows,
 n) weight array, in which each variant's algos trace rule steps its own
 row slice, with one feature gather and one divergence test per step for
-all of them. Each row computes exactly what a scalar learner on that
-run's seed computes, so sweep CSVs are byte-identical to running the
-runs one at a time. A block's memory does not grow with runs or steps:
-it holds the weights, one time block of chains and each row's running
-time mean, never a weight history or a run's per-step errors, and each
-of these arrays holds at most CHAIN_BLOCK_VALUES entries. The time mean
+all of them. A time block's chains come in draw batches of a few steps
+(envs.DRAW_BATCH_VALUES): one SplitMix64Rows counter pass draws a
+batch's uniforms, Box-Muller turns them into its normals through libm
+element by element, one argmax over the capped cumulative rows steps
+every chain, and one gather reads the batch's mean rewards. Each row
+computes exactly what a scalar learner on that run's seed computes, so
+sweep CSVs are byte-identical to running the runs one at a time. A
+block's memory does not grow with runs or steps: it holds the weights,
+one time block of chains (freed before the next is drawn) and each
+row's running time mean, never a weight history or a run's per-step
+errors, and each of these arrays holds at most CHAIN_BLOCK_VALUES
+entries. The time mean
 adds each step's error in the order of numpy's pairwise sum
 (_TimeMean), so it has the bits of errors.mean(axis=1) over the whole
 run.
@@ -51,7 +57,7 @@ rows) arrays of metrics and diverged flags, are the only arrays sized by
 its rows. run_sweeps, the one place where runs become cells, reduces
 them to (variants, lambdas, alphas) arrays of each cell's mean,
 standard error and diverged count. sweep_to_csv formats those arrays
-row by row, and best_per_lambda reduces them to (variants, lambdas)
+a column at a time, and best_per_lambda reduces them to (variants, lambdas)
 arrays; no per-cell object is built anywhere.
 
 run_chunks is the package's one process pool. It runs a task on each
@@ -79,7 +85,6 @@ changes no bit.
 
 from __future__ import annotations
 
-import itertools
 import os
 import pickle
 import re
@@ -119,7 +124,9 @@ from .rng import SplitMix64Rows, mix64
 DIVERGENCE_THRESHOLD = 1e100
 # Entries of each per-block array the sweep engine holds at once, about
 # 16 MB: the weights of the config with the most variants (variants x
-# rows x n), its time-mean accumulators and a time block of chains.
+# rows x n), its time-mean accumulators and a time block of chains. A time
+# block is drawn in draw batches, whose arrays hold about
+# envs.DRAW_BATCH_VALUES (4096) entries each.
 CHAIN_BLOCK_VALUES = 1 << 21
 # Error-buffer entries (features x steps x rows) the sweep metric sums at
 # once: 256 KB, so the buffer stays in cache between its writes and its sum.
@@ -535,13 +542,15 @@ def _sweep_cells(
     two blocks, or two workers' ranges. Each block draws its chains a
     time block at a time from one SplitMix64Rows, and every plan steps
     all its variants over a time block (_Learners) before the next is
-    drawn, so each chain is simulated once. Blocks are sized so that each
-    per-block array, whatever runs and steps are, holds at most
-    CHAIN_BLOCK_VALUES entries: a plan's weights (variants x rows x n),
-    its time-mean accumulators (variants x rows x 8), a step's cumulative
-    transition rows (rows x k) and a time block's chains, (span + 1) x
-    rows, which hold at most METRIC_BLOCK_VALUES entries, or one step's
-    two rows of states when a block has more than half that many rows.
+    drawn, so each chain is simulated once; a time block is freed before
+    the next is drawn, and only its last states are kept. Blocks are
+    sized so that each per-block array, whatever runs and steps are,
+    holds at most CHAIN_BLOCK_VALUES entries: a plan's weights (variants
+    x rows x n), its time-mean accumulators (variants x rows x 8), a
+    step's cumulative transition rows (rows x k) and a time block's
+    chains, (span + 1) x rows, which hold at most METRIC_BLOCK_VALUES
+    entries, or one step's two rows of states when a block has more than
+    half that many rows.
     Rows are independent and the time means keep their order, so
     blocking changes no result.
     """
@@ -560,12 +569,14 @@ def _sweep_cells(
             learners = [_Learners(p, mrp.gamma, alphas[cell % n_alpha], lambdas[cell // n_alpha])
                         for p in plans]
             span = max(1, METRIC_BLOCK_VALUES // len(rng) - 1)
-            states = None
+            last = None
             for t in range(0, config.steps, span):
-                last = None if states is None else states[-1]
                 states, rewards = simulate_chains(mrp, min(span, config.steps - t), rng, last)
                 for learner in learners:
                     learner.advance(states, rewards)
+                # a copy, not a view, so that this time block is freed before the next is drawn
+                last = states[-1].copy()
+                del states, rewards
             for learner, m, d in zip(learners, metrics, diverged):
                 m[:, part], d[:, part] = (a.reshape(len(m), -1) for a in learner.finish())
     return list(zip(metrics, diverged))
@@ -777,29 +788,35 @@ def run_sweep(config: SweepConfig, workers: int = 1) -> SweepResult:
 
 
 def sweep_to_csv(result: SweepResult) -> str:
-    """Rows in variant-major order, then lambda, then alpha ascending."""
+    """Rows in variant-major order, then lambda, then alpha ascending: the
+    fields of table_to_csv, formatted a column at a time, each grid value once."""
     c = result.config
-    keys = itertools.product(c.variants, c.lambdas, c.alphas)
-    columns = (a.ravel().tolist() for a in (result.metric_mean, result.metric_se, result.diverged))
-    return table_to_csv((
-        ["variant", "alpha", "lambda", "metric_mean", "metric_se", "runs", "diverged"],
-        [(v, alpha, lam, m, se, c.runs, d) for (v, lam, alpha), m, se, d in zip(keys, *columns)],
-    ))
+    alphas, lambdas = ([_csv_field(x) for x in grid] for grid in (c.alphas, c.lambdas))
+    keys = [f"{v},{alpha},{lam}" for v in c.variants for lam in lambdas for alpha in alphas]
+    means, ses, diverged = map(_csv_column, (result.metric_mean, result.metric_se, result.diverged))
+    runs = _csv_field(c.runs)
+    return "\n".join([
+        "variant,alpha,lambda,metric_mean,metric_se,runs,diverged",
+        *(f"{key},{m},{se},{runs},{d}" for key, m, se, d in zip(keys, means, ses, diverged)),
+    ]) + "\n"
+
+
+def _csv_field(x) -> str:
+    """One CSV field: a float with all 17 significant digits, anything else as %s."""
+    return "%.17g" % x if isinstance(x, (float, np.floating)) else "%s" % (x,)
+
+
+def _csv_column(a: np.ndarray):
+    """An array's fields in C order, as _csv_field writes them: through one
+    map, unless the array holds objects, which may be of any type."""
+    fmt = {"f": "%.17g".__mod__, "O": _csv_field}.get(a.dtype.kind, str)
+    return map(fmt, a.ravel().tolist())
 
 
 def table_to_csv(table: tuple[list[str], list[list]]) -> str:
     """A header and rows as CSV lines; floats keep all 17 significant digits."""
     header, rows = table
-    lines = [",".join(header)]
-    templates: dict[tuple[type, ...], str] = {}  # one %-template per row of field types
-    for row in rows:
-        kinds = tuple(map(type, row))
-        if kinds not in templates:
-            templates[kinds] = ",".join(
-                "%.17g" if issubclass(k, (float, np.floating)) else "%s" for k in kinds
-            )
-        lines.append(templates[kinds] % tuple(row))
-    return "\n".join(lines) + "\n"
+    return "\n".join([",".join(header), *(",".join(map(_csv_field, row)) for row in rows)]) + "\n"
 
 
 def best_per_lambda(result: SweepResult) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

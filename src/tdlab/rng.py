@@ -10,7 +10,11 @@ alone.
 
 SplitMix64Rows advances many streams at once on numpy uint64 state (the
 sweep harness draws all of a chunk's chains this way); row i yields
-exactly the floats of SplitMix64(seeds[i]), call for call.
+exactly the floats of SplitMix64(seeds[i]), call for call. The state
+after j calls is seed + j * GOLDEN_GAMMA mod 2**64, so m calls' worth of
+draws for every row is one counter pass over an (m, rows) array, and a
+chain's draw batch (chain_draws) takes a few numpy passes however many
+steps it covers.
 """
 
 from __future__ import annotations
@@ -95,8 +99,18 @@ class SplitMix64:
 
 
 def _each(f, x: np.ndarray) -> np.ndarray:
-    """f applied per element through Python floats."""
-    return np.fromiter(map(f, x.tolist()), np.float64, x.shape[0])
+    """f applied per element through Python floats, one at a time: a
+    memoryview yields each element as a float, and no list of them is built."""
+    return np.fromiter(map(f, memoryview(x.reshape(-1))), np.float64, x.size).reshape(x.shape)
+
+
+def _mix_in_place(x: np.ndarray, shifted: np.ndarray) -> None:
+    """mix64 on a uint64 array, in place (uint64 array arithmetic wraps mod
+    2**64), with shifted as scratch space of x's shape."""
+    for shift, mul in ((30, _MIX_MUL_1), (27, _MIX_MUL_2)):
+        x ^= np.right_shift(x, shift, out=shifted)
+        x *= np.uint64(mul)
+    x ^= np.right_shift(x, 31, out=shifted)
 
 
 class SplitMix64Rows:
@@ -121,22 +135,57 @@ class SplitMix64Rows:
     def __len__(self) -> int:
         return self._state.shape[0]
 
-    def next_u64(self) -> np.ndarray:
-        self._state = self._state + np.uint64(GOLDEN_GAMMA)  # wraps mod 2**64
-        return mix64(self._state)
+    def _calls(self, calls: np.ndarray) -> np.ndarray:
+        """(len(calls), rows) array: row j the floats of each stream's
+        calls[j]-th random() call from now (1 for the next; calls is a
+        uint64 array), drawn without advancing the streams."""
+        x = self._state + calls[:, None] * np.uint64(GOLDEN_GAMMA)  # wraps mod 2**64
+        u = np.empty(x.shape)
+        _mix_in_place(x, u.view(np.uint64))
+        return np.multiply(np.right_shift(x, np.uint64(11), out=x), 2.0**-53, out=u)
+
+    def _advance(self, m: int) -> None:
+        """Move every stream on by m calls: state + m * gamma, mod 2**64."""
+        self._state = self._state + np.uint64(m * GOLDEN_GAMMA & _MASK64)
+
+    def uniforms(self, m: int) -> np.ndarray:
+        """(m, rows) array: m calls of random(), row j the j-th call's floats."""
+        u = self._calls(np.arange(1, m + 1, dtype=np.uint64))
+        self._advance(m)
+        return u
 
     def random(self) -> np.ndarray:
-        return (self.next_u64() >> np.uint64(11)) * 2.0**-53
+        """Uniform floats in [0, 1) with 53 random bits, one per row."""
+        return self.uniforms(1)[0]
 
-    def normal(self, mean=0.0, std: float = 1.0) -> np.ndarray:
-        if self._spare_normal is not None:
-            z = self._spare_normal
-            self._spare_normal = None
-        else:
-            u1 = 1.0 - self.random()
-            u2 = self.random()
-            r = np.sqrt(-2.0 * _each(math.log, u1))  # sqrt is exactly rounded either way
-            a = 2.0 * math.pi * u2
-            z = r * _each(math.cos, a)
-            self._spare_normal = r * _each(math.sin, a)
-        return mean + std * z
+    def chain_draws(self, steps: int, normals: bool) -> tuple[np.ndarray, np.ndarray | None]:
+        """What `steps` rounds of random(), then normal() when normals, draw:
+        (steps, rows) arrays of the uniforms and the standard normals (None
+        without normals), call for call as SplitMix64 draws them per row.
+
+        A round that finds no Box-Muller spare draws its uniform, then the
+        pair (u1, u2), keeps r sin(a) as the spare and returns r cos(a); the
+        next round draws its uniform and returns the spare. The spare is
+        carried from call to call. Each kind of draw is computed at its own
+        call numbers, so no array of all the batch's draws is made.
+        """
+        if not normals:
+            return self.uniforms(steps), None
+        held = 0 if self._spare_normal is None else 1
+        # round c's uniform (c = 1..steps) follows the c - 1 earlier rounds'
+        # uniforms and the two calls of each earlier pair, (c - held) // 2 pairs
+        calls = np.arange(1, steps + 1, dtype=np.uint64)
+        calls += (calls - held) // 2 * 2
+        u = self._calls(calls)
+        pair = calls[held::2]  # the rounds that draw (u1, u2), right after their uniform
+        # 1 - u1 in (0, 1] keeps log finite; sqrt is exactly rounded in numpy and math alike
+        r = np.sqrt(-2.0 * _each(math.log, 1.0 - self._calls(pair + 1)))
+        a = 2.0 * math.pi * self._calls(pair + 2)
+        self._advance(steps + 2 * len(pair))
+        z = np.empty((held + 2 * len(pair), len(self)))
+        if held:
+            z[0] = self._spare_normal
+        np.multiply(r, _each(math.cos, a), out=z[held::2])
+        np.multiply(r, _each(math.sin, a), out=z[held + 1 :: 2])
+        self._spare_normal = z[steps].copy() if z.shape[0] > steps else None
+        return u, z[:steps]

@@ -1,9 +1,10 @@
 import json
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from tdlab import (
@@ -25,9 +26,9 @@ from tdlab.envs import (
     binary_feature_length,
     mrp_from_dict,
     mrp_to_dict,
-    sample_steps,
     simulate_chains,
 )
+from tdlab import envs
 from tdlab.rng import SplitMix64Rows
 
 
@@ -488,20 +489,37 @@ def test_mrp_from_dict_refuses_an_int_beyond_the_floats(key):
         mrp_from_dict(data)
 
 
-@settings(max_examples=30, deadline=None)
+# draw batches of one step, of the default size, and of the whole chain
+DRAW_BATCHES = st.sampled_from([1, envs.DRAW_BATCH_VALUES, 1 << 20])
+
+
+@settings(max_examples=40, deadline=None)
 @given(
-    k=st.integers(min_value=2, max_value=9),
+    k=st.integers(min_value=1, max_value=9),
     sigma=st.sampled_from([0.0, 0.3]),
     env_seed=st.integers(min_value=0, max_value=10_000),
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=5),
     steps=st.integers(min_value=1, max_value=25),
+    initial=st.sampled_from(["distribution", "state"]),
+    before=st.integers(min_value=0, max_value=3),
+    batch=DRAW_BATCHES,
 )
-def test_simulate_chains_match_sample_step(k, sigma, env_seed, seeds, steps):
+@example(k=4, sigma=0.3, env_seed=0, seeds=[7], steps=9, initial="distribution", before=1, batch=1)
+def test_simulate_chains_match_sample_step(k, sigma, env_seed, seeds, steps, initial, before, batch):
+    # `before` rounds of random() then normal() drawn first: an odd count leaves
+    # a Box-Muller spare pending when the chains start
     mrp = generate_mrp(k, min(3, k), sigma, 0.9, seed=env_seed)
-    states, rewards = simulate_chains(mrp, steps, SplitMix64Rows(seeds))
+    if initial == "state":
+        mrp = Mrp(k, mrp.P, mrp.r_mean, sigma=sigma, gamma=0.9, initial=k - 1)
+    rows = SplitMix64Rows(seeds)
+    rows.chain_draws(before, True)
+    with mock.patch.object(envs, "DRAW_BATCH_VALUES", batch):
+        states, rewards = simulate_chains(mrp, steps, rows)
     assert states.shape == (steps + 1, len(seeds)) and rewards.shape == (steps, len(seeds))
     for i, seed in enumerate(seeds):
         rng = SplitMix64(seed)
+        for _ in range(before):
+            rng.random(), rng.normal()
         state = mrp.initial_state(rng)
         assert states[0, i] == state
         for t in range(steps):
@@ -509,59 +527,93 @@ def test_simulate_chains_match_sample_step(k, sigma, env_seed, seeds, steps):
             assert (states[t + 1, i], rewards[t, i]) == (state, reward)
 
 
-@settings(max_examples=20, deadline=None)
+@settings(max_examples=30, deadline=None)
 @given(
     sigma=st.sampled_from([0.0, 0.3]),
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=4),
     cuts=st.lists(st.integers(min_value=1, max_value=7), min_size=1, max_size=6),
+    batch=DRAW_BATCHES,
 )
-def test_chains_drawn_a_time_block_at_a_time_are_the_chains_drawn_at_once(sigma, seeds, cuts):
-    # an odd number of steps per block leaves a Box-Muller spare pending across blocks
+@example(sigma=0.3, seeds=[5], cuts=[3, 1, 5], batch=2)
+def test_chains_drawn_a_time_block_at_a_time_are_the_chains_drawn_at_once(sigma, seeds, cuts, batch):
+    # an odd number of steps per block leaves a Box-Muller spare pending across
+    # blocks; the chains start from generate_mrp's uniform initial distribution
     mrp = generate_mrp(6, 3, sigma, 0.9, seed=4)
     whole = simulate_chains(mrp, sum(cuts), SplitMix64Rows(seeds))
     rng, states = SplitMix64Rows(seeds), None
     blocks = []
-    for steps in cuts:
-        states, rewards = simulate_chains(mrp, steps, rng, None if states is None else states[-1])
-        blocks.append((states, rewards))
+    with mock.patch.object(envs, "DRAW_BATCH_VALUES", batch):
+        for steps in cuts:
+            states, rewards = simulate_chains(mrp, steps, rng, None if states is None else states[-1])
+            blocks.append((states, rewards))
     assert np.array_equal(np.vstack([blocks[0][0][:1]] + [b[0][1:] for b in blocks]), whole[0])
     assert np.vstack([b[1] for b in blocks]).tobytes() == whole[1].tobytes()
 
 
 class FixedUniform:
-    """An rng whose every uniform draw is u."""
+    """An rng whose every uniform draw is u, for one row (random) or for
+    rows rows at once (random and chain_draws, as SplitMix64Rows)."""
 
-    def __init__(self, u):
-        self.u = u
+    def __init__(self, u, rows=None):
+        self.u, self.rows = u, rows
+
+    def __len__(self):
+        return self.rows
 
     def random(self):
-        return self.u
+        return self.u if self.rows is None else np.full(self.rows, self.u)
+
+    def chain_draws(self, steps, normals):
+        assert not normals
+        return np.full((steps, self.rows), self.u), None
 
 
-@pytest.mark.parametrize("u", [0.0, 0.3, 0.5, 0.5 - 1e-13, 0.9999999999999, 1.0 - 2.0**-53])
+SHORT = [0.5, 0.5 - 1e-13, 0.0]  # sums to 1 - 1e-13, with a zero tail
+
+
+@pytest.mark.parametrize("u", [
+    0.0, 0.25, 0.3, 0.5, 0.5 - 1e-13, 0.5 + (0.5 - 1e-13), 0.9999999999999, 1.0 - 2.0**-53,
+])
 def test_samplers_draw_what_a_per_call_cumsum_draws(u):
-    # rows and the initial distribution sum to 1 - 1e-13, so a u close to 1
-    # lands past the last cumulative entry and is clipped to state k - 1
-    short = [0.5, 0.5 - 1e-13, 0.0]
-    P = np.array([short, [0.0, 0.25, 0.75], [1.0, 0.0, 0.0]])
-    mrp = Mrp(3, P, np.zeros((3, 3)), sigma=0.0, gamma=0.9, initial=np.array(short))
-    for s in range(3):
-        want = int(np.searchsorted(np.cumsum(P[s]), u, side="right").clip(0, 2))
-        assert sample_step(mrp, s, FixedUniform(u))[0] == want
-    want = int(np.searchsorted(np.cumsum(short), u, side="right").clip(0, 2))
-    assert mrp.initial_state(FixedUniform(u)) == want
+    # a u equal to a cumulative entry (0.25, 0.5, SHORT's second sum) counts
+    # that entry; the k = 3 rows and initial distribution sum to 1 - 1e-13, so
+    # a u close to 1 lands past the last cumulative entry and is clipped to
+    # state k - 1, by the scalar samplers' searchsorted and by simulate_chains'
+    # argmax step alike; k = 1 always stays
+    for P in (np.array([SHORT, [0.0, 0.25, 0.75], [1.0, 0.0, 0.0]]), np.array([[1.0]])):
+        k = len(P)
+        mrp = Mrp(k, P, np.zeros((k, k)), sigma=0.0, gamma=0.9, initial=P[0].copy())
+        want = [int(np.searchsorted(np.cumsum(row), u, side="right").clip(0, k - 1)) for row in P]
+        assert [sample_step(mrp, s, FixedUniform(u))[0] for s in range(k)] == want
+        states, _ = simulate_chains(mrp, 1, FixedUniform(u, rows=k), start=np.arange(k))
+        assert states[1].tolist() == want
+        assert mrp.initial_state(FixedUniform(u)) == want[0]
+        assert simulate_chains(mrp, 0, FixedUniform(u, rows=2))[0][0].tolist() == [want[0]] * 2
 
 
-def test_sample_steps_from_given_states():
+def test_simulate_chains_from_given_states():
     mrp = generate_mrp(7, 3, 0.5, 0.9, seed=5)
     starts = np.array([0, 6, 3, 3])
     rows = SplitMix64Rows([11, 12, 13, 14])
-    nxt, reward = sample_steps(mrp, starts, rows)
+    states, rewards = simulate_chains(mrp, 1, rows, start=starts)
     want = [sample_step(mrp, int(s), SplitMix64(seed)) for s, seed in zip(starts, [11, 12, 13, 14])]
-    assert list(zip(nxt.tolist(), reward.tolist())) == want
+    assert states[0].tolist() == starts.tolist()
+    assert list(zip(states[1].tolist(), rewards[0].tolist())) == want
 
 
-def test_sample_steps_terminal_fatal():
+def test_simulate_chains_terminal_fatal():
     mrp, _ = canonical_task("one-state")
     with pytest.raises(ConfigError, match="cannot step from terminal state 1"):
-        sample_steps(mrp, np.array([0, 1]), SplitMix64Rows([0, 1]))
+        simulate_chains(mrp, 1, SplitMix64Rows([0, 1]), start=np.array([0, 1]))
+    # a chain that reaches the terminal state mid-batch is refused when it steps on
+    seeds = [0, 1, 2]
+    with pytest.raises(ConfigError) as scalar:
+        for seed in seeds:
+            rng, state = SplitMix64(seed), 0
+            for _ in range(200):
+                state, _ = sample_step(mrp, state, rng)
+    for batch in (1, 1 << 20):
+        with mock.patch.object(envs, "DRAW_BATCH_VALUES", batch):
+            with pytest.raises(ConfigError) as rows:
+                simulate_chains(mrp, 200, SplitMix64Rows(seeds))
+        assert str(rows.value) == str(scalar.value) == "cannot step from terminal state 1"

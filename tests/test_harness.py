@@ -1126,6 +1126,50 @@ class TestCsv:
             assert float(fields[3]) == mean
             assert float(fields[4]) == se
 
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(), runs=st.integers(1, 7))
+    @example(data=None, runs=1)
+    def test_columns_match_the_rows_formatted_by_type(self, data, runs):
+        # sweep_to_csv formats a column at a time; its text is each row's
+        # fields formatted by type, as a sweep CSV was written before
+        def grid(values):  # ascending without repeats (the set keeps one of 0, 0.0 and -0.0)
+            return tuple(sorted(set(values)))
+
+        if data is None:  # one of each kind of field
+            alphas, lambdas, variants = (-0.0, 0.5, 1, 2.0), (0, 1.0), ("accumulate", "true-online")
+            specials = [-0.0, np.inf, -np.inf, np.nan, 1e-300, 0.1]
+        else:
+            alphas = grid(data.draw(st.lists(st.one_of(
+                st.integers(0, 5), st.floats(0.0, 1e308), st.just(-0.0)), min_size=1, max_size=4)))
+            lambdas = grid(data.draw(st.lists(st.one_of(
+                st.integers(0, 1), st.floats(0.0, 1.0)), min_size=1, max_size=3)))
+            variants = tuple(data.draw(st.lists(
+                st.sampled_from(PREDICTION_VARIANTS), min_size=1, max_size=3, unique=True)))
+            specials = None
+        config = small_config(variants=variants, alphas=alphas, lambdas=lambdas, runs=runs)
+        cells = len(variants) * len(lambdas) * len(alphas)
+        if specials is None:
+            floats = st.floats(allow_nan=True, allow_infinity=True)
+            means, ses = (data.draw(st.lists(floats, min_size=cells, max_size=cells)) for _ in "ms")
+            diverged = data.draw(st.lists(st.integers(0, runs), min_size=cells, max_size=cells))
+        else:
+            means = [specials[i % len(specials)] for i in range(cells)]
+            ses = means[::-1]
+            diverged = [i % (runs + 1) for i in range(cells)]
+        def field(x):  # as a sweep CSV was written before: each row's fields by type
+            return "%.17g" % x if isinstance(x, (float, np.floating)) else str(x)
+
+        result = result_of_cells(config, runs, means, ses, diverged)
+        # and with arrays of Python objects, or of bools, in place of floats and ints
+        others = SweepResult(config, result.metric_mean.astype(object), result.metric_se,
+                             result.diverged.astype(bool))
+        for r in (result, others):
+            keys = itertools.product(variants, lambdas, alphas)
+            columns = (a.ravel().tolist() for a in (r.metric_mean, r.metric_se, r.diverged))
+            rows = [("variant", "alpha", "lambda", "metric_mean", "metric_se", "runs", "diverged")]
+            rows += [(v, a, lam, m, se, runs, d) for (v, lam, a), m, se, d in zip(keys, *columns)]
+            assert sweep_to_csv(r) == "".join(",".join(map(field, row)) + "\n" for row in rows)
+
 
 def result_of_cells(config, runs, means, ses, diverged):
     """The SweepResult of the config's grids at the given run count, from

@@ -80,16 +80,54 @@ def test_state_update_uses_golden_gamma():
 @settings(max_examples=40, deadline=None)
 @given(
     seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
-    calls=st.lists(st.sampled_from(["random", "normal"]), min_size=1, max_size=40),
+    m=st.integers(min_value=0, max_value=20),
+)
+def test_uniforms_are_m_scalar_random_calls(seeds, m):
+    rows, scalars = SplitMix64Rows(seeds), [SplitMix64(s) for s in seeds]
+    state = rows._state.copy()
+    u = rows.uniforms(m)
+    assert u.shape == (m, len(seeds)) and u.dtype == np.float64
+    assert u.T.tolist() == [[s.random() for _ in range(m)] for s in scalars]
+    if m == 0:
+        assert rows._state.tolist() == state.tolist()
+    assert rows.random().tolist() == [s.random() for s in scalars]  # the streams go on in step
+
+
+def scalar_rounds(rng, steps, normals):
+    """`steps` rounds of random(), then normal() when normals, on one SplitMix64."""
+    rounds = [(rng.random(), rng.normal() if normals else None) for _ in range(steps)]
+    return [u for u, _ in rounds], [z for _, z in rounds]
+
+
+def assert_rounds_match(rows, scalars, steps, normals):
+    u, z = rows.chain_draws(steps, normals)
+    assert u.shape == (steps, len(scalars))
+    want = [scalar_rounds(s, steps, normals) for s in scalars]
+    assert u.T.tolist() == [w[0] for w in want]
+    if normals:
+        assert z.shape == (steps, len(scalars))
+        assert z.T.tolist() == [w[1] for w in want]
+    else:
+        assert z is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(st.integers(min_value=0, max_value=2**64 - 1), min_size=1, max_size=6),
+    calls=st.lists(
+        st.one_of(st.just("random"), st.tuples(st.integers(0, 7), st.booleans())),
+        min_size=1, max_size=12,
+    ),
 )
 def test_rows_match_scalar_streams(seeds, calls):
+    # chain draw batches of any size, with or without normals, between single
+    # uniforms: an odd batch leaves a Box-Muller spare for the next
     rows, scalars = SplitMix64Rows(seeds), [SplitMix64(s) for s in seeds]
     for call in calls:
         if call == "random":
-            got, want = rows.random(), [s.random() for s in scalars]
+            assert rows.random().tolist() == [s.random() for s in scalars]
         else:
-            got, want = rows.normal(0.5, 2.0), [s.normal(0.5, 2.0) for s in scalars]
-        assert got.tolist() == want
+            assert_rounds_match(rows, scalars, *call)
 
 
 def test_rows_match_scalar_normals_at_scale():
@@ -97,12 +135,14 @@ def test_rows_match_scalar_normals_at_scale():
     # so thousands of draws are needed to see such a difference
     seeds = [mix64(i) for i in range(1000)]
     rows, scalars = SplitMix64Rows(seeds), [SplitMix64(s) for s in seeds]
-    for _ in range(8):
-        assert rows.normal().tolist() == [s.normal() for s in scalars]
+    for steps in (3, 8, 5):
+        assert_rounds_match(rows, scalars, steps, True)
 
 
 def test_rows_normal_keeps_the_box_muller_spare():
     rows, scalar = SplitMix64Rows([3]), SplitMix64(3)
-    first, second = rows.normal(), rows.normal()  # one Box-Muller pair
-    assert [first[0], second[0]] == [scalar.normal(), scalar.normal()]
+    assert_rounds_match(rows, [scalar], 1, True)  # draws a Box-Muller pair, keeps the spare
+    assert rows.chain_draws(0, True)[1].shape == (0, 1)  # and keeps it through an empty batch
+    assert rows.chain_draws(0, False)[0].shape == (0, 1)
+    assert_rounds_match(rows, [scalar], 1, True)  # returns the spare
     assert rows.random()[0] == scalar.random()
